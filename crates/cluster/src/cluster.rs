@@ -699,8 +699,8 @@ mod tests {
         let rec = cluster.shard_recorder(0).unwrap();
         let replay = rec.replay().unwrap();
         assert_eq!(replay.frames.len(), 2);
-        assert_eq!(replay.frames[0].epoch, 0);
-        assert_eq!(replay.frames[1].epoch, 1);
+        assert_eq!(replay.frames[0].0, 0);
+        assert_eq!(replay.frames[1].0, 1);
 
         // Window extraction returns only the second epoch's frame, as a
         // verifiable recording of its own.

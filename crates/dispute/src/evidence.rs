@@ -212,18 +212,11 @@ pub fn evidence_set_digest(evidence: &[SignedEvidence]) -> Digest {
 mod tests {
     use super::*;
     use adlp_crypto::RsaKeyPair;
-    use adlp_logger::recording::{encode_frame, replay_bytes, RECORDING_MAGIC};
+    use adlp_logger::recording::replay_bytes;
     use rand::{rngs::StdRng, SeedableRng};
 
     fn window() -> RecordingWindow {
-        let mut bytes = RECORDING_MAGIC.to_vec();
-        bytes.extend_from_slice(&encode_frame(3, b"entry-a"));
-        bytes.extend_from_slice(&encode_frame(4, b"entry-b"));
-        RecordingWindow {
-            epoch_from: 3,
-            epoch_to: 4,
-            bytes,
-        }
+        RecordingWindow::from_frames(3, 4, &[(3, b"entry-a".to_vec()), (4, b"entry-b".to_vec())])
     }
 
     #[test]
@@ -321,7 +314,7 @@ mod tests {
             evidence_set_digest(&[b.clone(), a.clone()])
         );
         assert_ne!(
-            evidence_set_digest(&[a.clone()]),
+            evidence_set_digest(std::slice::from_ref(&a)),
             evidence_set_digest(&[a, b])
         );
     }

@@ -34,6 +34,7 @@ use std::sync::Arc;
 use adlp_audit::ContestedVerdict;
 use adlp_crypto::Digest;
 use adlp_logger::encoding::{read_bytes, read_str, read_uvarint, write_bytes, write_str, write_uvarint};
+use adlp_logger::frame::DurableCell;
 use adlp_logger::{KeyRegistry, LogError, Storage};
 use adlp_pubsub::NodeId;
 
@@ -43,7 +44,8 @@ use crate::resolver::{claim_digest, ResolverKeyring, SignedVote, Vote};
 /// Storage file the ledger persists its full state under.
 pub const DISPUTE_STATE_FILE: &str = "dispute-ledger";
 
-/// Magic prefix of the persisted ledger state.
+/// Magic of the persisted ledger state (a sealed blob,
+/// `adlp_logger::frame`).
 pub const DISPUTE_STATE_MAGIC: &[u8; 8] = b"ADLPDSP1";
 
 /// Where a dispute is in its lifecycle.
@@ -427,6 +429,9 @@ impl ResolutionProof {
             let mut vote_bytes = read_bytes(&mut input)?;
             votes.push(SignedVote::decode(&mut vote_bytes)?);
         }
+        if !input.is_empty() {
+            return Err(LogError::Malformed("resolution (trailing bytes)"));
+        }
         Ok(ResolutionProof {
             instance,
             dispute,
@@ -454,7 +459,7 @@ pub struct DisputeLedger {
     config: DisputeConfig,
     parties: KeyRegistry,
     resolvers: ResolverKeyring,
-    storage: Option<Arc<dyn Storage>>,
+    cell: Option<DurableCell>,
     next_id: u64,
     disputes: std::collections::BTreeMap<u64, Dispute>,
     counters: DisputeCounters,
@@ -467,7 +472,7 @@ impl DisputeLedger {
             config,
             parties: KeyRegistry::new(),
             resolvers: ResolverKeyring::new(),
-            storage: None,
+            cell: None,
             next_id: 0,
             disputes: std::collections::BTreeMap::new(),
             counters: DisputeCounters::default(),
@@ -493,20 +498,22 @@ impl DisputeLedger {
     /// # Errors
     ///
     /// Returns [`LogError::Io`] on device failure, [`LogError::Malformed`]
-    /// if the persisted state is corrupt.
+    /// if a state file is present but corrupt — an empty one included: the
+    /// ledger never starts blank over stakes it can no longer read.
     pub fn bind_storage(&mut self, storage: Arc<dyn Storage>) -> Result<bool, LogError> {
-        let existing = storage.read(DISPUTE_STATE_FILE)?;
-        self.storage = Some(storage);
-        match existing {
-            Some(bytes) if !bytes.is_empty() => {
-                self.adopt_state(&bytes)?;
-                Ok(true)
+        let cell = DurableCell::new(storage, DISPUTE_STATE_FILE, DISPUTE_STATE_MAGIC);
+        let resumed = match cell.load()? {
+            Some(payload) => {
+                self.adopt_state(&payload)?;
+                true
             }
-            _ => {
-                self.persist()?;
-                Ok(false)
-            }
+            None => false,
+        };
+        self.cell = Some(cell);
+        if !resumed {
+            self.persist()?;
         }
+        Ok(resumed)
     }
 
     /// The ledger's policy.
@@ -859,7 +866,6 @@ impl DisputeLedger {
 
     fn encode_state(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(256);
-        out.extend_from_slice(DISPUTE_STATE_MAGIC);
         write_uvarint(&mut out, self.next_id);
         write_uvarint(&mut out, self.disputes.len() as u64);
         for dispute in self.disputes.values() {
@@ -868,11 +874,8 @@ impl DisputeLedger {
         out
     }
 
-    fn adopt_state(&mut self, bytes: &[u8]) -> Result<(), LogError> {
-        let rest = bytes
-            .strip_prefix(DISPUTE_STATE_MAGIC.as_slice())
-            .ok_or(LogError::Malformed("dispute ledger state (magic)"))?;
-        let mut input = rest;
+    fn adopt_state(&mut self, payload: &[u8]) -> Result<(), LogError> {
+        let mut input = payload;
         let next_id = read_uvarint(&mut input)?;
         let len = read_uvarint(&mut input)? as usize;
         let mut disputes = std::collections::BTreeMap::new();
@@ -890,10 +893,10 @@ impl DisputeLedger {
     }
 
     fn persist(&self) -> Result<(), LogError> {
-        if let Some(storage) = &self.storage {
-            storage.write_replace(DISPUTE_STATE_FILE, &self.encode_state())?;
+        match &self.cell {
+            Some(cell) => cell.store(&self.encode_state()),
+            None => Ok(()),
         }
-        Ok(())
     }
 }
 
@@ -903,7 +906,6 @@ mod tests {
     use crate::evidence::Evidence;
     use crate::resolver::Resolver;
     use adlp_crypto::{RsaKeyPair, RsaPrivateKey};
-    use adlp_logger::recording::{encode_frame, RECORDING_MAGIC};
     use adlp_logger::{MemStorage, RecordingWindow};
     use rand::{rngs::StdRng, SeedableRng};
     use std::collections::BTreeMap;
@@ -954,17 +956,11 @@ mod tests {
     }
 
     fn recording_evidence(b: &Bench, id: u64, round: u32) -> SignedEvidence {
-        let mut bytes = RECORDING_MAGIC.to_vec();
-        bytes.extend_from_slice(&encode_frame(1, b"entry"));
         SignedEvidence::sign(
             b.claimant.clone(),
             id,
             round,
-            Evidence::Recording(RecordingWindow {
-                epoch_from: 1,
-                epoch_to: 1,
-                bytes,
-            }),
+            Evidence::Recording(RecordingWindow::from_frames(1, 1, &[(1, b"entry".to_vec())])),
             &b.claimant_key,
         )
         .unwrap()
@@ -1066,7 +1062,7 @@ mod tests {
             Evidence::Recording(RecordingWindow {
                 epoch_from: 0,
                 epoch_to: 0,
-                bytes: RECORDING_MAGIC.to_vec(),
+                bytes: adlp_logger::RECORDING_MAGIC.to_vec(),
             }),
             stranger.private_key(),
         )

@@ -120,13 +120,13 @@ pub fn replay_window(window: &RecordingWindow, ctx: &ReplayContext) -> Result<Re
     let mut duplicates = 0u64;
     let mut undecodable = 0u64;
     let mut entries: Vec<(Vec<u8>, LogEntry)> = Vec::new();
-    for frame in &replay.frames {
-        if !seen.insert((frame.epoch, frame.entry.as_slice())) {
+    for (epoch, bytes) in &replay.frames {
+        if !seen.insert((*epoch, bytes.as_slice())) {
             duplicates += 1;
             continue;
         }
-        match LogEntry::decode(&frame.entry) {
-            Ok(entry) => entries.push((frame.entry.clone(), entry)),
+        match LogEntry::decode(bytes) {
+            Ok(entry) => entries.push((bytes.clone(), entry)),
             Err(_) => undecodable += 1,
         }
     }
@@ -153,7 +153,6 @@ pub fn replay_window(window: &RecordingWindow, ctx: &ReplayContext) -> Result<Re
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adlp_logger::recording::{encode_frame, RecordedFrame, RECORDING_MAGIC};
 
     fn naive(component: &str, topic: &str, dir: Direction, seq: u64) -> LogEntry {
         LogEntry::naive(
@@ -167,17 +166,9 @@ mod tests {
     }
 
     fn window_of(frames: &[(u64, Vec<u8>)]) -> RecordingWindow {
-        let mut bytes = RECORDING_MAGIC.to_vec();
-        for (epoch, entry) in frames {
-            bytes.extend_from_slice(&encode_frame(*epoch, entry));
-        }
         let lo = frames.iter().map(|(e, _)| *e).min().unwrap_or(0);
         let hi = frames.iter().map(|(e, _)| *e).max().unwrap_or(0);
-        RecordingWindow {
-            epoch_from: lo,
-            epoch_to: hi,
-            bytes,
-        }
+        RecordingWindow::from_frames(lo, hi, frames)
     }
 
     fn ctx() -> ReplayContext {
@@ -249,12 +240,7 @@ mod tests {
             bytes: b"XXXXXXXX".to_vec(),
         };
         assert!(replay_window(&w, &ctx()).is_err());
-        // A RecordedFrame vector round-trips through from_frames too.
-        let frame = RecordedFrame {
-            epoch: 1,
-            entry: naive("cam", "image", Direction::Out, 1).encode(),
-        };
-        let good = RecordingWindow::from_frames(1, 1, [&frame]);
+        let good = window_of(&[(1, naive("cam", "image", Direction::Out, 1).encode())]);
         assert!(good.verify());
         assert!(replay_window(&good, &ctx()).is_ok());
     }

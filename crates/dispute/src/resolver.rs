@@ -526,7 +526,6 @@ mod tests {
 
     #[test]
     fn torn_recording_evidence_is_non_probative() {
-        use adlp_logger::recording::{encode_frame, RECORDING_MAGIC};
         use adlp_logger::{LogEntry, RecordingWindow};
         use adlp_pubsub::Topic;
 
@@ -541,15 +540,8 @@ mod tests {
             vec![1; 8],
         )
         .encode();
-        let mut bytes = RECORDING_MAGIC.to_vec();
-        bytes.extend_from_slice(&encode_frame(1, &entry));
-        bytes.extend_from_slice(&encode_frame(2, &entry));
-        bytes.truncate(bytes.len() - 3);
-        let torn = RecordingWindow {
-            epoch_from: 1,
-            epoch_to: 2,
-            bytes,
-        };
+        let mut torn = RecordingWindow::from_frames(1, 2, &[(1, entry.clone()), (2, entry)]);
+        torn.bytes.truncate(torn.bytes.len() - 3);
         assert!(!torn.verify());
         let ev = SignedEvidence::sign(
             NodeId::new("cam"),

@@ -487,7 +487,7 @@ fn lock_hygiene(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
 const FALLIBLE_SENDS: &[&str] = &[
     "publish", "submit", "send", "try_send", "send_frame", "append", "flush",
     "log_event", "submit_durable", "adopt_encoded", "sync", "write_replace",
-    "truncate", "truncate_tail", "deposit", "deposit_durable", "admit",
+    "truncate", "store", "deposit", "deposit_durable", "admit",
     "on_success", "on_failure",
 ];
 

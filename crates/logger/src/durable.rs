@@ -3,17 +3,19 @@
 //! The invariant this module carries for the whole protocol: **an entry the
 //! logger acknowledged as durable is present after any crash**. Mechanism:
 //!
-//! * every deposit is appended to the checksummed WAL ([`crate::wal`])
-//!   *before* the acknowledgement, synced per [`SyncPolicy`];
+//! * every deposit is appended to the WAL ([`crate::wal`], a framed append
+//!   log — [`crate::frame`]) *before* the acknowledgement, synced per
+//!   [`SyncPolicy`];
 //! * periodically the whole store is rewritten as an atomic snapshot
 //!   (write-temp / sync / rename via [`Storage::write_replace`]) and the
 //!   WAL is reset — the rotation is crash-safe at every interleaving,
 //!   because WAL records carry their store index and replay skips records
 //!   the snapshot already covers (a crash *between* the snapshot rename and
 //!   the WAL truncate merely replays no-ops);
-//! * on startup, [`DurableLog::open`] loads the snapshot, replays the WAL,
-//!   truncates a torn tail (counted, never fatal), reconciles the recovered
-//!   store against the snapshot's embedded Merkle root, and compacts.
+//! * on startup, [`DurableLog::open`] loads the snapshot, replays the WAL
+//!   (a torn tail is counted, never fatal, and truncated away before the
+//!   next append), reconciles the recovered store against the snapshot's
+//!   embedded Merkle root, and compacts.
 //!
 //! ## Snapshot format
 //!
@@ -31,7 +33,7 @@ use crate::merkle::MerkleTree;
 use crate::stats::DurabilityStats;
 use crate::storage::Storage;
 use crate::store::LogStore;
-use crate::wal::Wal;
+use crate::frame::FrameLog;
 use crate::LogError;
 use adlp_crypto::sha256::Digest;
 use std::sync::Arc;
@@ -232,7 +234,7 @@ fn load_snapshot(storage: &Arc<dyn Storage>, name: &str) -> Result<SnapshotLoad,
     while !body.is_empty() && (load.records.len() as u64) < load.declared_count {
         let parsed = body.split_at_checked(4).and_then(|(len_bytes, after)| {
             let len = u32::from_le_bytes(len_bytes.try_into().ok()?) as usize;
-            if len > crate::wal::MAX_RECORD_LEN {
+            if len > crate::frame::MAX_PAYLOAD_LEN {
                 return None;
             }
             let record = after.get(..len)?;
@@ -260,16 +262,14 @@ fn load_snapshot(storage: &Arc<dyn Storage>, name: &str) -> Result<SnapshotLoad,
 #[derive(Debug)]
 pub struct DurableLog {
     storage: Arc<dyn Storage>,
-    wal: Wal,
+    wal: FrameLog,
     fsync: SyncPolicy,
     rotate_every: usize,
     counters: DurabilityStats,
     appended_since_rotate: usize,
-    /// Byte length of the WAL's known-good prefix; a failed append is
-    /// repaired by truncating back to this.
-    wal_good_bytes: u64,
-    /// Set when a torn WAL tail could not be repaired; all further appends
-    /// are refused rather than risking silent loss behind the tear.
+    /// Set when a rollback could not be made durable; all further appends
+    /// are refused (as they are when the WAL itself reports an
+    /// unrepairable torn tail).
     broken: bool,
 }
 
@@ -287,7 +287,7 @@ impl DurableLog {
     /// device fails outright during reads.
     pub fn open(config: &DurabilityConfig) -> Result<(Self, LogStore, Recovery), LogError> {
         let storage = config.storage.clone();
-        let wal = Wal::new(storage.clone(), WAL_FILE);
+        let wal = crate::wal::open(storage.clone(), WAL_FILE);
         let mut recovery = Recovery::default();
 
         let snapshot = load_snapshot(&storage, SNAPSHOT_FILE)?;
@@ -308,21 +308,19 @@ impl DurableLog {
         }
 
         let replay = wal.replay()?;
-        recovery.records_truncated += replay.records_truncated;
+        recovery.records_truncated += replay.frames_truncated;
         recovery.bytes_truncated += replay.bytes_truncated;
         let mut gap = false;
-        for record in &replay.records {
+        for (index, entry) in replay.frames {
             if gap {
                 recovery.records_truncated += 1;
                 continue;
             }
             let at = store.len() as u64;
-            if record.index < at {
+            if index < at {
                 recovery.wal_skipped += 1;
-            } else if record.index == at
-                && crate::entry::LogEntry::decode(&record.entry).is_ok()
-            {
-                store.append_encoded(record.entry.clone());
+            } else if index == at && crate::entry::LogEntry::decode(&entry).is_ok() {
+                store.append_encoded(entry);
                 recovery.wal_replayed += 1;
             } else {
                 // An index gap (or undecodable record behind a valid
@@ -333,14 +331,13 @@ impl DurableLog {
             }
         }
 
-        let mut log = Self {
+        let log = Self {
             storage,
             wal,
             fsync: config.fsync,
             rotate_every: config.rotate_every,
             counters: config.counters.clone(),
             appended_since_rotate: 0,
-            wal_good_bytes: replay.good_bytes,
             broken: false,
         };
 
@@ -358,62 +355,23 @@ impl DurableLog {
 
         // Compact: persist the recovered state as a fresh snapshot, then
         // reset the WAL. Snapshot MUST land before the reset, or the
-        // replayed records would lose their only durable copy.
+        // replayed records would lose their only durable copy. When either
+        // step fails (or compaction is skipped) the old WAL records stay,
+        // index-covered by the snapshot, and the WAL's first append
+        // truncates a torn tail away so it lands on a record boundary.
         recovery.compacted = evidence_safe
             && match log.write_snapshot(&store) {
-                Ok(()) => match log.wal.reset() {
-                    Ok(()) => {
-                        log.wal_good_bytes = 8;
-                        true
-                    }
-                    Err(_) => {
-                        // Old WAL records are index-covered by the new
-                        // snapshot; only a torn tail needs repairing so new
-                        // appends land on a record boundary.
-                        log.repair_tail();
-                        false
-                    }
-                },
+                Ok(()) => log.wal.reset().is_ok(),
                 Err(_) => {
                     log.counters.note_fsync_failure();
-                    log.repair_tail();
                     false
                 }
             };
-        if !evidence_safe {
-            // Skipped compaction entirely; still repair a torn tail so new
-            // appends land on a record boundary.
-            log.repair_tail();
-        }
 
         if recovery.records_truncated > 0 {
             log.counters.note_records_truncated(recovery.records_truncated);
         }
         Ok((log, store, recovery))
-    }
-
-    /// Truncates the WAL back to its known-good prefix; marks the log
-    /// broken when even that fails — or when the tail's length cannot be
-    /// learned at all, because appending blind could land an acked record
-    /// behind an unrepaired tear that replay would never reach.
-    fn repair_tail(&mut self) {
-        let len = match self.storage.size_of(self.wal.name()) {
-            Ok(len) => len.unwrap_or(0),
-            Err(_) => {
-                self.broken = true;
-                return;
-            }
-        };
-        if len <= self.wal_good_bytes {
-            return;
-        }
-        if self
-            .storage
-            .truncate(self.wal.name(), self.wal_good_bytes)
-            .is_err()
-        {
-            self.broken = true;
-        }
     }
 
     /// Appends one record to the WAL ahead of the in-memory store append,
@@ -426,19 +384,15 @@ impl DurableLog {
     /// — the entry is *not* in the WAL and must not be acknowledged as
     /// durable.
     pub fn append(&mut self, index: u64, entry: &[u8]) -> Result<Appended, LogError> {
-        if self.broken {
+        if self.is_broken() {
             return Err(LogError::Io(
                 "durable log disabled: unrepairable wal tail".into(),
             ));
         }
-        let record_bytes = (8 + 8 + entry.len()) as u64
-            + if self.wal_good_bytes == 0 { 8 } else { 0 };
         if let Err(e) = self.wal.append(index, entry) {
             self.counters.note_wal_append_failure();
-            self.repair_tail();
             return Err(e);
         }
-        self.wal_good_bytes += record_bytes;
         self.appended_since_rotate += 1;
         match self.fsync {
             SyncPolicy::Never => Ok(Appended::SyncSkipped),
@@ -475,15 +429,9 @@ impl DurableLog {
     pub fn rotate(&mut self, store: &LogStore) -> Result<(), LogError> {
         self.write_snapshot(store)?;
         self.appended_since_rotate = 0;
-        match self.wal.reset() {
-            Ok(()) => {
-                self.wal_good_bytes = 8;
-                Ok(())
-            }
-            // The snapshot covers everything; a failed reset only costs
-            // disk space and replay time.
-            Err(_) => Ok(()),
-        }
+        // The snapshot covers everything; a failed reset only costs disk
+        // space and replay time.
+        self.wal.reset().or(Ok(()))
     }
 
     /// Makes a store *rollback* durable: persists the truncated store as a
@@ -510,17 +458,10 @@ impl DurableLog {
             return Err(e);
         }
         self.appended_since_rotate = 0;
-        match self.wal.reset() {
-            Ok(()) => {
-                self.wal_good_bytes = 8;
-                Ok(())
-            }
-            Err(e) => {
-                self.broken = true;
-                self.counters.note_fsync_failure();
-                Err(e)
-            }
-        }
+        self.wal.reset().inspect_err(|_| {
+            self.broken = true;
+            self.counters.note_fsync_failure();
+        })
     }
 
     fn write_snapshot(&self, store: &LogStore) -> Result<(), LogError> {
@@ -528,9 +469,10 @@ impl DurableLog {
         self.storage.write_replace(SNAPSHOT_FILE, &bytes)
     }
 
-    /// Whether the log refused further appends after an unrepairable tear.
+    /// Whether the log refuses further appends: after an unrepairable WAL
+    /// tear, or a rollback that could not be made durable.
     pub fn is_broken(&self) -> bool {
-        self.broken
+        self.broken || self.wal.is_broken()
     }
 
     /// The shared durability counters.
@@ -605,24 +547,6 @@ mod tests {
         let (_log2, store2, recovery) = open_mem(&mem);
         assert!(store2.len() < 5);
         assert!(recovery.root_verified);
-    }
-
-    #[test]
-    fn torn_wal_tail_is_truncated_and_counted() {
-        let mem = Arc::new(MemStorage::new());
-        let (mut log, store, _) = open_mem(&mem);
-        for i in 0..4u64 {
-            let e = entry(i);
-            log.append(i, &e).unwrap();
-            store.append_encoded(e);
-        }
-        // Tear the last WAL record by hand.
-        let wal_bytes = mem.read(WAL_FILE).unwrap().unwrap();
-        mem.write_replace(WAL_FILE, &wal_bytes[..wal_bytes.len() - 5]).unwrap();
-        let (_log2, store2, recovery) = open_mem(&mem);
-        assert_eq!(store2.len(), 3);
-        assert_eq!(recovery.records_truncated, 1);
-        assert!(recovery.bytes_truncated > 0);
     }
 
     #[test]
@@ -735,64 +659,29 @@ mod tests {
         );
     }
 
-    /// Delegates to a [`MemStorage`] but fails `size_of` on demand, to
-    /// drive `repair_tail` into its size-probe-failure path.
-    #[derive(Debug)]
-    struct FlakyProbeStorage {
-        inner: MemStorage,
-        fail_size_of: std::sync::atomic::AtomicBool,
-    }
-
-    impl Storage for FlakyProbeStorage {
-        fn read(&self, name: &str) -> Result<Option<Vec<u8>>, LogError> {
-            self.inner.read(name)
-        }
-        fn append(&self, name: &str, bytes: &[u8]) -> Result<(), LogError> {
-            self.inner.append(name, bytes)
-        }
-        fn sync(&self, name: &str) -> Result<(), LogError> {
-            self.inner.sync(name)
-        }
-        fn truncate(&self, name: &str, len: u64) -> Result<(), LogError> {
-            self.inner.truncate(name, len)
-        }
-        fn write_replace(&self, name: &str, bytes: &[u8]) -> Result<(), LogError> {
-            self.inner.write_replace(name, bytes)
-        }
-        fn remove(&self, name: &str) -> Result<(), LogError> {
-            self.inner.remove(name)
-        }
-        fn size_of(&self, name: &str) -> Result<Option<u64>, LogError> {
-            if self.fail_size_of.load(std::sync::atomic::Ordering::SeqCst) {
-                return Err(LogError::Io("size_of failed (test)".into()));
-            }
-            self.inner.size_of(name)
-        }
-    }
-
     #[test]
     fn failed_tail_probe_breaks_the_log_instead_of_appending_blind() {
-        let storage = Arc::new(FlakyProbeStorage {
-            inner: MemStorage::new(),
-            fail_size_of: std::sync::atomic::AtomicBool::new(false),
-        });
-        let config = DurabilityConfig::new(storage.clone() as Arc<dyn Storage>);
+        use crate::storage::{FaultyStorage, StorageFaultConfig};
+        // The device survives recovery (two reads, snapshot, WAL reset) and
+        // one synced append, then dies: the next append fails and the
+        // repair cannot even learn where the tail is — the log must refuse
+        // further appends rather than risk landing one behind a tear.
+        let mut plan = StorageFaultConfig::none(1);
+        plan.die_after_ops = Some(6);
+        let mem = Arc::new(MemStorage::new());
+        let device = Arc::new(FaultyStorage::new(mem.clone(), plan));
+        let config = DurabilityConfig::new(device.clone() as Arc<dyn Storage>);
         let (mut log, _store, _) = DurableLog::open(&config).unwrap();
         log.append(0, &entry(0)).unwrap();
-        // From here every size probe fails: the append fails (the WAL
-        // checks the file size first) and the repair cannot even learn
-        // where the tail is — the log must refuse further appends rather
-        // than risk landing one behind an unrepaired tear.
-        storage
-            .fail_size_of
-            .store(true, std::sync::atomic::Ordering::SeqCst);
+        assert!(!log.is_broken());
         assert!(log.append(1, &entry(1)).is_err());
         assert!(log.is_broken());
-        // Even once the device heals, the log stays refused.
-        storage
-            .fail_size_of
-            .store(false, std::sync::atomic::Ordering::SeqCst);
+        // Even once the device heals, the log stays refused and the WAL is
+        // left exactly as it was.
+        device.heal();
+        let wal = mem.read(WAL_FILE).unwrap();
         assert!(log.append(1, &entry(1)).is_err());
+        assert_eq!(mem.read(WAL_FILE).unwrap(), wal);
     }
 
     #[test]

@@ -27,17 +27,22 @@
 //! * [`sth`] — signed tree heads: the logger's periodic signed Merkle
 //!   commitment, with inclusion/consistency proof serving for the witness
 //!   and light-client layers (`adlp-witness`);
-//! * [`wal`] — the checksummed, length-prefixed write-ahead log entries
-//!   reach before they are acknowledged;
+//! * [`frame`] — the only two on-disk shapes (framed append log, sealed
+//!   blob) with their one torn-tail rule, one repair rule and one
+//!   fail-closed durable state cell;
+//! * [`wal`] — the write-ahead log entries reach before they are
+//!   acknowledged;
+//! * [`recording`] — the forensic tap recording every deposited entry for
+//!   later replay (`adlp-dispute`);
 //! * [`durable`] — snapshot+WAL rotation and crash recovery tying the
 //!   store, the WAL, and the Merkle commitments together.
 
 pub mod durable;
 pub mod encoding;
 pub mod entry;
+pub mod frame;
 pub mod keyreg;
 pub mod merkle;
-pub mod persist;
 pub mod receipt;
 pub mod recording;
 pub mod remote;
@@ -55,9 +60,7 @@ pub use durable::{
 pub use entry::{AckRecord, Direction, LogEntry, PayloadRecord};
 pub use keyreg::KeyRegistry;
 pub use receipt::{GapReceipt, ShedReason, GAP_RECEIPT_MAGIC};
-pub use recording::{
-    RecordedFrame, Recorder, RecordingReplay, RecordingWindow, RECORDING_MAGIC,
-};
+pub use recording::{Recorder, RecordingWindow, RECORDING_MAGIC};
 pub use remote::{ReconnectConfig, RemoteLogClient, RemoteLogEndpoint};
 pub use server::{LogServer, LoggerHandle, SubmitOutcome, DEFAULT_QUEUE_BOUND};
 pub use stats::{ClientStats, ClientStatsSnapshot, DurabilityStats, LogStats, VolumeSnapshot};

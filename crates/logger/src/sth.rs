@@ -18,6 +18,7 @@
 //! `adlp-witness`, which consumes these types.
 
 use crate::encoding::{read_bytes, read_str, read_uvarint, write_bytes, write_str, write_uvarint};
+use crate::frame;
 use crate::merkle::{ConsistencyProof, InclusionProof, MerkleTree};
 use crate::store::LogStore;
 use crate::LogError;
@@ -47,18 +48,6 @@ fn sth_digest(log: &NodeId, epoch: u64, size: u64, root: &Digest) -> Digest {
     h.update(&size.to_le_bytes());
     h.update(root.as_bytes());
     h.finalize()
-}
-
-/// First four bytes of SHA-256 over the payload — the same cheap
-/// corruption tripwire the WAL uses, so a flipped bit is rejected before
-/// the (expensive) signature check even runs.
-fn framing_checksum(payload: &[u8]) -> [u8; 4] {
-    let digest = adlp_crypto::sha256(payload);
-    let mut out = [0u8; 4];
-    for (byte, src) in out.iter_mut().zip(digest.as_bytes()) {
-        *byte = *src;
-    }
-    out
 }
 
 /// The logger's signed statement: "my log named `log`, at epoch `epoch`,
@@ -102,7 +91,8 @@ impl SignedTreeHead {
         self.log == other.log && self.size == other.size && self.root != other.root
     }
 
-    /// Serializes the head for gossip: `STH_MAGIC ‖ checksum ‖ payload`.
+    /// Serializes the head for gossip as a sealed blob
+    /// ([`crate::frame::seal`]) under [`STH_MAGIC`].
     pub fn encode(&self) -> Vec<u8> {
         let mut payload = Vec::with_capacity(64 + self.signature.len());
         write_str(&mut payload, self.log.as_str());
@@ -110,11 +100,7 @@ impl SignedTreeHead {
         write_uvarint(&mut payload, self.size);
         payload.extend_from_slice(self.root.as_bytes());
         write_bytes(&mut payload, self.signature.as_bytes());
-        let mut out = Vec::with_capacity(STH_MAGIC.len() + 4 + payload.len());
-        out.extend_from_slice(STH_MAGIC);
-        out.extend_from_slice(&framing_checksum(&payload));
-        out.extend_from_slice(&payload);
-        out
+        frame::seal(STH_MAGIC, &payload)
     }
 
     /// Deserializes a gossiped head. Every framing defect — wrong magic,
@@ -126,19 +112,7 @@ impl SignedTreeHead {
     ///
     /// Returns [`LogError::Malformed`] for anything but a byte-exact frame.
     pub fn decode(bytes: &[u8]) -> Result<Self, LogError> {
-        let (magic, rest) = bytes
-            .split_at_checked(STH_MAGIC.len())
-            .ok_or(LogError::Malformed("sth (magic)"))?;
-        if magic != STH_MAGIC {
-            return Err(LogError::Malformed("sth (magic)"));
-        }
-        let (checksum, payload) = rest
-            .split_at_checked(4)
-            .ok_or(LogError::Malformed("sth (checksum)"))?;
-        if checksum != framing_checksum(payload) {
-            return Err(LogError::Malformed("sth (checksum)"));
-        }
-        let mut input = payload;
+        let mut input = frame::decode_sealed(STH_MAGIC, bytes, "sth (seal)")?;
         let log = NodeId::new(read_str(&mut input)?);
         let epoch = read_uvarint(&mut input)?;
         let size = read_uvarint(&mut input)?;
@@ -367,14 +341,6 @@ mod tests {
         let decoded = SignedTreeHead::decode(&sth.encode()).unwrap();
         assert_eq!(decoded, sth);
         assert!(decoded.verify(kp.public_key()));
-        // Truncations are refused, never panicked over.
-        for cut in 0..sth.encode().len() {
-            assert!(SignedTreeHead::decode(&sth.encode()[..cut]).is_err());
-        }
-        // Trailing bytes are refused (a frame is byte-exact).
-        let mut padded = sth.encode();
-        padded.push(0);
-        assert!(SignedTreeHead::decode(&padded).is_err());
     }
 
     #[test]

@@ -412,7 +412,7 @@ pub struct InjectedFaults {
 #[derive(Debug)]
 pub struct FaultyStorage {
     inner: Arc<dyn Storage>,
-    config: StorageFaultConfig,
+    config: Mutex<StorageFaultConfig>,
     rng: Mutex<SplitMix64>,
     ops: AtomicU64,
     torn_writes: AtomicU64,
@@ -427,7 +427,7 @@ impl FaultyStorage {
         Self {
             inner,
             rng: Mutex::new(SplitMix64(config.seed ^ 0xad1f_57a6_0000_0001)),
-            config,
+            config: Mutex::new(config),
             ops: AtomicU64::new(0),
             torn_writes: AtomicU64::new(0),
             short_writes: AtomicU64::new(0),
@@ -446,10 +446,17 @@ impl FaultyStorage {
         }
     }
 
+    /// Switches every fault off, death included: from here on the device
+    /// behaves like the one it wraps (an outage that ended).
+    pub fn heal(&self) {
+        let mut config = self.config.lock();
+        *config = StorageFaultConfig::none(config.seed);
+    }
+
     /// Counts an operation; `Err` if the device has died.
     fn tick(&self) -> Result<(), LogError> {
         let op = self.ops.fetch_add(1, Ordering::Relaxed);
-        if let Some(limit) = self.config.die_after_ops {
+        if let Some(limit) = self.config.lock().die_after_ops {
             if op >= limit {
                 self.dead_ops.fetch_add(1, Ordering::Relaxed);
                 return Err(LogError::Io("storage device died".into()));
@@ -467,10 +474,11 @@ impl Storage for FaultyStorage {
 
     fn append(&self, name: &str, bytes: &[u8]) -> Result<(), LogError> {
         self.tick()?;
+        let config = *self.config.lock();
         let (torn, short, cut) = {
             let mut rng = self.rng.lock();
-            let torn = rng.next_f64() < self.config.torn_write_rate;
-            let short = !torn && rng.next_f64() < self.config.short_write_rate;
+            let torn = rng.next_f64() < config.torn_write_rate;
+            let short = !torn && rng.next_f64() < config.short_write_rate;
             let cut = rng.below(bytes.len());
             (torn, short, cut)
         };
@@ -488,7 +496,8 @@ impl Storage for FaultyStorage {
 
     fn sync(&self, name: &str) -> Result<(), LogError> {
         self.tick()?;
-        let fail = self.rng.lock().next_f64() < self.config.fsync_failure_rate;
+        let rate = self.config.lock().fsync_failure_rate;
+        let fail = self.rng.lock().next_f64() < rate;
         if fail {
             self.fsync_failures.fetch_add(1, Ordering::Relaxed);
             return Err(LogError::Io("fsync failed (injected)".into()));
@@ -503,7 +512,8 @@ impl Storage for FaultyStorage {
 
     fn write_replace(&self, name: &str, bytes: &[u8]) -> Result<(), LogError> {
         self.tick()?;
-        let fail = self.rng.lock().next_f64() < self.config.fsync_failure_rate;
+        let rate = self.config.lock().fsync_failure_rate;
+        let fail = self.rng.lock().next_f64() < rate;
         if fail {
             // Atomic replace aborts cleanly before the rename: old contents
             // stay intact, which is the whole point of the discipline.

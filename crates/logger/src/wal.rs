@@ -1,289 +1,46 @@
-//! Checksummed, length-prefixed write-ahead log.
+//! The write-ahead log.
 //!
 //! The deposit path's durability contract — "no acknowledged entry is ever
 //! lost" — is anchored here: the server appends an entry to the WAL (and,
 //! under [`crate::durable::SyncPolicy::EveryAppend`], syncs it) *before*
 //! acknowledging the deposit. Recovery replays the WAL on startup.
 //!
-//! ## Record framing
-//!
-//! ```text
-//! file  := magic "ADLPWAL1" ‖ record*
-//! record:= u32 LE payload_len ‖ 4-byte checksum ‖ payload
-//! payload := u64 LE store_index ‖ encoded log entry
-//! ```
-//!
-//! The checksum is the first four bytes of SHA-256 over the payload, so a
-//! torn or bit-flipped tail is detected without trusting the length prefix
-//! alone. Replay accepts the longest valid prefix and reports everything
-//! after the first bad record as a truncated tail — it **never panics** on
-//! corrupt input (only a wrong magic is a hard error, because that means
-//! the file is not a WAL at all, not a WAL that lost its tail).
-//!
-//! Each record is appended as a single buffer, so a torn write can only
-//! tear *one* record, never interleave two.
+//! The file is a framed append log ([`crate::frame`], which owns the
+//! layout, the torn-tail rule and the repair rule) under the magic
+//! `ADLPWAL1`; a frame's tag is the store index the entry was destined for
+//! and its body is the encoded log entry.
 
+use crate::frame::FrameLog;
 use crate::storage::Storage;
-use crate::LogError;
 use std::sync::Arc;
 
 /// Identifies a WAL file on any [`Storage`] backend.
 pub const WAL_MAGIC: &[u8; 8] = b"ADLPWAL1";
 
-/// Upper bound on one record's payload, mirroring the snapshot format's
-/// record cap so a corrupted length prefix cannot trigger a huge allocation.
-pub const MAX_RECORD_LEN: usize = 128 * 1024 * 1024;
-
-/// One replayed WAL record: the store index it was destined for and the
-/// encoded entry bytes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WalRecord {
-    /// Store index the entry was appended at when the record was written.
-    pub index: u64,
-    /// Encoded log entry.
-    pub entry: Vec<u8>,
-}
-
-/// Outcome of [`Wal::replay`]: the longest valid record prefix plus an
-/// account of what the torn tail (if any) cost.
-#[derive(Debug, Clone, Default)]
-pub struct WalReplay {
-    /// Valid records, in file order.
-    pub records: Vec<WalRecord>,
-    /// Records discarded from the tail (a tear can hide further records
-    /// behind it, so this counts *at least* the first unreadable one).
-    pub records_truncated: u64,
-    /// Bytes discarded from the tail.
-    pub bytes_truncated: u64,
-    /// File offset where the valid prefix ends (magic included); the file
-    /// can be truncated to this length to repair the tail in place.
-    pub good_bytes: u64,
-}
-
-impl WalReplay {
-    /// Whether the file carried a torn/corrupt tail.
-    pub fn torn(&self) -> bool {
-        self.bytes_truncated > 0
-    }
-}
-
-fn checksum(payload: &[u8]) -> [u8; 4] {
-    let digest = adlp_crypto::sha256(payload);
-    let mut c = [0u8; 4];
-    for (dst, src) in c.iter_mut().zip(digest.as_bytes()) {
-        *dst = *src;
-    }
-    c
-}
-
-/// Encodes one WAL record (length ‖ checksum ‖ index ‖ entry) into a single
-/// buffer. Public so property tests can round-trip the framing directly.
-pub fn encode_record(index: u64, entry: &[u8]) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(8 + entry.len());
-    payload.extend_from_slice(&index.to_le_bytes());
-    payload.extend_from_slice(entry);
-    let mut out = Vec::with_capacity(8 + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&checksum(&payload));
-    out.extend_from_slice(&payload);
-    out
-}
-
-/// Decodes the record starting at `bytes`; returns the record and how many
-/// bytes it consumed, or `None` when the bytes do not form a complete,
-/// checksum-valid record (a torn tail, from the caller's viewpoint).
-pub fn decode_record(bytes: &[u8]) -> Option<(WalRecord, usize)> {
-    let (header, rest) = bytes.split_at_checked(8)?;
-    let (len_bytes, check) = header.split_at_checked(4)?;
-    let len = u32::from_le_bytes(len_bytes.try_into().ok()?) as usize;
-    if !(8..=MAX_RECORD_LEN).contains(&len) {
-        return None;
-    }
-    let payload = rest.get(..len)?;
-    if checksum(payload) != check {
-        return None;
-    }
-    let (index_bytes, entry) = payload.split_at_checked(8)?;
-    let index = u64::from_le_bytes(index_bytes.try_into().ok()?);
-    Some((
-        WalRecord {
-            index,
-            entry: entry.to_vec(),
-        },
-        8 + len,
-    ))
-}
-
-/// A write-ahead log living in one file of a [`Storage`] backend.
-#[derive(Debug, Clone)]
-pub struct Wal {
-    storage: Arc<dyn Storage>,
-    name: String,
-}
-
-impl Wal {
-    /// Binds a WAL to `name` on `storage`; nothing is touched until the
-    /// first append/replay.
-    pub fn new(storage: Arc<dyn Storage>, name: impl Into<String>) -> Self {
-        Self {
-            storage,
-            name: name.into(),
-        }
-    }
-
-    /// The file name this WAL occupies.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Appends one record. A missing or empty file gets the magic prepended
-    /// in the same buffer, so even the first append is a single write and a
-    /// tear cannot split magic from record.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LogError::Io`] when the device fails; a prefix of the
-    /// record may have been persisted (replay's checksum discards it).
-    pub fn append(&self, index: u64, entry: &[u8]) -> Result<(), LogError> {
-        let record = encode_record(index, entry);
-        let existing = self.storage.size_of(&self.name)?.unwrap_or(0);
-        if existing == 0 {
-            let mut first = Vec::with_capacity(8 + record.len());
-            first.extend_from_slice(WAL_MAGIC);
-            first.extend_from_slice(&record);
-            self.storage.append(&self.name, &first)
-        } else {
-            self.storage.append(&self.name, &record)
-        }
-    }
-
-    /// Makes all appended records durable.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LogError::Io`] when the device refuses the sync.
-    pub fn sync(&self) -> Result<(), LogError> {
-        self.storage.sync(&self.name)
-    }
-
-    /// Reads the whole WAL, accepting the longest valid record prefix.
-    /// Corrupt or torn tails are *counted*, never fatal; a missing file is
-    /// an empty WAL. The file itself is not modified — use
-    /// [`Wal::truncate_tail`] or [`Wal::reset`] to repair it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LogError::Malformed`] only when the magic is wrong (the
-    /// file is not a WAL), or [`LogError::Io`] when the device fails.
-    pub fn replay(&self) -> Result<WalReplay, LogError> {
-        let Some(bytes) = self.storage.read(&self.name)? else {
-            return Ok(WalReplay::default());
-        };
-        let mut replay = WalReplay::default();
-        let Some((magic, mut rest)) = bytes.split_at_checked(8) else {
-            // Shorter than the magic: a tear during the very first append.
-            replay.records_truncated = u64::from(!bytes.is_empty());
-            replay.bytes_truncated = bytes.len() as u64;
-            return Ok(replay);
-        };
-        if magic != WAL_MAGIC {
-            return Err(LogError::Malformed("wal file (magic)"));
-        }
-        replay.good_bytes = 8;
-        while !rest.is_empty() {
-            match decode_record(rest) {
-                Some((record, consumed)) => {
-                    replay.records.push(record);
-                    replay.good_bytes += consumed as u64;
-                    rest = rest.get(consumed..).unwrap_or(&[]);
-                }
-                None => {
-                    replay.records_truncated += 1;
-                    replay.bytes_truncated = rest.len() as u64;
-                    break;
-                }
-            }
-        }
-        Ok(replay)
-    }
-
-    /// Truncates the file to the valid prefix a [`Wal::replay`] reported,
-    /// repairing a torn tail in place.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LogError::Io`] when the device fails.
-    pub fn truncate_tail(&self, replay: &WalReplay) -> Result<(), LogError> {
-        if replay.torn() {
-            self.storage.truncate(&self.name, replay.good_bytes)?;
-        }
-        Ok(())
-    }
-
-    /// Atomically resets the WAL to just its magic (used after a snapshot
-    /// rotation has made the records redundant).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LogError::Io`] when the device fails; on failure the old
-    /// records are still in place (replay stays correct either way, because
-    /// it skips records already covered by the snapshot).
-    pub fn reset(&self) -> Result<(), LogError> {
-        self.storage.write_replace(&self.name, WAL_MAGIC)
-    }
+/// Binds the WAL `name` on `storage`; nothing is touched until the first
+/// append/replay. Replay reports a wrong magic (the file is not a WAL) as
+/// `LogError::Malformed("wal file (magic)")`.
+pub fn open(storage: Arc<dyn Storage>, name: impl Into<String>) -> FrameLog {
+    FrameLog::new(storage, name, WAL_MAGIC, "wal file (magic)")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::LogReplay;
     use crate::storage::MemStorage;
+    use crate::LogError;
 
-    fn mem_wal() -> (Arc<MemStorage>, Wal) {
+    fn mem_wal() -> (Arc<MemStorage>, FrameLog) {
         let mem = Arc::new(MemStorage::new());
-        let wal = Wal::new(mem.clone() as Arc<dyn Storage>, "wal");
+        let wal = open(mem.clone() as Arc<dyn Storage>, "wal");
         (mem, wal)
-    }
-
-    #[test]
-    fn append_replay_roundtrip() {
-        let (_, wal) = mem_wal();
-        for i in 0..10u64 {
-            wal.append(i, &[i as u8; 20]).unwrap();
-        }
-        let replay = wal.replay().unwrap();
-        assert_eq!(replay.records.len(), 10);
-        assert!(!replay.torn());
-        assert_eq!(replay.records[3].index, 3);
-        assert_eq!(replay.records[3].entry, vec![3u8; 20]);
     }
 
     #[test]
     fn missing_file_is_empty() {
         let (_, wal) = mem_wal();
-        let replay = wal.replay().unwrap();
-        assert!(replay.records.is_empty());
-        assert!(!replay.torn());
-    }
-
-    #[test]
-    fn torn_tail_is_truncated_and_counted() {
-        let (mem, wal) = mem_wal();
-        for i in 0..5u64 {
-            wal.append(i, &[i as u8; 16]).unwrap();
-        }
-        // Tear the last record in half.
-        let full = mem.read("wal").unwrap().unwrap();
-        let record_len = 8 + 8 + 16;
-        let cut = full.len() - record_len / 2;
-        mem.write_replace("wal", &full[..cut]).unwrap();
-        let replay = wal.replay().unwrap();
-        assert_eq!(replay.records.len(), 4);
-        assert_eq!(replay.records_truncated, 1);
-        assert!(replay.torn());
-        wal.truncate_tail(&replay).unwrap();
-        let after = wal.replay().unwrap();
-        assert_eq!(after.records.len(), 4);
-        assert!(!after.torn());
+        assert_eq!(wal.replay().unwrap(), LogReplay::default());
     }
 
     #[test]
@@ -294,6 +51,7 @@ mod tests {
             wal.replay(),
             Err(LogError::Malformed("wal file (magic)"))
         ));
+        assert!(wal.append(0, b"never behind a foreign file").is_err());
     }
 
     #[test]
@@ -302,19 +60,8 @@ mod tests {
         wal.append(0, b"payload").unwrap();
         wal.reset().unwrap();
         assert_eq!(mem.read("wal").unwrap().unwrap(), WAL_MAGIC);
-        assert!(wal.replay().unwrap().records.is_empty());
-    }
-
-    #[test]
-    fn oversized_length_prefix_is_a_torn_tail() {
-        let (mem, wal) = mem_wal();
-        wal.append(0, b"ok").unwrap();
-        let mut bytes = mem.read("wal").unwrap().unwrap();
-        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
-        bytes.extend_from_slice(&[0u8; 12]);
-        mem.write_replace("wal", &bytes).unwrap();
-        let replay = wal.replay().unwrap();
-        assert_eq!(replay.records.len(), 1);
-        assert_eq!(replay.records_truncated, 1);
+        assert!(wal.replay().unwrap().frames.is_empty());
+        wal.append(1, b"next").unwrap();
+        assert_eq!(wal.replay().unwrap().frames, [(1, b"next".to_vec())]);
     }
 }

@@ -1,172 +1,75 @@
-//! Property tests for the WAL on-disk format: framing round-trips for
-//! arbitrary record lengths, and — the crash-safety core — replay returns
-//! the longest valid prefix and never panics, for a cut at *any* length
-//! and a corrupted byte at *every* offset.
+//! Property test for WAL crash recovery end to end: whatever suffix of the
+//! WAL file a crash destroys, `DurableLog::open` recovers exactly the
+//! records wholly before the cut, counts the loss, and leaves a log that
+//! keeps accepting (and keeping) appends. The format-level corruption
+//! cases — every-byte flips, truncation at every prefix, padding — live in
+//! the suite shared by every format, `frame_props.rs`.
 
-use adlp_logger::wal::{decode_record, encode_record, Wal, WAL_MAGIC};
-use adlp_logger::{MemStorage, Storage};
+use adlp_logger::durable::{DurabilityConfig, DurableLog, WAL_FILE};
+use adlp_logger::{Direction, LogEntry, MemStorage, Storage};
+use adlp_pubsub::{NodeId, Topic};
 use proptest::prelude::*;
 use std::sync::Arc;
 
-const WAL_FILE: &str = "wal.log";
-
-fn wal_over(mem: &Arc<MemStorage>) -> Wal {
-    Wal::new(Arc::clone(mem) as Arc<dyn Storage>, WAL_FILE)
-}
-
-fn filled_wal(entries: &[Vec<u8>]) -> Arc<MemStorage> {
-    let mem = Arc::new(MemStorage::new());
-    let wal = wal_over(&mem);
-    for (i, entry) in entries.iter().enumerate() {
-        wal.append(i as u64, entry).unwrap();
-    }
-    wal.sync().unwrap();
-    mem
-}
-
-/// Byte length of record `i`'s frame: length ‖ checksum ‖ index ‖ entry.
-fn frame_len(entry: &[u8]) -> usize {
-    4 + 4 + 8 + entry.len()
-}
-
-fn arb_entries() -> impl Strategy<Value = Vec<Vec<u8>>> {
-    proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..300), 1..12)
+fn entry(seq: u64, payload: Vec<u8>) -> Vec<u8> {
+    LogEntry::naive(
+        NodeId::new("cam"),
+        Topic::new("image"),
+        Direction::Out,
+        seq,
+        seq,
+        payload,
+    )
+    .encode()
 }
 
 proptest! {
     #[test]
-    fn framing_round_trips(index in any::<u64>(), entry in proptest::collection::vec(any::<u8>(), 0..2048)) {
-        let frame = encode_record(index, &entry);
-        prop_assert_eq!(frame.len(), frame_len(&entry));
-        let (record, consumed) = decode_record(&frame).expect("own framing decodes");
-        prop_assert_eq!(consumed, frame.len());
-        prop_assert_eq!(record.index, index);
-        prop_assert_eq!(record.entry, entry);
-    }
-
-    #[test]
-    fn replay_round_trips_arbitrary_records(entries in arb_entries()) {
-        let mem = filled_wal(&entries);
-        let replay = wal_over(&mem).replay().unwrap();
-        prop_assert_eq!(replay.records.len(), entries.len());
-        prop_assert_eq!(replay.records_truncated, 0);
-        prop_assert!(!replay.torn());
-        for (i, record) in replay.records.iter().enumerate() {
-            prop_assert_eq!(record.index, i as u64);
-            prop_assert_eq!(&record.entry, &entries[i]);
+    fn any_cut_recovers_the_longest_valid_prefix_and_appends_on(
+        payloads in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..300), 1..12),
+        cut_seed in any::<usize>(),
+    ) {
+        let entries: Vec<Vec<u8>> = payloads
+            .into_iter()
+            .enumerate()
+            .map(|(i, p)| entry(i as u64, p))
+            .collect();
+        let mem = Arc::new(MemStorage::new());
+        let config = DurabilityConfig::new(mem.clone() as Arc<dyn Storage>).rotate_every(0);
+        let (mut log, _, _) = DurableLog::open(&config).unwrap();
+        for (i, e) in entries.iter().enumerate() {
+            log.append(i as u64, e).unwrap();
         }
-    }
+        drop(log);
 
-    #[test]
-    fn any_cut_replays_the_longest_valid_prefix(entries in arb_entries(), cut_seed in any::<usize>()) {
-        let mem = filled_wal(&entries);
+        // Opening wrote the magic; the records follow it.
         let bytes = mem.read(WAL_FILE).unwrap().unwrap();
-        let cut = cut_seed % (bytes.len() + 1);
+        let cut = 8 + cut_seed % (bytes.len() - 8 + 1);
         mem.write_replace(WAL_FILE, &bytes[..cut]).unwrap();
-        let replay = wal_over(&mem).replay();
-
-        // Files shorter than the magic are first-append debris, not WALs.
-        if cut < WAL_MAGIC.len() {
-            let replay = replay.unwrap();
-            prop_assert!(replay.records.is_empty());
-            prop_assert_eq!(replay.records_truncated, u64::from(cut > 0));
-            return Ok(());
-        }
-        // How many whole frames survive the cut.
-        let mut end = WAL_MAGIC.len();
+        let mut end = 8;
         let mut whole = 0;
-        for entry in &entries {
-            if end + frame_len(entry) > cut {
+        for e in &entries {
+            if end + 16 + e.len() > cut {
                 break;
             }
-            end += frame_len(entry);
+            end += 16 + e.len();
             whole += 1;
         }
-        let replay = replay.unwrap();
-        prop_assert_eq!(replay.records.len(), whole);
-        for (i, record) in replay.records.iter().enumerate() {
-            prop_assert_eq!(&record.entry, &entries[i]);
-        }
-        prop_assert_eq!(replay.good_bytes, end as u64);
-        prop_assert_eq!(replay.records_truncated, u64::from(cut > end));
-        prop_assert_eq!(replay.bytes_truncated, (cut - end) as u64);
+
+        let (mut log, store, recovery) = DurableLog::open(&config).unwrap();
+        prop_assert_eq!(store.encoded_records(), entries[..whole].to_vec());
+        prop_assert_eq!(recovery.wal_replayed, whole);
+        prop_assert_eq!(recovery.records_truncated, u64::from(cut > end));
+        prop_assert_eq!(recovery.bytes_truncated, (cut - end) as u64);
+
+        // The recovered log appends at the repaired boundary, and the new
+        // record survives the next restart.
+        let next = entry(whole as u64, vec![0xAB; 9]);
+        log.append(whole as u64, &next).unwrap();
+        drop(log);
+        let (_, store, recovery) = DurableLog::open(&config).unwrap();
+        prop_assert_eq!(store.len(), whole + 1);
+        prop_assert_eq!(store.encoded_records().pop(), Some(next));
+        prop_assert_eq!(recovery.records_truncated, 0);
     }
-}
-
-#[test]
-fn corruption_at_every_byte_offset_never_panics() {
-    // Exhaustive, not sampled: flip every single byte of a multi-record
-    // WAL in turn. A flip inside the magic is a hard "not a WAL" error;
-    // a flip anywhere else yields exactly the frames before the damaged
-    // one, with the loss counted.
-    let entries: Vec<Vec<u8>> = (0u8..6).map(|i| vec![i ^ 0x5A; 17 + usize::from(i) * 9]).collect();
-    let pristine = filled_wal(&entries);
-    let bytes = pristine.read(WAL_FILE).unwrap().unwrap();
-
-    let mut frame_starts = Vec::new();
-    let mut at = WAL_MAGIC.len();
-    for entry in &entries {
-        frame_starts.push(at);
-        at += frame_len(entry);
-    }
-    assert_eq!(at, bytes.len());
-
-    for offset in 0..bytes.len() {
-        let mut corrupted = bytes.clone();
-        corrupted[offset] ^= 0xFF;
-        let mem = Arc::new(MemStorage::new());
-        mem.write_replace(WAL_FILE, &corrupted).unwrap();
-        match wal_over(&mem).replay() {
-            Err(_) => assert!(
-                offset < WAL_MAGIC.len(),
-                "offset {offset}: hard error outside the magic"
-            ),
-            Ok(replay) => {
-                assert!(
-                    offset >= WAL_MAGIC.len(),
-                    "offset {offset}: corrupt magic replayed as a WAL"
-                );
-                let intact = frame_starts
-                    .iter()
-                    .zip(&entries)
-                    .filter(|(&start, entry)| start + frame_len(entry) <= offset)
-                    .count();
-                assert_eq!(
-                    replay.records.len(),
-                    intact,
-                    "offset {offset}: wrong surviving prefix"
-                );
-                for (i, record) in replay.records.iter().enumerate() {
-                    assert_eq!(record.entry, entries[i], "offset {offset}: record {i} mutated");
-                }
-                assert!(
-                    replay.records_truncated >= 1,
-                    "offset {offset}: loss not reported"
-                );
-                assert!(replay.torn(), "offset {offset}: tear not reported");
-            }
-        }
-    }
-}
-
-#[test]
-fn truncate_tail_repairs_a_torn_file_in_place() {
-    let entries: Vec<Vec<u8>> = (0u8..4).map(|i| vec![i; 33]).collect();
-    let mem = filled_wal(&entries);
-    let bytes = mem.read(WAL_FILE).unwrap().unwrap();
-    // Tear mid-way through the final record.
-    mem.write_replace(WAL_FILE, &bytes[..bytes.len() - 10]).unwrap();
-    let wal = wal_over(&mem);
-    let replay = wal.replay().unwrap();
-    assert!(replay.torn());
-    assert_eq!(replay.records.len(), 3);
-    wal.truncate_tail(&replay).unwrap();
-    // After repair the file replays clean and accepts further appends.
-    let repaired = wal.replay().unwrap();
-    assert!(!repaired.torn());
-    assert_eq!(repaired.records.len(), 3);
-    wal.append(3, &[0xAB; 9]).unwrap();
-    let extended = wal.replay().unwrap();
-    assert_eq!(extended.records.len(), 4);
-    assert_eq!(extended.records[3].entry, vec![0xAB; 9]);
 }

@@ -31,7 +31,8 @@ use adlp_dispute::{
     ReplayContext, ResolutionProof, Resolver, ResolverContext, ResolverKeyring, SignedEvidence,
     Vote,
 };
-use adlp_logger::recording::{encode_frame, Recorder};
+use adlp_logger::frame::encode_frame;
+use adlp_logger::recording::Recorder;
 use adlp_logger::storage::MemStorage;
 use adlp_logger::{Direction, KeyRegistry, LogEntry, LogServer, RecordingWindow, Storage};
 use adlp_pubsub::{Master, NodeId, Topic};

@@ -18,15 +18,15 @@
 //! plus every assembled [`SplitViewProof`] — convictions are transferable
 //! evidence and must not evaporate with the process.
 //!
-//! The file format mirrors the STH wire discipline: a magic tag, a
-//! truncated-sha256 checksum over the payload, then the payload itself;
-//! decode rejects bad magic, bad checksums, internal inconsistencies
+//! The file is a sealed blob (`adlp_logger::frame`) under the magic
+//! `ADLPWST1`; on top of the seal, decode rejects internal inconsistencies
 //! (anchor and latest naming different logs) and trailing bytes. A corrupt
 //! state file is a [`LogError::Malformed`] — the caller fails closed rather
 //! than resuming from garbage.
 
 use crate::proof::SplitViewProof;
 use adlp_logger::encoding::{read_bytes, read_uvarint, write_bytes, write_uvarint};
+use adlp_logger::frame;
 use adlp_logger::sth::SignedTreeHead;
 use adlp_logger::LogError;
 use adlp_pubsub::NodeId;
@@ -34,16 +34,6 @@ use std::collections::BTreeMap;
 
 /// Magic tag identifying a persisted witness state file.
 pub const WITNESS_STATE_MAGIC: &[u8; 8] = b"ADLPWST1";
-
-/// First four bytes of sha256 over the payload — the same cheap
-/// tamper/truncation tripwire the STH framing uses. Not a signature: the
-/// state file only ever holds heads that carry their own log signatures.
-fn state_checksum(payload: &[u8]) -> [u8; 4] {
-    let digest = adlp_crypto::sha256(payload);
-    let mut out = [0u8; 4];
-    out.copy_from_slice(&digest.as_bytes()[..4]);
-    out
-}
 
 /// What a witness durably remembers about one log.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -69,11 +59,15 @@ pub struct WitnessState {
 }
 
 impl WitnessState {
-    /// Serializes the state for [`Storage::write_replace`]:
-    /// `MAGIC ‖ checksum ‖ payload`.
-    ///
-    /// [`Storage::write_replace`]: adlp_logger::storage::Storage::write_replace
+    /// Serializes the state as a sealed blob under
+    /// [`WITNESS_STATE_MAGIC`] — byte-for-byte what a witness's durable
+    /// cell holds.
     pub fn encode(&self) -> Vec<u8> {
+        frame::seal(WITNESS_STATE_MAGIC, &self.encode_payload())
+    }
+
+    /// The payload a witness hands its durable cell (which seals it).
+    pub(crate) fn encode_payload(&self) -> Vec<u8> {
         let mut payload = Vec::with_capacity(256);
         write_uvarint(&mut payload, self.logs.len() as u64);
         for record in self.logs.values() {
@@ -85,11 +79,7 @@ impl WitnessState {
         for proof in &self.proofs {
             write_bytes(&mut payload, &proof.encode());
         }
-        let mut out = Vec::with_capacity(WITNESS_STATE_MAGIC.len() + 4 + payload.len());
-        out.extend_from_slice(WITNESS_STATE_MAGIC);
-        out.extend_from_slice(&state_checksum(&payload));
-        out.extend_from_slice(&payload);
-        out
+        payload
     }
 
     /// Deserializes a persisted state, rejecting bad magic, checksum
@@ -101,18 +91,15 @@ impl WitnessState {
     /// Returns [`LogError::Malformed`] on any of the above — callers must
     /// fail closed, not resume from a partial or tampered state.
     pub fn decode(bytes: &[u8]) -> Result<Self, LogError> {
-        let (magic, rest) = bytes
-            .split_at_checked(WITNESS_STATE_MAGIC.len())
-            .ok_or(LogError::Malformed("witness state (magic)"))?;
-        if magic != WITNESS_STATE_MAGIC {
-            return Err(LogError::Malformed("witness state (magic)"));
-        }
-        let (checksum, payload) = rest
-            .split_at_checked(4)
-            .ok_or(LogError::Malformed("witness state (checksum)"))?;
-        if checksum != state_checksum(payload) {
-            return Err(LogError::Malformed("witness state (checksum)"));
-        }
+        Self::decode_payload(frame::decode_sealed(
+            WITNESS_STATE_MAGIC,
+            bytes,
+            "witness state (seal)",
+        )?)
+    }
+
+    /// Decodes what [`WitnessState::encode_payload`] produced.
+    pub(crate) fn decode_payload(payload: &[u8]) -> Result<Self, LogError> {
         let mut input = payload;
         let n_logs = read_uvarint(&mut input)?;
         let mut logs = BTreeMap::new();
@@ -207,28 +194,6 @@ mod tests {
     fn empty_state_round_trips() {
         let state = WitnessState::default();
         assert_eq!(WitnessState::decode(&state.encode()).unwrap(), state);
-    }
-
-    #[test]
-    fn corruption_truncation_and_trailing_are_rejected() {
-        let bytes = sample_state().encode();
-        // Flip any byte: checksum (or magic) catches it.
-        for i in 0..bytes.len() {
-            let mut bad = bytes.clone();
-            bad[i] ^= 0x40;
-            assert!(
-                WitnessState::decode(&bad).is_err(),
-                "flip at {i} must be rejected"
-            );
-        }
-        // Truncate at every prefix.
-        for len in 0..bytes.len() {
-            assert!(WitnessState::decode(&bytes[..len]).is_err());
-        }
-        // Trailing garbage.
-        let mut long = bytes.clone();
-        long.push(0);
-        assert!(WitnessState::decode(&long).is_err());
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! One witness: verify, remember, cosign, convict.
 
 use crate::proof::{Cosignature, SplitViewProof, SthKeyring};
-use crate::state::{LogWitnessRecord, WitnessState};
+use crate::state::{LogWitnessRecord, WitnessState, WITNESS_STATE_MAGIC};
 use adlp_crypto::rsa::RsaPrivateKey;
 use adlp_crypto::sha256::Digest;
 use adlp_logger::merkle::{ConsistencyProof, InclusionProof, MerkleTree};
+use adlp_logger::frame::DurableCell;
 use adlp_logger::storage::Storage;
 use adlp_logger::sth::{SignedTreeHead, SthPublisher};
 use adlp_logger::LogError;
@@ -99,7 +100,7 @@ struct WitnessInner {
     /// Largest size ever cosigned per log (the durable high-water mark).
     cosign_high: BTreeMap<NodeId, u64>,
     /// Where restart-critical state persists; `None` runs volatile.
-    binding: Option<(Arc<dyn Storage>, String)>,
+    cell: Option<DurableCell>,
 }
 
 /// The restart-critical snapshot of the witness's current state (§3.13).
@@ -192,11 +193,11 @@ impl Witness {
         storage: Arc<dyn Storage>,
         name: impl Into<String>,
     ) -> Result<WitnessState, LogError> {
-        let name = name.into();
-        let resumed = match storage.read(&name)? {
-            Some(bytes) => Some(WitnessState::decode(&bytes)?),
-            None => None,
-        };
+        let cell = DurableCell::new(storage, name, WITNESS_STATE_MAGIC);
+        let resumed = cell
+            .load()?
+            .map(|payload| WitnessState::decode_payload(&payload))
+            .transpose()?;
         let mut inner = self.inner.lock();
         if let Some(state) = resumed {
             for (log, record) in &state.logs {
@@ -249,9 +250,9 @@ impl Witness {
                 }
             }
         }
-        inner.binding = Some((storage.clone(), name.clone()));
         let snapshot = durable_snapshot(&inner);
-        storage.write_replace(&name, &snapshot.encode())?;
+        cell.store(&snapshot.encode_payload())?;
+        inner.cell = Some(cell);
         Ok(snapshot)
     }
 
@@ -311,19 +312,7 @@ impl Witness {
                 .any(|p| p.log() == proof.log() && p.size() == proof.size());
             if !already {
                 inner.proofs.push(proof.clone());
-                // Convictions are transferable evidence; persist them
-                // best-effort (the proof still reaches the caller and the
-                // gossip layer even when the device refuses — unlike a
-                // cosignature, a conviction is the *log's* own signatures,
-                // not a statement this witness could later contradict).
-                if let Some((storage, name)) = inner.binding.clone() {
-                    if storage
-                        .write_replace(&name, &durable_snapshot(&inner).encode())
-                        .is_err()
-                    {
-                        self.state_persist_failures.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
+                self.persist_conviction(&inner);
             }
             return SthObservation::SplitView(Box::new(proof));
         }
@@ -362,7 +351,7 @@ impl Witness {
                         // endorsement — though the head stays in `seen`,
                         // where remembering more only arms the split-view
                         // detector.
-                        if let Some((storage, name)) = inner.binding.clone() {
+                        if let Some(cell) = &inner.cell {
                             let mut state = durable_snapshot(&inner);
                             let anchor = inner
                                 .anchors
@@ -377,7 +366,7 @@ impl Witness {
                                     cosign_high_water: high.max(sth.size),
                                 },
                             );
-                            if storage.write_replace(&name, &state.encode()).is_err() {
+                            if cell.store(&state.encode_payload()).is_err() {
                                 self.state_persist_failures.fetch_add(1, Ordering::Relaxed);
                                 return SthObservation::StateUnavailable;
                             }
@@ -463,15 +452,21 @@ impl Witness {
             return Some(false);
         }
         inner.proofs.push(proof);
-        if let Some((storage, name)) = inner.binding.clone() {
-            if storage
-                .write_replace(&name, &durable_snapshot(&inner).encode())
-                .is_err()
-            {
+        self.persist_conviction(&inner);
+        Some(true)
+    }
+
+    /// Persists a newly-recorded conviction best-effort: the proof still
+    /// reaches the caller and the gossip layer when the device refuses
+    /// (counted, never fatal) — unlike a cosignature, a conviction is the
+    /// *log's* own signatures, not a statement this witness could later
+    /// contradict.
+    fn persist_conviction(&self, inner: &WitnessInner) {
+        if let Some(cell) = &inner.cell {
+            if cell.store(&durable_snapshot(inner).encode_payload()).is_err() {
                 self.state_persist_failures.fetch_add(1, Ordering::Relaxed);
             }
         }
-        Some(true)
     }
 
     /// Both halves of every conviction, for gossiping onward: peers

@@ -1,5 +1,5 @@
 //! Everything over real wires and disks: TCP pub/sub transport, a TCP log
-//! server, durable identities, log persistence, and an RFC 6962
+//! server, durable identities, a crash-safe checkpoint, and an RFC 6962
 //! consistency proof that the on-disk checkpoint is an honest prefix of
 //! the final log.
 //!
@@ -10,9 +10,10 @@
 use adlp::audit::Auditor;
 use adlp::core::{AdlpNodeBuilder, IdentityStore, Scheme};
 use adlp::logger::merkle::MerkleTree;
-use adlp::logger::{persist, LogServer};
+use adlp::logger::{DurabilityConfig, DurableLog, FsStorage, LogServer};
 use adlp::pubsub::{Master, TransportKind};
 use rand::SeedableRng;
+use std::sync::Arc;
 use std::time::Duration;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -59,8 +60,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     camera.flush()?;
     detector.flush()?;
 
-    let ckpt_path = tmp.join("checkpoint.adlp");
-    persist::save_store(handle.store(), &ckpt_path)?;
+    // The checkpoint is a durable log of its own (fsynced, checksummed,
+    // Merkle-rooted snapshot) rotated onto the live store.
+    let ckpt = DurabilityConfig::new(Arc::new(FsStorage::open(tmp.join("checkpoint"))?));
+    let (mut ckpt_log, _, _) = DurableLog::open(&ckpt)?;
+    ckpt_log.rotate(handle.store())?;
     let ckpt_leaves = handle.store().record_hashes();
     let ckpt_root = MerkleTree::build(&ckpt_leaves).root().unwrap();
     println!(
@@ -95,9 +99,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert!(consistent);
 
     // Reload the checkpoint from disk and audit the final log.
-    let reloaded = persist::load_store(&ckpt_path)?;
-    assert!(!reloaded.torn(), "fresh checkpoint must read back whole");
-    let reloaded = reloaded.store;
+    let (_, reloaded, recovery) = DurableLog::open(&ckpt)?;
+    assert!(
+        recovery.root_verified && recovery.records_truncated == 0,
+        "fresh checkpoint must read back whole"
+    );
+    assert_eq!(reloaded.len(), ckpt_leaves.len());
     println!("reloaded checkpoint: {} entries, chain ok: {}", reloaded.len(), reloaded.verify_chain().is_ok());
 
     let report = Auditor::new(handle.keys().clone())
