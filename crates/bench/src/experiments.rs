@@ -764,8 +764,8 @@ pub struct GossipRow {
     /// Wall-clock time of those rounds, ms (includes injected link/socket
     /// faults and settle windows).
     pub converge_ms: f64,
-    /// Faults ridden out during convergence: dropped/delayed frames
-    /// (inproc) or injected socket faults (tcp).
+    /// Faults the link injected over the row's run: dropped/delayed
+    /// frames (inproc) or socket faults (tcp).
     pub link_faults: u64,
     /// Time from healing a full witness partition back to federation-wide
     /// convergence, ms (`None` where the scenario has no partition phase).
@@ -781,208 +781,141 @@ pub struct GossipRow {
     pub light_audit_p999_us: f64,
 }
 
-/// Measures what retiring the trusted auditor costs: gossip convergence
-/// time for witness sets of growing `f` under seeded link faults (15%
-/// drop, 20% × 5 ms delay), and the per-ack overhead a light client pays
-/// to verify inclusion + consistency itself instead of trusting the
-/// logger's acknowledgement.
+/// Measures what retiring the trusted auditor costs, on both links from
+/// one experiment: gossip convergence time for federations of growing `f`
+/// — in-process channels under seeded link faults (15% drop, 20% × 5 ms
+/// delay) and real sockets behind seeded chaos proxies (connection
+/// resets, byte-boundary splits, delays, stalls) — how long the
+/// federation takes to reconverge after a fully partitioned witness,
+/// whose view went stale while it was cut off, is healed, and the per-ack
+/// overhead a light client pays to verify the quorum's cosignatures,
+/// inclusion and consistency itself instead of trusting the logger's
+/// acknowledgement.
 pub fn gossip_overhead(entries: usize, audits: usize, key_bits: usize) -> Vec<GossipRow> {
+    use adlp_pubsub::transport::chaos::ChaosConfig;
+    use adlp_pubsub::FaultConfig;
+    use adlp_witness::{InprocLink, Link, TcpGossipConfig, TcpLink};
+
+    let mut rows = Vec::new();
+    for f in [1usize, 2, 3] {
+        let fault = FaultConfig::seeded(0x905517 + f as u64)
+            .with_drop_rate(0.15)
+            .with_delay(0.2, Duration::from_millis(5));
+        let link = Box::new(InprocLink::new(2 * f + 1, fault));
+        rows.push(gossip_row("inproc", f, link, entries, audits, key_bits));
+    }
+    // f ∈ {1, 2} keeps the proxy mesh bounded: n witnesses need n(n-1)
+    // chaos proxies, each a real listener plus pump threads.
+    for f in [1usize, 2] {
+        let chaos = ChaosConfig::seeded(0x905517 ^ f as u64)
+            .with_reset_rate(0.01)
+            .with_split_rate(0.25)
+            .with_delay(0.05, Duration::from_millis(2))
+            .with_stall(0.01, Duration::from_millis(4));
+        let link: Box<dyn Link> = Box::new(
+            TcpLink::spawn(2 * f + 1, TcpGossipConfig::default(), chaos)
+                .expect("link spawns on localhost"),
+        );
+        rows.push(gossip_row("tcp", f, link, entries, audits, key_bits));
+    }
+    rows
+}
+
+/// One [`GossipRow`]: an honest `2f + 1` federation over `link`.
+fn gossip_row(
+    transport: &'static str,
+    f: usize,
+    link: Box<dyn adlp_witness::Link>,
+    entries: usize,
+    audits: usize,
+    key_bits: usize,
+) -> GossipRow {
     use adlp_logger::sth::{SthPublisher, TreeHeadSigner};
     use adlp_logger::LogStore;
-    use adlp_pubsub::{FaultConfig, NodeId};
-    use adlp_witness::{LightClient, SthKeyring, TreeHeadSource, WitnessNet, WitnessNetConfig};
+    use adlp_pubsub::NodeId;
+    use adlp_witness::{Federation, FederationConfig, LightClient, SthKeyring, TreeHeadSource};
     use std::sync::Arc;
 
     let log_id = NodeId::new("logger");
-    let mut rng = rand::rngs::StdRng::seed_from_u64(0x905517);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x905517 + f as u64);
     let kp = RsaKeyPair::generate(key_bits, &mut rng);
     let sth_keys = SthKeyring::new().with_log(log_id.clone(), kp.public_key().clone());
     let store = LogStore::new();
     for i in 0..entries {
         store.append_encoded(vec![i as u8; 16]);
     }
-    let sth_key = adlp_crypto::rsa::RsaPrivateKey::from_bytes(&kp.private_key().to_bytes())
-        .expect("round-tripped key");
     let publisher = Arc::new(SthPublisher::new(
-        TreeHeadSigner::new(log_id.clone(), sth_key),
-        store,
+        TreeHeadSigner::new(log_id.clone(), kp.into_private_key()),
+        store.clone(),
     ));
 
-    let mut rows = Vec::new();
-    for f in [1usize, 2, 3] {
-        let config = WitnessNetConfig::new(f).with_seed(0x905517 + f as u64).with_fault(
-            FaultConfig::seeded(0x905517 + f as u64)
-                .with_drop_rate(0.15)
-                .with_delay(0.2, Duration::from_millis(5)),
-        );
-        let n = config.witnesses;
-        let quorum = config.witness_quorum();
-        let sources: Vec<Vec<Arc<dyn TreeHeadSource>>> = (0..n)
-            .map(|_| vec![Arc::clone(&publisher) as Arc<dyn TreeHeadSource>])
-            .collect();
-        let net = WitnessNet::new(config, sth_keys.clone(), sources);
-        let started = Instant::now();
-        let converged_rounds = net
-            .run_until_converged(64)
-            .expect("honest gossip converges within 64 rounds");
-        let converge_ms = started.elapsed().as_secs_f64() * 1e3;
-        let stats = net.fault_stats();
-        let link_faults = stats.dropped.load(std::sync::atomic::Ordering::Relaxed)
-            + stats.delayed.load(std::sync::atomic::Ordering::Relaxed);
+    let mut config = FederationConfig::new(f).with_seed(0x905517 + f as u64);
+    config.key_bits = key_bits;
+    let n = config.witnesses();
+    let quorum = config.witness_quorum();
+    let sources: Vec<Vec<Arc<dyn TreeHeadSource>>> = (0..n)
+        .map(|_| vec![Arc::clone(&publisher) as Arc<dyn TreeHeadSource>])
+        .collect();
+    let mut fed = Federation::new(config, link, sth_keys.clone(), sources)
+        .expect("federation state persists to memory");
 
-        // The light client's per-ack bill, one sample per ack of the
-        // newest entry (each audit re-fetches and re-verifies a signed
-        // head — the cost of believing nobody). Per-sample timing so the
-        // tail (p99/p99.9) is reported alongside the mean.
-        let light = LightClient::new(sth_keys.clone());
-        let mut samples = Vec::with_capacity(audits);
-        for _ in 0..audits {
-            let t = Instant::now();
-            light
-                .audit_ack(publisher.as_ref(), entries as u64 - 1)
-                .expect("honest ack verifies");
-            samples.push(t.elapsed().as_secs_f64() * 1e6);
-        }
-        let (light_audit_us, _) = crate::stats::mean_std(&samples);
+    let started = Instant::now();
+    let converged_rounds = fed
+        .run_until_converged(64)
+        .expect("honest gossip converges within 64 rounds");
+    let converge_ms = started.elapsed().as_secs_f64() * 1e3;
 
-        rows.push(GossipRow {
-            transport: "inproc",
-            f,
-            witnesses: n,
-            quorum,
-            converged_rounds,
-            converge_ms,
-            link_faults,
-            heal_converge_ms: None,
-            light_audits: audits,
-            light_audit_us,
-            light_audit_p99_us: crate::stats::percentile(&samples, 99.0),
-            light_audit_p999_us: crate::stats::percentile(&samples, 99.9),
-        });
+    // Partition-heal drill: cut witness 0 off entirely, advance the log,
+    // let the survivors adopt the new head, then heal and clock
+    // federation-wide reconvergence.
+    fed.sever(0);
+    store.append_encoded(vec![0xEA; 16]);
+    store.append_encoded(vec![0x1B; 16]);
+    for _ in 0..4 {
+        fed.round();
     }
-    rows
-}
+    fed.heal(0);
+    let started = Instant::now();
+    fed.run_until_converged(64)
+        .expect("federation reconverges after the partition heals");
+    let heal_converge_ms = started.elapsed().as_secs_f64() * 1e3;
 
-/// The same experiment over real sockets: each gossip link crosses a
-/// seeded chaos proxy (connection resets, byte-boundary splits, delays,
-/// stalls), and each row additionally measures how long the federation
-/// takes to reconverge after a fully partitioned witness — whose view
-/// went stale while it was cut off — is healed.
-pub fn tcp_gossip_overhead(entries: usize, audits: usize, key_bits: usize) -> Vec<GossipRow> {
-    use adlp_logger::sth::{SthPublisher, TreeHeadSigner};
-    use adlp_logger::LogStore;
-    use adlp_pubsub::transport::chaos::ChaosConfig;
-    use adlp_pubsub::NodeId;
-    use adlp_witness::{
-        LightClient, SthKeyring, TcpGossipConfig, TcpWitnessFed, TreeHeadSource,
-        WitnessNetConfig,
-    };
-    use std::sync::Arc;
-
-    let mut rows = Vec::new();
-    // f ∈ {1, 2} keeps the proxy mesh bounded: n witnesses need n(n-1)
-    // chaos proxies, each a real listener plus pump threads.
-    for f in [1usize, 2] {
-        let log_id = NodeId::new("logger");
-        let mut rng = rand::rngs::StdRng::seed_from_u64(0x7C9_0905 + f as u64);
-        let kp = RsaKeyPair::generate(key_bits, &mut rng);
-        let sth_keys = SthKeyring::new().with_log(log_id.clone(), kp.public_key().clone());
-        let store = LogStore::new();
-        for i in 0..entries {
-            store.append_encoded(vec![i as u8; 16]);
-        }
-        let sth_key = adlp_crypto::rsa::RsaPrivateKey::from_bytes(&kp.private_key().to_bytes())
-            .expect("round-tripped key");
-        let publisher = Arc::new(SthPublisher::new(
-            TreeHeadSigner::new(log_id.clone(), sth_key),
-            store.clone(),
-        ));
-
-        let mut config = WitnessNetConfig::new(f).with_seed(0x905517 + f as u64);
-        config.key_bits = key_bits;
-        let n = config.witnesses;
-        let quorum = config.witness_quorum();
-        let sources: Vec<Vec<Arc<dyn TreeHeadSource>>> = (0..n)
-            .map(|_| vec![Arc::clone(&publisher) as Arc<dyn TreeHeadSource>])
-            .collect();
-        let chaos = ChaosConfig {
-            seed: 0x905517 ^ f as u64,
-            ..ChaosConfig::default()
-        }
-        .with_reset_rate(0.01)
-        .with_split_rate(0.25)
-        .with_delay(0.05, Duration::from_millis(2))
-        .with_stall(0.01, Duration::from_millis(4));
-        let fed = TcpWitnessFed::spawn(
-            config,
-            TcpGossipConfig::default(),
-            chaos,
-            sth_keys.clone(),
-            sources,
-        )
-        .expect("federation spawns on localhost");
-
-        let started = Instant::now();
-        let converged_rounds = fed
-            .run_until_converged(64)
-            .expect("chaotic TCP gossip converges within 64 rounds");
-        let converge_ms = started.elapsed().as_secs_f64() * 1e3;
-
-        // Partition-heal drill: cut witness 0 off entirely, advance the
-        // log so its view goes stale, let the survivors adopt the new
-        // head, then heal and clock federation-wide reconvergence.
-        fed.sever_witness(0);
-        store.append_encoded(vec![0xEA; 16]);
-        store.append_encoded(vec![0x1B; 16]);
-        for _ in 0..4 {
-            fed.round();
-        }
-        fed.heal_witness(0);
-        let started = Instant::now();
-        fed.run_until_converged(64)
-            .expect("federation reconverges after the partition heals");
-        let heal_converge_ms = started.elapsed().as_secs_f64() * 1e3;
-
-        let chaos_faults: u64 = (0..n)
-            .flat_map(|i| (0..n).map(move |j| (i, j)))
-            .filter_map(|(i, j)| fed.proxy(i, j))
-            .map(|p| p.stats().total_faults())
-            .sum();
-
-        let light = LightClient::new(sth_keys.clone());
-        let witnessed = fed.witnessed(&log_id);
-        let mut samples = Vec::with_capacity(audits);
-        for _ in 0..audits {
-            let t = Instant::now();
-            light
-                .audit_ack_witnessed(
-                    publisher.as_ref(),
-                    entries as u64 - 1,
-                    witnessed.as_ref(),
-                    fed.keyring(),
-                    quorum,
-                )
-                .expect("honest witnessed ack verifies");
-            samples.push(t.elapsed().as_secs_f64() * 1e6);
-        }
-        let (light_audit_us, _) = crate::stats::mean_std(&samples);
-
-        rows.push(GossipRow {
-            transport: "tcp",
-            f,
-            witnesses: n,
-            quorum,
-            converged_rounds,
-            converge_ms,
-            link_faults: chaos_faults,
-            heal_converge_ms: Some(heal_converge_ms),
-            light_audits: audits,
-            light_audit_us,
-            light_audit_p99_us: crate::stats::percentile(&samples, 99.0),
-            light_audit_p999_us: crate::stats::percentile(&samples, 99.9),
-        });
+    // The light client's per-ack bill, one sample per ack of the newest
+    // entry (each audit re-fetches and re-verifies a signed head and the
+    // quorum's cosignatures — the cost of believing nobody). Per-sample
+    // timing so the tail (p99/p99.9) is reported alongside the mean.
+    let light = LightClient::new(sth_keys);
+    let witnessed = fed.witnessed(&log_id);
+    let mut samples = Vec::with_capacity(audits);
+    for _ in 0..audits {
+        let t = Instant::now();
+        light
+            .audit_ack_witnessed(
+                publisher.as_ref(),
+                entries as u64 - 1,
+                witnessed.as_ref(),
+                fed.keyring(),
+                quorum,
+            )
+            .expect("honest witnessed ack verifies");
+        samples.push(t.elapsed().as_secs_f64() * 1e6);
     }
-    rows
+    let (light_audit_us, _) = crate::stats::mean_std(&samples);
+
+    GossipRow {
+        transport,
+        f,
+        witnesses: n,
+        quorum,
+        converged_rounds,
+        converge_ms,
+        link_faults: fed.link_counters().injected_faults,
+        heal_converge_ms: Some(heal_converge_ms),
+        light_audits: audits,
+        light_audit_us,
+        light_audit_p99_us: crate::stats::percentile(&samples, 99.0),
+        light_audit_p999_us: crate::stats::percentile(&samples, 99.9),
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1351,11 +1284,14 @@ mod tests {
     }
 
     #[test]
-    fn gossip_converges_and_audits_at_every_f() {
+    fn gossip_converges_audits_and_heals_on_both_links() {
         let rows = gossip_overhead(8, 3, 512);
-        assert_eq!(rows.len(), 3);
+        let shape: Vec<_> = rows.iter().map(|r| (r.transport, r.f)).collect();
+        assert_eq!(
+            shape,
+            [("inproc", 1), ("inproc", 2), ("inproc", 3), ("tcp", 1), ("tcp", 2)]
+        );
         for r in &rows {
-            assert_eq!(r.transport, "inproc");
             assert_eq!(r.witnesses, 2 * r.f + 1);
             assert_eq!(r.quorum, r.f + 1);
             assert!(r.converged_rounds >= 1, "{r:?}");
@@ -1364,21 +1300,7 @@ mod tests {
             // can never undercut the mean by more than sampling noise —
             // and p99.9 ≥ p99 by construction.
             assert!(r.light_audit_p999_us >= r.light_audit_p99_us, "{r:?}");
-            assert!(r.heal_converge_ms.is_none(), "inproc has no heal drill: {r:?}");
-        }
-    }
-
-    #[test]
-    fn tcp_gossip_converges_and_reports_heal_time() {
-        let rows = tcp_gossip_overhead(8, 3, 512);
-        assert_eq!(rows.len(), 2);
-        for r in &rows {
-            assert_eq!(r.transport, "tcp");
-            assert_eq!(r.witnesses, 2 * r.f + 1);
-            assert!(r.converged_rounds >= 1, "{r:?}");
-            assert!(r.light_audit_us > 0.0, "{r:?}");
-            assert!(r.light_audit_p999_us >= r.light_audit_p99_us, "{r:?}");
-            let heal = r.heal_converge_ms.expect("tcp rows time the heal drill");
+            let heal = r.heal_converge_ms.expect("every row times the heal drill");
             assert!(heal > 0.0, "{r:?}");
         }
     }

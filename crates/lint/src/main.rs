@@ -353,16 +353,24 @@ fn main() -> ExitCode {
         );
         return ExitCode::FAILURE;
     }
-    // The debt is paid off: the baseline reached zero and stays there.
-    // Under --deny a non-empty baseline fails even without a regression,
-    // so accepted debt can never be quietly reintroduced by rewriting the
-    // baseline file.
-    if args.deny && baseline.total() > 0 {
+    // The workspace's own debt is paid off and stays paid: under --deny a
+    // baselined finding fails even without a regression, so accepted debt
+    // can never be quietly reintroduced by rewriting the baseline file.
+    // The one exception is the frozen `benchmark/` tree, which only a
+    // benchmark-only change may edit: its findings ride the ratchet, and
+    // the stale-key check forces their removal once such a change fixes
+    // the sites.
+    let owed: usize = baseline
+        .counts
+        .iter()
+        .filter(|(key, _)| !key.starts_with("benchmark/"))
+        .map(|(_, n)| n)
+        .sum();
+    if args.deny && owed > 0 {
         eprintln!(
-            "adlp-lint: failing (--deny): {} lint-baseline.toml entries — the \
-             baseline is permanently empty; fix the findings instead of \
-             baselining them",
-            baseline.total()
+            "adlp-lint: failing (--deny): {owed} lint-baseline.toml entries outside \
+             benchmark/ — that baseline is permanently empty; fix the findings \
+             instead of baselining them"
         );
         return ExitCode::FAILURE;
     }

@@ -42,10 +42,10 @@ pub struct Summary {
 }
 
 /// Raw read calls whose returned bytes are untrusted until verified.
-/// `recv_gossip_frame` is the TCP witness-ingest funnel: every frame an
-/// accept-loop reader pulls off a gossip socket re-surfaces through it,
-/// so its return value is wire bytes no matter that the call itself is a
-/// channel pop.
+/// `recv_gossip_frame` is the federation ingest funnel: every frame any
+/// witness link delivers — in-process channel or gossip socket —
+/// re-surfaces through it, so its return value is wire bytes no matter
+/// that the call itself is a channel pop.
 pub const TAINT_SOURCES: &[&str] = &[
     "read_frame", "read_frame_timeout", "read_exact", "read_to_end",
     "read_to_string", "recv_gossip_frame",

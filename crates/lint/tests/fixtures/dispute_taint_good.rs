@@ -2,7 +2,7 @@
 // structural decode (`SignedEvidence::decode`, `decode_conviction_frame`
 // — magic + checksum validated, fails closed) before anything reaches
 // the ledger or witness admission sinks — the pattern the real
-// `DisputeLedger` callers and `TcpWitnessNode::drain_round` use.
+// `DisputeLedger` callers and `Federation::drain` use.
 
 use std::collections::VecDeque;
 

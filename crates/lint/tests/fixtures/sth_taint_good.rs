@@ -1,7 +1,7 @@
 // Known-good twin of sth_taint_bad.rs: the gossip frame goes through
 // `SignedTreeHead::decode` (magic + checksum validated, fails closed)
 // before the decoded head reaches the adoption sink — the pattern
-// `WitnessNet::round` uses for real.
+// `Federation::drain` uses for real.
 
 use std::io::Read;
 

@@ -1,7 +1,7 @@
 // Known-good twin of tcp_gossip_bad.rs: every frame popped from the
 // gossip inbox passes `SignedTreeHead::decode` (magic + checksum
 // validated, fails closed) before the decoded head reaches the adoption
-// sink — the pattern `TcpWitnessNode::drain_round` uses for real.
+// sink — the pattern `Federation::drain` uses for real.
 
 use std::collections::VecDeque;
 

@@ -557,7 +557,7 @@ mod tests {
         let proxy = ChaosProxy::spawn(target, ChaosConfig::seeded(1)).unwrap();
         let mut stream = TcpStream::connect(proxy.addr()).unwrap();
         for i in 0..20u8 {
-            write_frame(&mut stream, &vec![i; 64]).unwrap();
+            write_frame(&mut stream, &[i; 64]).unwrap();
         }
         let mut reader = BufReader::new(stream.try_clone().unwrap());
         for i in 0..20u8 {
@@ -668,7 +668,7 @@ mod tests {
             .unwrap();
         // Writes may succeed into the socket buffer, but the echo must die.
         for i in 0..10u8 {
-            if write_frame(&mut stream, &vec![i; 32]).is_err() {
+            if write_frame(&mut stream, &[i; 32]).is_err() {
                 break;
             }
             thread::sleep(Duration::from_millis(5));

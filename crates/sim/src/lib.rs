@@ -23,14 +23,13 @@
 //!   replica that equivocates, replays stale attestations, splits the
 //!   epoch seal, or goes silent must end in continued liveness or a
 //!   verified equivocation conviction — never silent acceptance;
-//! * [`witness`] — chaos runners for the witness subsystem (DESIGN.md
-//!   §3.12): a split-view logger, a forging witness, and a partitioned
-//!   witness set must end in continued liveness or an auditor-re-verified
-//!   split-view conviction naming the exact log;
-//! * [`witness_tcp`] — the same scenarios over real TCP sockets under a
-//!   seeded chaos proxy (DESIGN.md §3.13), plus the restart drill: a
-//!   witness killed mid-run must resume from durable state with its TOFU
-//!   anchor and cosign high-water mark intact;
+//! * [`witness`] — the chaos runner for the witness federation
+//!   (DESIGN.md §3.13), over in-process channels or real TCP sockets
+//!   behind seeded chaos proxies: a split-view logger, a forging witness,
+//!   a partitioned witness set and a witness killed mid-run must end in
+//!   continued liveness or an auditor-re-verified split-view conviction
+//!   naming the exact log, and a restarted witness must resume from
+//!   durable state with its TOFU anchor and cosign high-water mark intact;
 //! * [`dispute`] — dispute-chaos scenarios (DESIGN.md §3.14): contested
 //!   audit verdicts litigated through the dispute ledger with recorded
 //!   traffic as evidence, under forged evidence, bribed resolvers,
@@ -44,7 +43,6 @@ pub mod dispute;
 pub mod metrics;
 pub mod scenario;
 pub mod witness;
-pub mod witness_tcp;
 
 pub use app::{fanout_app, self_driving_app, AppSpec, DriveSpec, NodeSpec, PubSpec};
 pub use byzantine::{
@@ -57,8 +55,7 @@ pub use crash::{
 pub use data::PayloadKind;
 pub use metrics::{CpuProbe, ThreadCpuProbe};
 pub use scenario::{ClusterRun, Scenario, ScenarioReport};
-pub use witness::{run_witness_chaos, WitnessChaosConfig, WitnessChaosOutcome, WitnessMode};
-pub use witness_tcp::{
-    run_tcp_witness_chaos, RestartDrill, TcpWitnessChaosConfig, TcpWitnessChaosOutcome,
-    TcpWitnessMode,
+pub use witness::{
+    run_witness_chaos, RestartDrill, WitnessChaosConfig, WitnessChaosOutcome, WitnessLink,
+    WitnessMode,
 };

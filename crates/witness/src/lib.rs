@@ -9,11 +9,13 @@
 //! * loggers periodically emit **signed tree heads**
 //!   ([`adlp_logger::sth::SignedTreeHead`]) — size, root, epoch, logger
 //!   signature;
-//! * a configurable **witness set** ([`WitnessNet`]) cogossips those heads
-//!   over the existing faulty-injectable transport, each witness cosigning
-//!   ([`Cosignature`]) heads it has verified RFC 6962 consistency for, and
-//!   assembling a transferable [`SplitViewProof`] the moment two
-//!   validly-signed heads at the same size disagree;
+//! * a `2f + 1` **witness federation** ([`Federation`]) cogossips those
+//!   heads over a [`Link`] — fault-injected in-process channels
+//!   ([`InprocLink`]) or real sockets behind chaos proxies ([`TcpLink`]);
+//!   one engine, two transports — each witness cosigning ([`Cosignature`])
+//!   heads it has verified RFC 6962 consistency for, and assembling a
+//!   transferable [`SplitViewProof`] the moment two validly-signed heads at
+//!   the same size disagree;
 //! * publishers and subscribers become **light clients** ([`LightClient`]):
 //!   on acknowledgement they fetch an inclusion proof against the latest
 //!   witnessed head and verify consistency between successive heads
@@ -30,19 +32,21 @@
 //! witnessed while `f` witnesses are unreachable, and every witnessed head
 //! was vouched for by at least one honest witness.
 
-pub mod gossip;
+pub mod federation;
 pub mod light;
 pub mod proof;
 pub mod state;
 pub mod tcp;
 pub mod witness;
 
-pub use gossip::{WitnessNet, WitnessNetConfig};
+pub use federation::{
+    Federation, FederationConfig, GossipCounters, InprocLink, Link, LinkCounters,
+};
 pub use light::{AckProbe, LightClient, WitnessedHeadSource};
 pub use proof::{
     decode_conviction_frame, encode_conviction_frame, Cosignature, CosignedHead, SplitViewProof,
     SthKeyring, WitnessKeyring, SPLIT_VIEW_FRAME_MAGIC,
 };
 pub use state::{LogWitnessRecord, WitnessState};
-pub use tcp::{TcpGossipConfig, TcpWitnessFed, TcpWitnessNode};
+pub use tcp::{TcpGossipConfig, TcpLink};
 pub use witness::{SthObservation, TreeHeadSource, Witness};

@@ -1,50 +1,30 @@
-//! Witness gossip over real TCP (§3.13): the federation the lab mesh
-//! grows up into.
+//! The socket [`Link`]: witness gossip over real localhost TCP.
 //!
-//! [`crate::gossip::WitnessNet`] proved the *protocol* under in-process
-//! fault injection; this module carries the same verify-then-adopt
-//! discipline across real sockets. Each [`TcpWitnessNode`] owns a
-//! listener, accepts inbound gossip connections, and maintains one
-//! outbound `PeerLink` per peer with the PR 1 reconnect posture:
-//! exponential backoff with seeded jitter, per-peer health states, and
-//! re-broadcast healing — every round re-sends the node's full adopted
-//! view, so a link that died mid-round is made whole the first round
-//! after it reconnects.
+//! [`TcpLink`] gives every witness an endpoint — a listener with an accept
+//! loop feeding one inbox, plus one outbound `PeerLink` per peer with the
+//! PR 1 reconnect posture: exponential backoff with seeded jitter, dials
+//! and writes under deadlines. Every ordered pair of endpoints is joined
+//! through a [`ChaosProxy`], so partitions, resets, splits and slow-loris
+//! stalls are available on every path uniformly, and an endpoint that
+//! comes back [`Link::up`] on a fresh ephemeral port is healed by
+//! re-targeting the proxies that point at it.
 //!
 //! Frames are the existing length-prefixed wire discipline
-//! ([`adlp_pubsub::wire`]) carrying self-authenticating
-//! [`SignedTreeHead`] encodings (magic ‖ checksum ‖ signed payload), so
-//! links need no handshake: a frame is trusted exactly as far as its
-//! signatures, whoever delivered it. Every received frame funnels
-//! through [`TcpWitnessNode::recv_gossip_frame`] →
-//! [`SignedTreeHead::decode`] → [`Witness::adopt_head`]; nothing reaches
-//! witness state any other way (the adlp-lint wire-taint rule pins this
-//! path).
-//!
-//! [`TcpWitnessFed`] assembles the full federation for tests, benches and
-//! the example: every ordered pair of witnesses is linked through a
-//! [`ChaosProxy`], so partitions, resets, splits, and slow-loris stalls
-//! are available on every link uniformly, and a restarted node's fresh
-//! ephemeral port is healed by re-targeting the proxies that point at it.
+//! ([`adlp_pubsub::wire`]) carrying self-authenticating payloads, so paths
+//! need no handshake: a frame is trusted exactly as far as its signatures,
+//! whoever delivered it. This module moves bytes and nothing else — what a
+//! frame *means* is decided by [`crate::federation::Federation`], which
+//! re-sends its full view every round; that re-broadcast is what makes a
+//! path that died mid-round whole the first round after it redials.
 
-use crate::gossip::WitnessNetConfig;
-use crate::proof::{
-    decode_conviction_frame, encode_conviction_frame, CosignedHead, SplitViewProof, SthKeyring,
-    WitnessKeyring,
-};
-use crate::witness::{SthObservation, TreeHeadSource, Witness};
-use adlp_crypto::rsa::{RsaKeyPair, RsaPrivateKey};
-use adlp_logger::storage::MemStorage;
-use adlp_logger::sth::SignedTreeHead;
-use adlp_logger::LogError;
+use crate::federation::{Link, LinkCounters};
 use adlp_pubsub::transport::chaos::{ChaosConfig, ChaosProxy};
 use adlp_pubsub::wire::{read_frame, write_frame};
-use adlp_pubsub::{NodeId, PubSubError};
+use adlp_pubsub::PubSubError;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
-use std::collections::BTreeMap;
 use std::io::BufReader;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -52,11 +32,9 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-/// Tuning for one node's TCP gossip endpoint.
+/// Tuning for the TCP gossip endpoints.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TcpGossipConfig {
-    /// Seed for dial jitter (combined with the witness index).
-    pub seed: u64,
     /// Per-dial connect deadline.
     pub dial_timeout: Duration,
     /// Initial redial backoff after a link failure.
@@ -73,7 +51,6 @@ pub struct TcpGossipConfig {
 impl Default for TcpGossipConfig {
     fn default() -> Self {
         TcpGossipConfig {
-            seed: 0x7C9,
             dial_timeout: Duration::from_millis(250),
             backoff: Duration::from_millis(20),
             max_backoff: Duration::from_millis(400),
@@ -106,33 +83,22 @@ impl TcpGossipConfig {
             ..d
         }
     }
-
-    /// Overrides the settle window (how long a round lets frames traverse
-    /// the wire before draining).
-    pub fn with_settle(mut self, settle: Duration) -> Self {
-        self.settle = settle;
-        self
-    }
 }
 
-/// Observable health of one outbound peer link.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PeerHealth {
-    /// A live socket is open to the peer.
-    Connected,
-    /// The last attempt failed; the next dial waits out a jittered
-    /// backoff.
-    Backoff,
-    /// No socket and the link is clear to dial.
-    Down,
+/// Link-lifetime totals, shared with every endpoint's threads so they
+/// outlive any one of them.
+#[derive(Debug, Default)]
+struct LinkStats {
+    frames_sent: AtomicU64,
+    frames_received: AtomicU64,
+    send_failures: AtomicU64,
+    reconnects: AtomicU64,
 }
 
-/// One outbound gossip link with reconnect state.
+/// One outbound gossip path with reconnect state.
 struct PeerLink {
     addr: SocketAddr,
     stream: Option<TcpStream>,
-    failures: u64,
-    reconnects: u64,
     /// Set after the first successful connection, so a later success
     /// counts as a *re*connect.
     ever_connected: bool,
@@ -145,30 +111,17 @@ impl PeerLink {
         PeerLink {
             addr,
             stream: None,
-            failures: 0,
-            reconnects: 0,
             ever_connected: false,
             backoff: Duration::ZERO,
             next_dial_at: Instant::now(),
         }
     }
 
-    fn health(&self) -> PeerHealth {
-        if self.stream.is_some() {
-            PeerHealth::Connected
-        } else if Instant::now() < self.next_dial_at {
-            PeerHealth::Backoff
-        } else {
-            PeerHealth::Down
-        }
-    }
-
-    /// Marks the link failed and schedules the next dial with exponential
+    /// Marks the path failed and schedules the next dial with exponential
     /// backoff and seeded jitter (±50%), so a flapping federation does not
     /// thundering-herd its way back.
     fn mark_failed(&mut self, config: &TcpGossipConfig, rng: &mut StdRng) {
         self.stream = None;
-        self.failures += 1;
         self.backoff = if self.backoff.is_zero() {
             config.backoff
         } else {
@@ -179,300 +132,109 @@ impl PeerLink {
         self.next_dial_at = Instant::now() + wait;
     }
 
-    fn mark_connected(&mut self, stream: TcpStream) {
-        if self.ever_connected {
-            self.reconnects += 1;
+    /// The live socket, dialing first if the path is down and clear of its
+    /// backoff window.
+    fn connected(
+        &mut self,
+        config: &TcpGossipConfig,
+        rng: &mut StdRng,
+        stats: &LinkStats,
+    ) -> Option<&mut TcpStream> {
+        if self.stream.is_none() {
+            if Instant::now() < self.next_dial_at {
+                return None;
+            }
+            match TcpStream::connect_timeout(&self.addr, config.dial_timeout) {
+                Ok(stream) => {
+                    // adlp-lint: allow(discarded-fallible) — nodelay and deadlines are best-effort tuning
+                    let _ = stream.set_nodelay(true);
+                    let _ = stream.set_write_timeout(Some(config.write_timeout));
+                    if std::mem::replace(&mut self.ever_connected, true) {
+                        stats.reconnects.fetch_add(1, Ordering::Relaxed);
+                    }
+                    self.backoff = Duration::ZERO;
+                    self.stream = Some(stream);
+                }
+                Err(_) => self.mark_failed(config, rng),
+            }
         }
-        self.ever_connected = true;
-        self.failures = 0;
-        self.backoff = Duration::ZERO;
-        self.stream = Some(stream);
+        self.stream.as_mut()
     }
 }
 
-#[derive(Debug, Default)]
-struct NodeStats {
-    undecodable: AtomicU64,
-    frames_sent: AtomicU64,
-    frames_received: AtomicU64,
-    send_failures: AtomicU64,
-    convictions_sent: AtomicU64,
-    convictions_ingested: AtomicU64,
-    convictions_rejected: AtomicU64,
-}
-
-/// One witness with a real TCP gossip endpoint.
-pub struct TcpWitnessNode {
-    witness: Arc<Witness>,
-    sources: Vec<Arc<dyn TreeHeadSource>>,
-    config: TcpGossipConfig,
+/// One witness's socket presence: a listener feeding an inbox, and the
+/// outbound paths to its peers.
+struct Endpoint {
     addr: SocketAddr,
     inbox: Receiver<Vec<u8>>,
-    peers: Mutex<Vec<PeerLink>>,
-    rng: Mutex<StdRng>,
+    /// Outbound paths by peer index (`None` at this endpoint's own), and
+    /// the jitter RNG their backoff draws from.
+    peers: Mutex<(Vec<Option<PeerLink>>, StdRng)>,
     shutdown: Arc<AtomicBool>,
-    /// Accepted inbound sockets, so [`TcpWitnessNode::kill`] can unblock
-    /// their reader threads.
+    /// Accepted inbound sockets, so `Drop` can unblock their reader
+    /// threads.
     accepted: Arc<Mutex<Vec<TcpStream>>>,
-    stats: Arc<NodeStats>,
 }
 
-impl std::fmt::Debug for TcpWitnessNode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TcpWitnessNode")
-            .field("witness", &self.witness.id())
-            .field("addr", &self.addr)
-            .finish_non_exhaustive()
-    }
-}
-
-impl TcpWitnessNode {
+impl Endpoint {
     /// Binds a listener on an ephemeral localhost port and starts the
-    /// accept loop. `sources` is this witness's private view of the logs
-    /// it polls directly (may be empty for a gossip-only witness).
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket errors from the bind.
-    pub fn spawn(
-        witness: Arc<Witness>,
-        sources: Vec<Arc<dyn TreeHeadSource>>,
-        config: TcpGossipConfig,
-    ) -> Result<Self, PubSubError> {
+    /// accept loop; outbound paths are wired separately, once the proxies
+    /// fronting the peers exist.
+    fn spawn(w: usize, jitter_seed: u64, stats: &Arc<LinkStats>) -> Result<Self, PubSubError> {
         let listener = TcpListener::bind(("127.0.0.1", 0))?;
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
         let (inbox_tx, inbox) = unbounded();
         let shutdown = Arc::new(AtomicBool::new(false));
         let accepted = Arc::new(Mutex::new(Vec::new()));
-        let stats = Arc::new(NodeStats::default());
         {
-            let shutdown = Arc::clone(&shutdown);
-            let accepted = Arc::clone(&accepted);
-            let stats = Arc::clone(&stats);
-            let id = witness.id();
+            let (shutdown, accepted, stats) = (
+                Arc::clone(&shutdown),
+                Arc::clone(&accepted),
+                Arc::clone(stats),
+            );
             thread::Builder::new()
-                .name(format!("witness-{id}-accept"))
+                .name(format!("witness-{w}-accept"))
                 .spawn(move || accept_loop(listener, inbox_tx, shutdown, accepted, stats))
                 .map_err(|e| PubSubError::Io(format!("spawn witness accept loop: {e}")))?;
         }
-        let rng = StdRng::seed_from_u64(config.seed ^ ((witness.id() as u64) << 20) ^ 0x7C9);
-        Ok(TcpWitnessNode {
-            witness,
-            sources,
-            config,
+        let rng = StdRng::seed_from_u64(jitter_seed ^ ((w as u64) << 20) ^ 0x7C9);
+        Ok(Endpoint {
             addr,
             inbox,
-            peers: Mutex::new(Vec::new()),
-            rng: Mutex::new(rng),
+            peers: Mutex::new((Vec::new(), rng)),
             shutdown,
             accepted,
-            stats,
         })
     }
 
-    /// The address peers (or their chaos proxies) dial.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// The witness this node speaks for.
-    pub fn witness(&self) -> &Arc<Witness> {
-        &self.witness
-    }
-
-    /// Replaces the outbound peer list (addresses to dial — typically
-    /// chaos-proxy fronts, not the peers' real listeners).
-    pub fn set_peers(&self, addrs: Vec<SocketAddr>) {
-        *self.peers.lock() = addrs.into_iter().map(PeerLink::new).collect();
-    }
-
-    /// Health of every outbound link, in peer order.
-    pub fn peer_health(&self) -> Vec<PeerHealth> {
-        self.peers.lock().iter().map(PeerLink::health).collect()
-    }
-
-    /// Total successful re-dials after a link death, across peers.
-    pub fn reconnects(&self) -> u64 {
-        self.peers.lock().iter().map(|p| p.reconnects).sum()
-    }
-
-    /// Gossip frames that failed [`SignedTreeHead`] decoding.
-    pub fn undecodable(&self) -> u64 {
-        self.stats.undecodable.load(Ordering::Relaxed)
-    }
-
-    /// Conviction frames this node broadcast to peers.
-    pub fn convictions_sent(&self) -> u64 {
-        self.stats.convictions_sent.load(Ordering::Relaxed)
-    }
-
-    /// Gossiped convictions verified and newly adopted by this witness.
-    pub fn convictions_ingested(&self) -> u64 {
-        self.stats.convictions_ingested.load(Ordering::Relaxed)
-    }
-
-    /// Conviction frames refused: malformed body, or a proof that failed
-    /// re-verification under this witness's logger keyring.
-    pub fn convictions_rejected(&self) -> u64 {
-        self.stats.convictions_rejected.load(Ordering::Relaxed)
-    }
-
-    /// Pulls the next raw gossip frame from the inbound queue, if any.
-    ///
-    /// This is the single ingest point for TCP gossip bytes; everything it
-    /// returns must pass [`SignedTreeHead::decode`] (and the witness's
-    /// verify-then-adopt path) before touching state — the adlp-lint
-    /// `unverified-wire-taint` rule treats this function as a taint
-    /// source.
-    pub fn recv_gossip_frame(&self) -> Option<Vec<u8>> {
-        self.inbox.try_recv().ok()
-    }
-
-    /// Poll own sources, then broadcast this node's full adopted view
-    /// (latest heads, both halves of every conviction, and each conviction
-    /// as an assembled transferable proof frame) to every peer. Dead links
-    /// redial through their backoff schedule; a link that reconnects
-    /// receives the full view immediately — that *is* the re-broadcast
-    /// healing, since gossip frames are idempotent.
-    pub fn emit_round(&self) {
-        for source in &self.sources {
-            self.witness.poll(source.as_ref());
+    fn send(&self, to: usize, frame: &[u8], config: &TcpGossipConfig, stats: &LinkStats) -> bool {
+        let mut guard = self.peers.lock();
+        let (peers, rng) = &mut *guard;
+        let Some(Some(peer)) = peers.get_mut(to) else {
+            return false;
+        };
+        let Some(stream) = peer.connected(config, rng, stats) else {
+            return false;
+        };
+        if write_frame(stream, frame).is_err() {
+            peer.mark_failed(config, rng);
+            return false;
         }
-        // Assembled convictions lead the round: one self-contained frame
-        // teaches a peer the conviction (after it re-verifies the proof)
-        // even if the conflicting heads themselves never reach it, and
-        // before the head replay below would re-derive it pairwise.
-        let mut frames: Vec<(Vec<u8>, bool)> = self
-            .witness
-            .proofs()
-            .iter()
-            .map(|p| (encode_conviction_frame(p), true))
-            .collect();
-        frames.extend(
-            self.witness
-                .latest_heads()
-                .iter()
-                .map(|h| (h.encode(), false)),
-        );
-        frames.extend(
-            self.witness
-                .conviction_heads()
-                .iter()
-                .map(|h| (h.encode(), false)),
-        );
-        if frames.is_empty() {
-            return;
-        }
-        let mut peers = self.peers.lock();
-        let mut rng = self.rng.lock();
-        for peer in peers.iter_mut() {
-            if peer.stream.is_none() {
-                if Instant::now() < peer.next_dial_at {
-                    continue;
-                }
-                match TcpStream::connect_timeout(&peer.addr, self.config.dial_timeout) {
-                    Ok(stream) => {
-                        // adlp-lint: allow(discarded-fallible) — nodelay and deadlines are best-effort tuning
-                        let _ = stream.set_nodelay(true);
-                        let _ = stream.set_write_timeout(Some(self.config.write_timeout));
-                        peer.mark_connected(stream);
-                    }
-                    Err(_) => {
-                        peer.mark_failed(&self.config, &mut rng);
-                        continue;
-                    }
-                }
-            }
-            let Some(stream) = peer.stream.as_mut() else {
-                continue;
-            };
-            let mut failed = false;
-            for (frame, is_conviction) in &frames {
-                if write_frame(stream, frame).is_err() {
-                    failed = true;
-                    break;
-                }
-                self.stats.frames_sent.fetch_add(1, Ordering::Relaxed);
-                if *is_conviction {
-                    self.stats.convictions_sent.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            if failed {
-                self.stats.send_failures.fetch_add(1, Ordering::Relaxed);
-                peer.mark_failed(&self.config, &mut rng);
-            }
-        }
+        true
     }
+}
 
-    /// Drains the inbound queue: decode each frame, fetch the consistency
-    /// proof this witness needs from its own sources, and adopt. Returns
-    /// how many heads were newly adopted.
-    pub fn drain_round(&self) -> usize {
-        let mut adopted = 0;
-        while let Some(frame) = self.recv_gossip_frame() {
-            // Conviction frames are self-describing (magic-prefixed) and
-            // re-verified by the witness before adoption; anything else is
-            // a signed tree head.
-            if let Some(decoded) = decode_conviction_frame(&frame) {
-                match decoded {
-                    Ok(proof) => match self.witness.adopt_proof(proof) {
-                        Some(true) => {
-                            self.stats.convictions_ingested.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Some(false) => {}
-                        None => {
-                            self.stats.convictions_rejected.fetch_add(1, Ordering::Relaxed);
-                        }
-                    },
-                    Err(_) => {
-                        self.stats.convictions_rejected.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                continue;
-            }
-            match SignedTreeHead::decode(&frame) {
-                Err(_) => {
-                    self.stats.undecodable.fetch_add(1, Ordering::Relaxed);
-                }
-                Ok(sth) => {
-                    let consistency = match self.witness.latest_head(&sth.log) {
-                        Some(cur) if sth.size > cur.size => self
-                            .sources
-                            .iter()
-                            .find(|s| s.log_id() == sth.log)
-                            .and_then(|s| s.consistency(cur.size, sth.size)),
-                        _ => None,
-                    };
-                    if self.witness.adopt_head(sth, consistency.as_ref())
-                        == SthObservation::Adopted
-                    {
-                        adopted += 1;
-                    }
-                }
-            }
-        }
-        adopted
-    }
-
-    /// Shuts the node down: the listener stops accepting, every inbound
-    /// socket is reset (unblocking its reader thread), and every outbound
-    /// link is dropped. The [`Witness`] itself survives — whether its
-    /// *state* survives is the storage binding's problem, which is the
-    /// whole point of §3.13.
-    pub fn kill(&self) {
+impl Drop for Endpoint {
+    /// The listener stops accepting and every inbound socket is reset
+    /// (unblocking its reader thread); outbound paths close with the
+    /// struct.
+    fn drop(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
         for stream in self.accepted.lock().drain(..) {
             // adlp-lint: allow(discarded-fallible) — the socket may already be dead, which is the desired end state
             let _ = stream.shutdown(Shutdown::Both);
         }
-        self.peers.lock().clear();
-    }
-}
-
-impl Drop for TcpWitnessNode {
-    fn drop(&mut self) {
-        self.kill();
     }
 }
 
@@ -481,7 +243,7 @@ fn accept_loop(
     inbox: Sender<Vec<u8>>,
     shutdown: Arc<AtomicBool>,
     accepted: Arc<Mutex<Vec<TcpStream>>>,
-    stats: Arc<NodeStats>,
+    stats: Arc<LinkStats>,
 ) {
     loop {
         if shutdown.load(Ordering::SeqCst) {
@@ -514,7 +276,7 @@ fn accept_loop(
             .spawn(move || {
                 let mut reader = BufReader::new(stream);
                 // Raw frames go straight to the inbox; decoding and
-                // verification happen on the drain side, behind
+                // verification happen in the engine, behind
                 // `recv_gossip_frame`.
                 while let Ok(Some(frame)) = read_frame(&mut reader) {
                     if shutdown.load(Ordering::SeqCst) {
@@ -529,442 +291,140 @@ fn accept_loop(
     }
 }
 
-/// A full witness federation over localhost TCP, every ordered link
-/// fronted by a [`ChaosProxy`], every witness bound to its own
-/// [`MemStorage`] for crash/restart drills.
-pub struct TcpWitnessFed {
-    config: WitnessNetConfig,
+/// The socket mesh: one endpoint per witness, one [`ChaosProxy`] per
+/// ordered pair.
+pub struct TcpLink {
     tcp: TcpGossipConfig,
-    loggers: SthKeyring,
-    keyring: WitnessKeyring,
-    keys: Vec<RsaKeyPair>,
-    witnesses: Vec<Arc<Witness>>,
-    nodes: Vec<Option<TcpWitnessNode>>,
-    /// `proxies[i][j]` fronts witness `j`'s listener for dials from
-    /// witness `i`.
+    jitter_seed: u64,
+    endpoints: Vec<Option<Endpoint>>,
+    /// `proxies[from][to]` fronts `to`'s listener for dials from `from`.
     proxies: Vec<Vec<Option<ChaosProxy>>>,
-    storages: Vec<Arc<MemStorage>>,
-    sources: Vec<Vec<Arc<dyn TreeHeadSource>>>,
-    /// Witnesses restarted so far, per index (distinguishes a crash from
-    /// a permanent departure in assertions).
-    restarts: Vec<u64>,
+    stats: Arc<LinkStats>,
 }
 
-impl std::fmt::Debug for TcpWitnessFed {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TcpWitnessFed")
-            .field("config", &self.config)
-            .field("live", &self.live())
-            .finish_non_exhaustive()
-    }
-}
-
-impl TcpWitnessFed {
-    /// Builds the federation: deterministic witness keys from
-    /// `config.seed` (same derivation as [`crate::gossip::WitnessNet`]),
-    /// one TCP node per witness, a chaos proxy on every ordered link, and
-    /// a storage binding per witness (record-first-speak-second from the
-    /// first cosignature on).
+impl TcpLink {
+    /// Binds `n` endpoints on localhost and a chaos proxy on every ordered
+    /// path between them (each proxy's chaos seeded per path from
+    /// `chaos.seed`, which also seeds the dial jitter).
     ///
     /// # Errors
     ///
-    /// Propagates socket errors from listener/proxy setup and storage
-    /// errors from the initial state persist.
-    pub fn spawn(
-        config: WitnessNetConfig,
-        tcp: TcpGossipConfig,
-        chaos: ChaosConfig,
-        loggers: SthKeyring,
-        sources: Vec<Vec<Arc<dyn TreeHeadSource>>>,
-    ) -> Result<Self, LogError> {
-        let n = config.witnesses;
-        let mut keys = Vec::with_capacity(n);
-        for i in 0..n {
-            let mut rng =
-                StdRng::seed_from_u64(config.seed ^ (0x5EED << 8) ^ i as u64);
-            keys.push(RsaKeyPair::generate(config.key_bits, &mut rng));
-        }
-        let keyring =
-            WitnessKeyring::new(keys.iter().map(|k| k.public_key().clone()).collect());
-        let storages: Vec<Arc<MemStorage>> =
-            (0..n).map(|_| Arc::new(MemStorage::new())).collect();
-        let mut witnesses = Vec::with_capacity(n);
-        for (i, kp) in keys.iter().enumerate() {
-            let key = RsaPrivateKey::from_bytes(&kp.private_key().to_bytes())
-                .map_err(|_| LogError::Malformed("witness key"))?;
-            let witness = Arc::new(Witness::new(i, key, loggers.clone()));
-            witness.bind_storage(storages[i].clone(), "witness-state")?;
-            witnesses.push(witness);
-        }
-        let mut sources = sources;
-        sources.resize_with(n, Vec::new);
-
-        let io_err = |e: PubSubError| LogError::Io(format!("witness federation: {e}"));
-        let mut nodes = Vec::with_capacity(n);
-        for w in 0..n {
-            let node = TcpWitnessNode::spawn(
-                Arc::clone(&witnesses[w]),
-                sources[w].clone(),
-                TcpGossipConfig {
-                    seed: tcp.seed ^ config.seed,
-                    ..tcp.clone()
-                },
-            )
-            .map_err(io_err)?;
-            nodes.push(Some(node));
-        }
+    /// Propagates socket errors from listener and proxy setup.
+    pub fn spawn(n: usize, tcp: TcpGossipConfig, chaos: ChaosConfig) -> Result<Self, PubSubError> {
+        let stats = Arc::new(LinkStats::default());
+        let endpoints = (0..n)
+            .map(|w| Endpoint::spawn(w, chaos.seed, &stats))
+            .collect::<Result<Vec<_>, _>>()?;
         let mut proxies: Vec<Vec<Option<ChaosProxy>>> = Vec::with_capacity(n);
-        for i in 0..n {
+        for from in 0..n {
             let mut row = Vec::with_capacity(n);
-            for (j, node) in nodes.iter().enumerate() {
-                let proxy = if i == j {
+            for (to, endpoint) in endpoints.iter().enumerate() {
+                row.push(if from == to {
                     None
                 } else {
-                    let target = node.as_ref().expect("node just spawned").addr();
-                    let link_chaos = ChaosConfig {
-                        seed: chaos.seed ^ ((i as u64) << 16) ^ j as u64,
+                    let path_chaos = ChaosConfig {
+                        seed: chaos.seed ^ ((from as u64) << 16) ^ to as u64,
                         ..chaos.clone()
                     };
-                    Some(ChaosProxy::spawn(target, link_chaos).map_err(io_err)?)
-                };
-                row.push(proxy);
+                    Some(ChaosProxy::spawn(endpoint.addr, path_chaos)?)
+                });
             }
             proxies.push(row);
         }
-        let fed = TcpWitnessFed {
-            config,
+        let link = TcpLink {
             tcp,
-            loggers,
-            keyring,
-            keys,
-            witnesses,
-            nodes,
+            jitter_seed: chaos.seed,
+            endpoints: endpoints.into_iter().map(Some).collect(),
             proxies,
-            storages,
-            sources,
-            restarts: vec![0; n],
+            stats,
         };
         for w in 0..n {
-            fed.wire_peers(w);
+            link.wire_peers(w);
         }
-        Ok(fed)
+        Ok(link)
     }
 
-    /// Points node `w` at its peers' proxy fronts.
+    /// Points endpoint `w`'s outbound paths at its peers' proxy fronts.
     fn wire_peers(&self, w: usize) {
-        let Some(node) = self.nodes[w].as_ref() else {
-            return;
+        if let Some(endpoint) = &self.endpoints[w] {
+            endpoint.peers.lock().0 = self.proxies[w]
+                .iter()
+                .map(|proxy| proxy.as_ref().map(|p| PeerLink::new(p.addr())))
+                .collect();
+        }
+    }
+
+    /// Every proxy on a path to or from `w`.
+    fn paths_of(&self, w: usize) -> impl Iterator<Item = &ChaosProxy> {
+        let outbound = self.proxies.get(w).into_iter().flatten();
+        let inbound = self.proxies.iter().filter_map(move |row| row.get(w));
+        outbound.chain(inbound).flatten()
+    }
+}
+
+impl Link for TcpLink {
+    fn send(&self, from: usize, to: usize, frame: &[u8]) -> bool {
+        let sent = self
+            .endpoints
+            .get(from)
+            .and_then(Option::as_ref)
+            .is_some_and(|endpoint| endpoint.send(to, frame, &self.tcp, &self.stats));
+        let counter = if sent {
+            &self.stats.frames_sent
+        } else {
+            &self.stats.send_failures
         };
-        let addrs: Vec<SocketAddr> = (0..self.config.witnesses)
-            .filter(|&j| j != w)
-            .filter_map(|j| self.proxies[w][j].as_ref().map(|p| p.addr()))
-            .collect();
-        node.set_peers(addrs);
+        counter.fetch_add(1, Ordering::Relaxed);
+        sent
     }
 
-    /// The set's shape.
-    pub fn config(&self) -> &WitnessNetConfig {
-        &self.config
+    fn recv(&self, at: usize) -> Option<Vec<u8>> {
+        self.endpoints.get(at)?.as_ref()?.inbox.try_recv().ok()
     }
 
-    /// The witness set's public keys.
-    pub fn keyring(&self) -> &WitnessKeyring {
-        &self.keyring
+    fn settle(&self) {
+        thread::sleep(self.tcp.settle);
     }
 
-    /// Witness `w`, for inspection (present even while its node is down).
-    pub fn witness(&self, w: usize) -> Option<&Arc<Witness>> {
-        self.witnesses.get(w)
+    fn sever(&mut self, w: usize) {
+        self.paths_of(w).for_each(ChaosProxy::sever);
     }
 
-    /// Witness `w`'s TCP node, if currently running.
-    pub fn node(&self, w: usize) -> Option<&TcpWitnessNode> {
-        self.nodes.get(w).and_then(|n| n.as_ref())
+    fn heal(&mut self, w: usize) {
+        self.paths_of(w).for_each(ChaosProxy::heal);
     }
 
-    /// Witness `w`'s state device (survives kills; crash-truncated on
-    /// [`TcpWitnessFed::kill`]).
-    pub fn storage(&self, w: usize) -> &Arc<MemStorage> {
-        &self.storages[w]
+    fn down(&mut self, w: usize) {
+        self.endpoints[w] = None;
     }
 
-    /// Indices of the witnesses whose nodes are currently running.
-    pub fn live(&self) -> Vec<usize> {
-        (0..self.witnesses.len())
-            .filter(|&w| self.nodes[w].is_some())
-            .collect()
-    }
-
-    /// How many times witness `w` has been restarted.
-    pub fn restarts(&self, w: usize) -> u64 {
-        self.restarts.get(w).copied().unwrap_or(0)
-    }
-
-    /// The chaos proxy fronting `to`'s listener for dials from `from`.
-    pub fn proxy(&self, from: usize, to: usize) -> Option<&ChaosProxy> {
-        self.proxies.get(from).and_then(|row| row.get(to)).and_then(|p| p.as_ref())
-    }
-
-    /// Severs every link to and from witness `w` (full partition).
-    pub fn sever_witness(&self, w: usize) {
-        for i in 0..self.config.witnesses {
-            if let Some(p) = self.proxy(i, w) {
-                p.sever();
-            }
-            if let Some(p) = self.proxy(w, i) {
-                p.sever();
+    fn up(&mut self, w: usize) -> Result<(), PubSubError> {
+        let endpoint = Endpoint::spawn(w, self.jitter_seed, &self.stats)?;
+        // The fresh listener has a fresh ephemeral port: every proxy that
+        // fronts `w` is re-pointed at it.
+        for row in &self.proxies {
+            if let Some(Some(proxy)) = row.get(w) {
+                proxy.set_target(endpoint.addr);
             }
         }
-    }
-
-    /// Heals every link to and from witness `w`.
-    pub fn heal_witness(&self, w: usize) {
-        for i in 0..self.config.witnesses {
-            if let Some(p) = self.proxy(i, w) {
-                p.heal();
-            }
-            if let Some(p) = self.proxy(w, i) {
-                p.heal();
-            }
-        }
-    }
-
-    /// Kills witness `w`'s node like a power cut: sockets reset, process
-    /// state gone, and the state device keeps only what was synced
-    /// ([`MemStorage::crash`]). The durable write-replace discipline means
-    /// everything the witness ever *spoke* is still there.
-    pub fn kill(&mut self, w: usize) {
-        if let Some(node) = self.nodes[w].take() {
-            node.kill();
-        }
-        self.storages[w].crash();
-    }
-
-    /// Restarts witness `w` from nothing but its key and its storage
-    /// device: a fresh [`Witness`] resumes the durable state via
-    /// [`Witness::bind_storage`], a fresh node binds a fresh port, and
-    /// every proxy pointing at the old port is re-targeted.
-    ///
-    /// # Errors
-    ///
-    /// Propagates storage errors (corrupt state fails closed) and socket
-    /// errors from the new listener.
-    pub fn restart(&mut self, w: usize) -> Result<(), LogError> {
-        if self.nodes[w].is_some() {
-            return Err(LogError::Malformed("restart of a live witness"));
-        }
-        let key = RsaPrivateKey::from_bytes(&self.keys[w].private_key().to_bytes())
-            .map_err(|_| LogError::Malformed("witness key"))?;
-        let witness = Arc::new(Witness::new(w, key, self.loggers.clone()));
-        witness.bind_storage(self.storages[w].clone(), "witness-state")?;
-        let node = TcpWitnessNode::spawn(
-            Arc::clone(&witness),
-            self.sources[w].clone(),
-            TcpGossipConfig {
-                seed: self.tcp.seed ^ self.config.seed ^ (self.restarts[w] + 1),
-                ..self.tcp.clone()
-            },
-        )
-        .map_err(|e| LogError::Io(format!("witness restart: {e}")))?;
-        for i in 0..self.config.witnesses {
-            if let Some(p) = self.proxy(i, w) {
-                p.set_target(node.addr());
-            }
-        }
-        self.witnesses[w] = witness;
-        self.nodes[w] = Some(node);
-        self.restarts[w] += 1;
+        self.endpoints[w] = Some(endpoint);
         self.wire_peers(w);
         Ok(())
     }
 
-    /// Injects a raw frame from witness `from`'s network position toward
-    /// every peer, through the same chaos proxies honest gossip crosses —
-    /// the traitor hook: whatever arrives must be rejected by the
-    /// receivers' verify-then-adopt path, never believed.
-    pub fn inject(&self, from: usize, frame: &[u8]) {
-        for j in 0..self.config.witnesses {
-            if j == from {
-                continue;
-            }
-            let Some(proxy) = self.proxy(from, j) else {
-                continue;
-            };
-            if let Ok(mut stream) =
-                TcpStream::connect_timeout(&proxy.addr(), self.tcp.dial_timeout)
-            {
-                // adlp-lint: allow(discarded-fallible) — a traitor's frame being lost is indistinguishable from it being dropped by chaos, and equally acceptable
-                let _ = write_frame(&mut stream, frame);
-                let _ = stream.shutdown(Shutdown::Write);
-            }
-        }
-    }
-
-    /// One federation round: every live node polls + broadcasts, frames
-    /// settle across the real sockets, then every live node drains.
-    /// Returns how many heads were newly adopted anywhere.
-    pub fn round(&self) -> usize {
-        for &w in &self.live() {
-            if let Some(node) = self.nodes[w].as_ref() {
-                node.emit_round();
-            }
-        }
-        thread::sleep(self.tcp.settle);
-        let mut adopted = 0;
-        for &w in &self.live() {
-            if let Some(node) = self.nodes[w].as_ref() {
-                adopted += node.drain_round();
-            }
-        }
-        adopted
-    }
-
-    /// Runs rounds until every live witness agrees on every tracked log's
-    /// latest head, or `max_rounds` elapse. Returns the rounds consumed.
-    pub fn run_until_converged(&self, max_rounds: usize) -> Option<usize> {
-        for round in 1..=max_rounds {
-            self.round();
-            if self.converged() {
-                return Some(round);
-            }
-        }
-        None
-    }
-
-    /// Whether every live witness holds an identical latest head for
-    /// every log any live witness tracks.
-    pub fn converged(&self) -> bool {
-        let live = self.live();
-        if live.is_empty() {
-            return false;
-        }
-        let mut logs: Vec<NodeId> = Vec::new();
-        for &w in &live {
-            for head in self.witnesses[w].latest_heads() {
-                if !logs.contains(&head.log) {
-                    logs.push(head.log.clone());
-                }
-            }
-        }
-        if logs.is_empty() {
-            return false;
-        }
-        logs.iter().all(|log| {
-            let mut heads = live
+    fn counters(&self) -> LinkCounters {
+        LinkCounters {
+            frames_sent: self.stats.frames_sent.load(Ordering::Relaxed),
+            frames_received: self.stats.frames_received.load(Ordering::Relaxed),
+            send_failures: self.stats.send_failures.load(Ordering::Relaxed),
+            reconnects: self.stats.reconnects.load(Ordering::Relaxed),
+            injected_faults: self
+                .proxies
                 .iter()
-                .map(|&w| self.witnesses[w].latest_head(log))
-                .collect::<Vec<_>>();
-            let Some(Some(first)) = heads.pop() else {
-                return false;
-            };
-            heads.iter().all(|h| {
-                h.as_ref()
-                    .is_some_and(|h| h.size == first.size && h.root == first.root)
-            })
-        })
-    }
-
-    /// The highest head of `log` with an f+1 cosign quorum across live
-    /// witnesses.
-    pub fn witnessed(&self, log: &NodeId) -> Option<CosignedHead> {
-        let live = self.live();
-        let mut candidates: Vec<SignedTreeHead> = Vec::new();
-        for &w in &live {
-            if let Some(head) = self.witnesses[w].latest_head(log) {
-                if !candidates
-                    .iter()
-                    .any(|c| c.size == head.size && c.root == head.root)
-                {
-                    candidates.push(head);
-                }
-            }
-        }
-        candidates.sort_by_key(|c| std::cmp::Reverse(c.size));
-        for candidate in candidates {
-            let cosignatures: Vec<_> = live
-                .iter()
-                .filter_map(|&w| self.witnesses[w].cosignature(log, candidate.size))
-                .filter(|c| c.root == candidate.root)
-                .collect();
-            if cosignatures.len() >= self.config.witness_quorum() {
-                return Some(CosignedHead {
-                    sth: candidate,
-                    cosignatures,
-                });
-            }
-        }
-        None
-    }
-
-    /// Every conviction assembled anywhere in the federation,
-    /// deduplicated per (log, size).
-    pub fn proofs(&self) -> Vec<SplitViewProof> {
-        let mut out: Vec<SplitViewProof> = Vec::new();
-        for w in &self.witnesses {
-            for proof in w.proofs() {
-                if !out
-                    .iter()
-                    .any(|p| p.log() == proof.log() && p.size() == proof.size())
-                {
-                    out.push(proof);
-                }
-            }
-        }
-        out
-    }
-
-    /// Frames discarded for bad signatures, summed over the federation.
-    pub fn rejected(&self) -> u64 {
-        self.witnesses.iter().map(|w| w.rejected()).sum()
-    }
-
-    /// Frames that failed framing/decoding, summed over live nodes.
-    pub fn undecodable(&self) -> u64 {
-        self.live()
-            .iter()
-            .filter_map(|&w| self.nodes[w].as_ref())
-            .map(|n| n.undecodable())
-            .sum()
-    }
-
-    /// Reconnects across all live nodes' peer links.
-    pub fn reconnects(&self) -> u64 {
-        self.live()
-            .iter()
-            .filter_map(|&w| self.nodes[w].as_ref())
-            .map(|n| n.reconnects())
-            .sum()
-    }
-
-    /// Anchor map across the federation, for restart-invariant
-    /// assertions: witness index → (log → anchor head).
-    pub fn anchors(&self) -> BTreeMap<usize, BTreeMap<NodeId, SignedTreeHead>> {
-        let mut out = BTreeMap::new();
-        for (w, witness) in self.witnesses.iter().enumerate() {
-            let state = witness.state();
-            out.insert(
-                w,
-                state
-                    .logs
-                    .into_iter()
-                    .map(|(log, record)| (log, record.anchor))
-                    .collect(),
-            );
-        }
-        out
-    }
-}
-
-impl crate::light::WitnessedHeadSource for TcpWitnessFed {
-    fn witnessed(&self, log: &NodeId) -> Option<CosignedHead> {
-        TcpWitnessFed::witnessed(self, log)
-    }
-}
-
-impl Drop for TcpWitnessFed {
-    fn drop(&mut self) {
-        for node in self.nodes.iter().flatten() {
-            node.kill();
+                .flatten()
+                .flatten()
+                .map(|proxy| proxy.stats().total_faults())
+                .sum(),
         }
     }
 }
@@ -972,193 +432,12 @@ impl Drop for TcpWitnessFed {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adlp_logger::sth::{SthPublisher, TreeHeadSigner};
-    use adlp_logger::LogStore;
-
-    fn logger_setup(seed: u64) -> (SthKeyring, LogStore, Arc<SthPublisher>) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let kp = RsaKeyPair::generate(512, &mut rng);
-        let keyring =
-            SthKeyring::new().with_log(NodeId::new("logger"), kp.public_key().clone());
-        let store = LogStore::new();
-        for i in 0..4u8 {
-            store.append_encoded(vec![i; 16]);
-        }
-        let publisher = Arc::new(SthPublisher::new(
-            TreeHeadSigner::new(
-                NodeId::new("logger"),
-                RsaPrivateKey::from_bytes(&kp.private_key().to_bytes()).unwrap(),
-            ),
-            store.clone(),
-        ));
-        (keyring, store, publisher)
-    }
-
-    fn honest_sources(
-        n: usize,
-        publisher: &Arc<SthPublisher>,
-    ) -> Vec<Vec<Arc<dyn TreeHeadSource>>> {
-        (0..n)
-            .map(|_| vec![Arc::clone(publisher) as Arc<dyn TreeHeadSource>])
-            .collect()
-    }
-
-    #[test]
-    fn tcp_federation_converges_and_reaches_quorum() {
-        let (keyring, store, publisher) = logger_setup(41);
-        let config = WitnessNetConfig::new(1).with_seed(41);
-        let n = config.witnesses;
-        let fed = TcpWitnessFed::spawn(
-            config,
-            TcpGossipConfig::default(),
-            ChaosConfig::seeded(41),
-            keyring.clone(),
-            honest_sources(n, &publisher),
-        )
-        .unwrap();
-
-        assert!(fed.run_until_converged(10).is_some());
-        let log = NodeId::new("logger");
-        let witnessed = fed.witnessed(&log).expect("quorum over TCP");
-        assert_eq!(witnessed.sth.size, 4);
-        assert!(witnessed.witnessed_by(
-            &keyring,
-            fed.keyring(),
-            fed.config().witness_quorum()
-        ));
-        assert!(fed.proofs().is_empty());
-
-        store.append_encoded(vec![9; 16]);
-        assert!(fed.run_until_converged(10).is_some());
-        assert_eq!(fed.witnessed(&log).expect("new head").sth.size, 5);
-    }
-
-    #[test]
-    fn killed_witness_restarts_with_its_anchors() {
-        let (keyring, store, publisher) = logger_setup(43);
-        let config = WitnessNetConfig::new(1).with_seed(43);
-        let n = config.witnesses;
-        let mut fed = TcpWitnessFed::spawn(
-            config,
-            TcpGossipConfig::default(),
-            ChaosConfig::seeded(43),
-            keyring,
-            honest_sources(n, &publisher),
-        )
-        .unwrap();
-        assert!(fed.run_until_converged(10).is_some());
-        let log = NodeId::new("logger");
-        let anchor_before = fed.witness(2).unwrap().anchor(&log).expect("anchored");
-        let high_before = fed.witness(2).unwrap().cosign_high_water(&log);
-
-        fed.kill(2);
-        store.append_encoded(vec![7; 16]);
-        assert!(fed.run_until_converged(10).is_some(), "survivors converge");
-
-        fed.restart(2).unwrap();
-        let restored = fed.witness(2).unwrap();
-        assert_eq!(
-            restored.anchor(&log).expect("anchor survived the crash"),
-            anchor_before,
-            "a restarted witness must not re-TOFU"
-        );
-        assert!(restored.cosign_high_water(&log) >= high_before);
-        assert!(fed.run_until_converged(12).is_some(), "rejoin converges");
-        assert_eq!(fed.witnessed(&log).expect("quorum after rejoin").sth.size, 5);
-        assert_eq!(fed.restarts(2), 1);
-    }
-
-    #[test]
-    fn conviction_gossip_reaches_nodes_that_never_saw_the_fork() {
-        use crate::light::{LightClient, LightClientError};
-        use crate::proof::SPLIT_VIEW_FRAME_MAGIC;
-        use adlp_crypto::rsa::RsaKeyPair;
-
-        let mut rng = StdRng::seed_from_u64(47);
-        let kp = RsaKeyPair::generate(512, &mut rng);
-        let log = NodeId::new("logger");
-        let keyring = SthKeyring::new().with_log(log.clone(), kp.public_key().clone());
-        let signer = TreeHeadSigner::new(
-            log.clone(),
-            RsaPrivateKey::from_bytes(&kp.private_key().to_bytes()).unwrap(),
-        );
-        let config = WitnessNetConfig::new(1).with_seed(47);
-        let n = config.witnesses;
-        let fed = TcpWitnessFed::spawn(
-            config,
-            TcpGossipConfig::default(),
-            ChaosConfig::seeded(47),
-            keyring.clone(),
-            (0..n).map(|_| Vec::new()).collect(),
-        )
-        .unwrap();
-
-        // Only witness 0 ever sees the two conflicting heads; everyone
-        // else must learn the conviction from the gossiped proof frame.
-        let a = signer.sign(0, 4, adlp_crypto::sha256(b"a")).unwrap();
-        let b = signer.sign(1, 4, adlp_crypto::sha256(b"b")).unwrap();
-        let w0 = fed.witness(0).unwrap();
-        assert_eq!(w0.adopt_head(a, None), SthObservation::Adopted);
-        assert!(matches!(w0.adopt_head(b, None), SthObservation::SplitView(_)));
-
-        for _ in 0..4 {
-            fed.round();
-        }
-        for w in 0..n {
-            let proofs = fed.witness(w).unwrap().proofs();
-            assert_eq!(proofs.len(), 1, "witness {w} holds the conviction");
-            assert!(proofs[0].verify(&keyring), "conviction stays transferable");
-        }
-        assert!(fed.node(0).unwrap().convictions_sent() >= 1);
-        assert!((1..n).any(|w| fed.node(w).unwrap().convictions_ingested() >= 1));
-
-        // A light client that never observed either head learns it too.
-        let client = LightClient::new(keyring.clone());
-        let proof = fed.witness(n - 1).unwrap().proofs().remove(0);
-        assert_eq!(client.observe_conviction(proof.clone()), Ok(true));
-        assert_eq!(client.observe_conviction(proof), Ok(false), "dedup");
-        assert_eq!(client.evidence().len(), 1);
-
-        // A forged conviction — right shape, imposter key — is refused by
-        // every ingest path, as is an outright-garbage conviction frame.
-        let imposter = TreeHeadSigner::new(
-            log.clone(),
-            RsaKeyPair::generate(512, &mut rng).into_private_key(),
-        );
-        let forged = SplitViewProof {
-            first: imposter.sign(0, 9, adlp_crypto::sha256(b"fa")).unwrap(),
-            second: imposter.sign(1, 9, adlp_crypto::sha256(b"fb")).unwrap(),
-        };
-        assert_eq!(
-            client.observe_conviction(forged.clone()),
-            Err(LightClientError::BadSignature)
-        );
-        let rejected = |fed: &TcpWitnessFed| -> u64 {
-            (0..n)
-                .map(|w| fed.node(w).unwrap().convictions_rejected())
-                .sum()
-        };
-        let before = rejected(&fed);
-        fed.inject(0, &encode_conviction_frame(&forged));
-        let mut garbage = SPLIT_VIEW_FRAME_MAGIC.to_vec();
-        garbage.extend_from_slice(b"not a proof");
-        fed.inject(0, &garbage);
-        for _ in 0..4 {
-            fed.round();
-        }
-        assert!(rejected(&fed) > before, "injected frames counted as rejected");
-        for w in 0..n {
-            assert_eq!(
-                fed.witness(w).unwrap().proofs().len(),
-                1,
-                "forgeries never become convictions"
-            );
-        }
-    }
+    use crate::federation::tests::{honest_federation, logger_id};
+    use crate::federation::FederationConfig;
 
     #[test]
     fn scaled_settle_window_converges_at_ten_times_default_latency() {
-        // Every chunk on every link is delayed by up to 10× the default
+        // Every chunk on every path is delayed by up to 10× the default
         // chaos latency bound — far beyond the default 40ms settle window.
         let latency = Duration::from_millis(200);
         let tcp = TcpGossipConfig::for_link_latency(latency);
@@ -1166,24 +445,58 @@ mod tests {
         assert!(tcp.dial_timeout >= latency * 8);
         assert!(tcp.write_timeout >= latency * 8);
         assert!(tcp.max_backoff >= latency * 4);
-        // The builder override composes with the derived config.
-        assert_eq!(
-            tcp.clone().with_settle(Duration::from_millis(900)).settle,
-            Duration::from_millis(900)
-        );
 
-        let (keyring, _store, publisher) = logger_setup(53);
-        let config = WitnessNetConfig::new(1).with_seed(53);
-        let n = config.witnesses;
+        let config = FederationConfig::new(1).with_seed(53);
         let chaos = ChaosConfig::seeded(53).with_delay(1.0, latency);
-        let fed =
-            TcpWitnessFed::spawn(config, tcp, chaos, keyring.clone(), honest_sources(n, &publisher))
-                .unwrap();
+        let link = TcpLink::spawn(config.witnesses(), tcp, chaos).unwrap();
+        let (fed, _, _) = honest_federation(53, config, Box::new(link));
         assert!(
             fed.run_until_converged(6).is_some(),
             "federation converges despite 10× link latency"
         );
-        let witnessed = fed.witnessed(&NodeId::new("logger")).expect("quorum");
-        assert_eq!(witnessed.sth.size, 4);
+        assert_eq!(fed.witnessed(&logger_id()).expect("quorum").sth.size, 4);
+    }
+
+    /// Retries `send` until it reports `want`, riding out dial backoff.
+    fn send_until(link: &TcpLink, want: bool) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while link.send(0, 1, b"ping") != want {
+            assert!(Instant::now() < deadline, "send never became {want}");
+            thread::sleep(Duration::from_millis(5));
+        }
+    }
+
+    #[test]
+    fn a_restarted_peer_is_redialed_through_backoff_on_its_fresh_port() {
+        let mut link =
+            TcpLink::spawn(2, TcpGossipConfig::default(), ChaosConfig::seeded(67)).unwrap();
+        send_until(&link, true);
+        link.settle();
+        assert_eq!(link.recv(1).as_deref(), Some(&b"ping"[..]));
+        assert_eq!(link.counters().reconnects, 0);
+
+        // Power-cut the receiver: the proxy loses its upstream, the
+        // sender's writes start failing, and the path enters backoff.
+        link.down(1);
+        assert_eq!(link.recv(1), None);
+        send_until(&link, false);
+        let failed = link.counters();
+        assert!(failed.send_failures >= 1, "{failed:?}");
+
+        // Back on a fresh port: the re-targeted proxy carries the redial.
+        link.up(1).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while link.recv(1).is_none() {
+            assert!(
+                Instant::now() < deadline,
+                "no frame reached the restarted peer"
+            );
+            send_until(&link, true);
+            link.settle();
+        }
+        let healed = link.counters();
+        assert!(healed.reconnects >= 1, "{healed:?}");
+        assert!(healed.frames_sent > failed.frames_sent, "{healed:?}");
+        assert!(healed.send_failures >= failed.send_failures, "{healed:?}");
     }
 }

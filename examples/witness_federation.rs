@@ -15,7 +15,8 @@ use adlp::logger::LogStore;
 use adlp::pubsub::transport::chaos::ChaosConfig;
 use adlp::pubsub::NodeId;
 use adlp::witness::{
-    LightClient, SthKeyring, TcpGossipConfig, TcpWitnessFed, TreeHeadSource, WitnessNetConfig,
+    Federation, FederationConfig, LightClient, SthKeyring, TcpGossipConfig, TcpLink,
+    TreeHeadSource,
 };
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -41,24 +42,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ordered link crosses a chaos proxy that resets connections and
     // splits frames at arbitrary byte boundaries — the reconnect/backoff
     // and frame-reassembly machinery is doing real work here.
-    let config = WitnessNetConfig::new(1).with_seed(0xFED);
+    let config = FederationConfig::new(1).with_seed(0xFED);
     let quorum = config.witness_quorum();
-    let sources: Vec<Vec<Arc<dyn TreeHeadSource>>> = (0..config.witnesses)
+    let sources: Vec<Vec<Arc<dyn TreeHeadSource>>> = (0..config.witnesses())
         .map(|_| vec![Arc::clone(&publisher) as Arc<dyn TreeHeadSource>])
         .collect();
-    let chaos = ChaosConfig {
-        seed: 0xFED,
-        ..ChaosConfig::default()
-    }
-    .with_reset_rate(0.02)
-    .with_split_rate(0.3);
-    let mut fed = TcpWitnessFed::spawn(
-        config,
-        TcpGossipConfig::default(),
-        chaos,
-        sth_keys.clone(),
-        sources,
-    )?;
+    let chaos = ChaosConfig::seeded(0xFED)
+        .with_reset_rate(0.02)
+        .with_split_rate(0.3);
+    let link = TcpLink::spawn(config.witnesses(), TcpGossipConfig::default(), chaos)?;
+    let mut fed = Federation::new(config, Box::new(link), sth_keys.clone(), sources)?;
 
     let rounds = fed
         .run_until_converged(32)
