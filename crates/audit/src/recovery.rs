@@ -30,7 +30,6 @@
 //! broken chain is always evidence, whatever the prefix verdict says.
 
 use adlp_crypto::sha256::Digest;
-use adlp_logger::merkle::MerkleTree;
 use adlp_logger::LogStore;
 
 /// A commitment over a log prefix — its record hashes and their Merkle
@@ -49,7 +48,9 @@ impl RetainedCommitment {
     /// Commits to the store's current contents.
     pub fn of_store(store: &LogStore) -> Self {
         let leaves = store.record_hashes();
-        let root = MerkleTree::build(&leaves).root();
+        // The root over exactly the leaves copied, even if the store has
+        // grown since.
+        let root = store.root_at(leaves.len());
         RetainedCommitment { leaves, root }
     }
 

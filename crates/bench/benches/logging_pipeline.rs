@@ -1,5 +1,5 @@
 //! Criterion benchmarks for the logging substrate: entry encoding, store
-//! appends (hash chain), Merkle commitment construction, and the
+//! appends (hash chain), Merkle tree extension and proofs, and the
 //! aggregated-logging ablation (§VI-E) — storage cost per publication for
 //! per-ack vs aggregated publisher entries.
 
@@ -58,9 +58,23 @@ fn bench_store_append(c: &mut Criterion) {
     g.bench_function("verify_chain_10k", |b| {
         b.iter(|| store.verify_chain().unwrap());
     });
-    g.bench_function("merkle_build_10k", |b| {
-        let leaves = store.record_hashes();
-        b.iter(|| MerkleTree::build(&leaves));
+    // What a seal costs once the records are hashed: extend the tree by
+    // one leaf and fold its ragged right edge into a root.
+    let leaves = store.record_hashes();
+    let mut tree = MerkleTree::build(&leaves);
+    g.bench_function("merkle_push_root_at_10k", |b| {
+        let mut next = leaves.iter().cycle();
+        b.iter(|| {
+            tree.push(next.next().expect("non-empty cycle"));
+            tree.root_at(tree.leaf_count())
+        });
+    });
+    g.bench_function("merkle_prove_at_10k", |b| {
+        let mut index = 0;
+        b.iter(|| {
+            index = (index + 7_919) % 10_000;
+            tree.prove_at(index, 10_000)
+        });
     });
     g.finish();
 }

@@ -24,12 +24,11 @@
 //!         ‖ (u32 LE length ‖ encoded entry)*
 //! ```
 //!
-//! The Merkle root commits to the snapshotted records (same leaf hashing as
-//! [`crate::merkle::MerkleTree`] over [`crate::LogStore::record_hashes`]),
+//! The Merkle root commits to the snapshotted records
+//! ([`crate::LogStore::merkle_root`]),
 //! so recovery can tell a clean snapshot from one truncated or doctored on
 //! disk — the paper's tamper-evidence carried across restarts.
 
-use crate::merkle::MerkleTree;
 use crate::stats::DurabilityStats;
 use crate::storage::Storage;
 use crate::store::LogStore;
@@ -171,10 +170,12 @@ fn quarantine_evidence(storage: &Arc<dyn Storage>) -> Result<(), LogError> {
     Ok(())
 }
 
-/// Encodes a snapshot of `records` with its Merkle commitment.
-fn encode_snapshot(records: &[Vec<u8>]) -> Vec<u8> {
-    let leaves: Vec<Digest> = records.iter().map(|r| adlp_crypto::sha256(r)).collect();
-    let root = MerkleTree::build(&leaves).root().unwrap_or(Digest([0u8; 32]));
+/// What a snapshot of no records carries in its root field.
+const EMPTY_SNAPSHOT_ROOT: Digest = Digest([0u8; 32]);
+
+/// Encodes a snapshot of `records` under their Merkle commitment `root`.
+fn encode_snapshot(records: &[Vec<u8>], root: Option<Digest>) -> Vec<u8> {
+    let root = root.unwrap_or(EMPTY_SNAPSHOT_ROOT);
     let mut out = Vec::new();
     out.extend_from_slice(SNAPSHOT_MAGIC);
     out.extend_from_slice(&(records.len() as u64).to_le_bytes());
@@ -201,7 +202,7 @@ fn load_snapshot(storage: &Arc<dyn Storage>, name: &str) -> Result<SnapshotLoad,
     let mut load = SnapshotLoad {
         records: Vec::new(),
         declared_count: 0,
-        root: Digest([0u8; 32]),
+        root: EMPTY_SNAPSHOT_ROOT,
         records_truncated: 0,
         bytes_truncated: 0,
         present: false,
@@ -230,7 +231,7 @@ fn load_snapshot(storage: &Arc<dyn Storage>, name: &str) -> Result<SnapshotLoad,
         .try_into()
         .map(u64::from_le_bytes)
         .unwrap_or_default();
-    load.root = Digest::from_slice(root_bytes).unwrap_or(Digest([0u8; 32]));
+    load.root = Digest::from_slice(root_bytes).unwrap_or(EMPTY_SNAPSHOT_ROOT);
     while !body.is_empty() && (load.records.len() as u64) < load.declared_count {
         let parsed = body.split_at_checked(4).and_then(|(len_bytes, after)| {
             let len = u32::from_le_bytes(len_bytes.try_into().ok()?) as usize;
@@ -294,18 +295,16 @@ impl DurableLog {
         recovery.snapshot_records = snapshot.records.len();
         recovery.records_truncated += snapshot.records_truncated;
         recovery.bytes_truncated += snapshot.bytes_truncated;
-        recovery.root_verified = if snapshot.present {
-            let leaves: Vec<Digest> = snapshot.records.iter().map(|r| adlp_crypto::sha256(r)).collect();
-            let root = MerkleTree::build(&leaves).root().unwrap_or(Digest([0u8; 32]));
-            snapshot.records.len() as u64 == snapshot.declared_count && root == snapshot.root
-        } else {
-            true
-        };
 
         let store = LogStore::new();
         for record in snapshot.records {
             store.append_encoded(record);
         }
+        // Checking the root fills the store's Merkle state over the
+        // snapshot, so nothing recovered here is hashed again by a seal.
+        recovery.root_verified = !snapshot.present
+            || (store.len() as u64 == snapshot.declared_count
+                && store.merkle_root().unwrap_or(EMPTY_SNAPSHOT_ROOT) == snapshot.root);
 
         let replay = wal.replay()?;
         recovery.records_truncated += replay.frames_truncated;
@@ -465,8 +464,9 @@ impl DurableLog {
     }
 
     fn write_snapshot(&self, store: &LogStore) -> Result<(), LogError> {
-        let bytes = encode_snapshot(&store.encoded_records());
-        self.storage.write_replace(SNAPSHOT_FILE, &bytes)
+        let (records, root) = store.encoded_records_and_root();
+        self.storage
+            .write_replace(SNAPSHOT_FILE, &encode_snapshot(&records, root))
     }
 
     /// Whether the log refuses further appends: after an unrepairable WAL

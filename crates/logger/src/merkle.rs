@@ -4,6 +4,11 @@
 //! handed the Merkle root as a succinct commitment to the full log; any
 //! individual entry can later be proven included with an
 //! `O(log n)` [`InclusionProof`].
+//!
+//! The tree is **appendable**: [`MerkleTree::push`] extends it in O(1)
+//! amortised hashes, and the root, inclusion proofs and consistency proofs
+//! of *any* earlier size are answered from the cached nodes in O(log n)
+//! (DESIGN.md §3.12, "proof cost").
 
 use adlp_crypto::sha256::{Digest, Sha256};
 
@@ -26,10 +31,15 @@ fn node_hash(left: &Digest, right: &Digest) -> Digest {
     h.finalize()
 }
 
-/// A Merkle tree over record hashes.
-#[derive(Debug, Clone)]
+/// An appendable Merkle tree over record hashes (RFC 6962 §2.1 shape).
+///
+/// Only *complete* subtrees are cached, so nothing stored ever changes as
+/// the tree grows: a tree of `n` leaves holds `n >> l` nodes at level `l`
+/// (about `2n` digests in all). The ragged right edge of a tree of any size
+/// `≤ n` is folded from at most one cached node per level when asked for.
+#[derive(Debug, Clone, Default)]
 pub struct MerkleTree {
-    /// levels[0] = leaf hashes, levels.last() = [root].
+    /// `levels[l][i]` = hash of the leaves `[i·2^l, (i+1)·2^l)`.
     levels: Vec<Vec<Digest>>,
 }
 
@@ -43,26 +53,47 @@ pub struct InclusionProof {
 }
 
 impl MerkleTree {
-    /// Builds a tree over `leaves` (record hashes from the store). Odd nodes
-    /// are promoted unchanged (Bitcoin-style duplication is avoided to keep
-    /// proofs unambiguous).
+    /// Builds a tree over `leaves` (record hashes from the store). An odd
+    /// node at any level is promoted unchanged (Bitcoin-style duplication is
+    /// avoided to keep proofs unambiguous).
     pub fn build(leaves: &[Digest]) -> Self {
-        let mut levels = Vec::new();
-        let mut current: Vec<Digest> = leaves.iter().map(leaf_hash).collect();
-        levels.push(current.clone());
-        while current.len() > 1 {
-            let mut next = Vec::with_capacity(current.len().div_ceil(2));
-            for pair in current.chunks(2) {
-                match pair {
-                    [a, b] => next.push(node_hash(a, b)),
-                    [a] => next.push(*a),
-                    _ => {}
-                }
-            }
-            levels.push(next.clone());
-            current = next;
+        let mut tree = MerkleTree::default();
+        for leaf in leaves {
+            tree.push(leaf);
         }
-        MerkleTree { levels }
+        tree
+    }
+
+    /// Appends one record hash as the next leaf: one leaf hash, plus one
+    /// node hash for every subtree the leaf completes (one on average).
+    pub fn push(&mut self, record_hash: &Digest) {
+        let mut node = leaf_hash(record_hash);
+        for level in 0.. {
+            if level == self.levels.len() {
+                self.levels.push(Vec::new());
+            }
+            let Some(nodes) = self.levels.get_mut(level) else {
+                return;
+            };
+            nodes.push(node);
+            // Only a node landing on an odd index completes its parent.
+            if !nodes.len().is_multiple_of(2) {
+                return;
+            }
+            let [.., left, right] = nodes.as_slice() else {
+                return;
+            };
+            node = node_hash(left, right);
+        }
+    }
+
+    /// Forgets every leaf from `len` on. Cached nodes only ever cover
+    /// leaves to their left, so the surviving prefix is untouched.
+    pub fn truncate(&mut self, len: usize) {
+        for (level, nodes) in self.levels.iter_mut().enumerate() {
+            nodes.truncate(len.checked_shr(level as u32).unwrap_or(0));
+        }
+        self.levels.retain(|nodes| !nodes.is_empty());
     }
 
     /// Number of leaves.
@@ -72,27 +103,72 @@ impl MerkleTree {
 
     /// The root commitment (`None` for an empty tree).
     pub fn root(&self) -> Option<Digest> {
-        if self.leaf_count() == 0 {
-            return None;
+        self.root_at(self.leaf_count())
+    }
+
+    /// The root the tree had when it held `size` leaves. `None` for size 0
+    /// or a size the tree has not reached.
+    pub fn root_at(&self, size: usize) -> Option<Digest> {
+        self.span_hash(0, size)
+    }
+
+    /// Hash of the leaf range `[lo, hi)` (RFC 6962's `MTH`), where the
+    /// range is a node of the tree: `lo` is a multiple of the range's width
+    /// rounded up to a power of two. The range splits into one complete
+    /// subtree per set bit of its width, widest first; they are folded from
+    /// the right. `None` for an empty, misaligned or out-of-range request.
+    fn span_hash(&self, lo: usize, hi: usize) -> Option<Digest> {
+        let mut rest = hi.checked_sub(lo)?;
+        let mut end = hi;
+        let mut acc: Option<Digest> = None;
+        while rest != 0 {
+            let level = rest.trailing_zeros();
+            let width = 1usize << level;
+            if !end.is_multiple_of(width) {
+                return None;
+            }
+            let node = self
+                .levels
+                .get(level as usize)?
+                .get((end >> level).checked_sub(1)?)?;
+            acc = Some(match acc {
+                None => *node,
+                Some(right) => node_hash(node, &right),
+            });
+            end -= width;
+            rest -= width;
         }
-        self.levels.last().and_then(|l| l.first()).copied()
+        acc
     }
 
     /// Builds an inclusion proof for leaf `index`.
     ///
     /// Returns `None` when the index is out of range.
     pub fn prove(&self, index: usize) -> Option<InclusionProof> {
-        if index >= self.leaf_count() {
+        self.prove_at(index, self.leaf_count())
+    }
+
+    /// Builds the inclusion proof leaf `index` had in the tree of `size`
+    /// leaves. `None` when `index >= size` or the tree has not reached
+    /// `size`.
+    pub fn prove_at(&self, index: usize, size: usize) -> Option<InclusionProof> {
+        if index >= size || size > self.leaf_count() {
             return None;
         }
         let mut siblings = Vec::new();
-        let mut idx = index;
-        let (_, below_root) = self.levels.split_last()?;
-        for level in below_root {
-            if let Some(s) = level.get(idx ^ 1) {
-                siblings.push(*s);
+        let (mut idx, mut width, mut level) = (index, size, 0u32);
+        while width > 1 {
+            let sibling = idx ^ 1;
+            if sibling < width {
+                // A left sibling is always complete (one lookup); only the
+                // last node of a level can be ragged, and past it the path
+                // runs up the right edge, so a proof folds at most once.
+                let lo = sibling << level;
+                siblings.push(self.span_hash(lo, size.min(lo + (1 << level)))?);
             }
             idx /= 2;
+            width = width.div_ceil(2);
+            level += 1;
         }
         Some(InclusionProof {
             leaf_index: index,
@@ -146,34 +222,41 @@ pub struct ConsistencyProof {
 }
 
 impl MerkleTree {
-    /// Internal hash of the leaf range `[lo, hi)` of `leaves` (RFC 6962's
-    /// `MTH`, with the largest-power-of-two split).
-    fn range_hash(leaves: &[Digest], lo: usize, hi: usize) -> Digest {
-        debug_assert!(lo < hi);
-        if hi - lo == 1 {
-            // `lo < hi <= leaves.len()` at every call site; an empty-range
-            // digest is returned rather than panicking if that ever breaks.
-            return leaves.get(lo).map_or_else(|| leaf_hash(&Digest::from([0u8; 32])), leaf_hash);
-        }
-        let k = largest_power_of_two_below(hi - lo);
-        node_hash(
-            &Self::range_hash(leaves, lo, lo + k),
-            &Self::range_hash(leaves, lo + k, hi),
-        )
-    }
-
-    /// Builds a consistency proof between the first `old_count` leaves and
-    /// the full set. Returns `None` when `old_count` is 0 or exceeds the
-    /// leaf count.
-    pub fn prove_consistency(leaves: &[Digest], old_count: usize) -> Option<ConsistencyProof> {
-        if old_count == 0 || old_count > leaves.len() {
+    /// Builds the consistency proof between the tree of `old_count` leaves
+    /// and the tree of `new_count` leaves (RFC 6962's `SUBPROOF`, walked
+    /// down instead of recursed). Returns `None` when `old_count` is 0,
+    /// exceeds `new_count`, or the tree has not reached `new_count`.
+    pub fn prove_consistency_at(
+        &self,
+        old_count: usize,
+        new_count: usize,
+    ) -> Option<ConsistencyProof> {
+        if old_count == 0 || old_count > new_count || new_count > self.leaf_count() {
             return None;
         }
+        // Descend towards the old tree's right edge; the sibling passed at
+        // each step is emitted on the way back up, so collect and reverse.
+        let (mut lo, mut hi, mut m, mut complete) = (0, new_count, old_count, true);
         let mut nodes = Vec::new();
-        subproof(leaves, 0, leaves.len(), old_count, true, &mut nodes);
+        while m != hi - lo {
+            let k = largest_power_of_two_below(hi - lo);
+            if m <= k {
+                nodes.push(self.span_hash(lo + k, hi)?);
+                hi = lo + k;
+            } else {
+                nodes.push(self.span_hash(lo, lo + k)?);
+                lo += k;
+                m -= k;
+                complete = false;
+            }
+        }
+        if !complete {
+            nodes.push(self.span_hash(lo, hi)?);
+        }
+        nodes.reverse();
         Some(ConsistencyProof {
             old_count,
-            new_count: leaves.len(),
+            new_count,
             nodes,
         })
     }
@@ -241,36 +324,67 @@ fn largest_power_of_two_below(n: usize) -> usize {
     k
 }
 
-/// RFC 6962 SUBPROOF over the range `[lo, hi)`.
-fn subproof(
-    leaves: &[Digest],
-    lo: usize,
-    hi: usize,
-    m: usize,
-    complete: bool,
-    out: &mut Vec<Digest>,
-) {
-    let n = hi - lo;
-    if m == n {
-        if !complete {
-            out.push(MerkleTree::range_hash(leaves, lo, hi));
-        }
-        return;
-    }
-    let k = largest_power_of_two_below(n);
-    if m <= k {
-        subproof(leaves, lo, lo + k, m, complete, out);
-        out.push(MerkleTree::range_hash(leaves, lo + k, hi));
-    } else {
-        subproof(leaves, lo + k, hi, m - k, false, out);
-        out.push(MerkleTree::range_hash(leaves, lo, lo + k));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use adlp_crypto::sha256;
+
+    /// The oracle: RFC 6962's recursive definitions, computed straight from
+    /// the leaves with nothing cached.
+    impl MerkleTree {
+        /// `MTH` of the leaf range `[lo, hi)`, largest-power-of-two split.
+        fn range_hash(leaves: &[Digest], lo: usize, hi: usize) -> Digest {
+            if hi - lo == 1 {
+                return leaf_hash(&leaves[lo]);
+            }
+            let k = largest_power_of_two_below(hi - lo);
+            node_hash(
+                &Self::range_hash(leaves, lo, lo + k),
+                &Self::range_hash(leaves, lo + k, hi),
+            )
+        }
+
+        /// Consistency proof between the first `old_count` leaves and the
+        /// full set.
+        fn prove_consistency(leaves: &[Digest], old_count: usize) -> Option<ConsistencyProof> {
+            if old_count == 0 || old_count > leaves.len() {
+                return None;
+            }
+            let mut nodes = Vec::new();
+            subproof(leaves, 0, leaves.len(), old_count, true, &mut nodes);
+            Some(ConsistencyProof {
+                old_count,
+                new_count: leaves.len(),
+                nodes,
+            })
+        }
+    }
+
+    /// RFC 6962 SUBPROOF over the range `[lo, hi)`.
+    fn subproof(
+        leaves: &[Digest],
+        lo: usize,
+        hi: usize,
+        m: usize,
+        complete: bool,
+        out: &mut Vec<Digest>,
+    ) {
+        let n = hi - lo;
+        if m == n {
+            if !complete {
+                out.push(MerkleTree::range_hash(leaves, lo, hi));
+            }
+            return;
+        }
+        let k = largest_power_of_two_below(n);
+        if m <= k {
+            subproof(leaves, lo, lo + k, m, complete, out);
+            out.push(MerkleTree::range_hash(leaves, lo + k, hi));
+        } else {
+            subproof(leaves, lo + k, hi, m - k, false, out);
+            out.push(MerkleTree::range_hash(leaves, lo, lo + k));
+        }
+    }
 
     fn leaves(n: usize) -> Vec<Digest> {
         (0..n).map(|i| sha256(format!("record-{i}").as_bytes())).collect()

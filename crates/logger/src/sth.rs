@@ -19,7 +19,7 @@
 
 use crate::encoding::{read_bytes, read_str, read_uvarint, write_bytes, write_str, write_uvarint};
 use crate::frame;
-use crate::merkle::{ConsistencyProof, InclusionProof, MerkleTree};
+use crate::merkle::{ConsistencyProof, InclusionProof};
 use crate::store::LogStore;
 use crate::LogError;
 use adlp_crypto::pkcs1;
@@ -272,43 +272,35 @@ impl SthPublisher {
     ///
     /// Returns [`LogError::Malformed`] when signing fails.
     pub fn emit(&self) -> Result<SignedTreeHead, LogError> {
-        let hashes = self.store.record_hashes();
-        let root = MerkleTree::build(&hashes).root().unwrap_or_else(empty_tree_root);
+        let (size, root) = self.store.tree_head();
         let epoch = self.epoch.fetch_add(1, Ordering::SeqCst);
-        self.signer.sign(epoch, hashes.len() as u64, root)
+        self.signer
+            .sign(epoch, size as u64, root.unwrap_or_else(empty_tree_root))
     }
 
     /// Inclusion proof for record `index` against the tree at `size`
     /// records, together with the leaf hash it proves. `None` when the
     /// store has not reached `size` or the index is out of range.
     pub fn prove_inclusion(&self, index: u64, size: u64) -> Option<(Digest, InclusionProof)> {
-        if index >= size {
-            return None;
-        }
-        let hashes = self.store.record_hashes();
-        let prefix = hashes.get(..size as usize)?;
-        let leaf = *prefix.get(index as usize)?;
-        let tree = MerkleTree::build(prefix);
-        let proof = tree.prove(index as usize)?;
-        Some((leaf, proof))
+        self.store
+            .prove_at(usize::try_from(index).ok()?, usize::try_from(size).ok()?)
     }
 
     /// Consistency proof that the tree at `new_size` extends the tree at
     /// `old_size`. `None` when the store has not reached `new_size` or the
     /// range is degenerate.
     pub fn prove_consistency(&self, old_size: u64, new_size: u64) -> Option<ConsistencyProof> {
-        if old_size == 0 || old_size > new_size {
-            return None;
-        }
-        let hashes = self.store.record_hashes();
-        let prefix = hashes.get(..new_size as usize)?;
-        MerkleTree::prove_consistency(prefix, old_size as usize)
+        self.store.prove_consistency_at(
+            usize::try_from(old_size).ok()?,
+            usize::try_from(new_size).ok()?,
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::merkle::MerkleTree;
     use adlp_crypto::RsaKeyPair;
     use rand::SeedableRng;
 

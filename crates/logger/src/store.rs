@@ -6,6 +6,7 @@
 //! a stored record is detected by [`LogStore::verify_chain`].
 
 use crate::entry::LogEntry;
+use crate::merkle::{ConsistencyProof, InclusionProof, MerkleTree};
 use crate::LogError;
 use adlp_crypto::sha256::{Digest, Sha256};
 use parking_lot::RwLock;
@@ -60,7 +61,46 @@ fn chain_step(prev: &Digest, encoded: &[u8]) -> Digest {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct LogStore {
-    records: Arc<RwLock<Vec<Record>>>,
+    inner: Arc<RwLock<Inner>>,
+}
+
+/// The records and, under the same lock, the Merkle state over a prefix of
+/// them.
+///
+/// The Merkle state is extended **lazily**: appending hashes nothing beyond
+/// the chain step, and whoever first asks for a root or proof at some size
+/// hashes the records between the watermark (`digests.len()`) and that size
+/// — each record once, ever. A store that never serves a head pays nothing.
+#[derive(Debug, Default)]
+struct Inner {
+    records: Vec<Record>,
+    /// `sha256(encoded)` of the first `digests.len()` records.
+    digests: Vec<Digest>,
+    /// Tree over `digests` (`tree.leaf_count() == digests.len()`).
+    tree: MerkleTree,
+}
+
+impl Inner {
+    fn head(&self) -> Digest {
+        self.records.last().map_or_else(genesis, |r| r.chain)
+    }
+
+    /// Extends the Merkle state to cover the first `size` records (all of
+    /// them when `size` exceeds the record count).
+    fn catch_up(&mut self, size: usize) {
+        let pending = self.records.iter().take(size).skip(self.digests.len());
+        for record in pending {
+            let digest = adlp_crypto::sha256(&record.encoded);
+            self.tree.push(&digest);
+            self.digests.push(digest);
+        }
+    }
+
+    /// Drops the Merkle state from record `index` on.
+    fn forget_from(&mut self, index: usize) {
+        self.digests.truncate(index);
+        self.tree.truncate(index);
+    }
 }
 
 impl LogStore {
@@ -76,27 +116,31 @@ impl LogStore {
 
     /// Appends an already-encoded entry; returns its index.
     pub fn append_encoded(&self, encoded: Vec<u8>) -> usize {
-        let mut records = self.records.write();
-        let prev = records.last().map_or_else(genesis, |r| r.chain);
-        let chain = chain_step(&prev, &encoded);
-        records.push(Record { encoded, chain });
-        records.len() - 1
+        let mut inner = self.inner.write();
+        let chain = chain_step(&inner.head(), &encoded);
+        inner.records.push(Record { encoded, chain });
+        inner.records.len() - 1
     }
 
     /// Number of stored records.
     pub fn len(&self) -> usize {
-        self.records.read().len()
+        self.inner.read().records.len()
     }
 
     /// Whether the store is empty.
     pub fn is_empty(&self) -> bool {
-        self.records.read().is_empty()
+        self.inner.read().records.is_empty()
     }
 
     /// Total stored bytes (sum of encoded entry lengths) — the quantity the
     /// paper's log-generation-rate experiments track.
     pub fn total_bytes(&self) -> u64 {
-        self.records.read().iter().map(|r| r.encoded.len() as u64).sum()
+        self.inner
+            .read()
+            .records
+            .iter()
+            .map(|r| r.encoded.len() as u64)
+            .sum()
     }
 
     /// Decodes the record at `index`.
@@ -106,16 +150,20 @@ impl LogStore {
     /// Returns [`LogError::NoSuchEntry`] for a bad index or
     /// [`LogError::Malformed`] if the stored bytes are corrupt.
     pub fn entry(&self, index: usize) -> Result<LogEntry, LogError> {
-        let records = self.records.read();
-        let r = records.get(index).ok_or(LogError::NoSuchEntry(index))?;
+        let inner = self.inner.read();
+        let r = inner
+            .records
+            .get(index)
+            .ok_or(LogError::NoSuchEntry(index))?;
         LogEntry::decode(&r.encoded)
     }
 
     /// Decodes every record (skipping undecodable ones is the caller's
     /// choice; corrupt records yield errors in place).
     pub fn entries(&self) -> Vec<Result<LogEntry, LogError>> {
-        self.records
+        self.inner
             .read()
+            .records
             .iter()
             .map(|r| LogEntry::decode(&r.encoded))
             .collect()
@@ -123,22 +171,89 @@ impl LogStore {
 
     /// The chain head (commitment over the whole log so far).
     pub fn head(&self) -> Digest {
-        self.records.read().last().map_or_else(genesis, |r| r.chain)
+        self.inner.read().head()
     }
 
     /// Copies of the raw encoded records, in order (used by persistence).
     pub fn encoded_records(&self) -> Vec<Vec<u8>> {
-        self.records.read().iter().map(|r| r.encoded.clone()).collect()
+        self.inner
+            .read()
+            .records
+            .iter()
+            .map(|r| r.encoded.clone())
+            .collect()
+    }
+
+    /// Runs `f` on the store with its Merkle state covering (at least) the
+    /// first `size` records, everything under one lock acquisition. The
+    /// write lock is only taken when there is catching up to do.
+    fn with_merkle<R>(&self, size: usize, f: impl FnOnce(&Inner) -> R) -> R {
+        {
+            let inner = self.inner.read();
+            if inner.digests.len() >= size.min(inner.records.len()) {
+                return f(&inner);
+            }
+        }
+        let mut inner = self.inner.write();
+        inner.catch_up(size);
+        f(&inner)
     }
 
     /// Hashes of each encoded record, in order (leaves for the Merkle
     /// commitment).
     pub fn record_hashes(&self) -> Vec<Digest> {
-        self.records
-            .read()
-            .iter()
-            .map(|r| adlp_crypto::sha256(&r.encoded))
-            .collect()
+        self.with_merkle(usize::MAX, |inner| inner.digests.clone())
+    }
+
+    /// The record count and the Merkle root over exactly that many records
+    /// (`None` for an empty store), read at one instant — what a signed
+    /// tree head commits to.
+    pub fn tree_head(&self) -> (usize, Option<Digest>) {
+        self.with_merkle(usize::MAX, |inner| (inner.records.len(), inner.tree.root()))
+    }
+
+    /// The Merkle root over every stored record (`None` for an empty
+    /// store).
+    pub fn merkle_root(&self) -> Option<Digest> {
+        self.tree_head().1
+    }
+
+    /// The Merkle root over the first `size` records. `None` for size 0 or
+    /// a size the store has not reached.
+    pub fn root_at(&self, size: usize) -> Option<Digest> {
+        self.with_merkle(size, |inner| inner.tree.root_at(size))
+    }
+
+    /// The hash of record `index` and its inclusion proof under the root of
+    /// the first `size` records. `None` when `index >= size` or the store
+    /// has not reached `size`.
+    pub fn prove_at(&self, index: usize, size: usize) -> Option<(Digest, InclusionProof)> {
+        self.with_merkle(size, |inner| {
+            let proof = inner.tree.prove_at(index, size)?;
+            Some((*inner.digests.get(index)?, proof))
+        })
+    }
+
+    /// Consistency proof that the first `new_size` records extend the first
+    /// `old_size`. `None` when `old_size` is 0 or exceeds `new_size`, or
+    /// the store has not reached `new_size`.
+    pub fn prove_consistency_at(
+        &self,
+        old_size: usize,
+        new_size: usize,
+    ) -> Option<ConsistencyProof> {
+        self.with_merkle(new_size, |inner| {
+            inner.tree.prove_consistency_at(old_size, new_size)
+        })
+    }
+
+    /// Copies of the raw encoded records together with the Merkle root over
+    /// exactly those records, read at one instant (a snapshot's content).
+    pub(crate) fn encoded_records_and_root(&self) -> (Vec<Vec<u8>>, Option<Digest>) {
+        self.with_merkle(usize::MAX, |inner| {
+            let records = inner.records.iter().map(|r| r.encoded.clone()).collect();
+            (records, inner.tree.root())
+        })
     }
 
     /// Recomputes the whole chain and checks every stored chain value.
@@ -147,9 +262,9 @@ impl LogStore {
     ///
     /// Returns the index of the first mismatching record.
     pub fn verify_chain(&self) -> Result<(), TamperEvidence> {
-        let records = self.records.read();
+        let inner = self.inner.read();
         let mut prev = genesis();
-        for (i, r) in records.iter().enumerate() {
+        for (i, r) in inner.records.iter().enumerate() {
             let expect = chain_step(&prev, &r.encoded);
             if expect != r.chain {
                 return Err(TamperEvidence { first_bad_index: i });
@@ -176,11 +291,12 @@ impl LogStore {
     /// Returns [`LogError::NoSuchEntry`] when `len` exceeds the current
     /// record count (rollback can only shrink).
     pub fn rollback_to(&self, len: usize) -> Result<(), LogError> {
-        let mut records = self.records.write();
-        if len > records.len() {
+        let mut inner = self.inner.write();
+        if len > inner.records.len() {
             return Err(LogError::NoSuchEntry(len));
         }
-        records.truncate(len);
+        inner.records.truncate(len);
+        inner.forget_from(len);
         Ok(())
     }
 
@@ -188,9 +304,14 @@ impl LogStore {
     /// updating the chain, simulating an attacker with storage access.
     #[doc(hidden)]
     pub fn tamper_with_record(&self, index: usize, new_bytes: Vec<u8>) -> Result<(), LogError> {
-        let mut records = self.records.write();
-        let r = records.get_mut(index).ok_or(LogError::NoSuchEntry(index))?;
+        let mut inner = self.inner.write();
+        let r = inner
+            .records
+            .get_mut(index)
+            .ok_or(LogError::NoSuchEntry(index))?;
         r.encoded = new_bytes;
+        // Roots and proofs keep describing the bytes actually stored.
+        inner.forget_from(index);
         Ok(())
     }
 }

@@ -65,12 +65,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let ckpt = DurabilityConfig::new(Arc::new(FsStorage::open(tmp.join("checkpoint"))?));
     let (mut ckpt_log, _, _) = DurableLog::open(&ckpt)?;
     ckpt_log.rotate(handle.store())?;
-    let ckpt_leaves = handle.store().record_hashes();
-    let ckpt_root = MerkleTree::build(&ckpt_leaves).root().unwrap();
-    println!(
-        "checkpoint: {} entries persisted, merkle root {ckpt_root}",
-        ckpt_leaves.len()
-    );
+    let (ckpt_len, ckpt_root) = handle.store().tree_head();
+    let ckpt_root = ckpt_root.unwrap();
+    println!("checkpoint: {ckpt_len} entries persisted, merkle root {ckpt_root}");
 
     // Second batch.
     for i in 4..8u8 {
@@ -86,13 +83,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     detector.flush()?;
 
     // Prove the checkpoint is a prefix of the final log (append-only).
-    let final_leaves = handle.store().record_hashes();
-    let final_root = MerkleTree::build(&final_leaves).root().unwrap();
-    let proof = MerkleTree::prove_consistency(&final_leaves, ckpt_leaves.len()).unwrap();
-    let consistent = MerkleTree::verify_consistency(&ckpt_root, &final_root, &proof);
+    let (final_len, final_root) = handle.store().tree_head();
+    let proof = handle
+        .store()
+        .prove_consistency_at(ckpt_len, final_len)
+        .unwrap();
+    let consistent = MerkleTree::verify_consistency(&ckpt_root, &final_root.unwrap(), &proof);
     println!(
         "final log: {} entries, consistency with checkpoint: {} ({} proof nodes)",
-        final_leaves.len(),
+        final_len,
         consistent,
         proof.nodes.len()
     );
@@ -104,7 +103,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         recovery.root_verified && recovery.records_truncated == 0,
         "fresh checkpoint must read back whole"
     );
-    assert_eq!(reloaded.len(), ckpt_leaves.len());
+    assert_eq!(reloaded.len(), ckpt_len);
     println!("reloaded checkpoint: {} entries, chain ok: {}", reloaded.len(), reloaded.verify_chain().is_ok());
 
     let report = Auditor::new(handle.keys().clone())

@@ -37,14 +37,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("stored {} entries, chain head {}", handle.store().len(), handle.store().head());
 
     // Investigator: take a Merkle commitment and an inclusion proof.
-    let leaves = handle.store().record_hashes();
-    let tree = MerkleTree::build(&leaves);
-    let root = tree.root().expect("non-empty log");
-    let proof = tree.prove(4).expect("leaf exists");
-    assert!(MerkleTree::verify(&root, leaves.len(), &leaves[4], &proof));
+    let (size, root) = handle.store().tree_head();
+    let root = root.expect("non-empty log");
+    let (leaf, proof) = handle.store().prove_at(4, size).expect("leaf exists");
+    assert!(MerkleTree::verify(&root, size, &leaf, &proof));
     println!(
-        "merkle root {root} commits to all {} entries; inclusion of entry 4 proven with {} siblings",
-        leaves.len(),
+        "merkle root {root} commits to all {size} entries; inclusion of entry 4 proven with {} siblings",
         proof.siblings.len()
     );
 

@@ -68,12 +68,10 @@ fn tamper_evidence_and_merkle_commitment_after_real_run() {
     store.verify_chain().expect("chain intact");
 
     // Commit to the log and prove one record's inclusion.
-    let leaves = store.record_hashes();
-    let tree = MerkleTree::build(&leaves);
-    let root = tree.root().unwrap();
-    let idx = store.len() / 2;
-    let proof = tree.prove(idx).unwrap();
-    assert!(MerkleTree::verify(&root, leaves.len(), &leaves[idx], &proof));
+    let (size, root) = store.tree_head();
+    let idx = size / 2;
+    let (leaf, proof) = store.prove_at(idx, size).unwrap();
+    assert!(MerkleTree::verify(&root.unwrap(), size, &leaf, &proof));
 
     // Tamper with a stored record: the chain breaks at exactly that index.
     store
