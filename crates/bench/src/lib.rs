@@ -1,18 +1,17 @@
-//! Experiment harnesses regenerating every table and figure of the ADLP
-//! paper's evaluation (§VI).
+//! The paper-reproduction harness: every table and figure of the ADLP
+//! paper's evaluation (§VI), the §IV verdict matrix, and the scenario
+//! tables (overload, witness gossip, dispute resolution) that the
+//! closed-loop `benchmark/` package has no workload for.
 //!
-//! Each experiment is a library function returning structured rows, so the
-//! `expt_*` binaries can print paper-style tables and the test suite can
-//! smoke-run shrunken configurations. Absolute numbers differ from the
-//! paper (compiled Rust on a modern host vs Python on a 2017 NUC); the
-//! *shapes* — who wins, scaling in payload size and subscriber count —
-//! are the reproduction targets recorded in `EXPERIMENTS.md`.
+//! One registry ([`experiments::EXPERIMENTS`]), one row schema and printer
+//! ([`table::Table`]), two fixed sizes ([`experiments::Scale`]), one binary
+//! (`adlp-bench [name …]`). Absolute numbers differ from the paper
+//! (compiled Rust on a modern host vs Python on a 2017 NUC); the *shapes* —
+//! who wins, scaling in payload size and subscriber count — are the
+//! reproduction targets recorded in `EXPERIMENTS.md`. Throughput and
+//! per-layer cost of the deposit path are measured by `benchmark/`, not
+//! here.
 
 pub mod experiments;
-pub mod report;
 pub mod stats;
-
-pub use experiments::{
-    bft_overhead, cluster_throughput, fig13_message_latency, fig14_publisher_cpu, fig15_log_rates,
-    table1_crypto_times, table2_system_cpu, table3_sizes, table4_system_log_rate,
-};
+pub mod table;

@@ -26,19 +26,6 @@ pub fn percentile(samples: &[f64], p: f64) -> f64 {
     sorted.get(idx).copied().unwrap_or(0.0)
 }
 
-/// Formats a byte count with thousands separators (paper-style tables).
-pub fn fmt_bytes(n: u64) -> String {
-    let s = n.to_string();
-    let mut out = String::new();
-    for (i, c) in s.chars().enumerate() {
-        if i > 0 && (s.len() - i).is_multiple_of(3) {
-            out.push(',');
-        }
-        out.push(c);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -65,13 +52,5 @@ mod tests {
         for p in [0.0, 33.0, 66.0, 99.0] {
             assert!(odd.contains(&percentile(&odd, p)));
         }
-    }
-
-    #[test]
-    fn byte_formatting() {
-        assert_eq!(fmt_bytes(0), "0");
-        assert_eq!(fmt_bytes(999), "999");
-        assert_eq!(fmt_bytes(1000), "1,000");
-        assert_eq!(fmt_bytes(921641), "921,641");
     }
 }
