@@ -672,24 +672,20 @@ fn gossip_row(
 /// wall-clock of one full litigation — recorded traffic run, audit,
 /// evidence assembly, every vote round, proof verification. The `Proof`
 /// check holds when the transferable resolution proof verified under the
-/// resolver keyring in every rep, `Replay` when replaying the recorded
-/// window twice was byte-identical in every rep that carried one.
+/// resolver keyring in every rep, `Replay` when every rep passed the chaos
+/// oracle (`adlp_sim::chaos::judge`), whose clause (5) replays every
+/// recording in evidence twice and demands byte-identical reports.
 fn dispute_resolution(scale: &Scale) -> Table {
     use adlp_dispute::Outcome;
-    use adlp_sim::dispute::{
-        bribed_resolver, crash_mid_escalation, forged_evidence, withholding_claimant,
-        wrongful_conviction, DisputeRunReport,
-    };
+    use adlp_sim::chaos::{plan, run_chaos, ChaosLink, SEEDS};
 
-    // The same seeds the dispute-chaos CI job pins.
-    const SEEDS: [u64; 4] = [5, 19, 101, 977];
-    type Run = fn(u64) -> DisputeRunReport;
-    let scenarios: [(&'static str, Run); 5] = [
-        ("wrongful-conviction", wrongful_conviction),
-        ("forged-evidence", forged_evidence),
-        ("bribed-resolver", bribed_resolver),
-        ("withholding-claimant", withholding_claimant),
-        ("crash-mid-escalation", crash_mid_escalation),
+    // The five litigation rows of the chaos plan table, by name.
+    let scenarios = [
+        ("wrongful-conviction", "wrongful_conviction"),
+        ("forged-evidence", "forged_evidence"),
+        ("bribed-resolver", "bribed_resolver"),
+        ("withholding-claimant", "withholding_claimant"),
+        ("crash-mid-escalation", "crash_mid_escalation"),
     ];
 
     let mut table = Table::new(
@@ -701,36 +697,58 @@ fn dispute_resolution(scale: &Scale) -> Table {
         "Scenario | Rounds | Escalations | Stake | Verdict | Resolve ms | Resolve stdev | Proof \
          | Replay",
     );
-    for (scenario, run) in scenarios {
+    for (scenario, row) in scenarios {
         let mut resolve_ms = Vec::with_capacity(scale.dispute_reps);
+        // `run_chaos` judges every run by the outcome oracle, whose clause
+        // (5) includes both checks; the proof is re-verified here so the
+        // two columns stay independent.
         let mut proof_verifies = true;
-        let mut replay_deterministic = true;
-        let mut last: Option<DisputeRunReport> = None;
+        let mut judged = true;
+        let mut last = None;
         for rep in 0..scale.dispute_reps {
+            let plan = plan(row, SEEDS[rep % SEEDS.len()], ChaosLink::Inproc);
             let t = Instant::now();
-            let report = run(SEEDS[rep % SEEDS.len()]);
+            let run = run_chaos(&plan);
             resolve_ms.push(ms_since(t));
-            proof_verifies &= report.proof_verifies;
-            replay_deterministic &= report.replay_deterministic;
-            last = Some(report);
-        }
-        let report = last.expect("both scales run at least one rep");
-        let (resolve_avg, resolve_std) = mean_std(&resolve_ms);
-        table.rows.push(vec![
-            scenario.into(),
-            u64::from(report.rounds).into(),
-            report.counters.escalations.into(),
-            report.total_staked.into(),
-            match report.outcome {
-                Outcome::Upheld => "upheld",
-                Outcome::Overturned => "overturned",
+            match run {
+                Ok(out) => {
+                    proof_verifies &= out
+                        .verdict
+                        .as_ref()
+                        .is_some_and(|v| v.proof.verify(&v.resolvers));
+                    last = Some(out);
+                }
+                Err(failure) => {
+                    eprintln!("{failure}");
+                    (proof_verifies, judged) = (false, false);
+                }
             }
-            .into(),
+        }
+        let (resolve_avg, resolve_std) = mean_std(&resolve_ms);
+        let mut cells: Vec<Cell> = vec![scenario.into()];
+        match last
+            .as_ref()
+            .and_then(|out| Some((out, out.verdict.as_ref()?)))
+        {
+            Some((out, verdict)) => cells.extend([
+                u64::from(verdict.proof.rounds).into(),
+                out.counter("dispute.escalations").into(),
+                verdict.total_staked.into(),
+                match verdict.proof.outcome {
+                    Outcome::Upheld => "upheld",
+                    Outcome::Overturned => "overturned",
+                }
+                .into(),
+            ]),
+            None => cells.extend([0u64.into(), 0u64.into(), 0u64.into(), "unsettled".into()]),
+        }
+        cells.extend([
             Cell::Float(resolve_avg, 1),
             Cell::Float(resolve_std, 1),
             Cell::Check(proof_verifies),
-            Cell::Check(replay_deterministic),
+            Cell::Check(judged),
         ]);
+        table.rows.push(cells);
     }
     table
 }

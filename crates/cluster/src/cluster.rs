@@ -16,7 +16,7 @@ use adlp_logger::{
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// One replica backend of one shard. The inner [`LogServer`] can be killed
@@ -29,6 +29,8 @@ pub struct ReplicaSlot {
     shard: usize,
     index: usize,
     server: Mutex<LogServer>,
+    /// Cleared by [`ReplicaSlot::kill`], set again by a successful restart.
+    alive: AtomicBool,
     durability: Option<DurabilityConfig>,
     /// BFT mode only: this replica's attestation identity. The keypair
     /// survives kill/restart — a replica keeps its identity (and its
@@ -56,6 +58,14 @@ impl ReplicaSlot {
     /// new submissions are refused).
     pub fn kill(&self) {
         self.server.lock().kill();
+        self.alive.store(false, Ordering::SeqCst);
+    }
+
+    /// Whether the replica's server is running. A dead replica's store
+    /// stays readable, but it signs nothing: it is neither interrogated
+    /// for a head attestation nor asked to countersign an epoch.
+    pub fn is_alive(&self) -> bool {
+        self.alive.load(Ordering::SeqCst)
     }
 
     /// Replaces a (killed) replica with a fresh server sharing the cluster
@@ -70,18 +80,19 @@ impl ReplicaSlot {
     /// Returns [`LogError::Io`] when the OS refuses to create the thread or
     /// the storage device refuses recovery outright.
     pub fn restart(&self, keys: KeyRegistry) -> Result<Option<Recovery>, LogError> {
-        match &self.durability {
+        let recovery = match &self.durability {
             Some(config) => {
                 let spawned = LogServer::try_spawn_durable(keys, config)?;
                 *self.server.lock() = spawned.server;
-                Ok(Some(spawned.recovery))
+                Some(spawned.recovery)
             }
             None => {
-                let fresh = LogServer::try_spawn_with_keys(keys)?;
-                *self.server.lock() = fresh;
-                Ok(None)
+                *self.server.lock() = LogServer::try_spawn_with_keys(keys)?;
+                None
             }
-        }
+        };
+        self.alive.store(true, Ordering::SeqCst);
+        Ok(recovery)
     }
 
     /// Whether this slot persists its log across restarts.
@@ -214,6 +225,7 @@ impl LoggerCluster {
                     shard,
                     index,
                     server: Mutex::new(server),
+                    alive: AtomicBool::new(true),
                     durability: None,
                     attestor,
                 }));
@@ -282,6 +294,7 @@ impl LoggerCluster {
                     shard,
                     index,
                     server: Mutex::new(spawned.server),
+                    alive: AtomicBool::new(true),
                     durability: Some(slot_config),
                     attestor,
                 }));
@@ -623,7 +636,9 @@ impl LoggerCluster {
         let view = self.view();
         if let Some(ledger) = &self.attestations {
             for shard in &self.shards {
-                for slot in shard {
+                // Countersigning is an act of a live replica: a dead one
+                // sits this epoch out, whatever its frozen store holds.
+                for slot in shard.iter().filter(|slot| slot.is_alive()) {
                     if let Some(attestor) = slot.attestor() {
                         let handle = slot.handle();
                         let store = handle.store();

@@ -222,8 +222,9 @@ fn gather_shard(cluster: &LoggerCluster, shard: usize) -> ShardView {
     let mut statuses: Vec<ReplicaStatus> =
         stores.iter().map(|s| status_of(s, &records)).collect();
     if let Some(ledger) = cluster.attestations() {
-        // Interrogate: every replica countersigns its current true head.
-        for slot in slots {
+        // Interrogate: every live replica countersigns its current true
+        // head (a dead one's frozen store is compared, but signs nothing).
+        for slot in slots.iter().filter(|slot| slot.is_alive()) {
             if let Ok(Some(att)) = slot.attest_head() {
                 let observation = ledger.observe(att);
                 cluster.stats().note_observation(&observation);

@@ -3,6 +3,7 @@
 //! the paper's evaluation reports.
 
 use crate::app::{AppSpec, DriveSpec};
+use crate::chaos::{self, Breach, Expect, Fault};
 use crate::metrics::{CpuProbe, ThreadCpuProbe};
 use adlp_audit::{AuditReport, Auditor, ClusterAuditReport, ClusterAuditor};
 use adlp_cluster::{
@@ -22,6 +23,20 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// Whether `audit`'s only convictions are evidence-loss ones. Faults may
+/// legitimately split a publication/receipt pair across a logger cut or a
+/// crash point (losing one side's deposit), which the auditor reports as a
+/// hidden record — but deposited entries are all genuine, so none may be
+/// rejected or classified as falsified, fabricated, or replayed.
+pub fn audit_convicts_evidence_loss_only(audit: &AuditReport) -> bool {
+    use adlp_audit::ViolationKind::{HidPublication, HidReceipt};
+    let violations = audit.verdicts.values().flat_map(|v| v.violations.iter());
+    audit.rejected_entries.is_empty()
+        && violations
+            .map(|v| &v.kind)
+            .all(|k| matches!(k, HidPublication | HidReceipt))
+}
 
 /// A configured experiment.
 #[derive(Debug)]
@@ -46,26 +61,15 @@ pub struct Scenario {
     queue_sizes: BTreeMap<String, usize>,
     /// Per-subscriber artificial callback latency (a "slow subscriber").
     callback_delays: BTreeMap<String, Duration>,
-    /// Kill the trusted logger this long into the measurement window.
-    logger_outage_after: Option<Duration>,
     /// Deposit into a sharded, replicated cluster instead of one server.
     cluster: Option<ClusterConfig>,
-    /// (shard, replica, offset into the window) crash injections.
-    replica_kills: Vec<(usize, usize, Duration)>,
-    /// (shard, replica, offset into the window) rolling-restart steps.
-    replica_restarts: Vec<(usize, usize, Duration)>,
+    /// Mid-window disruptions, each at its offset into the window.
+    timeline: Vec<(Duration, Fault)>,
     /// Overload policy installed on every node's deposit pipeline.
     overload: Option<OverloadConfig>,
     /// Minimum spacing between consecutive deposits at the logger — a
     /// slow-consumer logger shared by all nodes.
     logger_pace: Option<Duration>,
-}
-
-/// A mid-window disruption, ordered by its offset into the window.
-enum MidRunAction {
-    KillLogger,
-    KillReplica(usize, usize),
-    RestartReplica(usize, usize),
 }
 
 /// Everything measured during a run.
@@ -154,6 +158,67 @@ impl ScenarioReport {
         )
     }
 
+    /// Clauses (1)–(3) of the chaos oracle ([`chaos::judge`]) on what a
+    /// wall-clock run can observe: (1) every submission is acked or counted
+    /// lost, and the nodes' pipelines deposited what the loggers acked;
+    /// (2) every shard's quorum log holds at least the entries acked to it
+    /// (a count: the ack *stream* is not observable here), and a single
+    /// logger's hash chain verifies; (3) the entry-level audit convicts no
+    /// node of anything but evidence loss (see
+    /// [`audit_convicts_evidence_loss_only`]) and the cluster audit convicts
+    /// exactly `expect` — a single-logger run has no replica or witnessed
+    /// log to convict, so there `expect` must be empty. A run that killed
+    /// its single logger deposited, by design, into the void: judge those
+    /// by hand.
+    ///
+    /// # Errors
+    ///
+    /// The first [`Breach`], naming its clause.
+    pub fn judge(&self, expect: &Expect) -> Result<(), Breach> {
+        let deposited: u64 = self.pressure.values().map(|p| p.deposited()).sum();
+        let nodes_cleared = |audit: &AuditReport| match audit_convicts_evidence_loss_only(audit) {
+            true => Ok(()),
+            false => {
+                let detail = format!(
+                    "convicted {:?}, rejected {:?}",
+                    audit.verdicts, audit.rejected_entries
+                );
+                Err(Breach {
+                    clause: 3,
+                    detail: format!("the audit blames a node beyond evidence loss: {detail}"),
+                })
+            }
+        };
+        let (Some(run), Some(audit)) = (&self.cluster, self.cluster_audit()) else {
+            chaos::accounted("single logger", deposited, self.store_len as u64, 0)?;
+            if self.logger.store().verify_chain().is_err() {
+                return Err(Breach {
+                    clause: 2,
+                    detail: "the logger's hash chain is broken".into(),
+                });
+            }
+            nodes_cleared(&self.audit())?;
+            return chaos::convictions_match(expect, &Expect::default());
+        };
+        chaos::accounted(
+            "cluster",
+            run.stats.submitted,
+            run.stats.acked,
+            run.stats.entries_lost,
+        )?;
+        chaos::accounted("node pipelines vs cluster", deposited, run.stats.acked, 0)?;
+        for (shard, acked) in run.view.shards.iter().zip(&run.stats.shard_depth) {
+            let (n, held) = (shard.shard, shard.records.len());
+            if (held as u64) < *acked {
+                let detail =
+                    format!("shard {n}'s quorum log holds {held} of {acked} acked entries");
+                return Err(Breach { clause: 2, detail });
+            }
+        }
+        nodes_cleared(&audit.report)?;
+        chaos::convictions_match(expect, &Expect::convicted_by(&audit, None))
+    }
+
     /// System-wide log generation rate in Mb/s (Table IV's quantity).
     pub fn log_rate_mbps(&self) -> f64 {
         self.volume.rate_mbps(self.elapsed)
@@ -198,10 +263,8 @@ impl Scenario {
             faults: BTreeMap::new(),
             queue_sizes: BTreeMap::new(),
             callback_delays: BTreeMap::new(),
-            logger_outage_after: None,
             cluster: None,
-            replica_kills: Vec::new(),
-            replica_restarts: Vec::new(),
+            timeline: Vec::new(),
             overload: None,
             logger_pace: None,
         }
@@ -234,19 +297,39 @@ impl Scenario {
         self
     }
 
-    /// Crashes one cluster replica this far into the measurement window
-    /// (fail-stop; no effect on single-logger runs).
-    pub fn kill_replica_after(mut self, shard: usize, replica: usize, after: Duration) -> Self {
-        self.replica_kills.push((shard, replica, after));
+    /// Injects `fault` this far into the measurement window. A wall-clock
+    /// scenario takes the two faults that make sense with deposits in
+    /// flight: [`Fault::Kill`] — fail-stop of a cluster replica, or, on a
+    /// single-logger run and named as replica `(0, 0)`, of the trusted
+    /// logger, past which the data plane must keep flowing (§V-B) — and
+    /// [`Fault::Restart`], which brings a replica back fresh and empty, a
+    /// lagging follower. Kill then restart scripts a rolling restart.
+    /// [`Scenario::run`] rejects every other fault, and a replica the run
+    /// does not have.
+    pub fn fault_at(mut self, after: Duration, fault: Fault) -> Self {
+        self.timeline.push((after, fault));
         self
     }
 
-    /// Restarts one cluster replica (fresh and empty — a lagging follower)
-    /// this far into the measurement window. Combined with
-    /// [`Scenario::kill_replica_after`] this scripts a rolling restart.
-    pub fn restart_replica_after(mut self, shard: usize, replica: usize, after: Duration) -> Self {
-        self.replica_restarts.push((shard, replica, after));
-        self
+    /// The one place a timeline fault is checked against the system this
+    /// run builds.
+    fn admit(&self, fault: Fault) -> Result<(), String> {
+        let has = |s, r| {
+            self.cluster
+                .as_ref()
+                .is_some_and(|c| s < c.shards && r < c.replicas)
+        };
+        match fault {
+            Fault::Kill(s, r) | Fault::Restart(s, r) if has(s, r) => Ok(()),
+            // The trusted logger, named as the one replica of a cluster of one.
+            Fault::Kill(0, 0) if self.cluster.is_none() => Ok(()),
+            Fault::Kill(..) | Fault::Restart(..) => {
+                Err(format!("{fault:?} names no replica of this run"))
+            }
+            _ => Err(format!(
+                "{fault:?} needs the chaos rig (`chaos::run_chaos`)"
+            )),
+        }
     }
 
     /// Installs fault-tolerance knobs (ack deadlines, retries, socket
@@ -274,13 +357,6 @@ impl Scenario {
     /// consumer that backs up its delivery queue.
     pub fn subscriber_delay(mut self, node: &str, delay: Duration) -> Self {
         self.callback_delays.insert(node.into(), delay);
-        self
-    }
-
-    /// Crashes the trusted logger this far into the measurement window;
-    /// the data plane must keep flowing (§V-B's failure-isolation claim).
-    pub fn logger_outage_after(mut self, after: Duration) -> Self {
-        self.logger_outage_after = Some(after);
         self
     }
 
@@ -347,7 +423,19 @@ impl Scenario {
     }
 
     /// Builds the graph, runs it, and collects the report.
+    ///
+    /// # Panics
+    ///
+    /// Panics, before anything is built, when a [`Scenario::fault_at`] fault
+    /// is not one this run's system can take; and on setup failures.
     pub fn run(&self) -> ScenarioReport {
+        if let Some(why) = self
+            .timeline
+            .iter()
+            .find_map(|&(_, fault)| self.admit(fault).err())
+        {
+            panic!("Scenario::fault_at: {why}");
+        }
         let master = Master::new();
         let server = LogServer::spawn();
         let handle = server.handle();
@@ -536,37 +624,26 @@ impl Scenario {
             .map(ThreadCpuProbe::for_node);
         // adlp-lint: allow(sim-determinism) — the measurement window is wall-clock by definition (Table IV reports real rates); protocol state stays seed-driven
         let t0 = Instant::now();
-        let mut actions: Vec<(Duration, MidRunAction)> = Vec::new();
-        if let Some(after) = self.logger_outage_after {
-            actions.push((after, MidRunAction::KillLogger));
-        }
-        for &(shard, replica, after) in &self.replica_kills {
-            actions.push((after, MidRunAction::KillReplica(shard, replica)));
-        }
-        for &(shard, replica, after) in &self.replica_restarts {
-            actions.push((after, MidRunAction::RestartReplica(shard, replica)));
-        }
-        actions.sort_by_key(|&(at, _)| at);
+        let mut timeline = self.timeline.clone();
+        timeline.sort_by_key(|&(at, _)| at);
         let mut waited = Duration::ZERO;
-        for (at, action) in actions {
+        for (at, fault) in timeline {
             if at >= self.duration {
                 break;
             }
             std::thread::sleep(at.saturating_sub(waited));
             waited = at;
-            match action {
-                MidRunAction::KillLogger => server.kill(),
-                MidRunAction::KillReplica(shard, replica) => {
-                    if let Some((cluster, _, _)) = &cluster_rt {
-                        cluster.kill_replica(shard, replica);
-                    }
+            match (fault, &cluster_rt) {
+                (Fault::Kill(shard, replica), Some((cluster, _, _))) => {
+                    cluster.kill_replica(shard, replica);
                 }
-                MidRunAction::RestartReplica(shard, replica) => {
-                    if let Some((cluster, _, _)) = &cluster_rt {
-                        // adlp-lint: allow(discarded-fallible) — a restart that fails mid-scenario shows up as a still-dead replica in the report
-                        let _ = cluster.restart_replica(shard, replica);
-                    }
+                // A restart that fails mid-scenario shows up as a
+                // still-dead replica in the report.
+                (Fault::Restart(shard, replica), Some((cluster, _, _))) => {
+                    cluster.restart_replica(shard, replica).ok();
                 }
+                (Fault::Kill(..), None) => server.kill(),
+                _ => unreachable!("`admit` let {fault:?} through"),
             }
         }
         std::thread::sleep(self.duration.saturating_sub(waited));
@@ -587,7 +664,7 @@ impl Scenario {
             sub.close();
         }
         for node in nodes.values() {
-            // adlp-lint: allow(discarded-fallible) — after a deliberate logger_outage_after kill, flush reports ServerClosed by design
+            // adlp-lint: allow(discarded-fallible) — after a deliberate `Fault::Kill` of the logger, flush reports ServerClosed by design
             let _ = node.flush();
         }
 
@@ -734,25 +811,6 @@ mod tests {
         }
     }
 
-    /// Faults may legitimately split a publication/receipt pair across the
-    /// logger cut (losing one side's deposit), which the auditor reports as
-    /// a hidden record — but deposited entries are all genuine, so none may
-    /// be rejected or classified as falsified, fabricated, or replayed.
-    fn only_evidence_loss_violations(audit: &AuditReport) -> bool {
-        use adlp_audit::ViolationKind;
-        audit.rejected_entries.is_empty()
-            && audit
-                .verdicts
-                .values()
-                .flat_map(|v| v.violations.iter())
-                .all(|v| {
-                    matches!(
-                        v.kind,
-                        ViolationKind::HidPublication | ViolationKind::HidReceipt
-                    )
-                })
-    }
-
     #[test]
     fn logger_outage_mid_run_keeps_data_plane_flowing() {
         // The trusted logger crashes halfway through the window; messages
@@ -761,7 +819,7 @@ mod tests {
         let report = Scenario::new(fanout_app(PayloadKind::Custom(64), 2, 100.0))
             .key_bits(512)
             .duration(Duration::from_millis(600))
-            .logger_outage_after(Duration::from_millis(200))
+            .fault_at(Duration::from_millis(200), Fault::Kill(0, 0))
             .run();
         // Traffic continued for the full window, far beyond what the
         // pre-outage window alone could produce.
@@ -774,7 +832,7 @@ mod tests {
         assert!(report.store_len > 0);
         let audit = report.audit();
         assert!(
-            only_evidence_loss_violations(&audit),
+            audit_convicts_evidence_loss_only(&audit),
             "outage must not manufacture falsification evidence: {:?}",
             audit.verdicts
         );
@@ -851,22 +909,41 @@ mod tests {
     #[test]
     fn unfaithful_node_detected_in_scenario() {
         use adlp_core::{LinkRole, LogBehavior};
-        let report = Scenario::new(fanout_app(PayloadKind::Custom(64), 1, 50.0))
-            .key_bits(512)
-            .behavior(
-                "sink0",
-                BehaviorProfile::faithful().with_link(
-                    LinkRole::Subscriber,
-                    adlp_pubsub::Topic::new("data"),
-                    LogBehavior::Hide,
-                ),
-            )
-            .duration(Duration::from_millis(400))
+        // Hiding is evidence loss, which a fault can cause too: `judge` lets
+        // it pass. Falsifying takes a culprit: clause (3), single logger too.
+        for (lie, clause) in [(LogBehavior::Hide, None), (LogBehavior::Falsify, Some(3))] {
+            let report = Scenario::new(fanout_app(PayloadKind::Custom(64), 1, 50.0))
+                .key_bits(512)
+                .behavior(
+                    "sink0",
+                    BehaviorProfile::faithful().with_link(
+                        LinkRole::Subscriber,
+                        adlp_pubsub::Topic::new("data"),
+                        lie,
+                    ),
+                )
+                .duration(Duration::from_millis(400))
+                .run();
+            let audit = report.audit();
+            assert!(!audit.all_clear());
+            let unfaithful = audit.unfaithful_components();
+            assert_eq!(unfaithful.len(), 1);
+            assert_eq!(unfaithful[0].0.as_str(), "sink0");
+            assert_eq!(
+                report
+                    .judge(&Expect::default())
+                    .err()
+                    .map(|breach| breach.clause),
+                clause
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "needs the chaos rig")]
+    fn a_fault_the_run_cannot_take_is_rejected_before_anything_is_built() {
+        Scenario::new(fanout_app(PayloadKind::Custom(64), 1, 50.0))
+            .fault_at(Duration::ZERO, Fault::Seal)
             .run();
-        let audit = report.audit();
-        assert!(!audit.all_clear());
-        let unfaithful = audit.unfaithful_components();
-        assert_eq!(unfaithful.len(), 1);
-        assert_eq!(unfaithful[0].0.as_str(), "sink0");
     }
 }

@@ -18,7 +18,7 @@ use adlp::audit::{AuditReport, EntryClass, ViolationKind};
 use adlp::core::{FaultConfig, ReconnectConfig, ResilienceConfig};
 use adlp::logger::{Direction, LogEntry, LogServer, RemoteLogClient, RemoteLogEndpoint};
 use adlp::pubsub::{NodeId, Topic};
-use adlp::sim::{fanout_app, PayloadKind, Scenario};
+use adlp::sim::{fanout_app, Fault, PayloadKind, Scenario};
 use proptest::prelude::*;
 use std::time::{Duration, Instant};
 
@@ -113,7 +113,7 @@ fn mid_run_logger_outage_with_faults_is_survivable() {
                 .with_drop_rate(0.2)
                 .with_delay(0.2, Duration::from_millis(10)),
         )
-        .logger_outage_after(Duration::from_millis(250))
+        .fault_at(Duration::from_millis(250), Fault::Kill(0, 0))
         .run();
 
     // The data plane outlived the trusted logger (§V-B failure isolation).
