@@ -13,12 +13,24 @@
 
 use crate::auditor::{AuditReport, Auditor};
 use adlp_cluster::{
-    ClusterView, EpochSeal, EquivocationProof, ReplicaDivergence, ReplicaKeyring,
+    empty_shard_root, ClusterView, EpochSeal, EquivocationProof, ReplicaDivergence,
+    ReplicaKeyring,
 };
+use adlp_crypto::sha256::Digest;
 use adlp_crypto::RsaPublicKey;
-use adlp_logger::{KeyRegistry, LogEntry};
+use adlp_logger::{KeyRegistry, LogEntry, LogStore};
 use adlp_pubsub::{NodeId, Topic};
 use adlp_witness::{SplitViewProof, SthKeyring};
+
+/// The root `records` commit to, by the store's own rule: a seal is checked
+/// against what the audit reads, not against a root the view hands over.
+fn root_of(records: &[Vec<u8>]) -> Digest {
+    let store = LogStore::new();
+    for record in records {
+        store.append_encoded(record.clone());
+    }
+    store.tree_head().1.unwrap_or_else(empty_shard_root)
+}
 
 /// Whether/how an epoch seal was checked.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -184,8 +196,8 @@ impl ClusterAuditor {
     }
 
     /// Audits a gathered cluster view against a sealed epoch: the seal
-    /// must verify under `sealing_key` and every shard's live root must
-    /// match its anchored root.
+    /// must verify under `sealing_key` and the root of every shard's live
+    /// records must match its anchored root.
     pub fn audit_sealed_view(
         &self,
         view: &ClusterView,
@@ -198,7 +210,7 @@ impl ClusterAuditor {
             let mismatched: Vec<usize> = view
                 .shards
                 .iter()
-                .filter(|s| !seal.verify_shard(s.shard, &s.root, s.records.len()))
+                .filter(|s| !seal.verify_shard(s.shard, &root_of(&s.records), s.records.len()))
                 .map(|s| s.shard)
                 .collect();
             if mismatched.is_empty() {
@@ -339,7 +351,7 @@ mod tests {
     }
 
     #[test]
-    fn shard_rollback_after_sealing_is_caught() {
+    fn shard_rollback_or_rewrite_after_sealing_is_caught() {
         let cluster = LoggerCluster::spawn(ClusterConfig::new(2)).unwrap();
         fill(&cluster);
         let mut rng = rand::rngs::StdRng::seed_from_u64(8);
@@ -356,6 +368,14 @@ mod tests {
         let report = auditor.audit_sealed_view(&cluster.view(), &seal, kp.public_key());
         assert_eq!(report.seal, SealCheck::ShardMismatch(vec![1]));
         assert!(!report.all_clear());
+
+        // Shard 0's bytes rewritten in storage, its commitment untouched.
+        for slot in cluster.shard_replicas(0) {
+            let forged = entry(0, vec![9u8; 16]).encode();
+            slot.handle().store().tamper_with_record(0, forged).unwrap();
+        }
+        let report = auditor.audit_sealed_view(&cluster.view(), &seal, kp.public_key());
+        assert_eq!(report.seal, SealCheck::ShardMismatch(vec![0, 1]));
     }
 
     #[test]

@@ -20,14 +20,17 @@
 //!   not crash debris — and it names the first rewritten record.
 //!
 //! A bare `(length, root)` pair could not distinguish honest tail loss
-//! from a rewritten-then-rechained log, so the commitment retains the leaf
-//! hashes themselves (32 bytes per record — the same cost as the hash
-//! chain) and anchors them under one root for cross-checking against epoch
+//! from a rewritten-then-recommitted log, so the commitment retains the
+//! leaf hashes themselves (32 bytes per record — what the store itself
+//! keeps) and anchors them under one root for cross-checking against epoch
 //! seals.
 //!
-//! The hash chain inside the recovered store is verified independently
-//! ([`RecoveryCheck::chain_ok`]): a torn tail never breaks the chain, so a
-//! broken chain is always evidence, whatever the prefix verdict says.
+//! The recovered store's records are checked against the digests it
+//! committed to on append independently ([`RecoveryCheck::chain_ok`]): a
+//! torn tail never breaks that, so a record that no longer matches its
+//! commitment is always evidence, whatever the prefix verdict says. An
+//! in-place rewrite shows only there — the commitment (and so the prefix
+//! verdict) still describes what was acknowledged.
 
 use adlp_crypto::sha256::Digest;
 use adlp_logger::LogStore;
@@ -93,14 +96,15 @@ pub enum RecoveryVerdict {
 pub struct RecoveryCheck {
     /// Relation of the recovered log to the retained commitment.
     pub verdict: RecoveryVerdict,
-    /// Whether the recovered store's internal hash chain verifies. Torn
-    /// tails never break the chain, so `false` is independent evidence.
+    /// Whether every recovered record still hashes to the digest its store
+    /// committed on append ([`LogStore::verify_chain`]). Torn tails never
+    /// break this, so `false` is independent evidence.
     pub chain_ok: bool,
 }
 
 impl RecoveryCheck {
     /// Whether recovery is fully explained: committed records intact and
-    /// the chain unbroken.
+    /// every record matching its commitment.
     pub fn clean(&self) -> bool {
         self.chain_ok && matches!(self.verdict, RecoveryVerdict::Intact { .. })
     }
@@ -195,24 +199,21 @@ mod tests {
     }
 
     #[test]
-    fn rewritten_record_is_root_mismatch() {
+    fn in_place_rewrite_keeps_the_commitment_and_breaks_the_records() {
         let store = store_with(6);
         let retained = RetainedCommitment::of_store(&store);
         store.tamper_with_record(2, entry(99).encode()).unwrap();
         let check = verify_recovered_store(&store, &retained);
-        assert_eq!(
-            check.verdict,
-            RecoveryVerdict::RootMismatch {
-                first_divergent_index: 2
-            }
-        );
-        assert!(!check.chain_ok, "in-place rewrite also breaks the chain");
+        // The store's commitment still describes what was acknowledged …
+        assert_eq!(check.verdict, RecoveryVerdict::Intact { extra: 0 });
+        // … and the rewritten bytes no longer match it.
+        assert!(!check.chain_ok, "in-place rewrite must not verify");
         assert!(!check.clean());
     }
 
     #[test]
     fn rewritten_then_truncated_log_is_mismatch_not_truncation() {
-        // An attacker rewrites record 1 and rebuilds a consistent chain of
+        // An attacker rewrites record 1 and re-commits a consistent log of
         // length 3. A bare (len, root) check would see "some shorter log"
         // and might call it truncation; leaf-level comparison names the
         // rewrite.
@@ -221,7 +222,7 @@ mod tests {
         let forged = LogStore::new();
         let records = full.encoded_records();
         forged.append_encoded(records[0].clone());
-        forged.append(&entry(77)); // re-chained rewrite of record 1
+        forged.append(&entry(77)); // re-committed rewrite of record 1
         forged.append_encoded(records[2].clone());
         let check = verify_recovered_store(&forged, &retained);
         assert!(matches!(

@@ -1,5 +1,5 @@
 //! Criterion benchmarks for the logging substrate: entry encoding, store
-//! appends (hash chain), Merkle tree extension and proofs, and the
+//! appends (leaf digest + tree push), Merkle tree extension and proofs, and the
 //! aggregated-logging ablation (§VI-E) — storage cost per publication for
 //! per-ack vs aggregated publisher entries.
 

@@ -6,7 +6,8 @@
 //! the quorum while showing another to clients, and nothing catches it
 //! until an offline audit compares stores. BFT mode removes that trust:
 //! every acknowledgement is a **signed head attestation** — the replica
-//! countersigns its entry-chain head at an exact length — and an entry is
+//! signs the head of its log, `(length, Merkle root)` read from
+//! [`adlp_logger::LogStore::tree_head`] at one instant — and an entry is
 //! acked only once `2f+1` of `3f+1` replicas produced *matching* signed
 //! heads (Wanner et al., "A Formally Verified Protocol for Log Replication
 //! with Byzantine Fault Tolerance"; split-view detection after Meiklejohn
@@ -19,9 +20,15 @@
 //! trusted observer, no cluster state is needed to check it; the replica's
 //! own key convicts it.
 //!
+//! An attestation is therefore a replica-signed tree head with a scope: its
+//! root is the same RFC 6962 root signed tree heads, inclusion proofs and
+//! light clients use, so an honest attestation at `Head { length }` equals
+//! the replica's `root_at(length)`, and an empty log attests to
+//! [`crate::empty_shard_root`].
+//!
 //! Scopes cover the two places a replica speaks about its history: per
-//! deposit ([`AttestationScope::Head`], the chain head at a length) and per
-//! epoch seal ([`AttestationScope::Epoch`], the head it countersigned into
+//! deposit ([`AttestationScope::Head`], the root at a length) and per
+//! epoch seal ([`AttestationScope::Epoch`], the root it countersigned into
 //! an epoch). The [`AttestationLog`] is the split-view detector: it
 //! remembers the first validly-signed head seen per (replica, scope) and
 //! turns any later conflicting signature into a proof.
@@ -114,13 +121,13 @@ impl BftConfig {
 /// What a replica is speaking about when it signs a head.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum AttestationScope {
-    /// The entry-chain head after record `length` (1-based count) was
-    /// appended — one per acknowledged deposit.
+    /// The log's Merkle root over its first `length` records — one per
+    /// acknowledged deposit.
     Head {
         /// Number of records the attested head commits to.
         length: u64,
     },
-    /// The head the replica countersigned into epoch `epoch`'s seal.
+    /// The root the replica countersigned into epoch `epoch`'s seal.
     Epoch {
         /// Epoch number of the seal being countersigned.
         epoch: u64,
@@ -160,13 +167,14 @@ impl std::fmt::Display for AttestationScope {
     }
 }
 
-/// A replica's signed statement: "my log at `scope` has head `head`".
+/// A replica's signed statement: "my log at `scope` has Merkle root
+/// `root`".
 ///
 /// The signature is PKCS#1 v1.5 over
-/// `h("adlp-cluster/attestation" ‖ shard ‖ replica ‖ incarnation ‖ scope ‖
-/// head)`, so an attestation binds the speaking replica's identity, its
-/// rollback incarnation, what it speaks about, and the commitment —
-/// nothing can be transplanted between replicas, incarnations, or scopes.
+/// `h("adlp-cluster/attested-root" ‖ shard ‖ replica ‖ incarnation ‖ scope
+/// ‖ root)`, so an attestation binds the speaking replica's identity, its
+/// rollback incarnation, what it speaks about, and the commitment — nothing
+/// can be transplanted between replicas, incarnations, or scopes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HeadAttestation {
     /// Shard of the attesting replica.
@@ -177,10 +185,10 @@ pub struct HeadAttestation {
     /// docs): statements from different incarnations never conflict, and a
     /// claimed incarnation the cluster never granted is rejected.
     pub incarnation: u64,
-    /// What the head covers.
+    /// What the root covers.
     pub scope: AttestationScope,
-    /// The attested entry-chain head.
-    pub head: Digest,
+    /// The attested Merkle root.
+    pub root: Digest,
     /// The replica's signature over the attestation digest.
     pub signature: Signature,
 }
@@ -190,16 +198,17 @@ fn attestation_digest(
     replica: usize,
     incarnation: u64,
     scope: &AttestationScope,
-    head: &Digest,
+    root: &Digest,
 ) -> Digest {
     let mut h = Sha256::new();
-    h.update(b"adlp-cluster/attestation");
+    // Not the old hash-chain tag: a chain-head statement never verifies here.
+    h.update(b"adlp-cluster/attested-root");
     h.update(&(shard as u64).to_le_bytes());
     h.update(&(replica as u64).to_le_bytes());
     h.update(&incarnation.to_le_bytes());
     h.update(&[scope.tag()]);
     h.update(&scope.value().to_le_bytes());
-    h.update(head.as_bytes());
+    h.update(root.as_bytes());
     h.finalize()
 }
 
@@ -214,14 +223,14 @@ impl HeadAttestation {
                 self.replica,
                 self.incarnation,
                 &self.scope,
-                &self.head,
+                &self.root,
             ),
             &self.signature,
         )
     }
 
     /// Whether two attestations by the same replica, in the same
-    /// incarnation, over the same scope commit to different heads — the
+    /// incarnation, over the same scope commit to different roots — the
     /// equivocation condition. Statements separated by a sanctioned
     /// rollback (different incarnations) never conflict.
     pub fn conflicts_with(&self, other: &HeadAttestation) -> bool {
@@ -229,7 +238,7 @@ impl HeadAttestation {
             && self.replica == other.replica
             && self.incarnation == other.incarnation
             && self.scope == other.scope
-            && self.head != other.head
+            && self.root != other.root
     }
 
     /// Serializes the attestation (transferable evidence).
@@ -240,7 +249,7 @@ impl HeadAttestation {
         write_uvarint(&mut out, self.incarnation);
         out.push(self.scope.tag());
         write_uvarint(&mut out, self.scope.value());
-        out.extend_from_slice(self.head.as_bytes());
+        out.extend_from_slice(self.root.as_bytes());
         write_bytes(&mut out, self.signature.as_bytes());
         out
     }
@@ -263,12 +272,12 @@ impl HeadAttestation {
         let value = read_uvarint(&mut input)?;
         let scope = AttestationScope::from_parts(*tag, value)
             .ok_or(LogError::Malformed("attestation (scope)"))?;
-        let (head_bytes, rest) = input
+        let (root_bytes, rest) = input
             .split_at_checked(32)
-            .ok_or(LogError::Malformed("attestation (head)"))?;
+            .ok_or(LogError::Malformed("attestation (root)"))?;
         input = rest;
-        let head =
-            Digest::from_slice(head_bytes).ok_or(LogError::Malformed("attestation (head)"))?;
+        let root =
+            Digest::from_slice(root_bytes).ok_or(LogError::Malformed("attestation (root)"))?;
         let signature = Signature::from_bytes(read_bytes(&mut input)?.to_vec());
         if !input.is_empty() {
             return Err(LogError::Malformed("attestation (trailing bytes)"));
@@ -278,15 +287,16 @@ impl HeadAttestation {
             replica,
             incarnation,
             scope,
-            head,
+            root,
             signature,
         })
     }
 }
 
 /// Magic of a persisted [`AttestorState`] file (a sealed blob,
-/// `adlp_logger::frame`).
-pub const ATTESTOR_STATE_MAGIC: &[u8; 8] = b"ADLPATT1";
+/// `adlp_logger::frame`). Version 2: the signed value is a Merkle root;
+/// a version-1 cell (a hash-chain head) fails closed.
+pub const ATTESTOR_STATE_MAGIC: &[u8; 8] = b"ADLPATT2";
 
 /// The slice of an attestor's state that must survive a restart for the
 /// replica to keep speaking safely (§3.11): its signing incarnation and the
@@ -299,8 +309,8 @@ pub struct AttestorState {
     pub incarnation: u64,
     /// The highest [`AttestationScope::Head`] length ever signed.
     pub signed_len: u64,
-    /// The head signed at `signed_len` (`None` before the first signature).
-    pub signed_head: Option<Digest>,
+    /// The root signed at `signed_len` (`None` before the first signature).
+    pub signed_root: Option<Digest>,
 }
 
 impl AttestorState {
@@ -310,11 +320,11 @@ impl AttestorState {
         let mut out = Vec::with_capacity(64);
         write_uvarint(&mut out, self.incarnation);
         write_uvarint(&mut out, self.signed_len);
-        match &self.signed_head {
+        match &self.signed_root {
             None => out.push(0),
-            Some(head) => {
+            Some(root) => {
                 out.push(1);
-                out.extend_from_slice(head.as_bytes());
+                out.extend_from_slice(root.as_bytes());
             }
         }
         out
@@ -330,17 +340,17 @@ impl AttestorState {
         let mut input = bytes;
         let incarnation = read_uvarint(&mut input)?;
         let signed_len = read_uvarint(&mut input)?;
-        let signed_head = match input {
+        let signed_root = match input {
             [0] => None,
-            [1, head @ ..] => Some(
-                Digest::from_slice(head).ok_or(LogError::Malformed("attestor state (head)"))?,
+            [1, root @ ..] => Some(
+                Digest::from_slice(root).ok_or(LogError::Malformed("attestor state (root)"))?,
             ),
-            _ => return Err(LogError::Malformed("attestor state (head flag)")),
+            _ => return Err(LogError::Malformed("attestor state (root flag)")),
         };
         Ok(AttestorState {
             incarnation,
             signed_len,
-            signed_head,
+            signed_root,
         })
     }
 }
@@ -350,7 +360,7 @@ impl AttestorState {
 #[derive(Debug)]
 struct AttestorDurable {
     signed_len: u64,
-    signed_head: Option<Digest>,
+    signed_root: Option<Digest>,
     /// Where the state persists; `None` runs volatile.
     cell: Option<DurableCell>,
 }
@@ -359,7 +369,7 @@ struct AttestorDurable {
 /// restarts (a replica keeps its identity across its fail-stop lifecycle),
 /// and — once bound to a storage device via
 /// [`ReplicaAttestor::bind_storage`] — persists its incarnation and
-/// last-signed head through the same write-replace discipline as snapshots
+/// last-signed root through the same write-replace discipline as snapshots
 /// (§3.9), so even a replica whose *log* is volatile resumes from its
 /// durable attestation state instead of re-signing history it no longer
 /// holds.
@@ -386,7 +396,7 @@ impl ReplicaAttestor {
             incarnation: AtomicU64::new(0),
             durable: Mutex::new(AttestorDurable {
                 signed_len: 0,
-                signed_head: None,
+                signed_root: None,
                 cell: None,
             }),
         }
@@ -421,10 +431,10 @@ impl ReplicaAttestor {
                     self.incarnation.store(state.incarnation, Ordering::SeqCst);
                 }
                 if state.signed_len > durable.signed_len
-                    || (durable.signed_head.is_none() && state.signed_head.is_some())
+                    || (durable.signed_root.is_none() && state.signed_root.is_some())
                 {
                     durable.signed_len = durable.signed_len.max(state.signed_len);
-                    durable.signed_head = state.signed_head;
+                    durable.signed_root = state.signed_root;
                 }
             }
             durable.cell = Some(cell);
@@ -443,7 +453,7 @@ impl ReplicaAttestor {
         AttestorState {
             incarnation: self.incarnation.load(Ordering::SeqCst),
             signed_len: durable.signed_len,
-            signed_head: durable.signed_head,
+            signed_root: durable.signed_root,
         }
     }
 
@@ -461,10 +471,10 @@ impl ReplicaAttestor {
         }
     }
 
-    /// Signs a head at a scope.
+    /// Signs a root at a scope.
     ///
     /// This is deliberately *mechanism, not policy*: an honest replica only
-    /// ever calls it with its true store head, while the Byzantine sim
+    /// ever calls it with its true store root, while the Byzantine sim
     /// driver calls it with whatever lie it wants to tell — the protocol's
     /// claim is that the lie becomes a transferable conviction, not that
     /// lying is impossible.
@@ -477,9 +487,9 @@ impl ReplicaAttestor {
     /// speak second: a head signature is only released once the durable
     /// state covering it is on the device, so no restart can leave the
     /// replica ignorant of what it already swore to.
-    pub fn attest(&self, scope: AttestationScope, head: Digest) -> Result<HeadAttestation, LogError> {
+    pub fn attest(&self, scope: AttestationScope, root: Digest) -> Result<HeadAttestation, LogError> {
         let incarnation = self.incarnation.load(Ordering::SeqCst);
-        let digest = attestation_digest(self.shard, self.replica, incarnation, &scope, &head);
+        let digest = attestation_digest(self.shard, self.replica, incarnation, &scope, &root);
         let signature = pkcs1::sign_digest(&self.key, &digest)
             .map_err(|_| LogError::Malformed("attestation (signing)"))?;
         if let AttestationScope::Head { length } = scope {
@@ -487,7 +497,7 @@ impl ReplicaAttestor {
                 let mut durable = self.durable.lock();
                 if length >= durable.signed_len {
                     durable.signed_len = length;
-                    durable.signed_head = Some(head);
+                    durable.signed_root = Some(root);
                     true
                 } else {
                     false
@@ -502,7 +512,7 @@ impl ReplicaAttestor {
             replica: self.replica,
             incarnation,
             scope,
-            head,
+            root,
             signature,
         })
     }
@@ -565,7 +575,7 @@ impl ReplicaKeyring {
     }
 }
 
-/// Two valid signatures, one replica, one scope, two heads: a
+/// Two valid signatures, one replica, one scope, two roots: a
 /// self-contained, transferable conviction.
 ///
 /// A proof carries everything needed to verify it except the replica's
@@ -597,7 +607,7 @@ impl EquivocationProof {
     }
 
     /// Verifies the proof: both attestations must conflict (same replica,
-    /// same scope, different heads) and both signatures must verify under
+    /// same scope, different roots) and both signatures must verify under
     /// the replica's key in `keyring`.
     pub fn verify(&self, keyring: &ReplicaKeyring) -> bool {
         self.first.conflicts_with(&self.second)
@@ -720,7 +730,7 @@ impl AttestationLog {
         }
         let key = (att.shard, att.replica, att.incarnation, att.scope);
         if let Some(prior) = inner.seen.get(&key) {
-            if prior.head == att.head {
+            if prior.root == att.root {
                 return Observation::Duplicate;
             }
             let proof = EquivocationProof {
@@ -829,21 +839,6 @@ mod tests {
     }
 
     #[test]
-    fn attestation_roundtrip_and_verification() {
-        let kp = keypair(1);
-        let attestor = ReplicaAttestor::new(2, 3, keypair_private(&kp));
-        let att = attestor
-            .attest(AttestationScope::Head { length: 17 }, head(7))
-            .unwrap();
-        assert!(att.verify(kp.public_key()));
-        let decoded = HeadAttestation::decode(&att.encode()).unwrap();
-        assert_eq!(decoded, att);
-        assert!(decoded.verify(kp.public_key()));
-        // The wrong key never verifies.
-        assert!(!att.verify(keypair(2).public_key()));
-    }
-
-    #[test]
     fn attestation_binds_identity_and_scope() {
         let kp = keypair(3);
         let attestor = ReplicaAttestor::new(0, 1, keypair_private(&kp));
@@ -923,7 +918,7 @@ mod tests {
 
         // A tampered attestation breaks its signature and the proof.
         let mut forged = b.clone();
-        forged.head = head(3);
+        forged.root = head(3);
         assert!(!EquivocationProof { first: a, second: forged }.verify(&keyring));
     }
 
@@ -1038,7 +1033,7 @@ mod tests {
         let attestor = ReplicaAttestor::new(0, 1, keypair_private(&kp));
         assert_eq!(
             attestor.bind_storage(Arc::clone(&device), "attestor").unwrap(),
-            AttestorState { incarnation: 0, signed_len: 0, signed_head: None }
+            AttestorState { incarnation: 0, signed_len: 0, signed_root: None }
         );
         attestor
             .attest(AttestationScope::Head { length: 7 }, head(7))
@@ -1056,7 +1051,7 @@ mod tests {
         let resumed = reborn.bind_storage(Arc::clone(&device), "attestor").unwrap();
         assert_eq!(
             resumed,
-            AttestorState { incarnation: 2, signed_len: 7, signed_head: Some(head(7)) }
+            AttestorState { incarnation: 2, signed_len: 7, signed_root: Some(head(7)) }
         );
         assert_eq!(reborn.incarnation(), 2);
         assert_eq!(reborn.state(), resumed);
@@ -1140,5 +1135,61 @@ mod tests {
         // And a proof straddling incarnations does not verify as one.
         let proof = EquivocationProof { first: before, second: after };
         assert!(!proof.verify(ledger.keyring()));
+    }
+
+    /// Golden bytes (DESIGN §3.9, format rule) under the Merkle-root
+    /// signing domain.
+    mod golden {
+        use super::*;
+        use adlp_crypto::hex;
+        use adlp_logger::frame::DurableCell;
+        use adlp_logger::MemStorage;
+
+        const ATTESTATION: &str = "0102000105991f7ac5a7e4709df20a321945fef78d373892b60df01ee5af31933f4d202a1e403fd4c09f3e1812d1cb78ecf2ce5adfabc69a0a2c0711f7dec5b15db931eade4d3a263010c902a475e30aa23b86b409d27b3275df309b18404e9cf1b3bfc99514";
+        const EQUIVOCATION: &str = "660102000105991f7ac5a7e4709df20a321945fef78d373892b60df01ee5af31933f4d202a1e403fd4c09f3e1812d1cb78ecf2ce5adfabc69a0a2c0711f7dec5b15db931eade4d3a263010c902a475e30aa23b86b409d27b3275df309b18404e9cf1b3bfc995146601020001052e178c26c645d154d6106f6b6d54c19874ce231e322006502f265a49c2fbbb6a40a5217a41c5a0090c58f3d9141738a88733084f017c78f4d386674b923b8612e12acf2588f761fdfaa781df5ad0053c2a46031b4a811ff550d8240ec334546676";
+        const CELL: &str = "41444c50415454321700af75030501991f7ac5a7e4709df20a321945fef78d373892b60df01ee5af31933f4d202a1e";
+
+        fn attestor() -> ReplicaAttestor {
+            ReplicaAttestor::new(1, 2, keypair_private(&keypair(30)))
+        }
+
+        #[test]
+        fn head_attestation_and_equivocation_proof_bytes() {
+            let (kp, scope) = (keypair(30), AttestationScope::Head { length: 5 });
+            let first = attestor().attest(scope, head(5)).unwrap();
+            let second = attestor().attest(scope, head(6)).unwrap();
+            assert_eq!(hex::encode(&first.encode()), ATTESTATION);
+            // The wrong key never verifies.
+            assert!(first.verify(kp.public_key()) && !first.verify(keypair(2).public_key()));
+            let proof = EquivocationProof { first, second };
+            assert_eq!(hex::encode(&proof.encode()), EQUIVOCATION);
+            let decoded = EquivocationProof::decode(&hex::decode(EQUIVOCATION).unwrap()).unwrap();
+            assert_eq!(decoded, proof);
+            assert!(decoded.verify(&ring_of(&[(1, 0, &kp), (1, 1, &kp), (1, 2, &kp)])));
+        }
+
+        #[test]
+        fn attestor_state_cell_bytes() {
+            let device = Arc::new(MemStorage::new());
+            let speaker = attestor();
+            speaker.bind_storage(device.clone(), "attestor").unwrap();
+            speaker.attest(AttestationScope::Head { length: 5 }, head(5)).unwrap();
+            speaker.set_incarnation(3).unwrap();
+            assert_eq!(hex::encode(&device.read("attestor").unwrap().unwrap()), CELL);
+            let golden = Arc::new(MemStorage::new());
+            golden.write_replace("attestor", &hex::decode(CELL).unwrap()).unwrap();
+            assert_eq!(attestor().bind_storage(golden, "attestor").unwrap(), speaker.state());
+        }
+
+        #[test]
+        fn a_version_1_cell_fails_closed() {
+            // It recorded a hash-chain head: never resume a replica from it.
+            let device = Arc::new(MemStorage::new());
+            let old = AttestorState { incarnation: 3, signed_len: 5, signed_root: Some(head(5)) };
+            let cell = DurableCell::new(device.clone(), "attestor", b"ADLPATT1");
+            cell.store(&old.encode()).unwrap();
+            let resumed = attestor().bind_storage(device, "attestor");
+            assert!(matches!(resumed, Err(LogError::Malformed(_))));
+        }
     }
 }

@@ -36,8 +36,8 @@ pub trait ReplicaSink: Send + Sync + fmt::Debug {
     /// can mirror the transition. Default: no accounting of its own.
     fn note_breaker(&self, _transition: Transition) {}
     /// BFT mode: delivers `entry` and returns the replica's *signed head
-    /// attestation* — its sworn statement of the chain head after the
-    /// append. `None` means the replica stayed silent (dead, or Byzantine
+    /// attestation* — its sworn statement of its log's head (length and
+    /// Merkle root) after the append. `None` means the replica stayed silent (dead, or Byzantine
     /// and withholding); a silent replica simply does not count toward the
     /// `2f+1` attest quorum. The default (sinks without an attestation
     /// identity) deposits and stays silent, so plugging a crash-only sink
@@ -493,8 +493,8 @@ impl ClusterLogClient {
         }
         drop(breakers);
         drop(guard);
-        // BFT: agreement means 2f+1 signatures over the SAME (scope, head)
-        // — a valid signature over a head nobody else signed supports
+        // BFT: agreement means 2f+1 signatures over the SAME (scope, root)
+        // — a valid signature over a root nobody else signed supports
         // nothing.
         let supporting = match &bft {
             None => accepted,
@@ -503,7 +503,7 @@ impl ClusterLogClient {
                 .map(|a| {
                     attestations
                         .iter()
-                        .filter(|b| a.scope == b.scope && a.head == b.head)
+                        .filter(|b| a.scope == b.scope && a.root == b.root)
                         .count()
                 })
                 .max()

@@ -4,7 +4,7 @@ use crate::attestation::{
     AttestationLog, AttestationScope, ReplicaAttestor, ReplicaKeyring,
 };
 use crate::config::ClusterConfig;
-use crate::epoch::EpochSeal;
+use crate::epoch::{empty_shard_root, EpochSeal};
 use crate::stats::ClusterStats;
 use crate::view::{self, ClusterView};
 use adlp_crypto::rsa::{RsaPrivateKey, RsaPublicKey};
@@ -106,25 +106,30 @@ impl ReplicaSlot {
         self.attestor.as_ref()
     }
 
-    /// Signs this replica's *current true* chain head at its current log
-    /// length — the honest deposit/view-time attestation. `None` when the
-    /// cluster is not in BFT mode.
+    /// Signs this replica's *current true* log head — its length and the
+    /// Merkle root over exactly that many records, read at one instant —
+    /// the honest deposit/view-time attestation. An empty log attests to
+    /// [`crate::empty_shard_root`]. `None` when the cluster is not in BFT
+    /// mode.
     ///
     /// # Errors
     ///
     /// Returns [`LogError::Malformed`] when signing fails.
     pub fn attest_head(&self) -> Result<Option<crate::attestation::HeadAttestation>, LogError> {
-        match &self.attestor {
-            None => Ok(None),
-            Some(attestor) => {
-                let handle = self.handle();
-                let store = handle.store();
-                let scope = AttestationScope::Head {
-                    length: store.len() as u64,
-                };
-                attestor.attest(scope, store.head()).map(Some)
-            }
-        }
+        self.attest_with(|length| AttestationScope::Head { length })
+    }
+
+    /// Signs the current log head's root at the scope `scope(length)`.
+    fn attest_with(
+        &self,
+        scope: impl FnOnce(u64) -> AttestationScope,
+    ) -> Result<Option<crate::attestation::HeadAttestation>, LogError> {
+        let Some(attestor) = &self.attestor else {
+            return Ok(None);
+        };
+        let (length, root) = self.handle().store().tree_head();
+        let root = root.unwrap_or_else(empty_shard_root);
+        attestor.attest(scope(length as u64), root).map(Some)
     }
 }
 
@@ -609,8 +614,8 @@ impl LoggerCluster {
     /// anchors them under one signed cross-shard super-root. Epoch numbers
     /// increase monotonically per cluster.
     ///
-    /// In BFT mode every replica additionally *countersigns* its own chain
-    /// head into the epoch ([`AttestationScope::Epoch`]), and the
+    /// In BFT mode every replica additionally *countersigns* its own log's
+    /// Merkle root into the epoch ([`AttestationScope::Epoch`]), and the
     /// countersignatures flow through the attestation ledger: a replica
     /// that seals one history here after acking another at deposit time
     /// convicts itself.
@@ -639,12 +644,10 @@ impl LoggerCluster {
                 // Countersigning is an act of a live replica: a dead one
                 // sits this epoch out, whatever its frozen store holds.
                 for slot in shard.iter().filter(|slot| slot.is_alive()) {
-                    if let Some(attestor) = slot.attestor() {
-                        let handle = slot.handle();
-                        let store = handle.store();
-                        let att = attestor
-                            .attest(AttestationScope::Epoch { epoch }, store.head())
-                            .map_err(|_| LogError::Malformed("epoch seal (countersign)"))?;
+                    let countersigned = slot
+                        .attest_with(|_| AttestationScope::Epoch { epoch })
+                        .map_err(|_| LogError::Malformed("epoch seal (countersign)"))?;
+                    if let Some(att) = countersigned {
                         let observation = ledger.observe(att);
                         self.stats.note_observation(&observation);
                     }

@@ -54,7 +54,7 @@ pub use attestation::{
 pub use client::{slot_sink, ClusterLogClient, ReplicaSink};
 pub use cluster::LoggerCluster;
 pub use config::ClusterConfig;
-pub use epoch::{EpochSeal, ShardRoot};
+pub use epoch::{empty_shard_root, EpochSeal, ShardRoot};
 pub use ring::HashRing;
 pub use stats::{ClusterStats, ClusterStatsSnapshot};
 pub use view::{ClusterView, ReplicaDivergence, ReplicaStatus, ShardView};

@@ -18,7 +18,6 @@ use crate::attestation::EquivocationProof;
 use crate::cluster::LoggerCluster;
 use crate::epoch::{empty_shard_root, ShardRoot};
 use adlp_crypto::sha256::Digest;
-use adlp_logger::merkle::MerkleTree;
 use adlp_logger::{LogEntry, LogError};
 
 /// How one replica's log relates to its shard's quorum log.
@@ -81,8 +80,8 @@ pub struct ShardView {
     pub records: Vec<Vec<u8>>,
     /// Per-replica relation to the quorum log.
     pub statuses: Vec<ReplicaStatus>,
-    /// Merkle root over the quorum log's record hashes (a fixed sentinel
-    /// root for an empty shard).
+    /// The Merkle root the quorum log's store committed to, read with its
+    /// records (a fixed sentinel root for an empty shard).
     pub root: Digest,
 }
 
@@ -178,7 +177,7 @@ impl ClusterView {
 /// Gathers every replica's store and cross-checks the shard groups.
 ///
 /// In BFT mode, gathering is also an *interrogation*: every replica signs
-/// its current chain head into the attestation ledger, so a replica that
+/// its current log head into the attestation ledger, so a replica that
 /// told the deposit path one history and shows the gatherer another
 /// convicts itself here. Convicted replicas surface as
 /// [`ReplicaStatus::Equivocated`] and the proofs ride along in
@@ -201,24 +200,26 @@ pub fn gather(cluster: &LoggerCluster) -> ClusterView {
 /// post-rollback re-signature at the same length would then read as an
 /// equivocation — a false conviction minted by the repair path itself.
 pub(crate) fn quorum_records(cluster: &LoggerCluster, shard: usize) -> Option<Vec<Vec<u8>>> {
-    if shard >= cluster.shard_count() {
-        return None;
-    }
-    let stores: Vec<Vec<Vec<u8>>> = cluster
+    (shard < cluster.shard_count()).then(|| quorum(cluster, shard).1)
+}
+
+/// Every store of a shard, each read with the root it committed to at one
+/// instant, then the quorum log and its root: the winning store's own
+/// commitment, so nothing is re-hashed.
+fn quorum(cluster: &LoggerCluster, shard: usize) -> (Vec<Vec<Vec<u8>>>, Vec<Vec<u8>>, Digest) {
+    let (stores, roots): (Vec<Vec<Vec<u8>>>, Vec<Option<Digest>>) = cluster
         .shard_replicas(shard)
         .iter()
-        .map(|slot| slot.handle().store().encoded_records())
-        .collect();
-    Some(quorum_log(&stores))
+        .map(|slot| slot.handle().store().encoded_records_and_root())
+        .unzip();
+    let won = quorum_log(&stores).and_then(|i| Some((stores.get(i)?.clone(), (*roots.get(i)?)?)));
+    let (records, root) = won.unwrap_or_else(|| (Vec::new(), empty_shard_root()));
+    (stores, records, root)
 }
 
 fn gather_shard(cluster: &LoggerCluster, shard: usize) -> ShardView {
     let slots = cluster.shard_replicas(shard);
-    let stores: Vec<Vec<Vec<u8>>> = slots
-        .iter()
-        .map(|slot| slot.handle().store().encoded_records())
-        .collect();
-    let records = quorum_log(&stores);
+    let (stores, records, root) = quorum(cluster, shard);
     let mut statuses: Vec<ReplicaStatus> =
         stores.iter().map(|s| status_of(s, &records)).collect();
     if let Some(ledger) = cluster.attestations() {
@@ -242,7 +243,6 @@ fn gather_shard(cluster: &LoggerCluster, shard: usize) -> ShardView {
             }
         }
     }
-    let root = merkle_root(&records);
     ShardView {
         shard,
         records,
@@ -251,7 +251,8 @@ fn gather_shard(cluster: &LoggerCluster, shard: usize) -> ShardView {
     }
 }
 
-/// The record sequence the largest replica group agrees on. Ties are
+/// Which store holds the record sequence the largest replica group agrees
+/// on (`None` only when there are no stores). Ties are
 /// broken lexicographically by (equality count, prefix corroboration,
 /// length):
 ///
@@ -273,9 +274,9 @@ fn gather_shard(cluster: &LoggerCluster, shard: usize) -> ShardView {
 /// choose — an extension without `2f+1` signed head attestations was
 /// never acknowledged, and the attestation ledger convicts a replica that
 /// signs for history its peers never saw.
-fn quorum_log(stores: &[Vec<Vec<u8>>]) -> Vec<Vec<u8>> {
-    let mut best: Option<(usize, usize, &Vec<Vec<u8>>)> = None;
-    for candidate in stores {
+fn quorum_log(stores: &[Vec<Vec<u8>>]) -> Option<usize> {
+    let mut best: Option<(usize, usize, usize, &Vec<Vec<u8>>)> = None;
+    for (index, candidate) in stores.iter().enumerate() {
         let count = stores.iter().filter(|s| *s == candidate).count();
         let support = stores
             .iter()
@@ -283,15 +284,15 @@ fn quorum_log(stores: &[Vec<Vec<u8>>]) -> Vec<Vec<u8>> {
             .count();
         let better = match best {
             None => true,
-            Some((best_count, best_support, best_ref)) => {
+            Some((best_count, best_support, _, best_ref)) => {
                 (count, support, candidate.len()) > (best_count, best_support, best_ref.len())
             }
         };
         if better {
-            best = Some((count, support, candidate));
+            best = Some((count, support, index, candidate));
         }
     }
-    best.map(|(_, _, r)| r.clone()).unwrap_or_default()
+    best.map(|(_, _, index, _)| index)
 }
 
 /// Whether `shorter` is a (possibly equal) prefix of `longer`.
@@ -342,16 +343,6 @@ fn is_window_of(records: &[Vec<u8>], reference: &[Vec<u8>]) -> bool {
             .take(records.len())
             .eq(records.iter())
     })
-}
-
-/// Merkle root over a record sequence (sentinel root when empty, so every
-/// shard contributes a leaf to the super-root).
-pub(crate) fn merkle_root(records: &[Vec<u8>]) -> Digest {
-    if records.is_empty() {
-        return empty_shard_root();
-    }
-    let leaves: Vec<Digest> = records.iter().map(|r| adlp_crypto::sha256(r)).collect();
-    MerkleTree::build(&leaves).root().unwrap_or_else(empty_shard_root)
 }
 
 #[cfg(test)]
@@ -405,8 +396,8 @@ mod tests {
     fn quorum_log_majority_wins() {
         let good = vec![rec(1), rec(2)];
         let bad = vec![rec(1), rec(9)];
-        let stores = vec![good.clone(), good.clone(), bad];
-        assert_eq!(quorum_log(&stores), good);
+        let stores = vec![good.clone(), good, bad];
+        assert_eq!(quorum_log(&stores), Some(0));
     }
 
     #[test]
@@ -415,8 +406,8 @@ mod tests {
         let short = vec![rec(1)];
         // Tie (every store is unique): the lone survivor's extension is
         // corroborated by the stale prefix, so it still wins.
-        let stores = vec![short, long.clone()];
-        assert_eq!(quorum_log(&stores), long);
+        let stores = vec![short, long];
+        assert_eq!(quorum_log(&stores), Some(1));
     }
 
     #[test]
@@ -428,8 +419,8 @@ mod tests {
         let stale = vec![rec(1)];
         let survivor = vec![rec(1), rec(2)];
         let fabricated = vec![rec(9), rec(8), rec(7), rec(6)];
-        let stores = vec![stale, survivor.clone(), fabricated];
-        assert_eq!(quorum_log(&stores), survivor);
+        let stores = vec![stale, survivor, fabricated];
+        assert_eq!(quorum_log(&stores), Some(1));
     }
 
     #[test]
@@ -439,13 +430,13 @@ mod tests {
         let agreed = vec![rec(1), rec(2)];
         let inflated = vec![rec(1), rec(2), rec(3), rec(4)];
         let stores = vec![agreed.clone(), agreed.clone(), inflated.clone()];
-        assert_eq!(quorum_log(&stores), agreed);
+        assert_eq!(quorum_log(&stores), Some(0));
         // And on the status side the over-long replica is merely Ahead —
         // its self-reported extension inflates its own status, never the
         // audited log (the symmetric twin of catch-up's "replica ahead of
         // quorum" refusal).
         assert_eq!(
-            status_of(&inflated, &quorum_log(&stores)),
+            status_of(&inflated, &agreed),
             ReplicaStatus::Ahead { extra: 2 }
         );
     }

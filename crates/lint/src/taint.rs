@@ -2,8 +2,8 @@
 //! verification step before they reach the tamper-evident sinks.
 //!
 //! ADLP's audit argument (paper §IV, Lemmas 1–2) assumes everything in
-//! the hash chain was *checked on the way in* — a logger that appends a
-//! wire blob it never decoded or verified chains garbage that the auditor
+//! the committed log was *checked on the way in* — a logger that appends a
+//! wire blob it never decoded or verified commits garbage that the auditor
 //! later attributes to an honest publisher. The analysis is a token-order
 //! walk per function: a call to a raw read source
 //! ([`summary::TAINT_SOURCES`], or a callee summarized as an unverified

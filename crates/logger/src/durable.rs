@@ -25,7 +25,7 @@
 //! ```
 //!
 //! The Merkle root commits to the snapshotted records
-//! ([`crate::LogStore::merkle_root`]),
+//! ([`crate::LogStore::tree_head`]),
 //! so recovery can tell a clean snapshot from one truncated or doctored on
 //! disk — the paper's tamper-evidence carried across restarts.
 
@@ -300,11 +300,10 @@ impl DurableLog {
         for record in snapshot.records {
             store.append_encoded(record);
         }
-        // Checking the root fills the store's Merkle state over the
-        // snapshot, so nothing recovered here is hashed again by a seal.
+        let (count, root) = store.tree_head();
         recovery.root_verified = !snapshot.present
-            || (store.len() as u64 == snapshot.declared_count
-                && store.merkle_root().unwrap_or(EMPTY_SNAPSHOT_ROOT) == snapshot.root);
+            || (count as u64 == snapshot.declared_count
+                && root.unwrap_or(EMPTY_SNAPSHOT_ROOT) == snapshot.root);
 
         let replay = wal.replay()?;
         recovery.records_truncated += replay.frames_truncated;
@@ -529,7 +528,7 @@ mod tests {
         assert_eq!(store2.len(), 7);
         assert_eq!(recovery.wal_replayed, 7);
         assert!(recovery.root_verified);
-        assert_eq!(store2.head(), store.head());
+        assert_eq!(store2.tree_head(), store.tree_head());
     }
 
     #[test]
@@ -566,7 +565,7 @@ mod tests {
         mem.crash();
         let (_log2, store2, recovery) = open_mem(&mem);
         assert_eq!(store2.len(), 10);
-        assert_eq!(store2.head(), store.head());
+        assert_eq!(store2.tree_head(), store.tree_head());
         assert!(recovery.root_verified);
     }
 
@@ -587,7 +586,7 @@ mod tests {
         assert_eq!(recovery.snapshot_records, 6);
         assert_eq!(recovery.wal_skipped, 6);
         assert_eq!(recovery.wal_replayed, 0);
-        assert_eq!(store2.head(), store.head());
+        assert_eq!(store2.tree_head(), store.tree_head());
     }
 
     #[test]

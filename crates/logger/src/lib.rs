@@ -10,8 +10,8 @@
 //!   (standing in for the prototype's protocol buffers);
 //! * [`keyreg`] — the public-key registry the logger keeps for verifying
 //!   entry authenticity;
-//! * [`store`] — an append-only, hash-chained store with tamper-evidence
-//!   verification;
+//! * [`store`] — an append-only store whose one tamper-evident commitment
+//!   is the Merkle tree over its records' digests;
 //! * [`merkle`] — Merkle-tree commitments over the store with inclusion
 //!   proofs, for handing third-party investigators a succinct commitment;
 //! * [`server`] — the log server: a push-only sink ("log entries are simply

@@ -8,7 +8,7 @@
 //! component's own key exactly like any other entry
 //! (`sign_x(h(first_seq ‖ last_seq ‖ count ‖ reason))`, carried through the
 //! standard binding-digest signature over the receipt payload). The receipt
-//! rides the normal deposit path — same encoding, same store, same chain —
+//! rides the normal deposit path — same encoding, same store, same tree —
 //! but is **never itself shed**.
 //!
 //! The auditor recognizes receipts by the payload magic, verifies their

@@ -870,7 +870,7 @@ mod tests {
         for encoded in dh.store().encoded_records() {
             h.adopt_encoded(encoded).unwrap();
         }
-        assert_eq!(h.store().head(), dh.store().head());
+        assert_eq!(h.store().tree_head(), dh.store().tree_head());
         assert!(matches!(
             h.adopt_encoded(vec![0xFF; 3]),
             Err(LogError::Malformed(_))
@@ -878,7 +878,7 @@ mod tests {
         spawned.server.kill();
         mem.crash();
         let respawned = LogServer::try_spawn_durable(KeyRegistry::new(), &config).unwrap();
-        assert_eq!(respawned.server.handle().store().head(), dh.store().head());
+        assert_eq!(respawned.server.handle().store().tree_head(), dh.store().tree_head());
     }
 
     #[test]

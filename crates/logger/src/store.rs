@@ -1,49 +1,39 @@
-//! Append-only, hash-chained log storage.
+//! Append-only, tamper-evident log storage.
 //!
 //! The paper assumes a tamper-evident logging mechanism protects log
-//! integrity (§II-A, citing hash-chain schemes). Each appended record
-//! extends a chain `c_i = h(c_{i-1} ‖ record_i)`; any later modification of
-//! a stored record is detected by [`LogStore::verify_chain`].
+//! integrity (§II-A). The store keeps **one** commitment over its records:
+//! each record's leaf digest `sha256(encoded)` and the RFC 6962 Merkle tree
+//! over those digests, extended together on append — the only place a
+//! record is hashed. The tree answers the root, inclusion and consistency
+//! proofs of any earlier size ([`LogStore::root_at`],
+//! [`LogStore::prove_at`], [`LogStore::prove_consistency_at`]); the head of
+//! the log is `(size, root)` ([`LogStore::tree_head`], DESIGN §3.12). A
+//! record rewritten in storage no longer hashes to its committed digest,
+//! which [`LogStore::verify_chain`] reports by index.
 
 use crate::entry::LogEntry;
 use crate::merkle::{ConsistencyProof, InclusionProof, MerkleTree};
 use crate::LogError;
-use adlp_crypto::sha256::{Digest, Sha256};
+use adlp_crypto::sha256::Digest;
 use parking_lot::RwLock;
 use std::sync::Arc;
 
 /// Evidence that the store was tampered with.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TamperEvidence {
-    /// Index of the first record whose chain value does not verify.
+    /// Index of the first record whose bytes do not hash to its committed
+    /// digest.
     pub first_bad_index: usize,
 }
 
 impl std::fmt::Display for TamperEvidence {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "hash chain broken at record {}", self.first_bad_index)
+        write!(f, "record {} does not match its committed digest", self.first_bad_index)
     }
 }
 
-#[derive(Debug, Clone)]
-struct Record {
-    encoded: Vec<u8>,
-    chain: Digest,
-}
-
-/// The genesis chain value (hash of a fixed tag).
-fn genesis() -> Digest {
-    adlp_crypto::sha256(b"adlp-log-store-genesis")
-}
-
-fn chain_step(prev: &Digest, encoded: &[u8]) -> Digest {
-    let mut h = Sha256::new();
-    h.update(prev.as_bytes());
-    h.update(encoded);
-    h.finalize()
-}
-
-/// Thread-safe append-only log store with a tamper-evident hash chain.
+/// Thread-safe append-only log store with a tamper-evident Merkle
+/// commitment.
 ///
 /// # Example
 ///
@@ -64,43 +54,15 @@ pub struct LogStore {
     inner: Arc<RwLock<Inner>>,
 }
 
-/// The records and, under the same lock, the Merkle state over a prefix of
-/// them.
-///
-/// The Merkle state is extended **lazily**: appending hashes nothing beyond
-/// the chain step, and whoever first asks for a root or proof at some size
-/// hashes the records between the watermark (`digests.len()`) and that size
-/// — each record once, ever. A store that never serves a head pays nothing.
+/// The records and, under the same lock, their commitment: always exactly
+/// one digest and one tree leaf per record.
 #[derive(Debug, Default)]
 struct Inner {
-    records: Vec<Record>,
-    /// `sha256(encoded)` of the first `digests.len()` records.
+    records: Vec<Vec<u8>>,
+    /// `sha256(encoded)` of each record as appended.
     digests: Vec<Digest>,
-    /// Tree over `digests` (`tree.leaf_count() == digests.len()`).
+    /// Tree over `digests`.
     tree: MerkleTree,
-}
-
-impl Inner {
-    fn head(&self) -> Digest {
-        self.records.last().map_or_else(genesis, |r| r.chain)
-    }
-
-    /// Extends the Merkle state to cover the first `size` records (all of
-    /// them when `size` exceeds the record count).
-    fn catch_up(&mut self, size: usize) {
-        let pending = self.records.iter().take(size).skip(self.digests.len());
-        for record in pending {
-            let digest = adlp_crypto::sha256(&record.encoded);
-            self.tree.push(&digest);
-            self.digests.push(digest);
-        }
-    }
-
-    /// Drops the Merkle state from record `index` on.
-    fn forget_from(&mut self, index: usize) {
-        self.digests.truncate(index);
-        self.tree.truncate(index);
-    }
 }
 
 impl LogStore {
@@ -116,9 +78,11 @@ impl LogStore {
 
     /// Appends an already-encoded entry; returns its index.
     pub fn append_encoded(&self, encoded: Vec<u8>) -> usize {
+        let digest = adlp_crypto::sha256(&encoded);
         let mut inner = self.inner.write();
-        let chain = chain_step(&inner.head(), &encoded);
-        inner.records.push(Record { encoded, chain });
+        inner.tree.push(&digest);
+        inner.digests.push(digest);
+        inner.records.push(encoded);
         inner.records.len() - 1
     }
 
@@ -139,7 +103,7 @@ impl LogStore {
             .read()
             .records
             .iter()
-            .map(|r| r.encoded.len() as u64)
+            .map(|r| r.len() as u64)
             .sum()
     }
 
@@ -155,7 +119,7 @@ impl LogStore {
             .records
             .get(index)
             .ok_or(LogError::NoSuchEntry(index))?;
-        LogEntry::decode(&r.encoded)
+        LogEntry::decode(r)
     }
 
     /// Decodes every record (skipping undecodable ones is the caller's
@@ -165,73 +129,43 @@ impl LogStore {
             .read()
             .records
             .iter()
-            .map(|r| LogEntry::decode(&r.encoded))
+            .map(|r| LogEntry::decode(r))
             .collect()
-    }
-
-    /// The chain head (commitment over the whole log so far).
-    pub fn head(&self) -> Digest {
-        self.inner.read().head()
     }
 
     /// Copies of the raw encoded records, in order (used by persistence).
     pub fn encoded_records(&self) -> Vec<Vec<u8>> {
-        self.inner
-            .read()
-            .records
-            .iter()
-            .map(|r| r.encoded.clone())
-            .collect()
-    }
-
-    /// Runs `f` on the store with its Merkle state covering (at least) the
-    /// first `size` records, everything under one lock acquisition. The
-    /// write lock is only taken when there is catching up to do.
-    fn with_merkle<R>(&self, size: usize, f: impl FnOnce(&Inner) -> R) -> R {
-        {
-            let inner = self.inner.read();
-            if inner.digests.len() >= size.min(inner.records.len()) {
-                return f(&inner);
-            }
-        }
-        let mut inner = self.inner.write();
-        inner.catch_up(size);
-        f(&inner)
+        self.inner.read().records.clone()
     }
 
     /// Hashes of each encoded record, in order (leaves for the Merkle
     /// commitment).
     pub fn record_hashes(&self) -> Vec<Digest> {
-        self.with_merkle(usize::MAX, |inner| inner.digests.clone())
+        self.inner.read().digests.clone()
     }
 
-    /// The record count and the Merkle root over exactly that many records
-    /// (`None` for an empty store), read at one instant — what a signed
-    /// tree head commits to.
+    /// The head of the log: the record count and the Merkle root over
+    /// exactly that many records (`None` for an empty store), read at one
+    /// instant — what a signed tree head or a replica attestation commits
+    /// to.
     pub fn tree_head(&self) -> (usize, Option<Digest>) {
-        self.with_merkle(usize::MAX, |inner| (inner.records.len(), inner.tree.root()))
-    }
-
-    /// The Merkle root over every stored record (`None` for an empty
-    /// store).
-    pub fn merkle_root(&self) -> Option<Digest> {
-        self.tree_head().1
+        let inner = self.inner.read();
+        (inner.records.len(), inner.tree.root())
     }
 
     /// The Merkle root over the first `size` records. `None` for size 0 or
     /// a size the store has not reached.
     pub fn root_at(&self, size: usize) -> Option<Digest> {
-        self.with_merkle(size, |inner| inner.tree.root_at(size))
+        self.inner.read().tree.root_at(size)
     }
 
     /// The hash of record `index` and its inclusion proof under the root of
     /// the first `size` records. `None` when `index >= size` or the store
     /// has not reached `size`.
     pub fn prove_at(&self, index: usize, size: usize) -> Option<(Digest, InclusionProof)> {
-        self.with_merkle(size, |inner| {
-            let proof = inner.tree.prove_at(index, size)?;
-            Some((*inner.digests.get(index)?, proof))
-        })
+        let inner = self.inner.read();
+        let proof = inner.tree.prove_at(index, size)?;
+        Some((*inner.digests.get(index)?, proof))
     }
 
     /// Consistency proof that the first `new_size` records extend the first
@@ -242,43 +176,43 @@ impl LogStore {
         old_size: usize,
         new_size: usize,
     ) -> Option<ConsistencyProof> {
-        self.with_merkle(new_size, |inner| {
-            inner.tree.prove_consistency_at(old_size, new_size)
-        })
+        self.inner
+            .read()
+            .tree
+            .prove_consistency_at(old_size, new_size)
     }
 
     /// Copies of the raw encoded records together with the Merkle root over
-    /// exactly those records, read at one instant (a snapshot's content).
-    pub(crate) fn encoded_records_and_root(&self) -> (Vec<Vec<u8>>, Option<Digest>) {
-        self.with_merkle(usize::MAX, |inner| {
-            let records = inner.records.iter().map(|r| r.encoded.clone()).collect();
-            (records, inner.tree.root())
-        })
+    /// exactly those records, read at one instant (a snapshot's content, a
+    /// replica's contribution to its shard view).
+    pub fn encoded_records_and_root(&self) -> (Vec<Vec<u8>>, Option<Digest>) {
+        let inner = self.inner.read();
+        (inner.records.clone(), inner.tree.root())
     }
 
-    /// Recomputes the whole chain and checks every stored chain value.
+    /// Re-hashes every record and compares it with the digest committed
+    /// when it was appended.
     ///
     /// # Errors
     ///
     /// Returns the index of the first mismatching record.
     pub fn verify_chain(&self) -> Result<(), TamperEvidence> {
         let inner = self.inner.read();
-        let mut prev = genesis();
-        for (i, r) in inner.records.iter().enumerate() {
-            let expect = chain_step(&prev, &r.encoded);
-            if expect != r.chain {
-                return Err(TamperEvidence { first_bad_index: i });
-            }
-            prev = r.chain;
+        match inner
+            .records
+            .iter()
+            .zip(&inner.digests)
+            .position(|(record, digest)| adlp_crypto::sha256(record) != *digest)
+        {
+            Some(first_bad_index) => Err(TamperEvidence { first_bad_index }),
+            None => Ok(()),
         }
-        Ok(())
     }
 
-    /// Truncates the store back to `len` records, undoing later appends.
-    /// Chain values of the surviving prefix are untouched (they were never
-    /// a function of the removed suffix). Used by cluster catch-up to back
-    /// out an adoption that raced a concurrent deposit — never by the
-    /// normal append path, which stays append-only.
+    /// Truncates the store back to `len` records, undoing later appends;
+    /// records, digests and tree shrink together. Used by cluster catch-up
+    /// to back out an adoption that raced a concurrent deposit — never by
+    /// the normal append path, which stays append-only.
     ///
     /// This truncates the **in-memory** store only. A durable server must
     /// roll back via [`crate::LoggerHandle::rollback_to`], which also
@@ -296,12 +230,15 @@ impl LogStore {
             return Err(LogError::NoSuchEntry(len));
         }
         inner.records.truncate(len);
-        inner.forget_from(len);
+        inner.digests.truncate(len);
+        inner.tree.truncate(len);
         Ok(())
     }
 
     /// Test/forensics helper: overwrite the raw bytes of a record *without*
-    /// updating the chain, simulating an attacker with storage access.
+    /// touching its committed digest or the tree, simulating an attacker
+    /// with storage access. Roots and proofs keep describing what was
+    /// acknowledged; [`LogStore::verify_chain`] names the rewritten index.
     #[doc(hidden)]
     pub fn tamper_with_record(&self, index: usize, new_bytes: Vec<u8>) -> Result<(), LogError> {
         let mut inner = self.inner.write();
@@ -309,9 +246,7 @@ impl LogStore {
             .records
             .get_mut(index)
             .ok_or(LogError::NoSuchEntry(index))?;
-        r.encoded = new_bytes;
-        // Roots and proofs keep describing the bytes actually stored.
-        inner.forget_from(index);
+        *r = new_bytes;
         Ok(())
     }
 }
@@ -345,21 +280,13 @@ mod tests {
     }
 
     #[test]
-    fn chain_verifies_when_untouched() {
-        let store = LogStore::new();
-        for i in 0..50 {
-            store.append(&entry(i));
-        }
-        assert!(store.verify_chain().is_ok());
-    }
-
-    #[test]
     fn tampering_any_record_is_detected() {
         for victim in [0usize, 5, 19] {
             let store = LogStore::new();
             for i in 0..20 {
                 store.append(&entry(i));
             }
+            assert!(store.verify_chain().is_ok());
             let mut bytes = entry(victim as u64).encode();
             // Flip one payload byte.
             let n = bytes.len();
@@ -375,15 +302,16 @@ mod tests {
     }
 
     #[test]
-    fn head_changes_with_every_append() {
+    fn tree_head_changes_with_every_append() {
         let store = LogStore::new();
-        let h0 = store.head();
+        assert_eq!(store.tree_head(), (0, None));
         store.append(&entry(1));
-        let h1 = store.head();
+        let (n1, r1) = store.tree_head();
         store.append(&entry(2));
-        let h2 = store.head();
-        assert_ne!(h0, h1);
-        assert_ne!(h1, h2);
+        let (n2, r2) = store.tree_head();
+        assert_eq!((n1, n2), (1, 2));
+        assert_ne!(r1, r2);
+        assert_eq!(store.root_at(1), r1, "an earlier head stays answerable");
     }
 
     #[test]
@@ -397,13 +325,14 @@ mod tests {
     }
 
     #[test]
-    fn identical_entries_get_distinct_chain_values() {
+    fn identical_entries_get_distinct_roots() {
         let store = LogStore::new();
         let e = entry(1);
         store.append(&e);
         store.append(&e);
         let records = store.record_hashes();
         assert_eq!(records[0], records[1]); // same content hash
-        assert!(store.verify_chain().is_ok()); // but chain still advances
+        assert_ne!(store.root_at(1), store.root_at(2)); // but the root advances
+        assert!(store.verify_chain().is_ok());
     }
 }

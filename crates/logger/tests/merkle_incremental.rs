@@ -1,5 +1,5 @@
-//! Differential suite for the appendable Merkle tree and the lazy Merkle
-//! state inside `LogStore`: every root and proof served from cached
+//! Differential suite for the appendable Merkle tree and the Merkle state
+//! inside `LogStore`: every root and proof served from cached
 //! subtree nodes must be **byte-identical** to RFC 6962 §2.1 computed
 //! straight from the leaves, at every size — signed tree heads, snapshot
 //! roots and light-client proofs all hang off these bytes.
@@ -232,7 +232,7 @@ proptest! {
     }
 }
 
-// ---- the lazy Merkle state inside `LogStore` ----
+// ---- the Merkle state inside `LogStore` ----
 
 fn record(i: usize, tag: &str) -> Vec<u8> {
     format!("{tag}-record-{i}").into_bytes()
@@ -264,20 +264,18 @@ fn check_store_at(store: &LogStore, size: usize) {
 }
 
 #[test]
-fn store_catches_up_lazily_across_interleaved_appends() {
+fn store_serves_every_size_across_interleaved_appends() {
     let store = LogStore::new();
     assert_eq!(store.tree_head(), (0, None));
-    assert_eq!(store.merkle_root(), None);
     let mut appended = 0;
-    // Ask at sizes below, at and (after more appends) above where the
-    // previous question left the watermark.
+    // Ask at sizes below, at and (after more appends) above the previous
+    // question.
     for (grow_to, ask) in [(10, 7), (15, 14), (15, 3), (40, 40), (41, 41), (100, 64)] {
         while appended < grow_to {
             store.append_encoded(record(appended, "a"));
             appended += 1;
         }
         check_store_at(&store, ask);
-        // Nothing asked about the tail yet; the chain is still all append paid.
         assert!(store.verify_chain().is_ok());
     }
     let all = stored_leaves(&store);
@@ -313,7 +311,7 @@ fn rollback_then_divergent_reappend_serves_the_new_history() {
         store.append_encoded(record(i, "a"));
     }
     let before = store.root_at(30).expect("30 records");
-    check_store_at(&store, 50); // watermark at 50
+    check_store_at(&store, 50);
     store.rollback_to(30).unwrap();
     assert_eq!(store.tree_head(), (30, Some(before)));
     assert!(store.root_at(31).is_none());
@@ -328,7 +326,7 @@ fn rollback_then_divergent_reappend_serves_the_new_history() {
     for size in [31, 50, 60] {
         check_store_at(&store, size);
     }
-    // Rolling back to above the watermark leaves the Merkle state alone.
+    // Rolling back to above a size asked about earlier.
     let store = LogStore::new();
     for i in 0..20 {
         store.append_encoded(record(i, "a"));
@@ -339,35 +337,28 @@ fn rollback_then_divergent_reappend_serves_the_new_history() {
 }
 
 #[test]
-fn tampering_below_and_above_the_watermark_shows_in_every_later_answer() {
+fn a_rewrite_anywhere_leaves_every_root_and_proof_and_is_named_by_index() {
     let store = LogStore::new();
     for i in 0..20 {
         store.append_encoded(record(i, "a"));
     }
-    let honest_10 = store.root_at(10).expect("10 records"); // watermark at 10
-    let honest_all = oracle::mth(&stored_leaves(&store));
-
-    // Above the watermark: not hashed yet, so the forged bytes are simply
-    // what gets hashed.
-    store
-        .tamper_with_record(15, b"forged above".to_vec())
-        .unwrap();
-    assert_eq!(store.root_at(10), Some(honest_10));
-    assert_ne!(store.merkle_root(), Some(honest_all));
-    check_store_at(&store, 20);
-
-    // Below it: the cached digests from that record on are dropped.
-    store
-        .tamper_with_record(3, b"forged below".to_vec())
-        .unwrap();
-    assert_ne!(store.root_at(10), Some(honest_10));
-    assert_eq!(
-        store.root_at(3),
-        Some(oracle::mth(&stored_leaves(&store)[..3]))
-    );
-    check_store_at(&store, 10);
-    check_store_at(&store, 20);
-    assert_eq!(store.verify_chain().unwrap_err().first_bad_index, 3);
+    let honest = stored_leaves(&store);
+    let roots = |store: &LogStore| (1..=20).map(|n| store.root_at(n)).collect::<Vec<_>>();
+    let acknowledged = roots(&store);
+    let root = oracle::mth(&honest);
+    for victim in [15, 3] {
+        store.tamper_with_record(victim, b"forged".to_vec()).unwrap();
+        // The commitment keeps describing what was acknowledged …
+        assert_eq!(roots(&store), acknowledged, "victim={victim}");
+        assert_eq!(store.record_hashes(), honest);
+        let (leaf, proof) = store.prove_at(victim, 20).expect("in range");
+        assert_eq!(leaf, honest[victim]);
+        assert!(MerkleTree::verify(&root, 20, &leaf, &proof));
+        // … so the rewritten bytes fail an inclusion check against it,
+        assert!(!MerkleTree::verify(&root, 20, &sha256(b"forged"), &proof));
+        // and re-hashing the records names the first rewritten one.
+        assert_eq!(store.verify_chain().unwrap_err().first_bad_index, victim);
+    }
 }
 
 #[test]

@@ -780,8 +780,9 @@ impl ReplicaSink for Lane {
 
 /// One shard's tree-head endpoints: the true one over replica 0's store,
 /// and the one the last `f` witnesses are shown — a mirror that, once the
-/// plan forks it, differs in one record: same length, same signing key,
-/// the lie only split-view detection can catch.
+/// plan forks it, commits to a history differing in one record: same
+/// length, same signing key, another root — the lie only split-view
+/// detection can catch.
 struct ShardHead {
     store: LogStore,
     honest: Arc<SthPublisher>,
@@ -811,18 +812,15 @@ impl ShardHead {
         }
     }
 
-    /// Rewrites the middle record of the history the minority is shown
-    /// (the first record to come, on an empty log).
+    /// Re-commits the history the minority is shown with its middle record
+    /// rewritten (the first record to come, on an empty log): the mirror
+    /// rolls back to it and [`ShardHead::sync`] re-appends the forgery.
     fn fork(&mut self) -> Result<(), Stop> {
         let at = self.mirror.len() / 2;
         self.forked_at = Some(at);
-        match at < self.mirror.len() {
-            true => self
-                .mirror
-                .tamper_with_record(at, FORGED_RECORD.to_vec())
-                .map_err(harness("fork")),
-            false => Ok(()),
-        }
+        self.mirror.rollback_to(at).map_err(harness("fork"))?;
+        self.sync();
+        Ok(())
     }
 }
 
@@ -1744,7 +1742,8 @@ pub fn judge(expect: &Expect, out: &ChaosOutcome) -> Result<(), Breach> {
         count("light.sth_verify_failures"),
     )?;
 
-    // (2) Acked means kept, in order, on verifying chains — Lemmas 2 and 4.
+    // (2) Acked means kept, in order, in stores whose records match their
+    // committed digests — Lemmas 2 and 4.
     for (shard, acked) in run.acked.iter().enumerate() {
         let log = out.view.shards.get(shard).map_or(&[][..], |s| &s.records);
         acked_in_order(shard, acked, log)?;
@@ -1753,7 +1752,7 @@ pub fn judge(expect: &Expect, out: &ChaosOutcome) -> Result<(), Breach> {
                 return Err(Breach::new(
                     2,
                     format!(
-                        "replica ({shard}, {}) holds a broken hash chain",
+                        "replica ({shard}, {}) holds a record that does not match its commitment",
                         slot.index()
                     ),
                 ));

@@ -163,7 +163,7 @@ impl ScenarioReport {
     /// lost, and the nodes' pipelines deposited what the loggers acked;
     /// (2) every shard's quorum log holds at least the entries acked to it
     /// (a count: the ack *stream* is not observable here), and a single
-    /// logger's hash chain verifies; (3) the entry-level audit convicts no
+    /// logger's records match their committed digests; (3) the entry-level audit convicts no
     /// node of anything but evidence loss (see
     /// [`audit_convicts_evidence_loss_only`]) and the cluster audit convicts
     /// exactly `expect` — a single-logger run has no replica or witnessed
@@ -194,7 +194,7 @@ impl ScenarioReport {
             if self.logger.store().verify_chain().is_err() {
                 return Err(Breach {
                     clause: 2,
-                    detail: "the logger's hash chain is broken".into(),
+                    detail: "the logger holds a record that does not match its commitment".into(),
                 });
             }
             nodes_cleared(&self.audit())?;

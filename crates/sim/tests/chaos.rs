@@ -9,12 +9,32 @@
 //! its plan.
 
 use adlp_cluster::epoch::shard_log_id;
-use adlp_cluster::{AttestationScope, ClusterConfig, ReplicaDivergence, ReplicaStatus};
+use adlp_cluster::{
+    empty_shard_root, AttestationScope, ClusterConfig, ReplicaDivergence, ReplicaStatus,
+};
+use adlp_crypto::sha256::{sha256, Digest};
+use adlp_logger::merkle::MerkleTree;
 use adlp_sim::chaos::{acked_in_order, judge, plan, run_chaos, ChaosPlan, Snapshot, SEEDS};
 use adlp_sim::{ChaosFailure, ChaosLink, ChaosOutcome, Expect, Fault};
 
+/// The oracle for a shard root: rebuilt from scratch over the quorum log's
+/// bytes, where the view reads it from the winning store's tree.
+fn rebuilt_root(records: &[Vec<u8>]) -> Digest {
+    let leaves: Vec<Digest> = records.iter().map(|r| sha256(r)).collect();
+    MerkleTree::build(&leaves).root().unwrap_or_else(empty_shard_root)
+}
+
 fn run(name: &str, seed: u64, link: ChaosLink) -> ChaosOutcome {
-    run_chaos(&plan(name, seed, link)).unwrap_or_else(|failure| panic!("{failure}"))
+    let out = run_chaos(&plan(name, seed, link)).unwrap_or_else(|failure| panic!("{failure}"));
+    for shard in &out.view.shards {
+        assert_eq!(
+            shard.root,
+            rebuilt_root(&shard.records),
+            "{name} seed {seed} {link:?}: shard {} root",
+            shard.shard
+        );
+    }
+    out
 }
 
 /// Runs the row on every seed, handing each outcome to `facts` with a

@@ -36,7 +36,7 @@ fn main() {
         .logger
         .store()
         .verify_chain()
-        .expect("tamper-evident chain intact");
+        .expect("records match their commitment");
 
     println!("\n-- audit --");
     let audit = report.audit();

@@ -1,7 +1,7 @@
 //! Tamper-evidence demo: components log over a real TCP connection to the
 //! trusted logger; the investigator takes a Merkle commitment, proves one
 //! entry's inclusion, and then a storage-level attacker rewrites a record —
-//! which the hash chain pinpoints.
+//! which no longer matches the store's Merkle commitment, by index.
 //!
 //! ```text
 //! cargo run --release --example tamper_evidence
@@ -34,15 +34,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     while handle.store().len() < 10 {
         std::thread::sleep(Duration::from_millis(5));
     }
-    println!("stored {} entries, chain head {}", handle.store().len(), handle.store().head());
-
-    // Investigator: take a Merkle commitment and an inclusion proof.
+    // Investigator: take the tree head (size, Merkle root) and an
+    // inclusion proof.
     let (size, root) = handle.store().tree_head();
     let root = root.expect("non-empty log");
+    println!("stored {size} entries, tree head (size {size}, root {root})");
     let (leaf, proof) = handle.store().prove_at(4, size).expect("leaf exists");
     assert!(MerkleTree::verify(&root, size, &leaf, &proof));
     println!(
-        "merkle root {root} commits to all {size} entries; inclusion of entry 4 proven with {} siblings",
+        "inclusion of entry 4 under the tree head proven with {} siblings",
         proof.siblings.len()
     );
 
@@ -50,7 +50,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut forged = handle.store().entry(4)?.encode();
     let n = forged.len();
     forged[n - 1] ^= 0x01;
-    handle.store().tamper_with_record(4, forged)?;
+    handle.store().tamper_with_record(4, forged.clone())?;
+    let forged_leaf = adlp::crypto::sha256(&forged);
+    println!(
+        "rewritten entry 4 proves included under the root: {}",
+        MerkleTree::verify(&root, size, &forged_leaf, &proof)
+    );
     match handle.store().verify_chain() {
         Ok(()) => println!("UNEXPECTED: tampering not detected"),
         Err(evidence) => println!("tampering detected: {evidence}"),

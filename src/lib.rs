@@ -8,7 +8,7 @@
 //! |---|---|---|
 //! | Crypto | [`crypto`] | SHA-256, arbitrary-precision integers, RSA PKCS#1 v1.5 — all from the specifications |
 //! | Middleware | [`pubsub`] | ROS-like topics, master, in-proc + TCP transports, transport interceptors |
-//! | Trusted logger | [`logger`] | key registry, hash-chained tamper-evident store, Merkle commitments, push-only server |
+//! | Trusted logger | [`logger`] | key registry, tamper-evident store under one Merkle commitment, push-only server |
 //! | Protocol | [`core`] | signed publications, signed acks, ack gating, logging threads, unfaithful behaviors |
 //! | Auditor | [`audit`] | entry classification, dispute resolution, causality, collusion, provenance |
 //! | Simulation | [`sim`] | the paper's self-driving app graph, synthetic sensors, CPU/latency metrics |

@@ -65,7 +65,7 @@ fn tamper_evidence_and_merkle_commitment_after_real_run() {
         .run();
     let store = report.logger.store();
     assert!(store.len() > 4);
-    store.verify_chain().expect("chain intact");
+    store.verify_chain().expect("records intact");
 
     // Commit to the log and prove one record's inclusion.
     let (size, root) = store.tree_head();
@@ -73,7 +73,8 @@ fn tamper_evidence_and_merkle_commitment_after_real_run() {
     let (leaf, proof) = store.prove_at(idx, size).unwrap();
     assert!(MerkleTree::verify(&root.unwrap(), size, &leaf, &proof));
 
-    // Tamper with a stored record: the chain breaks at exactly that index.
+    // Tamper with a stored record: it no longer matches its committed
+    // digest, and verification names exactly that index.
     store
         .tamper_with_record(idx, b"forged bytes".to_vec())
         .unwrap();

@@ -18,7 +18,7 @@ fn self_driving_soak_faithful() {
     assert!(report.node_stats["actuator"].received >= 5);
     // The logger holds a consistent, tamper-evident record.
     assert!(report.store_len > 50);
-    report.logger.store().verify_chain().expect("chain intact");
+    report.logger.store().verify_chain().expect("records intact");
     // The audit is clean.
     let audit = report.audit();
     assert!(
