@@ -1,7 +1,14 @@
-//! Montgomery modular multiplication (CIOS) and windowed exponentiation.
+//! Montgomery modular multiplication (fused CIOS) and fixed-window
+//! exponentiation.
 
 use super::BigUint;
 use crate::CryptoError;
+
+#[cfg(test)]
+thread_local! {
+    /// Montgomery products computed on this thread, for the cost tests.
+    static PRODUCTS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
 
 /// Precomputed context for Montgomery arithmetic modulo an odd modulus.
 ///
@@ -66,62 +73,64 @@ impl Montgomery {
         &self.n_big
     }
 
-    /// CIOS Montgomery product of two fully-reduced, `s`-limb operands.
-    /// Returns `a·b·R^{-1} mod n` as `s` limbs.
+    /// The one Montgomery product: writes `a·b·R^{-1} mod n` into `out`.
+    /// All three are `s`-limb slices and `a, b < n`.
     ///
-    /// The accumulator is the `s` limbs of `t` plus two scalar high limbs
-    /// (`t_hi`, `t_hi2`), so every limb access is a zip over slices of equal
-    /// length — no index arithmetic, nothing to go out of range.
-    fn mont_mul(&self, a: &[u64], b: &[u64]) -> Vec<u64> {
-        let s = self.n.len();
-        debug_assert!(a.len() == s && b.len() == s);
-        let mut t = vec![0u64; s];
-        let mut t_hi = 0u64; // accumulator limb s
-        let mut t_hi2 = 0u64; // accumulator limb s+1
+    /// Each limb `ai` of `a` takes one pass over `b` and `n` with two
+    /// independent carry chains: `t + ai·b`, and `+ m·n` where `m` makes the
+    /// low limb vanish. The pass stores limb `j` of the sum into limb `j−1`
+    /// of `out`, so the division by 2^64 is the write offset; `t_hi` is
+    /// accumulator limb `s`. Every access is a zip or a split, nothing
+    /// allocates.
+    pub(crate) fn mont_mul(&self, out: &mut [u64], a: &[u64], b: &[u64]) {
+        debug_assert!(out.len() == self.n.len() && a.len() == out.len() && b.len() == out.len());
+        #[cfg(test)]
+        PRODUCTS.with(|count| count.set(count.get() + 1));
+        out.fill(0);
+        let (Some((&b0, b_rest)), Some((&n0, n_rest))) = (b.split_first(), self.n.split_first())
+        else {
+            return;
+        };
+        let mut t_hi = 0u64;
         for &ai in a {
-            // t += ai * b
-            let mut carry = 0u128;
-            for (tj, &bj) in t.iter_mut().zip(b.iter()) {
-                let sum = u128::from(*tj) + u128::from(ai) * u128::from(bj) + carry;
-                *tj = sum as u64;
-                carry = sum >> 64;
+            let Some((t0, t_rest)) = out.split_first_mut() else {
+                return;
+            };
+            let ab = u128::from(*t0) + u128::from(ai) * u128::from(b0);
+            let m = (ab as u64).wrapping_mul(self.n0inv);
+            let mn = u128::from(ab as u64) + u128::from(m) * u128::from(n0);
+            let (mut carry_ab, mut carry_mn) = (ab >> 64, mn >> 64);
+            let mut prev = t0;
+            for ((tj, &bj), &nj) in t_rest.iter_mut().zip(b_rest).zip(n_rest) {
+                let ab = u128::from(*tj) + u128::from(ai) * u128::from(bj) + carry_ab;
+                let mn = u128::from(ab as u64) + u128::from(m) * u128::from(nj) + carry_mn;
+                *prev = mn as u64;
+                (carry_ab, carry_mn) = (ab >> 64, mn >> 64);
+                prev = tj;
             }
-            let sum = u128::from(t_hi) + carry;
-            t_hi = sum as u64;
-            t_hi2 += (sum >> 64) as u64;
-
-            // m chosen so that (t + m·n) ≡ 0 mod 2^64: add m·n aligned
-            // (forcing the low limb to zero), then shift down one limb.
-            let m = t.first().map_or(0, |&t0| t0.wrapping_mul(self.n0inv));
-            let mut carry = 0u128;
-            for (tj, &nj) in t.iter_mut().zip(self.n.iter()) {
-                let sum = u128::from(*tj) + u128::from(m) * u128::from(nj) + carry;
-                *tj = sum as u64;
-                carry = sum >> 64;
-            }
-            let sum = u128::from(t_hi) + carry;
-            // Divide by 2^64: rotate the zeroed low limb out and replace it
-            // with what was accumulator limb s.
-            t.rotate_left(1);
-            if let Some(top) = t.last_mut() {
-                *top = sum as u64;
-            }
-            t_hi = t_hi2 + (sum >> 64) as u64;
-            t_hi2 = 0;
+            let top = u128::from(t_hi) + carry_ab + carry_mn;
+            *prev = top as u64;
+            t_hi = (top >> 64) as u64;
         }
         // Final conditional subtraction: result < 2n at this point, so one
         // subtraction of n cancels the high limb and fits in s limbs.
-        if t_hi != 0 || cmp_limbs(&t, &self.n) != std::cmp::Ordering::Less {
-            let _borrow = super::arith::sub_limbs_in_place(&mut t, &self.n);
+        if t_hi != 0 || cmp_limbs(out, &self.n) != std::cmp::Ordering::Less {
+            let _borrow = super::arith::sub_limbs_in_place(out, &self.n);
         }
-        t
+    }
+
+    /// `a mod n` as `s` limbs.
+    fn reduced(&self, a: &BigUint) -> Vec<u64> {
+        let mut limbs = a.rem_internal(&self.n_big).limbs;
+        limbs.resize(self.n.len(), 0);
+        limbs
     }
 
     /// Converts to Montgomery form (`a·R mod n`).
-    fn to_mont(&self, a: &BigUint) -> Vec<u64> {
-        let mut reduced = a.rem_internal(&self.n_big).limbs;
-        reduced.resize(self.n.len(), 0);
-        self.mont_mul(&reduced, &self.r2)
+    pub(crate) fn to_mont(&self, a: &BigUint) -> Vec<u64> {
+        let mut out = vec![0u64; self.n.len()];
+        self.mont_mul(&mut out, &self.reduced(a), &self.r2);
+        out
     }
 
     /// Converts out of Montgomery form (named for symmetry with `to_mont`,
@@ -132,74 +141,89 @@ impl Montgomery {
         if let Some(low) = one.first_mut() {
             *low = 1;
         }
-        BigUint::from_limbs(self.mont_mul(a, &one))
+        let mut out = vec![0u64; self.n.len()];
+        self.mont_mul(&mut out, a, &one);
+        BigUint::from_limbs(out)
     }
 
-    /// `(a * b) mod n` through a Montgomery round-trip.
+    /// `(a * b) mod n` in two products: `a·b·R^{-1}`, then times `R^2`.
     pub fn mul(&self, a: &BigUint, b: &BigUint) -> BigUint {
-        let am = self.to_mont(a);
-        let bm = self.to_mont(b);
-        self.from_mont(&self.mont_mul(&am, &bm))
+        let (a, b) = (self.reduced(a), self.reduced(b));
+        let mut ab = vec![0u64; self.n.len()];
+        self.mont_mul(&mut ab, &a, &b);
+        let mut out = a;
+        self.mont_mul(&mut out, &ab, &self.r2);
+        BigUint::from_limbs(out)
     }
 
-    /// `base^exp mod n` using a 4-bit fixed window.
+    /// `base^exp mod n`, left to right over fixed windows.
+    ///
+    /// Exponents of at most 64 bits (the public `e`, Miller–Rabin's `d` for
+    /// small candidates) use 1-bit windows: plain square-and-multiply by
+    /// the base, no table. Longer ones (the secret CRT exponents) use 4-bit
+    /// windows over a table of `base^1 ..= base^15`. The accumulator,
+    /// scratch and table are allocated once per call.
     pub fn mod_pow(&self, base: &BigUint, exp: &BigUint) -> BigUint {
-        if exp.is_zero() {
-            return BigUint::one().rem_internal(&self.n_big);
-        }
-        let base_m = self.to_mont(base);
-        // table[i] = base^i in Montgomery form
-        let mut table = Vec::with_capacity(16);
-        let mut one = vec![0u64; self.n.len()];
-        if let Some(low) = one.first_mut() {
-            *low = 1;
-        }
-        table.push(self.mont_mul(&one, &self.r2)); // R mod n == mont(1)
-        table.push(base_m.clone());
-        while table.len() < 16 {
-            let next = match table.last() {
-                Some(prev) => self.mont_mul(prev, &base_m),
-                None => break,
-            };
-            table.push(next);
-        }
+        self.from_mont(&self.pow_mont(base, exp))
+    }
 
+    /// [`Self::mod_pow`] with the result left in Montgomery form.
+    pub(crate) fn pow_mont(&self, base: &BigUint, exp: &BigUint) -> Vec<u64> {
         let bits = exp.bits();
-        let windows = bits.div_ceil(4);
-        // window_at yields 0..=15 and the table holds 16 entries, so the
-        // lookups always hit; the fallbacks only keep the accesses total.
-        let mut acc = table
-            .get(window_at(exp, windows - 1))
-            .cloned()
+        if bits == 0 {
+            return self.to_mont(&BigUint::one());
+        }
+        let s = self.n.len();
+        let width = if bits <= 64 { 1 } else { 4 };
+        // table[d − 1] = base^d in Montgomery form, d = 1 .. 2^width.
+        let mut table = self.to_mont(base);
+        table.resize(((1 << width) - 1) * s, 0);
+        let (first, rest) = table.split_at_mut(s);
+        let base_m: &[u64] = first;
+        let mut prev = base_m;
+        for slot in rest.chunks_exact_mut(s) {
+            self.mont_mul(slot, prev, base_m);
+            prev = slot;
+        }
+        let entry = |digit: usize| {
+            digit
+                .checked_sub(1)
+                .and_then(|i| table.chunks_exact(s).nth(i))
+        };
+
+        let windows = bits.div_ceil(width);
+        // The top window holds the top bit, so its digit is never zero and
+        // the lookup always hits; the fallback only keeps the access total.
+        let mut acc = entry(window_at(exp, windows - 1, width))
+            .map(<[u64]>::to_vec)
             .unwrap_or_default();
+        let mut scratch = vec![0u64; s];
         for w in (0..windows - 1).rev() {
-            for _ in 0..4 {
-                acc = self.mont_mul(&acc, &acc);
+            for _ in 0..width {
+                self.mont_mul(&mut scratch, &acc, &acc);
+                std::mem::swap(&mut acc, &mut scratch);
             }
-            let digit = window_at(exp, w);
-            if digit != 0 {
-                if let Some(entry) = table.get(digit) {
-                    acc = self.mont_mul(&acc, entry);
-                }
+            if let Some(power) = entry(window_at(exp, w, width)) {
+                self.mont_mul(&mut scratch, &acc, power);
+                std::mem::swap(&mut acc, &mut scratch);
             }
         }
-        self.from_mont(&acc)
+        acc
+    }
+
+    /// Products computed on this thread so far.
+    #[cfg(test)]
+    pub(crate) fn products() -> usize {
+        PRODUCTS.with(std::cell::Cell::get)
     }
 }
 
-/// Extracts the `w`-th 4-bit window (little-endian) of `exp`.
-fn window_at(exp: &BigUint, w: usize) -> usize {
-    let bit = w * 4;
-    let limb = bit / 64;
-    let off = bit % 64;
-    let lo = exp.limbs.get(limb).copied().unwrap_or(0) >> off;
-    let val = if off > 60 {
-        let hi = exp.limbs.get(limb + 1).copied().unwrap_or(0);
-        lo | (hi << (64 - off))
-    } else {
-        lo
-    };
-    (val & 0xf) as usize
+/// Extracts the `w`-th `width`-bit window (little-endian) of `exp`. Both
+/// widths divide 64, so a window never straddles two limbs.
+fn window_at(exp: &BigUint, w: usize, width: usize) -> usize {
+    let bit = w * width;
+    let limb = exp.limbs.get(bit / 64).copied().unwrap_or(0);
+    ((limb >> (bit % 64)) & ((1 << width) - 1)) as usize
 }
 
 fn cmp_limbs(a: &[u64], b: &[u64]) -> std::cmp::Ordering {
@@ -274,5 +298,45 @@ mod tests {
             mont.mod_pow(&base, &BigUint::from_u64(2)),
             BigUint::from_u64(9)
         );
+    }
+
+    /// Products spent by `f` on this thread.
+    fn products_of<T>(f: impl FnOnce() -> T) -> (T, usize) {
+        let before = Montgomery::products();
+        let value = f();
+        (value, Montgomery::products() - before)
+    }
+
+    #[test]
+    fn verify_at_e_65537_takes_19_products() {
+        // to_mont, 16 squarings, one multiply by the base, from_mont.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let mut m = BigUint::random_bits(1024, &mut rng);
+        m.set_bit(0);
+        let mont = Montgomery::new(&m).unwrap();
+        let s = BigUint::random_below(&m, &mut rng);
+        let e = BigUint::from_u64(65537);
+        let (v, products) = products_of(|| mont.mod_pow(&s, &e));
+        assert_eq!(products, 19);
+        assert_eq!(v, s.mod_pow_plain(&e, &m));
+    }
+
+    #[test]
+    fn long_exponents_keep_the_4_bit_window() {
+        // to_mont + 14 table products, then per window below the top 4
+        // squarings and one multiply unless its digit is 0, then from_mont.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(6);
+        let mut m = BigUint::random_bits(512, &mut rng);
+        m.set_bit(0);
+        let mont = Montgomery::new(&m).unwrap();
+        let base = BigUint::random_below(&m, &mut rng);
+        let exp = BigUint::random_bits(509, &mut rng);
+        let windows = 509usize.div_ceil(4);
+        let nonzero = (0..windows - 1)
+            .filter(|&w| window_at(&exp, w, 4) != 0)
+            .count();
+        let (v, products) = products_of(|| mont.mod_pow(&base, &exp));
+        assert_eq!(products, 1 + 14 + 4 * (windows - 1) + nonzero + 1);
+        assert_eq!(v, base.mod_pow_plain(&exp, &m));
     }
 }

@@ -48,6 +48,10 @@ pub fn is_probable_prime<R: RngCore + ?Sized>(n: &BigUint, rng: &mut R) -> bool 
 }
 
 /// Miller-Rabin with `rounds` random bases. `n` must be odd and > 2.
+///
+/// Each round stays in Montgomery form: `x ↦ x·R mod n` is a bijection on
+/// `[0, n)`, so `x = ±1` is tested on the forms and a squaring is one
+/// product.
 fn miller_rabin<R: RngCore + ?Sized>(n: &BigUint, rounds: usize, rng: &mut R) -> bool {
     let one = BigUint::one();
     let n_minus_1 = n - &one;
@@ -58,6 +62,9 @@ fn miller_rabin<R: RngCore + ?Sized>(n: &BigUint, rounds: usize, rng: &mut R) ->
     let Ok(mont) = Montgomery::new(n) else {
         return false;
     };
+    let plus_one = mont.to_mont(&one);
+    let minus_one = mont.to_mont(&n_minus_1);
+    let mut scratch = vec![0u64; minus_one.len()];
 
     let two = BigUint::from_u64(2);
     let Some(span) = n_minus_1.checked_sub(&two) else {
@@ -66,19 +73,25 @@ fn miller_rabin<R: RngCore + ?Sized>(n: &BigUint, rounds: usize, rng: &mut R) ->
     'witness: for _ in 0..rounds {
         // a ∈ [2, n-2]
         let a = &BigUint::random_below(&span, rng) + &two;
-        let mut x = mont.mod_pow(&a, &d);
-        if x.is_one() || x == n_minus_1 {
+        let mut x = mont.pow_mont(&a, &d);
+        if x == plus_one || x == minus_one {
             continue;
         }
-        for _ in 0..s - 1 {
-            x = mont.mod_pow(&x, &two);
-            if x == n_minus_1 {
+        for _ in 1..s {
+            square(&mont, &mut x, &mut scratch);
+            if x == minus_one {
                 continue 'witness;
             }
         }
         return false;
     }
     true
+}
+
+/// `x ← x² mod n` on a Montgomery form, through `scratch`.
+fn square(mont: &Montgomery, x: &mut Vec<u64>, scratch: &mut Vec<u64>) {
+    mont.mont_mul(scratch, x, x);
+    std::mem::swap(x, scratch);
 }
 
 /// Generates a random probable prime with exactly `bits` bits.
@@ -139,6 +152,20 @@ mod tests {
         for c in [561u64, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265] {
             assert!(!is_probable_prime(&BigUint::from_u64(c), &mut r), "{c}");
         }
+    }
+
+    #[test]
+    fn a_miller_rabin_squaring_is_one_product() {
+        let mut r = rng();
+        let n = random_prime(256, &mut r);
+        let mont = Montgomery::new(&n).unwrap();
+        let v = BigUint::random_below(&n, &mut r);
+        let mut x = mont.to_mont(&v);
+        let mut scratch = vec![0u64; x.len()];
+        let before = Montgomery::products();
+        square(&mont, &mut x, &mut scratch);
+        assert_eq!(Montgomery::products() - before, 1);
+        assert_eq!(x, mont.to_mont(&v.square().rem_internal(&n)));
     }
 
     #[test]

@@ -396,7 +396,7 @@ mod tests {
     #[test]
     fn crt_matches_no_crt() {
         let mut r = rng();
-        let kp = RsaKeyPair::generate(256, &mut r);
+        let kp = RsaKeyPair::generate(1024, &mut r);
         for _ in 0..10 {
             let m = BigUint::random_below(kp.public_key().modulus(), &mut r);
             assert_eq!(

@@ -185,14 +185,21 @@ impl Sha256 {
     /// Completes the hash and returns the digest, consuming the hasher.
     pub fn finalize(mut self) -> Digest {
         let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80, zeros, 8-byte big-endian bit length.
-        self.update(&[0x80]);
-        // `update` already counted the pad byte; correct at the end via bit_len.
-        while self.buffer_len != 56 {
-            self.update(&[0]);
-        }
-        self.total_len = 0; // avoid double counting; length already captured
+        // Padding: 0x80, zeros, 8-byte big-endian bit length. The buffer
+        // never holds a full block, so the 0x80 always fits; when the length
+        // does not fit behind it, the padding spills into a second block.
         let mut block = self.buffer;
+        if let Some((pad, zeros)) = block
+            .get_mut(self.buffer_len..)
+            .and_then(<[u8]>::split_first_mut)
+        {
+            *pad = 0x80;
+            zeros.fill(0);
+        }
+        if self.buffer_len >= 56 {
+            self.compress(&block);
+            block = [0u8; 64];
+        }
         if let Some(tail) = block.get_mut(56..64) {
             tail.copy_from_slice(&bit_len.to_be_bytes());
         }

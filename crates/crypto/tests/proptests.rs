@@ -10,6 +10,56 @@ fn arb_biguint(max_bytes: usize) -> impl Strategy<Value = BigUint> {
     proptest::collection::vec(any::<u8>(), 0..=max_bytes).prop_map(|b| BigUint::from_bytes_be(&b))
 }
 
+/// The value of little-endian limbs.
+fn from_limbs(limbs: &[u64]) -> BigUint {
+    let bytes: Vec<u8> = limbs.iter().rev().flat_map(|l| l.to_be_bytes()).collect();
+    BigUint::from_bytes_be(&bytes)
+}
+
+/// An odd modulus of 1–16 limbs whose top `ones` limbs (0–3) are all-ones:
+/// the carries are maximal there and the final subtraction is taken most
+/// often.
+fn arb_modulus() -> impl Strategy<Value = BigUint> {
+    (
+        1usize..=16,
+        0usize..=3,
+        proptest::collection::vec(any::<u64>(), 16),
+    )
+        .prop_map(|(len, ones, mut limbs)| {
+            limbs.truncate(len);
+            for top in limbs.iter_mut().rev().take(ones) {
+                *top = u64::MAX;
+            }
+            // A non-zero top limb and n > 1, then odd.
+            if let Some(top) = limbs.last_mut() {
+                *top |= 2;
+            }
+            if let Some(low) = limbs.first_mut() {
+                *low |= 1;
+            }
+            from_limbs(&limbs)
+        })
+}
+
+/// An exponent of exactly `bits` bits (zero for 0) cut from random limbs.
+fn exponent(limbs: &[u64], bits: usize) -> BigUint {
+    let mut e = &from_limbs(limbs) >> (limbs.len() * 64).saturating_sub(bits);
+    if bits > 0 {
+        e.set_bit(bits - 1);
+    }
+    e
+}
+
+/// A base in one of four shapes: 0, n − 1, n + r (≥ n) or r of any size.
+fn base(kind: usize, n: &BigUint, r: &BigUint) -> BigUint {
+    match kind {
+        0 => BigUint::zero(),
+        1 => n - &BigUint::one(),
+        2 => n + r,
+        _ => r.clone(),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -73,17 +123,36 @@ proptest! {
         prop_assert_eq!(a.square(), &a * &a);
     }
 
+    /// Product-sized moduli and exponents of 0–1,024 bits, plus 63, 64 and
+    /// 65 bits on every case: the switch from 1-bit to 4-bit windows.
     #[test]
     fn montgomery_matches_plain_modpow(
-        base in arb_biguint(40),
-        exp in arb_biguint(8),
-        modulus in arb_biguint(40),
+        m in arb_modulus(),
+        bits in prop_oneof![Just(63usize), Just(64), Just(65), 0usize..=1024],
+        exp_limbs in proptest::collection::vec(any::<u64>(), 16),
+        kind in 0usize..4,
+        r in proptest::collection::vec(any::<u64>(), 0..=17),
     ) {
-        prop_assume!(modulus.bits() > 1);
-        let mut m = modulus;
-        m.set_bit(0); // force odd
         let mont = Montgomery::new(&m).unwrap();
-        prop_assert_eq!(mont.mod_pow(&base, &exp), base.mod_pow_plain(&exp, &m));
+        let base = base(kind, &m, &from_limbs(&r));
+        for bits in [bits, 63, 64, 65] {
+            let exp = exponent(&exp_limbs, bits);
+            let (got, want) = (mont.mod_pow(&base, &exp), base.mod_pow_plain(&exp, &m));
+            prop_assert!(got == want, "{bits}-bit exponent: {got:?} != {want:?}");
+        }
+    }
+
+    #[test]
+    fn montgomery_mul_matches_plain(
+        m in arb_modulus(),
+        kinds in (0usize..4, 0usize..4),
+        a in proptest::collection::vec(any::<u64>(), 0..=17),
+        b in proptest::collection::vec(any::<u64>(), 0..=17),
+    ) {
+        let mont = Montgomery::new(&m).unwrap();
+        let a = base(kinds.0, &m, &from_limbs(&a));
+        let b = base(kinds.1, &m, &from_limbs(&b));
+        prop_assert_eq!(mont.mul(&a, &b), (&a * &b).div_rem(&m).unwrap().1);
     }
 
     #[test]
