@@ -20,7 +20,7 @@
 
 use crate::auditor::AuditReport;
 use crate::classify::{Anomaly, EntryClass, HiddenRecord};
-use adlp_logger::encoding::{read_str, read_uvarint, write_str, write_uvarint};
+use adlp_logger::encoding::{write_str, write_uvarint, Wire};
 use adlp_logger::{Direction, LogError};
 use adlp_pubsub::{NodeId, Topic};
 
@@ -134,11 +134,12 @@ impl ContestedVerdict {
             ContestedVerdict::SplitView { .. } | ContestedVerdict::Equivocation { .. } => false,
         }
     }
+}
 
-    /// Encodes the verdict description for wire transfer and ledger
-    /// persistence.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(32);
+/// Wire transfer and ledger persistence: a tag byte (1 hidden, 2 split
+/// view, 3 equivocation), then the variant's fields.
+impl Wire for ContestedVerdict {
+    fn put(&self, out: &mut Vec<u8>) {
         match self {
             ContestedVerdict::Hidden {
                 component,
@@ -147,69 +148,40 @@ impl ContestedVerdict {
                 seq,
             } => {
                 out.push(1);
-                write_str(&mut out, component.as_str());
-                out.push(match direction {
-                    Direction::Out => 0,
-                    Direction::In => 1,
-                });
-                write_str(&mut out, topic.as_str());
-                write_uvarint(&mut out, *seq);
+                component.put_field(out);
+                direction.put_field(out);
+                topic.put_field(out);
+                seq.put_field(out);
             }
             ContestedVerdict::SplitView { log, size } => {
                 out.push(2);
-                write_str(&mut out, log.as_str());
-                write_uvarint(&mut out, *size);
+                log.put_field(out);
+                size.put_field(out);
             }
             ContestedVerdict::Equivocation { shard, replica } => {
                 out.push(3);
-                write_uvarint(&mut out, *shard);
-                write_uvarint(&mut out, *replica);
+                shard.put_field(out);
+                replica.put_field(out);
             }
         }
-        out
     }
 
-    /// Decodes a verdict description, consuming from `input`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LogError::Malformed`] on truncated or unknown encodings.
-    pub fn decode(input: &mut &[u8]) -> Result<Self, LogError> {
-        let (&tag, rest) = input
-            .split_first()
-            .ok_or(LogError::Malformed("contested verdict (tag)"))?;
-        *input = rest;
-        match tag {
-            1 => {
-                let component = NodeId::new(read_str(input)?);
-                let (&d, rest) = input
-                    .split_first()
-                    .ok_or(LogError::Malformed("contested verdict (direction)"))?;
-                *input = rest;
-                let direction = match d {
-                    0 => Direction::Out,
-                    1 => Direction::In,
-                    _ => return Err(LogError::Malformed("contested verdict (direction)")),
-                };
-                let topic = Topic::new(read_str(input)?);
-                let seq = read_uvarint(input)?;
-                Ok(ContestedVerdict::Hidden {
-                    component,
-                    direction,
-                    topic,
-                    seq,
-                })
-            }
-            2 => {
-                let log = NodeId::new(read_str(input)?);
-                let size = read_uvarint(input)?;
-                Ok(ContestedVerdict::SplitView { log, size })
-            }
-            3 => {
-                let shard = read_uvarint(input)?;
-                let replica = read_uvarint(input)?;
-                Ok(ContestedVerdict::Equivocation { shard, replica })
-            }
+    fn decode_from(src: &mut &[u8]) -> Result<Self, LogError> {
+        match u8::decode_from(src)? {
+            1 => Ok(ContestedVerdict::Hidden {
+                component: Wire::decode_field(src)?,
+                direction: Wire::decode_field(src)?,
+                topic: Wire::decode_field(src)?,
+                seq: Wire::decode_field(src)?,
+            }),
+            2 => Ok(ContestedVerdict::SplitView {
+                log: Wire::decode_field(src)?,
+                size: Wire::decode_field(src)?,
+            }),
+            3 => Ok(ContestedVerdict::Equivocation {
+                shard: Wire::decode_field(src)?,
+                replica: Wire::decode_field(src)?,
+            }),
             _ => Err(LogError::Malformed("contested verdict (tag)")),
         }
     }
@@ -234,13 +206,6 @@ pub fn contestable_verdicts(report: &AuditReport) -> Vec<ContestedVerdict> {
     out
 }
 
-fn direction_byte(d: Direction) -> u8 {
-    match d {
-        Direction::Out => 0,
-        Direction::In => 1,
-    }
-}
-
 fn write_entry_class(out: &mut Vec<u8>, class: &Option<EntryClass>) {
     match class {
         None => out.push(0),
@@ -263,7 +228,7 @@ fn write_entry_class(out: &mut Vec<u8>, class: &Option<EntryClass>) {
 
 fn write_hidden(out: &mut Vec<u8>, h: &HiddenRecord) {
     write_str(out, h.component.as_str());
-    out.push(direction_byte(h.direction));
+    h.direction.put(out);
     write_str(out, h.topic.as_str());
     write_uvarint(out, h.seq);
     write_str(out, h.proven_by.as_str());
@@ -462,45 +427,6 @@ mod tests {
             seq,
             vec![seq as u8; 8],
         )
-    }
-
-    #[test]
-    fn contested_verdict_roundtrips() {
-        let verdicts = [
-            ContestedVerdict::Hidden {
-                component: NodeId::new("camera"),
-                direction: Direction::Out,
-                topic: Topic::new("image"),
-                seq: 42,
-            },
-            ContestedVerdict::SplitView {
-                log: NodeId::new("logger-a"),
-                size: 7,
-            },
-            ContestedVerdict::Equivocation {
-                shard: 2,
-                replica: 1,
-            },
-        ];
-        for v in verdicts {
-            let bytes = v.encode();
-            let mut input = bytes.as_slice();
-            assert_eq!(ContestedVerdict::decode(&mut input).unwrap(), v);
-            assert!(input.is_empty());
-        }
-    }
-
-    #[test]
-    fn truncated_verdict_encoding_is_malformed() {
-        let bytes = ContestedVerdict::SplitView {
-            log: NodeId::new("logger-a"),
-            size: 7,
-        }
-        .encode();
-        for cut in 0..bytes.len() {
-            let mut input = &bytes[..cut];
-            assert!(ContestedVerdict::decode(&mut input).is_err());
-        }
     }
 
     #[test]

@@ -54,7 +54,7 @@ use adlp_crypto::pkcs1;
 use adlp_crypto::rsa::{RsaPrivateKey, RsaPublicKey};
 use adlp_crypto::sha256::{Digest, Sha256};
 use adlp_crypto::Signature;
-use adlp_logger::encoding::{read_bytes, read_uvarint, write_bytes, write_uvarint};
+use adlp_logger::encoding::Wire;
 use adlp_logger::frame::DurableCell;
 use adlp_logger::{LogError, Storage};
 use parking_lot::Mutex;
@@ -148,12 +148,22 @@ impl AttestationScope {
             AttestationScope::Epoch { epoch } => *epoch,
         }
     }
+}
 
-    fn from_parts(tag: u8, value: u64) -> Option<Self> {
-        match tag {
-            1 => Some(AttestationScope::Head { length: value }),
-            2 => Some(AttestationScope::Epoch { epoch: value }),
-            _ => None,
+/// The tag byte (1 = head, 2 = epoch) and the varint it qualifies.
+impl Wire for AttestationScope {
+    const INLINE: bool = true;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        self.tag().put(out);
+        self.value().put(out);
+    }
+
+    fn decode_from(src: &mut &[u8]) -> Result<Self, LogError> {
+        match (u8::decode_from(src)?, u64::decode_from(src)?) {
+            (1, length) => Ok(AttestationScope::Head { length }),
+            (2, epoch) => Ok(AttestationScope::Epoch { epoch }),
+            _ => Err(LogError::Malformed("attestation (scope)")),
         }
     }
 }
@@ -240,55 +250,27 @@ impl HeadAttestation {
             && self.scope == other.scope
             && self.root != other.root
     }
+}
 
-    /// Serializes the attestation (transferable evidence).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64 + self.signature.len());
-        write_uvarint(&mut out, self.shard as u64);
-        write_uvarint(&mut out, self.replica as u64);
-        write_uvarint(&mut out, self.incarnation);
-        out.push(self.scope.tag());
-        write_uvarint(&mut out, self.scope.value());
-        out.extend_from_slice(self.root.as_bytes());
-        write_bytes(&mut out, self.signature.as_bytes());
-        out
+/// Transferable evidence.
+impl Wire for HeadAttestation {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.shard.put_field(out);
+        self.replica.put_field(out);
+        self.incarnation.put_field(out);
+        self.scope.put_field(out);
+        self.root.put_field(out);
+        self.signature.put_field(out);
     }
 
-    /// Deserializes an attestation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LogError::Malformed`] for truncated, invalid or padded
-    /// bytes (evidence has one canonical encoding).
-    pub fn decode(bytes: &[u8]) -> Result<Self, LogError> {
-        let mut input = bytes;
-        let shard = read_uvarint(&mut input)? as usize;
-        let replica = read_uvarint(&mut input)? as usize;
-        let incarnation = read_uvarint(&mut input)?;
-        let (tag, rest) = input
-            .split_first()
-            .ok_or(LogError::Malformed("attestation (scope tag)"))?;
-        input = rest;
-        let value = read_uvarint(&mut input)?;
-        let scope = AttestationScope::from_parts(*tag, value)
-            .ok_or(LogError::Malformed("attestation (scope)"))?;
-        let (root_bytes, rest) = input
-            .split_at_checked(32)
-            .ok_or(LogError::Malformed("attestation (root)"))?;
-        input = rest;
-        let root =
-            Digest::from_slice(root_bytes).ok_or(LogError::Malformed("attestation (root)"))?;
-        let signature = Signature::from_bytes(read_bytes(&mut input)?.to_vec());
-        if !input.is_empty() {
-            return Err(LogError::Malformed("attestation (trailing bytes)"));
-        }
+    fn decode_from(src: &mut &[u8]) -> Result<Self, LogError> {
         Ok(HeadAttestation {
-            shard,
-            replica,
-            incarnation,
-            scope,
-            root,
-            signature,
+            shard: Wire::decode_field(src)?,
+            replica: Wire::decode_field(src)?,
+            incarnation: Wire::decode_field(src)?,
+            scope: Wire::decode_field(src)?,
+            root: Wire::decode_field(src)?,
+            signature: Wire::decode_field(src)?,
         })
     }
 }
@@ -313,44 +295,21 @@ pub struct AttestorState {
     pub signed_root: Option<Digest>,
 }
 
-impl AttestorState {
-    /// Serializes the state (the payload [`ReplicaAttestor`] seals into its
-    /// durable cell).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64);
-        write_uvarint(&mut out, self.incarnation);
-        write_uvarint(&mut out, self.signed_len);
-        match &self.signed_root {
-            None => out.push(0),
-            Some(root) => {
-                out.push(1);
-                out.extend_from_slice(root.as_bytes());
-            }
-        }
-        out
+/// What [`ReplicaAttestor`] keeps in its durable cell.
+impl Wire for AttestorState {
+    const MAGIC: Option<&'static [u8; 8]> = Some(ATTESTOR_STATE_MAGIC);
+
+    fn put(&self, out: &mut Vec<u8>) {
+        self.incarnation.put_field(out);
+        self.signed_len.put_field(out);
+        self.signed_root.put_field(out);
     }
 
-    /// Deserializes a persisted state.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LogError::Malformed`] for truncated, invalid or padded
-    /// bytes.
-    pub fn decode(bytes: &[u8]) -> Result<Self, LogError> {
-        let mut input = bytes;
-        let incarnation = read_uvarint(&mut input)?;
-        let signed_len = read_uvarint(&mut input)?;
-        let signed_root = match input {
-            [0] => None,
-            [1, root @ ..] => Some(
-                Digest::from_slice(root).ok_or(LogError::Malformed("attestor state (root)"))?,
-            ),
-            _ => return Err(LogError::Malformed("attestor state (root flag)")),
-        };
+    fn decode_from(src: &mut &[u8]) -> Result<Self, LogError> {
         Ok(AttestorState {
-            incarnation,
-            signed_len,
-            signed_root,
+            incarnation: Wire::decode_field(src)?,
+            signed_len: Wire::decode_field(src)?,
+            signed_root: Wire::decode_field(src)?,
         })
     }
 }
@@ -362,7 +321,7 @@ struct AttestorDurable {
     signed_len: u64,
     signed_root: Option<Digest>,
     /// Where the state persists; `None` runs volatile.
-    cell: Option<DurableCell>,
+    cell: Option<DurableCell<AttestorState>>,
 }
 
 /// The signing half of one replica's attestation identity. Survives
@@ -419,11 +378,8 @@ impl ReplicaAttestor {
         storage: Arc<dyn Storage>,
         name: impl Into<String>,
     ) -> Result<AttestorState, LogError> {
-        let cell = DurableCell::new(storage, name, ATTESTOR_STATE_MAGIC);
-        let resumed = cell
-            .load()?
-            .map(|payload| AttestorState::decode(&payload))
-            .transpose()?;
+        let cell = DurableCell::<AttestorState>::new(storage, name);
+        let resumed = cell.load()?;
         let merged = {
             let mut durable = self.durable.lock();
             if let Some(state) = resumed {
@@ -467,7 +423,7 @@ impl ReplicaAttestor {
         };
         match cell {
             None => Ok(()),
-            Some(cell) => cell.store(&state.encode()),
+            Some(cell) => cell.store(&state),
         }
     }
 
@@ -614,29 +570,20 @@ impl EquivocationProof {
             && keyring.verify(&self.first)
             && keyring.verify(&self.second)
     }
+}
 
-    /// Serializes the proof (transferable evidence).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        write_bytes(&mut out, &self.first.encode());
-        write_bytes(&mut out, &self.second.encode());
-        out
+/// Transferable evidence: both attestations, each in its slot.
+impl Wire for EquivocationProof {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.first.put_field(out);
+        self.second.put_field(out);
     }
 
-    /// Deserializes a proof.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LogError::Malformed`] for truncated, invalid or padded
-    /// bytes.
-    pub fn decode(bytes: &[u8]) -> Result<Self, LogError> {
-        let mut input = bytes;
-        let first = HeadAttestation::decode(read_bytes(&mut input)?)?;
-        let second = HeadAttestation::decode(read_bytes(&mut input)?)?;
-        if !input.is_empty() {
-            return Err(LogError::Malformed("equivocation proof (trailing bytes)"));
-        }
-        Ok(EquivocationProof { first, second })
+    fn decode_from(src: &mut &[u8]) -> Result<Self, LogError> {
+        Ok(EquivocationProof {
+            first: Wire::decode_field(src)?,
+            second: Wire::decode_field(src)?,
+        })
     }
 }
 
@@ -1062,7 +1009,7 @@ mod tests {
             .unwrap();
         assert_eq!(reborn.state().signed_len, 7);
 
-        // The raw bytes also round-trip standalone, and truncations are
+        // The cell's bytes also round-trip standalone, and truncations are
         // refused rather than resumed from.
         let encoded = reborn.state().encode();
         assert_eq!(AttestorState::decode(&encoded).unwrap(), reborn.state());
@@ -1142,7 +1089,6 @@ mod tests {
     mod golden {
         use super::*;
         use adlp_crypto::hex;
-        use adlp_logger::frame::DurableCell;
         use adlp_logger::MemStorage;
 
         const ATTESTATION: &str = "0102000105991f7ac5a7e4709df20a321945fef78d373892b60df01ee5af31933f4d202a1e403fd4c09f3e1812d1cb78ecf2ce5adfabc69a0a2c0711f7dec5b15db931eade4d3a263010c902a475e30aa23b86b409d27b3275df309b18404e9cf1b3bfc99514";
@@ -1186,8 +1132,9 @@ mod tests {
             // It recorded a hash-chain head: never resume a replica from it.
             let device = Arc::new(MemStorage::new());
             let old = AttestorState { incarnation: 3, signed_len: 5, signed_root: Some(head(5)) };
-            let cell = DurableCell::new(device.clone(), "attestor", b"ADLPATT1");
-            cell.store(&old.encode()).unwrap();
+            let mut cell = old.encode();
+            cell[..8].copy_from_slice(b"ADLPATT1");
+            device.write_replace("attestor", &cell).unwrap();
             let resumed = attestor().bind_storage(device, "attestor");
             assert!(matches!(resumed, Err(LogError::Malformed(_))));
         }

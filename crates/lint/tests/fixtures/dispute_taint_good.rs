@@ -73,6 +73,8 @@ impl CourtNode {
         admitted
     }
 
+    pub fn admit_streamed(&mut self) -> bool { self.recv_gossip_frame().and_then(|f| SignedEvidence::decode_from(&mut f.as_slice()).ok()).is_some_and(|ev| self.ledger.submit_evidence(0, ev).is_ok()) }
+
     pub fn drain_convictions(&mut self) -> usize {
         let mut adopted = 0;
         while let Some(frame) = self.recv_gossip_frame() {

@@ -8,7 +8,9 @@
 //! §IV-A "`h(I_y)` vs `I_y`"), the publisher's signature `s''_x`, and its
 //! own signature `s''_y`.
 
-use crate::encoding::{read_bytes, read_str, read_uvarint, write_bytes, write_str, write_uvarint};
+use crate::encoding::{
+    read_bytes, read_str, read_uvarint, write_bytes, write_str, write_uvarint, Wire,
+};
 use crate::LogError;
 use adlp_crypto::sha256::{Digest, DIGEST_LEN};
 use adlp_crypto::Signature;
@@ -220,7 +222,7 @@ impl LogEntry {
         let seq = read_uvarint(&mut s)?;
         let timestamp_ns = read_uvarint(&mut s)?;
         let payload = if flags & 1 != 0 {
-            PayloadRecord::Hash(read_digest(&mut s)?)
+            PayloadRecord::Hash(Digest::decode_from(&mut s)?)
         } else {
             PayloadRecord::Data(read_bytes(&mut s)?.to_vec())
         };
@@ -235,7 +237,7 @@ impl LogEntry {
             None
         };
         let peer_hash = if flags & (1 << 3) != 0 {
-            Some(read_digest(&mut s)?)
+            Some(Digest::decode_from(&mut s)?)
         } else {
             None
         };
@@ -252,7 +254,7 @@ impl LogEntry {
             }
             for _ in 0..count {
                 let subscriber = NodeId::new(read_str(&mut s)?);
-                let hash = read_digest(&mut s)?;
+                let hash = Digest::decode_from(&mut s)?;
                 let sig = Signature::from_bytes(read_bytes(&mut s)?.to_vec());
                 acks.push(AckRecord {
                     subscriber,
@@ -288,14 +290,6 @@ impl LogEntry {
     pub fn encoded_len(&self) -> usize {
         self.encode().len()
     }
-}
-
-fn read_digest(s: &mut &[u8]) -> Result<Digest, LogError> {
-    let (head, rest) = s
-        .split_at_checked(DIGEST_LEN)
-        .ok_or(LogError::Malformed("entry (truncated digest)"))?;
-    *s = rest;
-    Digest::from_slice(head).ok_or(LogError::Malformed("entry (truncated digest)"))
 }
 
 #[cfg(test)]

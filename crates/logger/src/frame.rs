@@ -27,12 +27,17 @@
 //! **Sealed blob** ([`seal`] / [`decode_sealed`]; signed tree heads and every
 //! write-replace state file through [`DurableCell`]). The checksum covers
 //! everything after the header, so truncation and padding both fail it; the
-//! payload's own decoder must consume the payload exactly.
+//! payload's own decoder must consume the payload exactly. A type whose
+//! whole-buffer form is a sealed blob names its magic on its
+//! [`Wire`] impl, so sealing and unsealing happen in `Wire::encode` /
+//! `Wire::decode` and nowhere else.
 
+use crate::encoding::Wire;
 use crate::storage::Storage;
 use crate::LogError;
 use adlp_crypto::sha256::Sha256;
 use parking_lot::Mutex;
+use std::marker::PhantomData;
 use std::sync::Arc;
 
 /// Upper bound on one frame's payload, so a corrupted length prefix cannot
@@ -319,72 +324,66 @@ pub fn seal(magic: &[u8; MAGIC_LEN], payload: &[u8]) -> Vec<u8> {
 ///
 /// # Errors
 ///
-/// Returns [`LogError::Malformed`]`(what)` for a wrong magic, a checksum
-/// mismatch (padding included), or a buffer too short to hold either.
-pub fn decode_sealed<'a>(
-    magic: &[u8; MAGIC_LEN],
-    bytes: &'a [u8],
-    what: &'static str,
-) -> Result<&'a [u8], LogError> {
+/// Returns [`LogError::Malformed`] for a wrong magic, a checksum mismatch
+/// (padding included), or a buffer too short to hold either.
+pub fn decode_sealed<'a>(magic: &[u8; MAGIC_LEN], bytes: &'a [u8]) -> Result<&'a [u8], LogError> {
     bytes
         .split_at_checked(MAGIC_LEN)
         .filter(|(head, _)| head == magic)
         .and_then(|(_, rest)| rest.split_at_checked(4))
         .filter(|(check, payload)| checksum4(&[payload]) == *check)
         .map(|(_, payload)| payload)
-        .ok_or(LogError::Malformed(what))
+        .ok_or(LogError::Malformed("sealed blob"))
 }
 
 /// A small piece of restart-critical state kept as one sealed blob in one
 /// file, replaced atomically on every change — the "record first, speak
-/// second" cell the attestor, the witness and the dispute ledger share.
+/// second" cell the attestor, the witness and the dispute ledger share. The
+/// file is the value's [`Wire::encode`], sealed under the magic its type
+/// declares.
 #[derive(Debug, Clone)]
-pub struct DurableCell {
+pub struct DurableCell<T> {
     storage: Arc<dyn Storage>,
     name: String,
-    magic: &'static [u8; MAGIC_LEN],
+    value: PhantomData<fn() -> T>,
 }
 
-impl DurableCell {
+impl<T: Wire> DurableCell<T> {
     /// Binds a cell to `name` on `storage`; nothing is touched yet.
-    pub fn new(
-        storage: Arc<dyn Storage>,
-        name: impl Into<String>,
-        magic: &'static [u8; MAGIC_LEN],
-    ) -> Self {
+    pub fn new(storage: Arc<dyn Storage>, name: impl Into<String>) -> Self {
+        const { assert!(T::MAGIC.is_some(), "a durable cell holds a sealed blob") };
         DurableCell {
             storage,
             name: name.into(),
-            magic,
+            value: PhantomData,
         }
     }
 
-    /// Loads the stored payload. The one load rule: an absent file is a
-    /// fresh start (`None`); a present file must unseal — an empty or
-    /// damaged file is never "no state yet", because resuming blank over
-    /// lost state is the failure the cell exists to prevent.
+    /// Loads the stored value. The one load rule: an absent file is a
+    /// fresh start (`None`); a present file must unseal and decode — an
+    /// empty or damaged file is never "no state yet", because resuming
+    /// blank over lost state is the failure the cell exists to prevent.
     ///
     /// # Errors
     ///
     /// Returns [`LogError::Io`] when the device refuses the read and
-    /// [`LogError::Malformed`] when the file does not unseal.
-    pub fn load(&self) -> Result<Option<Vec<u8>>, LogError> {
+    /// [`LogError::Malformed`] when the file does not unseal and decode.
+    pub fn load(&self) -> Result<Option<T>, LogError> {
         self.storage
             .read(&self.name)?
-            .map(|bytes| decode_sealed(self.magic, &bytes, "durable cell (seal)").map(<[u8]>::to_vec))
+            .map(|bytes| T::decode(&bytes))
             .transpose()
     }
 
-    /// Seals `payload` and atomically replaces the file with it; durable
-    /// once this returns `Ok`.
+    /// Atomically replaces the file with `value`; durable once this
+    /// returns `Ok`.
     ///
     /// # Errors
     ///
     /// Returns [`LogError::Io`] when the device fails; the previous
     /// contents are then intact.
-    pub fn store(&self, payload: &[u8]) -> Result<(), LogError> {
-        self.storage
-            .write_replace(&self.name, &seal(self.magic, payload))
+    pub fn store(&self, value: &T) -> Result<(), LogError> {
+        self.storage.write_replace(&self.name, &value.encode())
     }
 }
 
@@ -392,6 +391,7 @@ impl DurableCell {
 mod tests {
     use super::*;
     use crate::storage::{FaultyStorage, MemStorage, StorageFaultConfig};
+    use crate::sth::SignedTreeHead;
 
     const MAGIC: &[u8; 8] = b"ADLPTST1";
 
@@ -446,13 +446,21 @@ mod tests {
 
     #[test]
     fn cell_load_is_absent_fresh_present_must_unseal() {
+        let head = SignedTreeHead {
+            log: adlp_pubsub::NodeId::new("logger"),
+            epoch: 1,
+            size: 2,
+            root: adlp_crypto::sha256(b"root"),
+            signature: adlp_crypto::Signature::from_bytes(vec![7; 8]),
+        };
         let mem = Arc::new(MemStorage::new());
-        let cell = DurableCell::new(mem.clone() as Arc<dyn Storage>, "cell", MAGIC);
+        let cell = DurableCell::<SignedTreeHead>::new(mem.clone() as Arc<dyn Storage>, "cell");
         assert_eq!(cell.load().unwrap(), None);
-        cell.store(b"state").unwrap();
-        assert_eq!(cell.load().unwrap().as_deref(), Some(&b"state"[..]));
+        cell.store(&head).unwrap();
+        assert_eq!(mem.read("cell").unwrap(), Some(head.encode()));
+        assert_eq!(cell.load().unwrap().as_ref(), Some(&head));
         mem.crash();
-        assert_eq!(cell.load().unwrap().as_deref(), Some(&b"state"[..]));
+        assert_eq!(cell.load().unwrap().as_ref(), Some(&head));
         // Present but empty is lost state, not a fresh start.
         mem.write_replace("cell", b"").unwrap();
         assert!(matches!(cell.load(), Err(LogError::Malformed(_))));

@@ -5,9 +5,11 @@
 //! tamper-evident logging mechanism in place" (§II-A). This crate provides
 //! that whole substrate:
 //!
-//! * [`entry`] — the log-entry model: the naive scheme of Definition 2 and
-//!   the ADLP-extended entries of Figure 9, with a compact binary encoding
+//! * [`encoding`] — varint primitives and [`Wire`], the one codec every
+//!   evidence and state encoding above the pub/sub layer implements
 //!   (standing in for the prototype's protocol buffers);
+//! * [`entry`] — the log-entry model: the naive scheme of Definition 2 and
+//!   the ADLP-extended entries of Figure 9, with a compact binary encoding;
 //! * [`keyreg`] — the public-key registry the logger keeps for verifying
 //!   entry authenticity;
 //! * [`store`] — an append-only store whose one tamper-evident commitment
@@ -57,6 +59,7 @@ pub use durable::{
     Appended, DurabilityConfig, DurableLog, Recovery, SyncPolicy, QUARANTINE_SNAPSHOT_FILE,
     QUARANTINE_WAL_FILE,
 };
+pub use encoding::Wire;
 pub use entry::{AckRecord, Direction, LogEntry, PayloadRecord};
 pub use keyreg::KeyRegistry;
 pub use receipt::{GapReceipt, ShedReason, GAP_RECEIPT_MAGIC};

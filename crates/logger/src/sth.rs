@@ -17,8 +17,7 @@
 //! gossip, cosigning, and light-client verification halves live in
 //! `adlp-witness`, which consumes these types.
 
-use crate::encoding::{read_bytes, read_str, read_uvarint, write_bytes, write_str, write_uvarint};
-use crate::frame;
+use crate::encoding::Wire;
 use crate::merkle::{ConsistencyProof, InclusionProof};
 use crate::store::LogStore;
 use crate::LogError;
@@ -29,7 +28,8 @@ use adlp_crypto::Signature;
 use adlp_pubsub::NodeId;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Magic prefix of an encoded signed tree head (wire framing version 1).
+/// Magic of an encoded signed tree head, a sealed blob (wire framing
+/// version 1).
 pub const STH_MAGIC: &[u8; 8] = b"ADLPSTH1";
 
 /// Root of the empty tree (RFC 6962: the hash of the empty string), used
@@ -90,47 +90,29 @@ impl SignedTreeHead {
     pub fn conflicts_with(&self, other: &SignedTreeHead) -> bool {
         self.log == other.log && self.size == other.size && self.root != other.root
     }
+}
 
-    /// Serializes the head for gossip as a sealed blob
-    /// ([`crate::frame::seal`]) under [`STH_MAGIC`].
-    pub fn encode(&self) -> Vec<u8> {
-        let mut payload = Vec::with_capacity(64 + self.signature.len());
-        write_str(&mut payload, self.log.as_str());
-        write_uvarint(&mut payload, self.epoch);
-        write_uvarint(&mut payload, self.size);
-        payload.extend_from_slice(self.root.as_bytes());
-        write_bytes(&mut payload, self.signature.as_bytes());
-        frame::seal(STH_MAGIC, &payload)
+/// Gossiped as a sealed blob under [`STH_MAGIC`]. A head that decodes is
+/// still *untrusted* until [`SignedTreeHead::verify`] passes under the
+/// log's key.
+impl Wire for SignedTreeHead {
+    const MAGIC: Option<&'static [u8; 8]> = Some(STH_MAGIC);
+
+    fn put(&self, out: &mut Vec<u8>) {
+        self.log.put_field(out);
+        self.epoch.put_field(out);
+        self.size.put_field(out);
+        self.root.put_field(out);
+        self.signature.put_field(out);
     }
 
-    /// Deserializes a gossiped head. Every framing defect — wrong magic,
-    /// checksum mismatch, truncation, trailing bytes — is refused; a frame
-    /// that decodes is still *untrusted* until [`SignedTreeHead::verify`]
-    /// passes under the log's key.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LogError::Malformed`] for anything but a byte-exact frame.
-    pub fn decode(bytes: &[u8]) -> Result<Self, LogError> {
-        let mut input = frame::decode_sealed(STH_MAGIC, bytes, "sth (seal)")?;
-        let log = NodeId::new(read_str(&mut input)?);
-        let epoch = read_uvarint(&mut input)?;
-        let size = read_uvarint(&mut input)?;
-        let (root_bytes, rest) = input
-            .split_at_checked(32)
-            .ok_or(LogError::Malformed("sth (root)"))?;
-        input = rest;
-        let root = Digest::from_slice(root_bytes).ok_or(LogError::Malformed("sth (root)"))?;
-        let signature = Signature::from_bytes(read_bytes(&mut input)?.to_vec());
-        if !input.is_empty() {
-            return Err(LogError::Malformed("sth (trailing bytes)"));
-        }
+    fn decode_from(src: &mut &[u8]) -> Result<Self, LogError> {
         Ok(SignedTreeHead {
-            log,
-            epoch,
-            size,
-            root,
-            signature,
+            log: Wire::decode_field(src)?,
+            epoch: Wire::decode_field(src)?,
+            size: Wire::decode_field(src)?,
+            root: Wire::decode_field(src)?,
+            signature: Wire::decode_field(src)?,
         })
     }
 }

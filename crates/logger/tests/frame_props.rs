@@ -10,14 +10,18 @@
 //! * a **framed append log** replays the longest valid frame prefix and
 //!   counts the rest as a torn tail; only a wrong magic is refused — and,
 //!   for transferable bytes (as opposed to a device file), a missing one;
-//! * a **whole-buffer** encoding is refused unless byte-exact. When it is a
-//!   sealed blob every byte is checksum-covered, so every flip is refused
-//!   too; the plain evidence encodings carry signatures instead, so a flip
-//!   there only has to never panic.
+//! * a **whole-buffer** encoding is refused unless byte-exact, and whatever
+//!   a `Wire` decoder accepts re-encodes to exactly the bytes it came from.
+//!   When it is a sealed blob every byte is checksum-covered, so every flip is refused
+//!   too; the plain encodings are protected by signatures (or by the seal of
+//!   the file they sit in) instead, so a flip there only has to never panic.
 //!
-//! State files are exercised through the `bind_storage` that loads them,
-//! so the rows also pin the durable cell's load rule: a present file must
-//! unseal, and an empty one is not a fresh start.
+//! The samples nest every kind of `Wire` slot — proofs in evidence,
+//! evidence in envelopes, claims and votes in disputes and resolutions — so
+//! flips, cuts and soup reach the nested slots too. State files are
+//! exercised through the `bind_storage` that loads them, so the rows also
+//! pin the durable cell's load rule: a present file must unseal, and an
+//! empty one is not a fresh start.
 
 use adlp_audit::ContestedVerdict;
 use adlp_cluster::{
@@ -26,17 +30,17 @@ use adlp_cluster::{
 use adlp_crypto::rsa::RsaPrivateKey;
 use adlp_crypto::RsaKeyPair;
 use adlp_dispute::{
-    replay_window, DisputeConfig, DisputeLedger, Outcome, ReplayContext, ResolutionProof,
-    DISPUTE_STATE_FILE,
+    replay_window, Dispute, DisputeConfig, DisputeLedger, Evidence, Outcome, Phase, ReplayContext,
+    ResolutionProof, Resolver, SignedEvidence, SignedVote, Vote, DISPUTE_STATE_FILE,
 };
 use adlp_logger::frame::{decode_frame, decode_log, encode_frame};
 use adlp_logger::recording::replay_bytes;
 use adlp_logger::sth::TreeHeadSigner;
 use adlp_logger::wal;
 use adlp_logger::{
-    KeyRegistry, MemStorage, Recorder, RecordingWindow, SignedTreeHead, Storage,
+    Direction, KeyRegistry, MemStorage, Recorder, RecordingWindow, SignedTreeHead, Storage, Wire,
 };
-use adlp_pubsub::NodeId;
+use adlp_pubsub::{NodeId, Topic};
 use adlp_witness::{
     decode_conviction_frame, encode_conviction_frame, Cosignature, SplitViewProof, SthKeyring,
     SthObservation, Witness, WitnessState,
@@ -62,8 +66,8 @@ enum Shape {
     LogBytes,
     /// Whole-buffer sealed blob: every byte is checksum-covered.
     Sealed,
-    /// Whole-buffer plain encoding: byte-exact, but only signatures (not
-    /// a checksum) protect the content.
+    /// Whole-buffer plain encoding: byte-exact, but only signatures or an
+    /// enclosing seal (not a checksum of its own) protect the content.
     Plain,
 }
 
@@ -124,6 +128,15 @@ fn accepted<T, E>(result: Result<T, E>) -> Decoded {
     result.ok().and(WHOLE)
 }
 
+/// A `Wire` row's decoder. Whatever it accepts — the sample, a flipped or
+/// soupy variant — must re-encode to exactly the bytes it came from: one
+/// value, one encoding.
+fn wire<T: Wire>(bytes: &[u8]) -> Decoded {
+    let value = T::decode(bytes).ok()?;
+    assert_eq!(value.encode(), bytes, "accepted bytes that are not the value's encoding");
+    WHOLE
+}
+
 fn formats() -> Vec<Format> {
     use Shape::{LogBytes, LogFile, Plain, Sealed};
     let mut rng = rand::rngs::StdRng::seed_from_u64(0xF4A3);
@@ -173,9 +186,7 @@ fn formats() -> Vec<Format> {
     let signer = TreeHeadSigner::new(log.clone(), private(&log_pair));
     let head_a = signer.sign(0, 3, adlp_crypto::sha256(b"a")).unwrap();
     let head_b = signer.sign(1, 3, adlp_crypto::sha256(b"b")).unwrap();
-    rows.push(row("signed tree head", head_a.encode(), Sealed, |bytes| {
-        accepted(SignedTreeHead::decode(bytes))
-    }));
+    rows.push(row("signed tree head", head_a.encode(), Sealed, wire::<SignedTreeHead>));
 
     let witness_pair = RsaKeyPair::generate(512, &mut rng);
     let mut loggers = SthKeyring::new();
@@ -190,9 +201,9 @@ fn formats() -> Vec<Format> {
     ));
     let witness_file = file_of(&mem, "w");
     assert_eq!(witness_file, witness.state().encode());
-    rows.push(row("witness state", witness_file.clone(), Sealed, |bytes| {
-        accepted(WitnessState::decode(bytes))
-    }));
+    rows.push(row("witness state", witness_file.clone(), Sealed, wire::<WitnessState>));
+    let empty = WitnessState::default().encode();
+    rows.push(row("witness state (empty)", empty, Sealed, wire::<WitnessState>));
     rows.push(row("witness state file (bind_storage)", witness_file, Sealed, move |bytes| {
         let reborn = Witness::new(0, private(&witness_pair), loggers.clone());
         accepted(reborn.bind_storage(device_with("w", bytes), "w"))
@@ -211,36 +222,80 @@ fn formats() -> Vec<Format> {
         let reborn = ReplicaAttestor::new(0, 1, private(&replica_pair));
         accepted(reborn.bind_storage(device_with("att", bytes), "att"))
     }));
-    rows.push(row("head attestation", first.encode(), Plain, |bytes| {
-        accepted(HeadAttestation::decode(bytes))
-    }));
+    rows.push(row("head attestation", first.encode(), Plain, wire::<HeadAttestation>));
     let equivocation = EquivocationProof { first, second };
-    rows.push(row("equivocation proof", equivocation.encode(), Plain, |bytes| {
-        accepted(EquivocationProof::decode(bytes))
-    }));
+    rows.push(row("equivocation proof", equivocation.encode(), Plain, wire::<EquivocationProof>));
 
     // Split-view evidence.
     let split = SplitViewProof {
         first: head_a.clone(),
         second: head_b,
     };
-    rows.push(row("split-view proof", split.encode(), Plain, |bytes| {
-        accepted(SplitViewProof::decode(bytes))
-    }));
+    rows.push(row("split-view proof", split.encode(), Plain, wire::<SplitViewProof>));
     rows.push(row("conviction frame", encode_conviction_frame(&split), Plain, |bytes| {
         decode_conviction_frame(bytes).and_then(accepted)
     }));
     let cosig =
         Cosignature::sign(0, &private(&log_pair), log, head_a.size, head_a.root).unwrap();
-    rows.push(row("cosignature", cosig.encode(), Plain, |bytes| {
-        accepted(Cosignature::decode(bytes))
-    }));
+    rows.push(row("cosignature", cosig.encode(), Plain, wire::<Cosignature>));
+
+    // Contested verdicts, the evidence fought over them, and the votes.
+    let claims = [
+        ContestedVerdict::Hidden {
+            component: NodeId::new("camera"),
+            direction: Direction::In,
+            topic: Topic::new("image"),
+            seq: 300,
+        },
+        ContestedVerdict::SplitView {
+            log: NodeId::new("logger"),
+            size: 3,
+        },
+        ContestedVerdict::Equivocation {
+            shard: 0,
+            replica: 1,
+        },
+    ];
+    let [hidden, split_view, equivocating] = claims.each_ref().map(Wire::encode);
+    rows.push(row("contested verdict (hidden)", hidden, Plain, wire::<ContestedVerdict>));
+    rows.push(row("contested verdict (split view)", split_view, Plain, wire::<ContestedVerdict>));
+    rows.push(row("contested verdict (equivocation)", equivocating, Plain, wire::<ContestedVerdict>));
+    let claim = claims[1].clone();
+    let party_pair = RsaKeyPair::generate(512, &mut rng);
+    let evidence: Vec<SignedEvidence> = [
+        Evidence::SplitView(split),
+        Evidence::Equivocation(equivocation),
+        Evidence::Recording(RecordingWindow {
+            epoch_from: 0,
+            epoch_to: 1,
+            bytes: vec![0x5A; 140],
+        }),
+    ]
+    .into_iter()
+    .map(|ev| SignedEvidence::sign(NodeId::new("camera"), 0, 0, ev, party_pair.private_key()))
+    .collect::<Result<_, _>>()
+    .unwrap();
+    rows.push(row("signed evidence", evidence[0].encode(), Plain, wire::<SignedEvidence>));
+    let resolver_pair = RsaKeyPair::generate(512, &mut rng);
+    let vote = Resolver::new(NodeId::new("resolver-0"), private(&resolver_pair))
+        .cast(1, 0, 0, Vote::Uphold, &claim, &evidence)
+        .unwrap();
+    rows.push(row("signed vote", vote.encode(), Plain, wire::<SignedVote>));
+    let dispute = Dispute {
+        id: 0,
+        claim: claim.clone(),
+        claimant: NodeId::new("camera"),
+        phase: Phase::Evaluating,
+        round: 0,
+        panel: vec![(0, NodeId::new("resolver-0"))],
+        evidence,
+        votes: vec![vote.clone()],
+        stakes: vec![(NodeId::new("camera"), 16)],
+        outcome: None,
+    };
+    rows.push(row("dispute", dispute.encode(), Plain, wire::<Dispute>));
 
     // Dispute ledger state and its transferable resolution.
-    let claim = ContestedVerdict::SplitView {
-        log: NodeId::new("logger"),
-        size: 3,
-    };
     let mem = Arc::new(MemStorage::new());
     let mut ledger = DisputeLedger::new(DisputeConfig::default());
     ledger.bind_storage(mem.clone() as Arc<dyn Storage>).unwrap();
@@ -261,11 +316,9 @@ fn formats() -> Vec<Format> {
         claim,
         outcome: Outcome::Upheld,
         rounds: 1,
-        votes: Vec::new(),
+        votes: vec![vote],
     };
-    rows.push(row("resolution proof", resolution.encode(), Plain, |bytes| {
-        accepted(ResolutionProof::decode(bytes))
-    }));
+    rows.push(row("resolution proof", resolution.encode(), Plain, wire::<ResolutionProof>));
     rows
 }
 

@@ -11,7 +11,7 @@ use adlp_logger::durable::{DurabilityConfig, DurableLog, SNAPSHOT_FILE};
 use adlp_logger::frame::encode_frame;
 use adlp_logger::wal;
 use adlp_logger::{
-    Direction, KeyRegistry, LogEntry, LogStore, MemStorage, Recorder, SignedTreeHead, Storage,
+    Direction, KeyRegistry, LogEntry, LogStore, MemStorage, Recorder, SignedTreeHead, Storage, Wire,
 };
 use adlp_pubsub::{NodeId, Topic};
 use adlp_witness::{LogWitnessRecord, SplitViewProof, WitnessState};

@@ -6,6 +6,7 @@
 use adlp_crypto::pkcs1::Signature;
 use adlp_crypto::sha256::Digest;
 use adlp_logger::sth::{SignedTreeHead, STH_MAGIC};
+use adlp_logger::Wire;
 use adlp_pubsub::NodeId;
 use proptest::prelude::*;
 

@@ -40,7 +40,7 @@ use adlp_dispute::{replay_window, Outcome, ReplayContext};
 use adlp_logger::sth::{SthPublisher, TreeHeadSigner};
 use adlp_logger::{
     Direction, FaultyStorage, LogEntry, LogError, LogStore, MemStorage, Recovery, Storage,
-    StorageFaultConfig, SyncPolicy,
+    StorageFaultConfig, SyncPolicy, Wire,
 };
 use adlp_pubsub::transport::chaos::ChaosConfig;
 use adlp_pubsub::{FaultConfig, Master, NodeId, Publisher, Subscription, Topic};

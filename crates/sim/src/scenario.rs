@@ -43,7 +43,6 @@ pub fn audit_convicts_evidence_loss_only(audit: &AuditReport) -> bool {
 pub struct Scenario {
     app: AppSpec,
     default_scheme: Scheme,
-    schemes: BTreeMap<String, Scheme>,
     behaviors: BTreeMap<String, BehaviorProfile>,
     duration: Duration,
     warmup: Duration,
@@ -57,8 +56,6 @@ pub struct Scenario {
     resilience: ResilienceConfig,
     /// Per-publisher injected link faults.
     faults: BTreeMap<String, FaultConfig>,
-    /// Per-subscriber bounded queue depths (ROS `queue_size`).
-    queue_sizes: BTreeMap<String, usize>,
     /// Per-subscriber artificial callback latency (a "slow subscriber").
     callback_delays: BTreeMap<String, Duration>,
     /// Deposit into a sharded, replicated cluster instead of one server.
@@ -94,9 +91,6 @@ pub struct ScenarioReport {
     /// Per-subscription mean latency (topic, subscriber) → mean ns, from
     /// header stamps.
     pub mean_latency_ns: BTreeMap<(String, String), f64>,
-    /// Raw per-subscription latency samples (ns), capped at 100k per link;
-    /// source data for percentile reporting.
-    pub latency_samples_ns: BTreeMap<(String, String), Vec<u64>>,
     /// Link-health events (ack timeouts, degradations, teardowns) drained
     /// from each node at the end of the run.
     pub link_events: BTreeMap<String, Vec<LinkEvent>>,
@@ -223,20 +217,6 @@ impl ScenarioReport {
     pub fn log_rate_mbps(&self) -> f64 {
         self.volume.rate_mbps(self.elapsed)
     }
-
-    /// The q-th latency percentile (0.0–1.0) for a link, in milliseconds.
-    pub fn latency_percentile_ms(&self, topic: &str, subscriber: &str, q: f64) -> Option<f64> {
-        let samples = self
-            .latency_samples_ns
-            .get(&(topic.to_string(), subscriber.to_string()))?;
-        if samples.is_empty() {
-            return None;
-        }
-        let mut sorted = samples.clone();
-        sorted.sort_unstable();
-        let idx = ((sorted.len() - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize;
-        Some(sorted[idx] as f64 / 1e6)
-    }
 }
 
 impl Scenario {
@@ -250,7 +230,6 @@ impl Scenario {
         Scenario {
             app,
             default_scheme: Scheme::adlp(),
-            schemes: BTreeMap::new(),
             behaviors: BTreeMap::new(),
             duration: Duration::from_secs(2),
             warmup: Duration::from_millis(200),
@@ -261,7 +240,6 @@ impl Scenario {
             base_stores_hash: false,
             resilience: ResilienceConfig::default(),
             faults: BTreeMap::new(),
-            queue_sizes: BTreeMap::new(),
             callback_delays: BTreeMap::new(),
             cluster: None,
             timeline: Vec::new(),
@@ -346,13 +324,6 @@ impl Scenario {
         self
     }
 
-    /// Bounds one subscriber's per-link queue; a full queue drops new
-    /// frames at the publisher (counted, never silent).
-    pub fn subscriber_queue(mut self, node: &str, depth: usize) -> Self {
-        self.queue_sizes.insert(node.into(), depth);
-        self
-    }
-
     /// Adds artificial latency to one subscriber's callback — a slow
     /// consumer that backs up its delivery queue.
     pub fn subscriber_delay(mut self, node: &str, delay: Duration) -> Self {
@@ -363,12 +334,6 @@ impl Scenario {
     /// Sets the scheme for every node.
     pub fn scheme(mut self, scheme: Scheme) -> Self {
         self.default_scheme = scheme;
-        self
-    }
-
-    /// Overrides the scheme for one node.
-    pub fn scheme_for(mut self, node: &str, scheme: Scheme) -> Self {
-        self.schemes.insert(node.into(), scheme);
         self
     }
 
@@ -463,18 +428,13 @@ impl Scenario {
         // Build nodes.
         let mut nodes: BTreeMap<String, Arc<AdlpNode>> = BTreeMap::new();
         for spec in &self.app.nodes {
-            let scheme = self
-                .schemes
-                .get(&spec.id)
-                .unwrap_or(&self.default_scheme)
-                .clone();
             let behavior = self
                 .behaviors
                 .get(&spec.id)
                 .cloned()
                 .unwrap_or_else(BehaviorProfile::faithful);
             let mut builder = AdlpNodeBuilder::new(spec.id.as_str())
-                .scheme(scheme)
+                .scheme(self.default_scheme.clone())
                 .behavior(behavior)
                 .key_bits(self.key_bits)
                 .transport(self.transport)
@@ -532,14 +492,10 @@ impl Scenario {
                 let cell: LatCell = Arc::new(parking_lot::Mutex::new(Vec::new()));
                 latencies.insert((input.clone(), spec.id.clone()), Arc::clone(&cell));
                 let clock = adlp_pubsub::SystemClock;
-                let mut options = SubscribeOptions::new();
-                if let Some(&depth) = self.queue_sizes.get(&spec.id) {
-                    options = options.with_queue_size(depth);
-                }
                 let callback_delay = self.callback_delays.get(&spec.id).copied();
                 let relay_failures = Arc::clone(&publish_failures);
                 let sub = node
-                    .subscribe_with(input.as_str(), options, move |msg| {
+                    .subscribe_with(input.as_str(), SubscribeOptions::new(), move |msg| {
                         use adlp_pubsub::Clock;
                         if let Some(delay) = callback_delay {
                             std::thread::sleep(delay);
@@ -677,14 +633,12 @@ impl Scenario {
             pressure.insert(id.clone(), node.queue_pressure());
         }
         let mut mean_latency_ns = BTreeMap::new();
-        let mut latency_samples_ns = BTreeMap::new();
         for (k, cell) in latencies {
-            let samples = std::mem::take(&mut *cell.lock());
+            let samples = cell.lock();
             if !samples.is_empty() {
                 let mean = samples.iter().sum::<u64>() as f64 / samples.len() as f64;
-                mean_latency_ns.insert(k.clone(), mean);
+                mean_latency_ns.insert(k, mean);
             }
-            latency_samples_ns.insert(k, samples);
         }
 
         // Cluster teardown: gather the replicas and cut the epoch seal.
@@ -721,7 +675,6 @@ impl Scenario {
             logger: handle,
             topology,
             mean_latency_ns,
-            latency_samples_ns,
             link_events,
             publish_failures: publish_failures.load(Ordering::Relaxed),
             publishes_throttled: publishes_throttled.load(Ordering::Relaxed),
@@ -769,24 +722,6 @@ mod tests {
             .mean_latency_ns
             .keys()
             .any(|(t, s)| t == "image" && s == "lanedet"));
-    }
-
-    #[test]
-    fn latency_percentiles_are_ordered() {
-        let report = Scenario::new(fanout_app(PayloadKind::Custom(128), 1, 100.0))
-            .key_bits(512)
-            .duration(Duration::from_millis(500))
-            .run();
-        let p50 = report.latency_percentile_ms("data", "sink0", 0.5).unwrap();
-        let p99 = report.latency_percentile_ms("data", "sink0", 0.99).unwrap();
-        assert!(p50 > 0.0);
-        assert!(p99 >= p50, "p99 {p99} must dominate p50 {p50}");
-        assert!(report.latency_percentile_ms("ghost", "sink0", 0.5).is_none());
-        // Mean sits within the sample range.
-        let mean = report.mean_latency_ns[&("data".into(), "sink0".into())] / 1e6;
-        let p0 = report.latency_percentile_ms("data", "sink0", 0.0).unwrap();
-        let p100 = report.latency_percentile_ms("data", "sink0", 1.0).unwrap();
-        assert!(mean >= p0 && mean <= p100);
     }
 
     #[test]

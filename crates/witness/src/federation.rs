@@ -39,7 +39,7 @@ use crate::witness::{SthObservation, TreeHeadSource, Witness};
 use adlp_crypto::rsa::{RsaKeyPair, RsaPrivateKey};
 use adlp_logger::sth::SignedTreeHead;
 use adlp_logger::storage::MemStorage;
-use adlp_logger::LogError;
+use adlp_logger::{LogError, Wire};
 use adlp_pubsub::transport::faults::{FaultConfig, FaultStats, FaultyTransport};
 use adlp_pubsub::transport::{duplex_pair, FrameDuplex};
 use adlp_pubsub::{NodeId, PubSubError};

@@ -4,7 +4,7 @@ use adlp_crypto::pkcs1;
 use adlp_crypto::rsa::{RsaPrivateKey, RsaPublicKey};
 use adlp_crypto::sha256::{Digest, Sha256};
 use adlp_crypto::Signature;
-use adlp_logger::encoding::{read_bytes, read_str, read_uvarint, write_bytes, write_str, write_uvarint};
+use adlp_logger::encoding::Wire;
 use adlp_logger::sth::SignedTreeHead;
 use adlp_logger::LogError;
 use adlp_pubsub::NodeId;
@@ -81,28 +81,20 @@ impl SplitViewProof {
             && keyring.verify(&self.first)
             && keyring.verify(&self.second)
     }
+}
 
-    /// Serializes the proof (transferable evidence).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        write_bytes(&mut out, &self.first.encode());
-        write_bytes(&mut out, &self.second.encode());
-        out
+/// Transferable evidence: both heads, each in its slot.
+impl Wire for SplitViewProof {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.first.put_field(out);
+        self.second.put_field(out);
     }
 
-    /// Deserializes a proof.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LogError::Malformed`] for truncated or invalid bytes.
-    pub fn decode(bytes: &[u8]) -> Result<Self, LogError> {
-        let mut input = bytes;
-        let first = SignedTreeHead::decode(read_bytes(&mut input)?)?;
-        let second = SignedTreeHead::decode(read_bytes(&mut input)?)?;
-        if !input.is_empty() {
-            return Err(LogError::Malformed("split-view proof (trailing bytes)"));
-        }
-        Ok(SplitViewProof { first, second })
+    fn decode_from(src: &mut &[u8]) -> Result<Self, LogError> {
+        Ok(SplitViewProof {
+            first: Wire::decode_field(src)?,
+            second: Wire::decode_field(src)?,
+        })
     }
 }
 
@@ -110,11 +102,11 @@ impl SplitViewProof {
 /// a signed-tree-head frame on the witness gossip wire.
 pub const SPLIT_VIEW_FRAME_MAGIC: &[u8; 8] = b"ADLPSVP1";
 
-/// Encodes a conviction for gossip: magic prefix plus the transferable
-/// proof bytes. Peers that never saw the fork re-verify before adopting.
+/// Encodes a conviction for gossip: the magic prefix, then the proof's
+/// fields. Peers that never saw the fork re-verify before adopting.
 pub fn encode_conviction_frame(proof: &SplitViewProof) -> Vec<u8> {
     let mut out = SPLIT_VIEW_FRAME_MAGIC.to_vec();
-    out.extend_from_slice(&proof.encode());
+    proof.put(&mut out);
     out
 }
 
@@ -193,43 +185,24 @@ impl Cosignature {
             &self.signature,
         )
     }
+}
 
-    /// Serializes the cosignature.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64 + self.signature.len());
-        write_uvarint(&mut out, self.witness as u64);
-        write_str(&mut out, self.log.as_str());
-        write_uvarint(&mut out, self.size);
-        out.extend_from_slice(self.root.as_bytes());
-        write_bytes(&mut out, self.signature.as_bytes());
-        out
+impl Wire for Cosignature {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.witness.put_field(out);
+        self.log.put_field(out);
+        self.size.put_field(out);
+        self.root.put_field(out);
+        self.signature.put_field(out);
     }
 
-    /// Deserializes a cosignature.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LogError::Malformed`] for truncated or invalid bytes.
-    pub fn decode(bytes: &[u8]) -> Result<Self, LogError> {
-        let mut input = bytes;
-        let witness = read_uvarint(&mut input)? as usize;
-        let log = NodeId::new(read_str(&mut input)?);
-        let size = read_uvarint(&mut input)?;
-        let (root_bytes, rest) = input
-            .split_at_checked(32)
-            .ok_or(LogError::Malformed("cosignature (root)"))?;
-        input = rest;
-        let root = Digest::from_slice(root_bytes).ok_or(LogError::Malformed("cosignature (root)"))?;
-        let signature = Signature::from_bytes(read_bytes(&mut input)?.to_vec());
-        if !input.is_empty() {
-            return Err(LogError::Malformed("cosignature (trailing bytes)"));
-        }
+    fn decode_from(src: &mut &[u8]) -> Result<Self, LogError> {
         Ok(Cosignature {
-            witness,
-            log,
-            size,
-            root,
-            signature,
+            witness: Wire::decode_field(src)?,
+            log: Wire::decode_field(src)?,
+            size: Wire::decode_field(src)?,
+            root: Wire::decode_field(src)?,
+            signature: Wire::decode_field(src)?,
         })
     }
 }

@@ -1,7 +1,7 @@
 //! One witness: verify, remember, cosign, convict.
 
 use crate::proof::{Cosignature, SplitViewProof, SthKeyring};
-use crate::state::{LogWitnessRecord, WitnessState, WITNESS_STATE_MAGIC};
+use crate::state::{LogWitnessRecord, WitnessState};
 use adlp_crypto::rsa::RsaPrivateKey;
 use adlp_crypto::sha256::Digest;
 use adlp_logger::merkle::{ConsistencyProof, InclusionProof, MerkleTree};
@@ -100,7 +100,7 @@ struct WitnessInner {
     /// Largest size ever cosigned per log (the durable high-water mark).
     cosign_high: BTreeMap<NodeId, u64>,
     /// Where restart-critical state persists; `None` runs volatile.
-    cell: Option<DurableCell>,
+    cell: Option<DurableCell<WitnessState>>,
 }
 
 /// The restart-critical snapshot of the witness's current state (§3.13).
@@ -193,11 +193,8 @@ impl Witness {
         storage: Arc<dyn Storage>,
         name: impl Into<String>,
     ) -> Result<WitnessState, LogError> {
-        let cell = DurableCell::new(storage, name, WITNESS_STATE_MAGIC);
-        let resumed = cell
-            .load()?
-            .map(|payload| WitnessState::decode_payload(&payload))
-            .transpose()?;
+        let cell = DurableCell::<WitnessState>::new(storage, name);
+        let resumed = cell.load()?;
         let mut inner = self.inner.lock();
         if let Some(state) = resumed {
             for (log, record) in &state.logs {
@@ -251,7 +248,7 @@ impl Witness {
             }
         }
         let snapshot = durable_snapshot(&inner);
-        cell.store(&snapshot.encode_payload())?;
+        cell.store(&snapshot)?;
         inner.cell = Some(cell);
         Ok(snapshot)
     }
@@ -366,7 +363,7 @@ impl Witness {
                                     cosign_high_water: high.max(sth.size),
                                 },
                             );
-                            if cell.store(&state.encode_payload()).is_err() {
+                            if cell.store(&state).is_err() {
                                 self.state_persist_failures.fetch_add(1, Ordering::Relaxed);
                                 return SthObservation::StateUnavailable;
                             }
@@ -463,7 +460,7 @@ impl Witness {
     /// contradict.
     fn persist_conviction(&self, inner: &WitnessInner) {
         if let Some(cell) = &inner.cell {
-            if cell.store(&durable_snapshot(inner).encode_payload()).is_err() {
+            if cell.store(&durable_snapshot(inner)).is_err() {
                 self.state_persist_failures.fetch_add(1, Ordering::Relaxed);
             }
         }
