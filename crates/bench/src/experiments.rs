@@ -8,7 +8,7 @@
 use crate::stats::{mean_std, percentile};
 use crate::table::{Cell, Table};
 use adlp_core::{AdlpConfig, BehaviorProfile, LinkRole, LogBehavior, Scheme};
-use adlp_crypto::{pkcs1, sha256::Sha256, RsaKeyPair};
+use adlp_crypto::{pkcs1, sha256, sha256::Sha256, RsaKeyPair};
 use adlp_logger::Direction;
 use adlp_pubsub::wire::FRAME_PREAMBLE_LEN;
 use adlp_pubsub::Topic;
@@ -95,14 +95,17 @@ fn ms_since(since: Instant) -> f64 {
 }
 
 /// Reproduces Table I: average times to hash / hash+sign Steering, Scan and
-/// Image payloads (3,000 samples each in the paper). "Verify" is the mean
+/// Image payloads (3,000 samples each in the paper). The title names the
+/// SHA-256 kernel the CPU ran ([`sha256::kernel`]). "Verify" is the mean
 /// PKCS#1 verification of that signature against the known digest, the
 /// cost a light-client audit or the auditor pays per signature.
 fn table1_crypto_times(scale: &Scale) -> Table {
     let mut table = Table::new(
         format!(
-            "Table I — hashing and signing time per data type (ms; RSA-{}, SHA-256, {} samples)",
-            scale.key_bits, scale.samples
+            "Table I — hashing and signing time per data type (ms; RSA-{}, SHA-256 {} kernel, {} samples)",
+            scale.key_bits,
+            sha256::kernel(),
+            scale.samples
         ),
         "Type | Size (B) | Hash only | Hash stdev | Hash+Sign | Hash+Sign stdev | Verify",
     );
@@ -779,6 +782,7 @@ mod tests {
         match name {
             "table1" => {
                 assert_eq!(t.rows.len(), 3);
+                assert!(t.title.contains(sha256::kernel()), "{}", t.title);
                 // Hashing grows with size…
                 assert!(t.num(2, "Hash only") > t.num(0, "Hash only"));
                 // …and for small payloads the signature dominates clearly.

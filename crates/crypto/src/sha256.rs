@@ -2,7 +2,27 @@
 //!
 //! ADLP hashes every published payload (`h(seq ‖ D)`) and every received
 //! payload, so this is the hot primitive for large messages (Table I of the
-//! paper shows hashing dominating signing beyond ~1 MB payloads).
+//! paper shows hashing dominating signing beyond ~1 MB payloads). The same
+//! function also computes every logger leaf digest and frame checksum,
+//! Merkle node, signed tree head, attestation and evidence digest, and HMAC.
+//!
+//! All of it runs through one compression function, `compress_blocks`,
+//! which absorbs a run of whole 64-byte blocks: [`Sha256::update`] hands it
+//! every whole block of its input in one call and [`Sha256::finalize`] its
+//! one or two padding blocks. It runs one of two kernels, chosen by the CPU
+//! and by nothing else (no feature, option or environment variable):
+//!
+//! * on x86-64 CPUs with the SHA extensions, a kernel built on
+//!   `sha256rnds2` / `sha256msg1` / `sha256msg2`. It is a safe
+//!   `#[target_feature]` function over value intrinsics only, and the one
+//!   `unsafe` block in the workspace is its call behind the run-time
+//!   feature check;
+//! * everywhere else, the portable scalar kernel, which is also the oracle
+//!   the hardware kernel is tested against (see [`sha256_portable`]).
+//!
+//! Both compute FIPS 180-4's compression function, so every digest is the
+//! same byte for byte whichever kernel ran; [`kernel`] names the one this
+//! process uses.
 
 use std::fmt;
 
@@ -147,6 +167,17 @@ impl Sha256 {
 
     /// Absorbs `data`.
     pub fn update(&mut self, data: &[u8]) {
+        self.absorb(data, compress_blocks);
+    }
+
+    /// Completes the hash and returns the digest, consuming the hasher.
+    pub fn finalize(self) -> Digest {
+        self.finish(compress_blocks)
+    }
+
+    /// [`Sha256::update`] with the kernel named: one `compress` call for a
+    /// completed buffer, then one for every whole block of `data`.
+    fn absorb(&mut self, data: &[u8], compress: impl Fn(&mut [u32; 8], &[[u8; 64]])) {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
         let mut input = data;
         if self.buffer_len > 0 {
@@ -158,8 +189,7 @@ impl Sha256 {
             self.buffer_len += take;
             input = tail;
             if self.buffer_len == 64 {
-                let block = self.buffer;
-                self.compress(&block);
+                compress(&mut self.state, std::slice::from_ref(&self.buffer));
                 self.buffer_len = 0;
             } else {
                 // The buffer absorbed all input without filling; nothing
@@ -169,41 +199,37 @@ impl Sha256 {
                 return;
             }
         }
-        let mut chunks = input.chunks_exact(64);
-        for block in &mut chunks {
-            if let Ok(block) = block.try_into() {
-                self.compress(block);
-            }
+        let (blocks, rest) = input.as_chunks::<64>();
+        if !blocks.is_empty() {
+            compress(&mut self.state, blocks);
         }
-        let rest = chunks.remainder();
         if let Some(dst) = self.buffer.get_mut(..rest.len()) {
             dst.copy_from_slice(rest);
         }
         self.buffer_len = rest.len();
     }
 
-    /// Completes the hash and returns the digest, consuming the hasher.
-    pub fn finalize(mut self) -> Digest {
+    /// [`Sha256::finalize`] with the kernel named: one `compress` call for
+    /// the padding blocks.
+    fn finish(mut self, compress: impl Fn(&mut [u32; 8], &[[u8; 64]])) -> Digest {
         let bit_len = self.total_len.wrapping_mul(8);
         // Padding: 0x80, zeros, 8-byte big-endian bit length. The buffer
         // never holds a full block, so the 0x80 always fits; when the length
         // does not fit behind it, the padding spills into a second block.
-        let mut block = self.buffer;
-        if let Some((pad, zeros)) = block
+        let mut pad = [self.buffer, [0u8; 64]];
+        let blocks = if self.buffer_len >= 56 { 2 } else { 1 };
+        let padded = pad.as_flattened_mut();
+        if let Some((marker, zeros)) = padded
             .get_mut(self.buffer_len..)
             .and_then(<[u8]>::split_first_mut)
         {
-            *pad = 0x80;
+            *marker = 0x80;
             zeros.fill(0);
         }
-        if self.buffer_len >= 56 {
-            self.compress(&block);
-            block = [0u8; 64];
+        if let Some(len) = padded.get_mut(blocks * 64 - 8..blocks * 64) {
+            len.copy_from_slice(&bit_len.to_be_bytes());
         }
-        if let Some(tail) = block.get_mut(56..64) {
-            tail.copy_from_slice(&bit_len.to_be_bytes());
-        }
-        self.compress(&block);
+        compress(&mut self.state, pad.get(..blocks).unwrap_or_default());
 
         let mut out = [0u8; DIGEST_LEN];
         for (chunk, word) in out.chunks_exact_mut(4).zip(self.state) {
@@ -211,8 +237,52 @@ impl Sha256 {
         }
         Digest(out)
     }
+}
 
-    fn compress(&mut self, block: &[u8; 64]) {
+/// Absorbs `blocks` into `state` with the kernel the CPU supports: the
+/// SHA-extensions kernel when [`x86::ShaNi::detect`] finds it, else the
+/// portable one. Both give the same state.
+fn compress_blocks(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+    #[cfg(target_arch = "x86_64")]
+    if let Some(sha_ni) = x86::ShaNi::detect() {
+        sha_ni.compress_blocks(state, blocks);
+        return;
+    }
+    portable::compress_blocks(state, blocks);
+}
+
+/// Names the kernel this process hashes with: `"x86-sha"` when the CPU has
+/// the x86 SHA extensions, otherwise `"portable"`.
+pub fn kernel() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if x86::ShaNi::detect().is_some() {
+        return "x86-sha";
+    }
+    "portable"
+}
+
+/// One-shot SHA-256 through the portable kernel alone, whatever the CPU.
+///
+/// This is the oracle the hardware kernel is tested against; production
+/// code calls [`sha256`], which returns the same digest.
+pub fn sha256_portable(data: &[u8]) -> Digest {
+    let mut h = Sha256::new();
+    h.absorb(data, portable::compress_blocks);
+    h.finish(portable::compress_blocks)
+}
+
+/// The portable scalar kernel: FIPS 180-4's compression function, one block
+/// at a time, on any CPU.
+mod portable {
+    use super::K;
+
+    pub(super) fn compress_blocks(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+        for block in blocks {
+            compress(state, block);
+        }
+    }
+
+    fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
         let mut w = [0u32; 64];
         for (wi, chunk) in w.iter_mut().zip(block.chunks_exact(4)) {
             if let Ok(bytes) = chunk.try_into() {
@@ -233,7 +303,7 @@ impl Sha256 {
             }
         }
 
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
         for (&ki, &wi) in K.iter().zip(w.iter()) {
             let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
             let ch = (e & f) ^ (!e & g);
@@ -254,9 +324,117 @@ impl Sha256 {
             b = a;
             a = t1.wrapping_add(t2);
         }
-        for (s, v) in self.state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
             *s = s.wrapping_add(v);
         }
+    }
+}
+
+/// The x86-64 SHA-extensions kernel (`sha256rnds2` / `sha256msg1` /
+/// `sha256msg2`).
+///
+/// The state lives in two vectors in the instruction set's lane order,
+/// `abef = (f, e, b, a)` and `cdgh = (h, g, d, c)` from lane 0 up, for the
+/// whole run of blocks; it enters and leaves through `_mm_set_epi32` /
+/// `_mm_extract_epi32` once per call. Each `sha256rnds2` performs two
+/// rounds with `W[t] + K[t]` from the low two lanes of its third operand.
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    use super::K;
+    use std::arch::x86_64::{
+        __m128i, _mm_add_epi32, _mm_alignr_epi8, _mm_extract_epi32, _mm_set_epi32,
+        _mm_setzero_si128, _mm_sha256msg1_epu32, _mm_sha256msg2_epu32, _mm_sha256rnds2_epu32,
+        _mm_shuffle_epi32,
+    };
+
+    /// Proof that the running CPU has the instructions [`compress_blocks_sha`]
+    /// is compiled for. Its field is private, so [`ShaNi::detect`] is the
+    /// only way to obtain one.
+    #[derive(Clone, Copy)]
+    pub(super) struct ShaNi(());
+
+    impl ShaNi {
+        /// `Some` exactly when the CPU reports SHA, SSE2, SSSE3 and SSE4.1.
+        /// The standard library caches the CPUID answer, so this is a load
+        /// and a test after the first call.
+        pub(super) fn detect() -> Option<ShaNi> {
+            let present = is_x86_feature_detected!("sha")
+                && is_x86_feature_detected!("sse2")
+                && is_x86_feature_detected!("ssse3")
+                && is_x86_feature_detected!("sse4.1");
+            present.then_some(ShaNi(()))
+        }
+
+        /// Absorbs `blocks` into `state` with the SHA instructions.
+        #[allow(unsafe_code)]
+        pub(super) fn compress_blocks(self, state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+            // SAFETY: `compress_blocks_sha` is safe apart from its target
+            // features, and `self` exists only because `ShaNi::detect` saw
+            // `is_x86_feature_detected!` report every one of them (sha,
+            // sse2, ssse3, sse4.1) on this CPU.
+            unsafe { compress_blocks_sha(state, blocks) }
+        }
+    }
+
+    /// Four big-endian message words as one vector, the first in lane 0.
+    #[target_feature(enable = "sse2")]
+    fn load_words(bytes: &[u8; 16]) -> __m128i {
+        let mut w = [0i32; 4];
+        for (lane, word) in w.iter_mut().zip(bytes.as_chunks::<4>().0) {
+            *lane = u32::from_be_bytes(*word).cast_signed();
+        }
+        let [w0, w1, w2, w3] = w;
+        _mm_set_epi32(w3, w2, w1, w0)
+    }
+
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    fn compress_blocks_sha(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+        let [a, b, c, d, e, f, g, h] = state.map(u32::cast_signed);
+        let mut abef = _mm_set_epi32(a, b, e, f);
+        let mut cdgh = _mm_set_epi32(c, d, g, h);
+        let (k4, _) = K.as_chunks::<4>();
+        for block in blocks {
+            let (abef_in, cdgh_in) = (abef, cdgh);
+            let mut m = [_mm_setzero_si128(); 4];
+            for (mi, quad) in m.iter_mut().zip(block.as_chunks::<16>().0) {
+                *mi = load_words(quad);
+            }
+            // (w0, w1, w2, w3) hold W[4i .. 4i + 16] at quad-round i.
+            let [mut w0, mut w1, mut w2, mut w3] = m;
+            for (i, &[k0, k1, k2, k3]) in k4.iter().enumerate() {
+                let k = _mm_set_epi32(
+                    k3.cast_signed(),
+                    k2.cast_signed(),
+                    k1.cast_signed(),
+                    k0.cast_signed(),
+                );
+                let wk = _mm_add_epi32(w0, k);
+                cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+                abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32::<0x0E>(wk));
+                // W[4i + 16 .. 4i + 20]; the last four quads need none.
+                let next = if i < 12 {
+                    let s0 = _mm_sha256msg1_epu32(w0, w1);
+                    let w9 = _mm_alignr_epi8::<4>(w3, w2);
+                    _mm_sha256msg2_epu32(_mm_add_epi32(s0, w9), w3)
+                } else {
+                    w0
+                };
+                (w0, w1, w2, w3) = (w1, w2, w3, next);
+            }
+            abef = _mm_add_epi32(abef, abef_in);
+            cdgh = _mm_add_epi32(cdgh, cdgh_in);
+        }
+        *state = [
+            _mm_extract_epi32::<3>(abef),
+            _mm_extract_epi32::<2>(abef),
+            _mm_extract_epi32::<3>(cdgh),
+            _mm_extract_epi32::<2>(cdgh),
+            _mm_extract_epi32::<1>(abef),
+            _mm_extract_epi32::<0>(abef),
+            _mm_extract_epi32::<1>(cdgh),
+            _mm_extract_epi32::<0>(cdgh),
+        ]
+        .map(i32::cast_unsigned);
     }
 }
 
@@ -298,6 +476,45 @@ pub fn binding_digest(topic: &str, seq: u64, payload_digest: &Digest) -> Digest 
 mod tests {
     use super::*;
 
+    use rand::{RngCore, SeedableRng};
+
+    /// A kernel as `absorb`/`finish` take it.
+    type Kernel<'a> = &'a dyn Fn(&mut [u32; 8], &[[u8; 64]]);
+
+    /// Hashes `parts` as consecutive updates, every block through `kernel`.
+    fn digest_with(kernel: Kernel<'_>, parts: &[&[u8]]) -> Digest {
+        let mut h = Sha256::new();
+        for part in parts {
+            h.absorb(part, kernel);
+        }
+        h.finish(kernel)
+    }
+
+    /// Runs `check` on the hardware kernel when this CPU has one, and says
+    /// so when it does not.
+    fn with_hardware(check: impl FnOnce(Kernel<'_>)) {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(sha_ni) = x86::ShaNi::detect() {
+            return check(&move |state, blocks| sha_ni.compress_blocks(state, blocks));
+        }
+        eprintln!("no SHA extensions on this CPU: the hardware kernel was not run");
+    }
+
+    /// Every kernel this CPU can run, by name.
+    fn each_kernel(check: impl Fn(&str, Kernel<'_>)) {
+        check("portable", &portable::compress_blocks);
+        with_hardware(|hw| check("x86-sha", hw));
+    }
+
+    #[test]
+    fn reports_the_kernel_this_cpu_runs() {
+        let name = kernel();
+        println!("sha256 kernel on this CPU: {name}");
+        assert!(["x86-sha", "portable"].contains(&name));
+        #[cfg(target_arch = "x86_64")]
+        assert_eq!(name == "x86-sha", x86::ShaNi::detect().is_some());
+    }
+
     // NIST FIPS 180-4 / Examples vectors.
     #[test]
     fn nist_vectors() {
@@ -321,20 +538,69 @@ mod tests {
         ];
         for (input, expected) in cases {
             assert_eq!(sha256(input).to_hex(), *expected);
+            assert_eq!(sha256_portable(input).to_hex(), *expected);
+            each_kernel(|name, kernel| {
+                assert_eq!(digest_with(kernel, &[input]).to_hex(), *expected, "{name}");
+            });
         }
     }
 
     #[test]
     fn million_a() {
-        let mut h = Sha256::new();
         let chunk = [b'a'; 1000];
-        for _ in 0..1000 {
-            h.update(&chunk);
+        each_kernel(|name, kernel| {
+            let mut h = Sha256::new();
+            for _ in 0..1000 {
+                h.absorb(&chunk, kernel);
+            }
+            assert_eq!(
+                h.finish(kernel).to_hex(),
+                "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
+                "{name}"
+            );
+        });
+    }
+
+    /// Every length 0..=1,100 B, whole and split at seeded points into
+    /// 1–4 updates: the hardware kernel, the dispatched [`sha256`] and
+    /// [`Sha256::update`] all equal the portable one-shot.
+    #[test]
+    fn both_kernels_agree_on_every_length_and_split() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5a_256);
+        let mut data = vec![0u8; 1100];
+        rng.fill_bytes(&mut data);
+        let mut hardware_runs = 0;
+        for len in 0..=data.len() {
+            let input = data.get(..len).unwrap_or_default();
+            let oracle = sha256_portable(input);
+            assert_eq!(sha256(input), oracle, "dispatched, len {len}");
+            let mut cuts: Vec<usize> = (0..rng.next_u64() % 4)
+                .map(|_| (rng.next_u64() % (len as u64 + 1)) as usize)
+                .collect();
+            cuts.sort_unstable();
+            let mut parts = Vec::new();
+            let mut from = 0;
+            for cut in cuts.into_iter().chain([len]) {
+                parts.push(input.get(from..cut).unwrap_or_default());
+                from = cut;
+            }
+            let mut h = Sha256::new();
+            for part in &parts {
+                h.update(part);
+            }
+            assert_eq!(h.finalize(), oracle, "dispatched, len {len}, split");
+            assert_eq!(
+                digest_with(&portable::compress_blocks, &parts),
+                oracle,
+                "portable, len {len}"
+            );
+            with_hardware(|hw| {
+                assert_eq!(digest_with(hw, &[input]), oracle, "x86-sha, len {len}");
+                assert_eq!(digest_with(hw, &parts), oracle, "x86-sha, len {len}, split");
+                hardware_runs += 1;
+            });
         }
-        assert_eq!(
-            h.finalize().to_hex(),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-        );
+        println!("hardware kernel checked on {hardware_runs} lengths");
     }
 
     #[test]

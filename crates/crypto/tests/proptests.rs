@@ -1,7 +1,7 @@
 //! Property-based tests for the cryptographic substrate.
 
 use adlp_crypto::bignum::Montgomery;
-use adlp_crypto::sha256::{sha256, Sha256};
+use adlp_crypto::sha256::{sha256, sha256_portable, Sha256};
 use adlp_crypto::{pkcs1, BigUint, RsaKeyPair};
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -175,13 +175,21 @@ proptest! {
         prop_assert!(b.div_rem(&g).unwrap().1.is_zero());
     }
 
+    /// Whatever kernel this CPU runs, any 0–8 KiB input fed in up to five
+    /// updates hashes to the portable kernel's one-shot digest.
     #[test]
-    fn sha256_incremental_any_split(data in proptest::collection::vec(any::<u8>(), 0..2048), split_frac in 0.0f64..1.0) {
-        let split = ((data.len() as f64) * split_frac) as usize;
+    fn sha256_any_splits_equal_the_portable_oneshot(data in proptest::collection::vec(any::<u8>(), 0..8192), cuts in proptest::collection::vec(any::<prop::sample::Index>(), 0..5)) {
+        let mut cuts: Vec<usize> = cuts.iter().map(|c| c.index(data.len() + 1)).collect();
+        cuts.sort_unstable();
         let mut h = Sha256::new();
-        h.update(&data[..split]);
-        h.update(&data[split..]);
-        prop_assert_eq!(h.finalize(), sha256(&data));
+        let mut from = 0;
+        for cut in cuts.into_iter().chain([data.len()]) {
+            h.update(&data[from..cut]);
+            from = cut;
+        }
+        let oracle = sha256_portable(&data);
+        prop_assert_eq!(h.finalize(), oracle);
+        prop_assert_eq!(sha256(&data), oracle);
     }
 
     #[test]

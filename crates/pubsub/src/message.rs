@@ -48,10 +48,18 @@ impl Message {
 
     /// Encodes to the wire body: `seq ‖ stamp ‖ payload` (little-endian).
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.body_len());
-        out.extend_from_slice(&self.header.seq.to_le_bytes());
-        out.extend_from_slice(&self.header.stamp_ns.to_le_bytes());
-        out.extend_from_slice(&self.payload);
+        Self::encode_parts(self.header, &self.payload)
+    }
+
+    /// Encodes the wire body of `header` and `payload` without building a
+    /// [`Message`]: one allocation, one copy of the payload. The encoder
+    /// behind [`Message::encode`], and what a publisher calls on the
+    /// application's borrowed bytes.
+    pub(crate) fn encode_parts(header: Header, payload: &[u8]) -> Vec<u8> {
+        let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
+        out.extend_from_slice(&header.seq.to_le_bytes());
+        out.extend_from_slice(&header.stamp_ns.to_le_bytes());
+        out.extend_from_slice(payload);
         out
     }
 

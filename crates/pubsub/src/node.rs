@@ -818,8 +818,7 @@ impl Publisher {
         }
         let seq = s.seq.fetch_add(1, Ordering::SeqCst) + 1;
         let stamp_ns = s.node.clock.now_ns();
-        let msg = Message::new(Header { seq, stamp_ns }, payload.to_vec());
-        let body = msg.encode();
+        let body = Message::encode_parts(Header { seq, stamp_ns }, payload);
         s.node.stats.record_publish();
 
         let conns: Vec<Arc<PubConn>> = s.conns.lock().clone();
