@@ -813,12 +813,14 @@ impl Auditor {
                 (Some(a), Some(b)) => (a, b),
                 _ => continue,
             };
-            if hi - lo + 1 == seqs.len() as u64 {
+            // Compared without `+ 1`: a forged seq can span all of u64.
+            if hi - lo == seqs.len() as u64 - 1 {
                 continue;
             }
             // A forged seq can make the range astronomically wide; walk the
-            // observed seqs instead of the full range so enumeration stays
-            // O(entries), and cap the sample.
+            // observed seqs instead of the full range, skip each shed range
+            // in one step so enumeration stays O(entries + receipts), and
+            // cap the sample.
             let mut missing: Vec<u64> = Vec::new();
             let mut prev = lo;
             'scan: for &s in seqs.iter().skip(1) {
@@ -826,16 +828,20 @@ impl Auditor {
                 while gap < s {
                     // A seq either side admitted shedding is accounted for
                     // — not a possible pairwise hide.
-                    let excused = shed_cover(shed, &publisher, &topic, Direction::Out, gap)
-                        .is_some()
-                        || shed_cover(shed, &subscriber, &topic, Direction::In, gap).is_some();
-                    if !excused {
-                        missing.push(gap);
-                        if missing.len() >= self.gap_report_limit {
-                            break 'scan;
+                    let excused_to = [
+                        shed_cover(shed, &publisher, &topic, Direction::Out, gap),
+                        shed_cover(shed, &subscriber, &topic, Direction::In, gap),
+                    ];
+                    match excused_to.into_iter().flatten().map(|(_, last)| last).max() {
+                        Some(last) => gap = last.saturating_add(1),
+                        None => {
+                            missing.push(gap);
+                            if missing.len() >= self.gap_report_limit {
+                                break 'scan;
+                            }
+                            gap += 1;
                         }
                     }
-                    gap += 1;
                 }
                 prev = s;
             }

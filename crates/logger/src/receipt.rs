@@ -93,7 +93,7 @@ impl GapReceipt {
     /// Whether the receipt's arithmetic is internally consistent.
     pub fn well_formed(&self) -> bool {
         self.first_seq <= self.last_seq
-            && self.count == self.last_seq - self.first_seq + 1
+            && self.count.checked_sub(1) == Some(self.last_seq - self.first_seq)
     }
 
     /// Whether two receipts for the same (component, topic, direction)

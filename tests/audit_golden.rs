@@ -122,6 +122,14 @@ const PINS: &[(&str, &str)] = &[
         "shuffle_3",
         "9fde84da19e8e89095d37cded6598013ba9eb44d8b99a8f3886fed572b3747f4",
     ),
+    (
+        "max_seq",
+        "6e6f819534d3bdd47c79ff1b1d8ea0048ad32da43827d836288fdd03b271e8e7",
+    ),
+    (
+        "wide_receipts",
+        "dafc0aec2a58190d6cb54424ba12f4ad651ceb61b2b935151a00116548a02790",
+    ),
 ];
 
 struct World {
@@ -558,6 +566,31 @@ fn cases(w: &World) -> Vec<(String, Vec<LogEntry>)> {
     }
     let names = ["shuffle_1", "shuffle_2", "shuffle_3"];
     cases.extend(names.into_iter().zip(shuffled));
+    // Forged extremes, kept out of the shuffles. A validly self-signed
+    // receipt at seq u64::MAX on a link whose lowest seq is 0; a shed range
+    // spanning almost all of u64 between two links; a receipt claiming
+    // every seq, whose count cannot be written.
+    let [p0, s0] = faithful(w, 0, b"zero");
+    cases.push((
+        "max_seq",
+        vec![
+            p0.clone(),
+            s0.clone(),
+            receipt(sub, w, u64::MAX, one, Some(forged())),
+        ],
+    ));
+    cases.push((
+        "wide_receipts",
+        vec![
+            p0,
+            s0,
+            p1,
+            s1,
+            receipt(sub, w, u64::MAX, one, Some(forged())),
+            gap_receipt(sub, Direction::In, 2, u64::MAX - 1, u64::MAX - 2, true),
+            gap_receipt(&w.publisher, Direction::Out, 0, u64::MAX, 0, true),
+        ],
+    ));
     cases.into_iter().map(|(n, e)| (n.to_string(), e)).collect()
 }
 
