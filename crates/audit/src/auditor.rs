@@ -17,10 +17,16 @@
 //! Theorem 2 (in a collusion-free system every unfaithful act is detected)
 //! follow from this per-link analysis and are exercised as integration
 //! tests.
+//!
+//! One private pass judges every entry, for [`Auditor::audit`] and for an
+//! [`AuditSession`] alike, and verifies every signature through one memo.
+//! The two entries of a faithful link carry the same two signatures, so a
+//! pass verifies each once; a session keeps its memo, so a later ingest
+//! re-judges everything without repeating any RSA.
 
 use crate::classify::{Anomaly, EntryClass, HiddenRecord, InvalidReason, LinkAudit};
-use adlp_crypto::pkcs1;
 use adlp_crypto::sha256::{binding_digest, Digest};
+use adlp_crypto::{pkcs1, Signature};
 use adlp_logger::{Direction, GapReceipt, KeyRegistry, LogEntry, LogStore};
 use adlp_pubsub::{NodeId, Topic};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -179,6 +185,12 @@ struct AckEvidence {
     sig_valid: bool,
 }
 
+/// Signature checks already made: `(signer, bound digest, signature) →
+/// valid`. Only checks made under a registered key are kept. The registry
+/// is first-write-wins, so a kept result never goes stale, and a signer
+/// without a key is looked up again next time.
+type SigMemo = HashMap<(NodeId, Digest, Signature), bool>;
+
 impl Auditor {
     /// Creates an auditor over a key registry.
     pub fn new(keys: KeyRegistry) -> Self {
@@ -196,7 +208,9 @@ impl Auditor {
         self
     }
 
-    /// Audits everything in a store (undecodable records are rejected).
+    /// Audits everything in a store. Records that do not decode are
+    /// skipped and not counted; [`crate::ClusterAuditReport::undecodable`]
+    /// is where a cluster audit counts them.
     pub fn audit_store(&self, store: &LogStore) -> AuditReport {
         let entries: Vec<LogEntry> = store
             .entries()
@@ -208,6 +222,12 @@ impl Auditor {
 
     /// Audits a set of entries.
     pub fn audit(&self, entries: &[LogEntry]) -> AuditReport {
+        self.classify(entries, &mut SigMemo::new())
+    }
+
+    /// The one pass that judges entries, verifying signatures through
+    /// `memo`.
+    fn classify(&self, entries: &[LogEntry], memo: &mut SigMemo) -> AuditReport {
         let mut report = AuditReport::default();
 
         // Phase 0: gap receipts — signed admissions of shed ranges — are
@@ -220,7 +240,7 @@ impl Auditor {
                 normal.push(entry);
                 continue;
             }
-            if let Some(reason) = self.screen(entry) {
+            if let Some(reason) = self.screen(entry, memo) {
                 if reason == InvalidReason::AuthenticityFailure {
                     report.anomalies.push(Anomaly::ImpersonationSuspected {
                         claimed: entry.component.clone(),
@@ -253,7 +273,7 @@ impl Auditor {
         let mut deposited: HashMap<(NodeId, Topic, Direction), BTreeSet<u64>> = HashMap::new();
 
         for entry in normal {
-            if let Some(reason) = self.screen(entry) {
+            if let Some(reason) = self.screen(entry, memo) {
                 if reason == InvalidReason::AuthenticityFailure {
                     report.anomalies.push(Anomaly::ImpersonationSuspected {
                         claimed: entry.component.clone(),
@@ -359,6 +379,7 @@ impl Auditor {
                 sub_entries.get(&key).copied(),
                 &shed,
                 &mut report,
+                memo,
             );
             report.hidden.extend(link.hidden.iter().cloned());
             report.links.push(link);
@@ -383,6 +404,7 @@ impl Auditor {
                 None,
                 &shed,
                 &mut report,
+                memo,
             );
             report.links.push(link);
         }
@@ -432,8 +454,26 @@ impl Auditor {
         verified
     }
 
+    /// Whether `sig` is `signer`'s signature over `bound`, or `None` when no
+    /// key is registered for `signer`. The audit's only signature check.
+    fn check(
+        &self,
+        memo: &mut SigMemo,
+        signer: &NodeId,
+        bound: Digest,
+        sig: &Signature,
+    ) -> Option<bool> {
+        let statement = (signer.clone(), bound, sig.clone());
+        if let Some(&valid) = memo.get(&statement) {
+            return Some(valid);
+        }
+        let valid = pkcs1::verify_digest(&self.keys.get(signer)?, &bound, sig);
+        memo.insert(statement, valid);
+        Some(valid)
+    }
+
     /// Pre-link screening. Returns a rejection reason, if any.
-    fn screen(&self, entry: &LogEntry) -> Option<InvalidReason> {
+    fn screen(&self, entry: &LogEntry, memo: &mut SigMemo) -> Option<InvalidReason> {
         if entry.direction == Direction::Out {
             if let Some(owner) = self.topology.get(&entry.topic) {
                 if owner != &entry.component {
@@ -442,77 +482,55 @@ impl Auditor {
             }
         }
         if let Some(own_sig) = &entry.own_sig {
-            let Some(key) = self.keys.get(&entry.component) else {
-                return Some(InvalidReason::UnknownComponent);
-            };
             // Signatures cover the binding digest h(seq ‖ h(D)): a
             // relabeled sequence number fails right here instead of
             // framing the counterpart.
             let bound =
                 binding_digest(entry.topic.as_str(), entry.seq, &entry.payload.digest());
-            if !pkcs1::verify_digest(&key, &bound, own_sig) {
-                return Some(InvalidReason::AuthenticityFailure);
+            match self.check(memo, &entry.component, bound, own_sig) {
+                None => return Some(InvalidReason::UnknownComponent),
+                Some(false) => return Some(InvalidReason::AuthenticityFailure),
+                Some(true) => {}
             }
         }
         None
     }
 
-    fn pub_evidence(&self, view: &PubView<'_>, subscriber: &NodeId) -> SideEvidence {
+    fn pub_evidence(
+        &self,
+        view: &PubView<'_>,
+        subscriber: &NodeId,
+        memo: &mut SigMemo,
+    ) -> SideEvidence {
         let entry = view.entry;
-        let claimed = entry.payload.digest();
-        let sub_key = self.keys.get(subscriber);
-        let seq = entry.seq;
         let ack = match view.ack_of {
-            Some(i) => {
-                let a = &entry.acks[i];
-                Some(AckEvidence {
-                    hash: a.hash,
-                    sig_valid: sub_key
-                        .as_ref()
-                        .map(|k| {
-                            pkcs1::verify_digest(
-                                k,
-                                &binding_digest(entry.topic.as_str(), seq, &a.hash),
-                                &a.sig,
-                            )
-                        })
-                        .unwrap_or(false),
-                })
-            }
-            None => match (&entry.peer_hash, &entry.peer_sig) {
-                (Some(h), Some(s)) => Some(AckEvidence {
-                    hash: *h,
-                    sig_valid: sub_key
-                        .as_ref()
-                        .map(|k| {
-                            pkcs1::verify_digest(
-                                k,
-                                &binding_digest(entry.topic.as_str(), seq, h),
-                                s,
-                            )
-                        })
-                        .unwrap_or(false),
-                }),
-                _ => None,
-            },
+            Some(i) => Some((&entry.acks[i].hash, &entry.acks[i].sig)),
+            None => entry.peer_hash.as_ref().zip(entry.peer_sig.as_ref()),
         };
         SideEvidence {
-            claimed,
-            ack,
+            claimed: entry.payload.digest(),
+            ack: ack.map(|(hash, sig)| {
+                let bound = binding_digest(entry.topic.as_str(), entry.seq, hash);
+                AckEvidence {
+                    hash: *hash,
+                    sig_valid: self.check(memo, subscriber, bound, sig) == Some(true),
+                }
+            }),
             peer_sig_valid: false,
         }
     }
 
-    fn sub_evidence(&self, entry: &LogEntry, publisher: &NodeId) -> SideEvidence {
+    fn sub_evidence(
+        &self,
+        entry: &LogEntry,
+        publisher: &NodeId,
+        memo: &mut SigMemo,
+    ) -> SideEvidence {
         let claimed = entry.payload.digest();
-        let peer_sig_valid = match (&entry.peer_sig, self.keys.get(publisher)) {
-            (Some(s), Some(k)) => pkcs1::verify_digest(
-                &k,
-                &binding_digest(entry.topic.as_str(), entry.seq, &claimed),
-                s,
-            ),
-            _ => false,
-        };
+        let peer_sig_valid = entry.peer_sig.as_ref().is_some_and(|s| {
+            let bound = binding_digest(entry.topic.as_str(), entry.seq, &claimed);
+            self.check(memo, publisher, bound, s) == Some(true)
+        });
         SideEvidence {
             claimed,
             ack: None,
@@ -531,6 +549,7 @@ impl Auditor {
         sub_entry: Option<&LogEntry>,
         shed: &[GapReceipt],
         report: &mut AuditReport,
+        memo: &mut SigMemo,
     ) -> LinkAudit {
         let mut link = LinkAudit {
             topic: topic.clone(),
@@ -563,8 +582,8 @@ impl Auditor {
             return link;
         }
 
-        let p = pub_view.map(|v| self.pub_evidence(v, subscriber));
-        let s = sub_entry.map(|e| self.sub_evidence(e, publisher));
+        let p = pub_view.map(|v| self.pub_evidence(v, subscriber, memo));
+        let s = sub_entry.map(|e| self.sub_evidence(e, publisher, memo));
 
         match (p, s) {
             (Some(p), Some(s)) => self.judge_dispute(topic, seq, publisher, subscriber, p, s, &mut link, report),
@@ -857,6 +876,55 @@ impl Auditor {
     }
 }
 
+/// A running audit over a growing log. Each ingest re-judges every entry
+/// seen so far, so the report always equals [`Auditor::audit`] of that
+/// prefix; the session keeps its signature memo, so no signature is
+/// verified twice across ingests.
+#[derive(Debug)]
+pub struct AuditSession {
+    auditor: Auditor,
+    entries: Vec<LogEntry>,
+    memo: SigMemo,
+    report: AuditReport,
+}
+
+impl AuditSession {
+    /// Starts a session.
+    pub fn new(auditor: Auditor) -> Self {
+        AuditSession {
+            auditor,
+            entries: Vec::new(),
+            memo: SigMemo::new(),
+            report: AuditReport::default(),
+        }
+    }
+
+    /// Feeds newly appended entries; returns the refreshed report.
+    pub fn ingest<'a>(
+        &mut self,
+        new_entries: impl IntoIterator<Item = &'a LogEntry>,
+    ) -> &AuditReport {
+        self.entries.extend(new_entries.into_iter().cloned());
+        self.report = self.auditor.classify(&self.entries, &mut self.memo);
+        &self.report
+    }
+
+    /// The report over everything ingested so far.
+    pub fn report(&self) -> &AuditReport {
+        &self.report
+    }
+
+    /// Number of entries ingested.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Whether nothing was ingested yet.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+}
+
 struct PubView<'a> {
     entry: &'a LogEntry,
     /// Index into `entry.acks` when this view came from an aggregated entry.
@@ -880,4 +948,84 @@ fn shed_cover(
                 && r.covers(seq)
         })
         .map(|r| (r.first_seq, r.last_seq))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use adlp_core::ComponentIdentity;
+    use adlp_crypto::sha256::sha256;
+    use adlp_logger::PayloadRecord;
+    use rand::SeedableRng;
+
+    /// A registry, an auditor over it, and `n` faithful exchanges.
+    fn faithful_log(n: u64) -> (Auditor, Vec<LogEntry>) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(29);
+        let p = ComponentIdentity::generate("pubber", 512, &mut rng);
+        let s = ComponentIdentity::generate("subber", 512, &mut rng);
+        let keys = KeyRegistry::new();
+        keys.register(p.id(), p.public_key().clone()).unwrap();
+        keys.register(s.id(), s.public_key().clone()).unwrap();
+        let mut entries = Vec::new();
+        for seq in 1..=n {
+            let digest = sha256(&seq.to_be_bytes());
+            let bound = binding_digest("t", seq, &digest);
+            let (s_x, s_y) = (p.sign_digest(&bound).unwrap(), s.sign_digest(&bound).unwrap());
+            entries.push(LogEntry {
+                component: p.id().clone(),
+                topic: Topic::new("t"),
+                direction: Direction::Out,
+                seq,
+                timestamp_ns: 100,
+                payload: PayloadRecord::Data(seq.to_be_bytes().to_vec()),
+                own_sig: Some(s_x.clone()),
+                peer_sig: Some(s_y.clone()),
+                peer_hash: Some(digest),
+                peer: Some(s.id().clone()),
+                acks: Vec::new(),
+            });
+            entries.push(LogEntry {
+                component: s.id().clone(),
+                direction: Direction::In,
+                payload: PayloadRecord::Hash(digest),
+                own_sig: Some(s_y),
+                peer_sig: Some(s_x),
+                peer_hash: None,
+                peer: Some(p.id().clone()),
+                ..entries.last().unwrap().clone()
+            });
+        }
+        let auditor = Auditor::new(keys).with_topology([(Topic::new("t"), p.id().clone())]);
+        (auditor, entries)
+    }
+
+    // Every registered-key check lands in the memo, and a kept result
+    // answers every later check of its statement: poisoning the memo shows
+    // which checks it served instead of RSA.
+
+    #[test]
+    fn a_faithful_pair_is_two_statements_each_verified_once() {
+        let (auditor, entries) = faithful_log(3);
+        let mut memo = SigMemo::new();
+        assert!(auditor.classify(&entries, &mut memo).all_clear());
+        assert_eq!(memo.len(), 2 * 3);
+        memo.values_mut().for_each(|valid| *valid = false);
+        let report = auditor.classify(&entries, &mut memo);
+        assert_eq!(report.rejected_entries.len(), entries.len());
+    }
+
+    #[test]
+    fn a_session_keeps_its_memo_across_ingests() {
+        let (auditor, entries) = faithful_log(4);
+        let mut session = AuditSession::new(auditor);
+        session.ingest(&entries[..4]);
+        assert_eq!(session.memo.len(), 4);
+        session.memo.values_mut().for_each(|valid| *valid = false);
+        // The first two pairs are answered from the memo; the new two are
+        // verified.
+        let report = session.ingest(&entries[4..]);
+        assert_eq!(report.rejected_entries.len(), 4);
+        assert!(report.rejected_entries.iter().all(|(e, _)| e.seq <= 2));
+        assert_eq!(session.memo.len(), 8);
+    }
 }

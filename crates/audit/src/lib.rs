@@ -10,14 +10,20 @@
 //!   evidence;
 //! * [`auditor`] — the per-link dispute-resolution engine realizing
 //!   Lemmas 1–3 (unforgeability, completeness, correctness) and the
-//!   component verdicts of Theorems 1–2;
+//!   component verdicts of Theorems 1–2: one pass, run by
+//!   [`Auditor::audit`] and by an [`AuditSession`] over a growing log;
 //! * [`causality`] — the temporal-causality checker of Lemma 4;
 //! * [`collusion`] — collusion groups (Definition 1): maximal-group
 //!   computation over known or suspected collusion edges;
 //! * [`provenance`] — reconstruction of the proven data-flow graph and
 //!   backward tracing from a faulty output to its upstream evidence;
 //! * [`recovery`] — post-crash classification of a recovered log against a
-//!   retained commitment: intact, truncated tail, or tamper evidence.
+//!   retained commitment: intact, truncated tail, or tamper evidence;
+//! * [`cluster`] — auditing a sharded, replicated logger cluster: replica
+//!   divergence, seals, then the entry audit of its quorum logs;
+//! * [`forensic`] — canonical report bytes and the verdicts a dispute can
+//!   contest;
+//! * [`render`] — human-readable reports for a third-party investigator.
 //!
 //! # Example
 //!
@@ -42,18 +48,16 @@ pub mod cluster;
 pub mod classify;
 pub mod collusion;
 pub mod forensic;
-pub mod incremental;
 pub mod provenance;
 pub mod recovery;
 pub mod render;
 
-pub use auditor::{AuditReport, Auditor, ComponentVerdict, Violation, ViolationKind};
+pub use auditor::{AuditReport, AuditSession, Auditor, ComponentVerdict, Violation, ViolationKind};
 pub use causality::{CausalityChecker, CausalityViolation, FlowStep};
 pub use cluster::{ClusterAuditReport, ClusterAuditor, SealCheck};
 pub use classify::{Anomaly, EntryClass, HiddenRecord, InvalidReason, LinkAudit};
 pub use collusion::CollusionGroups;
 pub use forensic::{canonical_report_bytes, contestable_verdicts, ContestedVerdict};
-pub use incremental::AuditSession;
 pub use provenance::{FlowEdge, ImpactNode, ProvenanceGraph, ProvenanceNode};
 pub use render::{Rendered, RenderedCluster};
 pub use recovery::{

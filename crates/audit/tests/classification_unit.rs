@@ -2,7 +2,7 @@
 //! by hand with real keys, bypassing the transport, so each branch of the
 //! dispute logic can be targeted precisely.
 
-use adlp_audit::{Anomaly, Auditor, EntryClass, InvalidReason};
+use adlp_audit::{Anomaly, AuditSession, Auditor, EntryClass, InvalidReason};
 use adlp_core::ComponentIdentity;
 use adlp_crypto::sha256::{binding_digest, sha256};
 use adlp_crypto::Signature;
@@ -401,4 +401,35 @@ fn sequence_gap_anomaly_reported() {
         a,
         Anomaly::SequenceGap { missing, .. } if missing == &vec![2]
     )));
+}
+
+#[test]
+fn late_evidence_upgrades_verdicts() {
+    let p = pair();
+    let (pe, se) = faithful_entries(&p, 1, b"payload");
+    let mut session = AuditSession::new(auditor(&p));
+    assert!(session.is_empty());
+
+    // Publisher entry arrives first: complete with ack, so both sides are
+    // provable and the subscriber is exposed as hiding.
+    let r1 = session.ingest([&pe]);
+    assert_eq!(r1.links.len(), 1);
+    assert_eq!(r1.hidden.len(), 1);
+
+    // The subscriber's entry arrives (it was merely slow, not hiding): the
+    // hidden record disappears and both classify valid.
+    let r2 = session.ingest([&se]);
+    assert!(r2.hidden.is_empty());
+    assert_eq!(r2.links[0].publisher_entry, Some(EntryClass::Valid));
+    assert_eq!(r2.links[0].subscriber_entry, Some(EntryClass::Valid));
+    assert_eq!(session.len(), 2);
+    assert!(session.report().all_clear());
+}
+
+#[test]
+fn empty_ingest_audits_clean() {
+    let p = pair();
+    let mut session = AuditSession::new(auditor(&p));
+    assert!(session.ingest(std::iter::empty()).all_clear());
+    assert!(session.is_empty());
 }

@@ -130,6 +130,10 @@ const PINS: &[(&str, &str)] = &[
         "wide_receipts",
         "dafc0aec2a58190d6cb54424ba12f4ad651ceb61b2b935151a00116548a02790",
     ),
+    (
+        "copied_signature",
+        "2300822bcfd6629bf4581f3e1da4e9a4504c2e7c9e7768f4128fdf5e5a4583a6",
+    ),
 ];
 
 struct World {
@@ -591,6 +595,13 @@ fn cases(w: &World) -> Vec<(String, Vec<LogEntry>)> {
             gap_receipt(&w.publisher, Direction::Out, 0, u64::MAX, 0, true),
         ],
     ));
+    // The subscriber passes the publisher's signature off as its own: the
+    // same statement and signature, checked under a different signer.
+    let copied = LogEntry {
+        own_sig: p2.own_sig.clone(),
+        ..s2
+    };
+    cases.push(("copied_signature", vec![p2, copied]));
     cases.into_iter().map(|(n, e)| (n.to_string(), e)).collect()
 }
 
