@@ -25,9 +25,9 @@
 //! re-judges everything without repeating any RSA.
 
 use crate::classify::{Anomaly, EntryClass, HiddenRecord, InvalidReason, LinkAudit};
-use adlp_crypto::sha256::{binding_digest, Digest};
-use adlp_crypto::{pkcs1, Signature};
-use adlp_logger::{Direction, GapReceipt, KeyRegistry, LogEntry, LogStore};
+use adlp_crypto::sha256::Digest;
+use adlp_crypto::{Signature, Statement};
+use adlp_logger::{Binding, Direction, GapReceipt, KeyRegistry, LogEntry, LogStore};
 use adlp_pubsub::{NodeId, Topic};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -185,11 +185,11 @@ struct AckEvidence {
     sig_valid: bool,
 }
 
-/// Signature checks already made: `(signer, bound digest, signature) →
-/// valid`. Only checks made under a registered key are kept. The registry
-/// is first-write-wins, so a kept result never goes stale, and a signer
-/// without a key is looked up again next time.
-type SigMemo = HashMap<(NodeId, Digest, Signature), bool>;
+/// Signature checks already made: binding → valid. Only checks made
+/// under a registered key are kept. The registry is first-write-wins, so a
+/// kept result never goes stale, and a signer without a key is looked up
+/// again next time.
+type SigMemo = HashMap<Binding, bool>;
 
 impl Auditor {
     /// Creates an auditor over a key registry.
@@ -454,21 +454,29 @@ impl Auditor {
         verified
     }
 
-    /// Whether `sig` is `signer`'s signature over `bound`, or `None` when no
-    /// key is registered for `signer`. The audit's only signature check.
+    /// Whether `sig` is `signer`'s signature binding `payload_digest` to
+    /// `entry`'s (topic, seq), or `None` when no key is registered for
+    /// `signer`. The audit's only signature check.
     fn check(
         &self,
         memo: &mut SigMemo,
         signer: &NodeId,
-        bound: Digest,
+        entry: &LogEntry,
+        payload_digest: Digest,
         sig: &Signature,
     ) -> Option<bool> {
-        let statement = (signer.clone(), bound, sig.clone());
-        if let Some(&valid) = memo.get(&statement) {
+        let binding = Binding {
+            signer: signer.clone(),
+            topic: entry.topic.clone(),
+            seq: entry.seq,
+            payload_digest,
+            signature: sig.clone(),
+        };
+        if let Some(&valid) = memo.get(&binding) {
             return Some(valid);
         }
-        let valid = pkcs1::verify_digest(&self.keys.get(signer)?, &bound, sig);
-        memo.insert(statement, valid);
+        let valid = binding.verify(&self.keys.get(signer)?);
+        memo.insert(binding, valid);
         Some(valid)
     }
 
@@ -485,9 +493,7 @@ impl Auditor {
             // Signatures cover the binding digest h(seq ‖ h(D)): a
             // relabeled sequence number fails right here instead of
             // framing the counterpart.
-            let bound =
-                binding_digest(entry.topic.as_str(), entry.seq, &entry.payload.digest());
-            match self.check(memo, &entry.component, bound, own_sig) {
+            match self.check(memo, &entry.component, entry, entry.payload.digest(), own_sig) {
                 None => return Some(InvalidReason::UnknownComponent),
                 Some(false) => return Some(InvalidReason::AuthenticityFailure),
                 Some(true) => {}
@@ -509,12 +515,9 @@ impl Auditor {
         };
         SideEvidence {
             claimed: entry.payload.digest(),
-            ack: ack.map(|(hash, sig)| {
-                let bound = binding_digest(entry.topic.as_str(), entry.seq, hash);
-                AckEvidence {
-                    hash: *hash,
-                    sig_valid: self.check(memo, subscriber, bound, sig) == Some(true),
-                }
+            ack: ack.map(|(hash, sig)| AckEvidence {
+                hash: *hash,
+                sig_valid: self.check(memo, subscriber, entry, *hash, sig) == Some(true),
             }),
             peer_sig_valid: false,
         }
@@ -527,10 +530,10 @@ impl Auditor {
         memo: &mut SigMemo,
     ) -> SideEvidence {
         let claimed = entry.payload.digest();
-        let peer_sig_valid = entry.peer_sig.as_ref().is_some_and(|s| {
-            let bound = binding_digest(entry.topic.as_str(), entry.seq, &claimed);
-            self.check(memo, publisher, bound, s) == Some(true)
-        });
+        let peer_sig_valid = entry
+            .peer_sig
+            .as_ref()
+            .is_some_and(|s| self.check(memo, publisher, entry, claimed, s) == Some(true));
         SideEvidence {
             claimed,
             ack: None,
@@ -954,7 +957,7 @@ fn shed_cover(
 mod tests {
     use super::*;
     use adlp_core::ComponentIdentity;
-    use adlp_crypto::sha256::sha256;
+    use adlp_crypto::sha256::{binding_digest, sha256};
     use adlp_logger::PayloadRecord;
     use rand::SeedableRng;
 

@@ -14,13 +14,12 @@
 use crate::auditor::{AuditReport, Auditor};
 use adlp_cluster::{
     empty_shard_root, ClusterView, EpochSeal, EquivocationProof, ReplicaDivergence,
-    ReplicaKeyring,
 };
 use adlp_crypto::sha256::Digest;
-use adlp_crypto::RsaPublicKey;
-use adlp_logger::{KeyRegistry, LogEntry, LogStore};
+use adlp_crypto::{RsaPublicKey, Statement};
+use adlp_logger::{KeyRegistry, Keyring, LogEntry, LogStore};
 use adlp_pubsub::{NodeId, Topic};
-use adlp_witness::{SplitViewProof, SthKeyring};
+use adlp_witness::SplitViewProof;
 
 /// The root `records` commit to, by the store's own rule: a seal is checked
 /// against what the audit reads, not against a root the view hands over.
@@ -132,8 +131,8 @@ impl ClusterAuditReport {
 #[derive(Debug, Clone)]
 pub struct ClusterAuditor {
     inner: Auditor,
-    attestation_keys: Option<ReplicaKeyring>,
-    sth_keys: Option<SthKeyring>,
+    attestation_keys: Option<Keyring<(usize, usize)>>,
+    sth_keys: Option<Keyring<NodeId>>,
 }
 
 impl ClusterAuditor {
@@ -161,7 +160,7 @@ impl ClusterAuditor {
     /// Without them, any claimed proof counts as unverifiable and spoils a
     /// clear report.
     #[must_use]
-    pub fn with_attestation_keys(mut self, keyring: ReplicaKeyring) -> Self {
+    pub fn with_attestation_keys(mut self, keyring: Keyring<(usize, usize)>) -> Self {
         self.attestation_keys = Some(keyring);
         self
     }
@@ -172,7 +171,7 @@ impl ClusterAuditor {
     /// re-derived — before it convicts a log. Without them, any claimed
     /// proof counts as unverifiable and spoils a clear report.
     #[must_use]
-    pub fn with_sth_keys(mut self, keyring: SthKeyring) -> Self {
+    pub fn with_sth_keys(mut self, keyring: Keyring<NodeId>) -> Self {
         self.sth_keys = Some(keyring);
         self
     }
@@ -458,7 +457,7 @@ mod tests {
         fill(&cluster);
         let mut rng = rand::rngs::StdRng::seed_from_u64(9);
         let kp = RsaKeyPair::generate(512, &mut rng);
-        let sth_keys = adlp_witness::SthKeyring::new()
+        let sth_keys = Keyring::new()
             .with_log(NodeId::new("logger"), kp.public_key().clone());
 
         // The logger's own key signed two conflicting heads at one size —

@@ -22,8 +22,7 @@
 //! * [`cluster`] — auditing a sharded, replicated logger cluster: replica
 //!   divergence, seals, then the entry audit of its quorum logs;
 //! * [`forensic`] — canonical report bytes and the verdicts a dispute can
-//!   contest;
-//! * [`render`] — human-readable reports for a third-party investigator.
+//!   contest.
 //!
 //! # Example
 //!
@@ -50,7 +49,6 @@ pub mod collusion;
 pub mod forensic;
 pub mod provenance;
 pub mod recovery;
-pub mod render;
 
 pub use auditor::{AuditReport, AuditSession, Auditor, ComponentVerdict, Violation, ViolationKind};
 pub use causality::{CausalityChecker, CausalityViolation, FlowStep};
@@ -59,7 +57,6 @@ pub use classify::{Anomaly, EntryClass, HiddenRecord, InvalidReason, LinkAudit};
 pub use collusion::CollusionGroups;
 pub use forensic::{canonical_report_bytes, contestable_verdicts, ContestedVerdict};
 pub use provenance::{FlowEdge, ImpactNode, ProvenanceGraph, ProvenanceNode};
-pub use render::{Rendered, RenderedCluster};
 pub use recovery::{
     verify_recovered_store, RecoveryCheck, RecoveryVerdict, RetainedCommitment,
 };

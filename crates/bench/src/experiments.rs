@@ -588,15 +588,16 @@ fn gossip_row(
     scale: &Scale,
 ) -> Vec<Cell> {
     use adlp_logger::sth::{SthPublisher, TreeHeadSigner};
+    use adlp_logger::Keyring;
     use adlp_logger::LogStore;
     use adlp_pubsub::NodeId;
-    use adlp_witness::{Federation, FederationConfig, LightClient, SthKeyring, TreeHeadSource};
+    use adlp_witness::{Federation, FederationConfig, LightClient, TreeHeadSource};
     use std::sync::Arc;
 
     let log_id = NodeId::new("logger");
     let mut rng = rand::rngs::StdRng::seed_from_u64(0x905517 + f as u64);
     let kp = RsaKeyPair::generate(scale.key_bits, &mut rng);
-    let sth_keys = SthKeyring::new().with_log(log_id.clone(), kp.public_key().clone());
+    let sth_keys = Keyring::new().with(log_id.clone(), kp.public_key().clone());
     let store = LogStore::new();
     for i in 0..GOSSIP_ENTRIES {
         store.append_encoded(vec![i as u8; 16]);

@@ -51,12 +51,12 @@
 //!   length cannot flush its own prior statements out of the detector.
 
 use adlp_crypto::pkcs1;
-use adlp_crypto::rsa::{RsaPrivateKey, RsaPublicKey};
+use adlp_crypto::rsa::RsaPrivateKey;
 use adlp_crypto::sha256::{Digest, Sha256};
-use adlp_crypto::Signature;
+use adlp_crypto::{Signature, Statement};
 use adlp_logger::encoding::Wire;
 use adlp_logger::frame::DurableCell;
-use adlp_logger::{LogError, Storage};
+use adlp_logger::{Keyring, LogError, Storage};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -223,22 +223,6 @@ fn attestation_digest(
 }
 
 impl HeadAttestation {
-    /// Verifies the signature under `key` (the attesting replica's public
-    /// attestation key).
-    pub fn verify(&self, key: &RsaPublicKey) -> bool {
-        pkcs1::verify_digest(
-            key,
-            &attestation_digest(
-                self.shard,
-                self.replica,
-                self.incarnation,
-                &self.scope,
-                &self.root,
-            ),
-            &self.signature,
-        )
-    }
-
     /// Whether two attestations by the same replica, in the same
     /// incarnation, over the same scope commit to different roots — the
     /// equivocation condition. Statements separated by a sanctioned
@@ -249,6 +233,29 @@ impl HeadAttestation {
             && self.incarnation == other.incarnation
             && self.scope == other.scope
             && self.root != other.root
+    }
+}
+
+/// Signed by the attesting replica, under its `(shard, replica)` key.
+impl Statement for HeadAttestation {
+    type Signer = (usize, usize);
+
+    fn signer(&self) -> (usize, usize) {
+        (self.shard, self.replica)
+    }
+
+    fn signature(&self) -> &Signature {
+        &self.signature
+    }
+
+    fn signed_digest(&self) -> Option<Digest> {
+        Some(attestation_digest(
+            self.shard,
+            self.replica,
+            self.incarnation,
+            &self.scope,
+            &self.root,
+        ))
     }
 }
 
@@ -505,32 +512,6 @@ impl ReplicaAttestor {
     }
 }
 
-/// The verification half: every replica's public attestation key, indexed
-/// `[shard][replica]`. Auditors and clients share one keyring.
-#[derive(Debug, Clone, Default)]
-pub struct ReplicaKeyring {
-    keys: Vec<Vec<RsaPublicKey>>,
-}
-
-impl ReplicaKeyring {
-    /// Builds a keyring from per-shard key lists.
-    pub fn new(keys: Vec<Vec<RsaPublicKey>>) -> Self {
-        ReplicaKeyring { keys }
-    }
-
-    /// The public attestation key of (shard, replica), if known.
-    pub fn key(&self, shard: usize, replica: usize) -> Option<&RsaPublicKey> {
-        self.keys.get(shard).and_then(|s| s.get(replica))
-    }
-
-    /// Verifies an attestation against the key its claimed identity maps
-    /// to. Unknown identities never verify.
-    pub fn verify(&self, att: &HeadAttestation) -> bool {
-        self.key(att.shard, att.replica)
-            .is_some_and(|key| att.verify(key))
-    }
-}
-
 /// Two valid signatures, one replica, one scope, two roots: a
 /// self-contained, transferable conviction.
 ///
@@ -565,7 +546,7 @@ impl EquivocationProof {
     /// Verifies the proof: both attestations must conflict (same replica,
     /// same scope, different roots) and both signatures must verify under
     /// the replica's key in `keyring`.
-    pub fn verify(&self, keyring: &ReplicaKeyring) -> bool {
+    pub fn verify(&self, keyring: &Keyring<(usize, usize)>) -> bool {
         self.first.conflicts_with(&self.second)
             && keyring.verify(&self.first)
             && keyring.verify(&self.second)
@@ -633,7 +614,7 @@ struct LedgerInner {
 /// comparison).
 #[derive(Debug, Clone)]
 pub struct AttestationLog {
-    keyring: ReplicaKeyring,
+    keyring: Keyring<(usize, usize)>,
     window: usize,
     /// How many replicas of a shard must have signed a length before the
     /// pruning horizon may advance past it (the BFT attest quorum). A
@@ -646,7 +627,7 @@ impl AttestationLog {
     /// Creates an empty ledger verifying against `keyring`, retaining
     /// `window` head scopes per replica behind the highest length that
     /// `attest_quorum` replicas of the shard have validly signed.
-    pub fn new(keyring: ReplicaKeyring, window: usize, attest_quorum: usize) -> Self {
+    pub fn new(keyring: Keyring<(usize, usize)>, window: usize, attest_quorum: usize) -> Self {
         AttestationLog {
             keyring,
             window: window.max(1),
@@ -656,7 +637,7 @@ impl AttestationLog {
     }
 
     /// The keyring attestations are verified against.
-    pub fn keyring(&self) -> &ReplicaKeyring {
+    pub fn keyring(&self) -> &Keyring<(usize, usize)> {
         &self.keyring
     }
 
@@ -807,21 +788,10 @@ mod tests {
         );
     }
 
-    fn ring_of(kps: &[(usize, usize, &RsaKeyPair)]) -> ReplicaKeyring {
-        let shards = kps.iter().map(|(s, _, _)| s + 1).max().unwrap_or(0);
-        let mut keys: Vec<Vec<RsaPublicKey>> = Vec::new();
-        for shard in 0..shards {
-            let mut row = Vec::new();
-            let mut replica = 0;
-            while let Some((_, _, kp)) =
-                kps.iter().find(|(s, r, _)| *s == shard && *r == replica)
-            {
-                row.push(kp.public_key().clone());
-                replica += 1;
-            }
-            keys.push(row);
-        }
-        ReplicaKeyring::new(keys)
+    fn ring_of(kps: &[(usize, usize, &RsaKeyPair)]) -> Keyring<(usize, usize)> {
+        kps.iter()
+            .map(|(s, r, kp)| ((*s, *r), kp.public_key().clone()))
+            .collect()
     }
 
     #[test]

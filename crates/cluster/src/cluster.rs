@@ -1,16 +1,14 @@
 //! The replica fleet: N shards × R replica [`LogServer`] backends.
 
-use crate::attestation::{
-    AttestationLog, AttestationScope, ReplicaAttestor, ReplicaKeyring,
-};
+use crate::attestation::{AttestationLog, AttestationScope, ReplicaAttestor};
 use crate::config::ClusterConfig;
 use crate::epoch::{empty_shard_root, EpochSeal};
 use crate::stats::ClusterStats;
 use crate::view::{self, ClusterView};
-use adlp_crypto::rsa::{RsaPrivateKey, RsaPublicKey};
+use adlp_crypto::rsa::RsaPrivateKey;
 use adlp_crypto::RsaKeyPair;
 use adlp_logger::{
-    DurabilityConfig, DurabilityStats, KeyRegistry, LogError, LogServer, LoggerHandle, MemStorage,
+    DurabilityConfig, DurabilityStats, KeyRegistry, Keyring, LogError, LogServer, LoggerHandle, MemStorage,
     Recorder, Recovery, RecordingWindow, Storage, SyncPolicy,
 };
 use parking_lot::Mutex;
@@ -172,10 +170,9 @@ struct BftIdentities {
 fn bft_identities(config: &ClusterConfig) -> Option<BftIdentities> {
     let bft = config.bft.as_ref()?;
     let mut attestors = Vec::with_capacity(config.shards);
-    let mut public: Vec<Vec<RsaPublicKey>> = Vec::with_capacity(config.shards);
+    let mut public = Keyring::new();
     for shard in 0..config.shards {
         let mut row = Vec::with_capacity(config.replicas);
-        let mut pub_row = Vec::with_capacity(config.replicas);
         for replica in 0..config.replicas {
             let seed = bft
                 .seed
@@ -183,7 +180,7 @@ fn bft_identities(config: &ClusterConfig) -> Option<BftIdentities> {
                 .wrapping_add((replica as u64).wrapping_mul(0xD1B5_4A32_D192_ED03));
             let mut rng = StdRng::seed_from_u64(seed);
             let kp = RsaKeyPair::generate(bft.key_bits, &mut rng);
-            pub_row.push(kp.public_key().clone());
+            public.insert((shard, replica), kp.public_key().clone());
             row.push(Arc::new(ReplicaAttestor::new(
                 shard,
                 replica,
@@ -191,9 +188,8 @@ fn bft_identities(config: &ClusterConfig) -> Option<BftIdentities> {
             )));
         }
         attestors.push(row);
-        public.push(pub_row);
     }
-    let ledger = AttestationLog::new(ReplicaKeyring::new(public), bft.window, bft.attest_quorum());
+    let ledger = AttestationLog::new(public, bft.window, bft.attest_quorum());
     Some(BftIdentities { attestors, ledger })
 }
 
@@ -662,6 +658,7 @@ impl LoggerCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use adlp_crypto::Statement;
     use adlp_logger::{Direction, LogEntry};
     use adlp_pubsub::{NodeId, Topic};
 

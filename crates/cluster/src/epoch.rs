@@ -10,7 +10,7 @@
 
 use adlp_crypto::rsa::RsaPrivateKey;
 use adlp_crypto::sha256::{Digest, Sha256};
-use adlp_crypto::{pkcs1, CryptoError, RsaPublicKey, Signature};
+use adlp_crypto::{pkcs1, CryptoError, Signature, Statement};
 use adlp_logger::merkle::MerkleTree;
 use adlp_logger::sth::{SignedTreeHead, TreeHeadSigner};
 use adlp_logger::LogError;
@@ -79,6 +79,24 @@ fn seal_digest(epoch: u64, super_root: &Digest) -> Digest {
     h.finalize()
 }
 
+/// Signed by the cluster's one sealing key. A seal whose claimed
+/// super-root does not re-derive from its claimed shard roots contradicts
+/// itself and verifies under no key.
+impl Statement for EpochSeal {
+    type Signer = ();
+
+    fn signer(&self) {}
+
+    fn signature(&self) -> &Signature {
+        &self.signature
+    }
+
+    fn signed_digest(&self) -> Option<Digest> {
+        (super_root_of(&self.shard_roots) == self.super_root)
+            .then(|| seal_digest(self.epoch, &self.super_root))
+    }
+}
+
 impl EpochSeal {
     /// Builds and signs a seal over `shard_roots`.
     ///
@@ -100,25 +118,13 @@ impl EpochSeal {
         })
     }
 
-    /// Verifies the seal's internal consistency and signature: the claimed
-    /// super-root must re-derive from the claimed shard roots, and the
-    /// signature must verify under the cluster's sealing public key.
-    pub fn verify(&self, sealing_key: &RsaPublicKey) -> bool {
-        super_root_of(&self.shard_roots) == self.super_root
-            && pkcs1::verify_digest(
-                sealing_key,
-                &seal_digest(self.epoch, &self.super_root),
-                &self.signature,
-            )
-    }
-
     /// Derives one [`SignedTreeHead`] per anchored shard, signed by the
     /// cluster's STH key. The heads let the witness set and light clients
     /// track each shard as an ordinary log (identity
     /// [`shard_log_id`]`(i)`), while the super-root signature keeps the
     /// shards mutually bound: a shard that later shows a different head at
     /// the same size is convicted by the usual split-view pair, and a seal
-    /// omitting a shard fails [`EpochSeal::verify`] re-derivation.
+    /// omitting a shard fails re-derivation in [`Statement::verify`].
     ///
     /// # Errors
     ///

@@ -49,7 +49,7 @@ pub mod view;
 
 pub use attestation::{
     AttestationLog, AttestationScope, BftConfig, EquivocationProof, HeadAttestation, Observation,
-    ReplicaAttestor, ReplicaKeyring,
+    ReplicaAttestor,
 };
 pub use client::{slot_sink, ClusterLogClient, ReplicaSink};
 pub use cluster::LoggerCluster;

@@ -295,13 +295,12 @@ mod tests {
 
     #[test]
     fn observation_accounting() {
-        use crate::attestation::{
-            AttestationLog, AttestationScope, ReplicaAttestor, ReplicaKeyring,
-        };
+        use crate::attestation::{AttestationLog, AttestationScope, ReplicaAttestor};
+        use adlp_logger::Keyring;
         use rand::SeedableRng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(11);
         let kp = adlp_crypto::RsaKeyPair::generate(512, &mut rng);
-        let keyring = ReplicaKeyring::new(vec![vec![kp.public_key().clone()]]);
+        let keyring = Keyring::new().with((0, 0), kp.public_key().clone());
         let ledger = AttestationLog::new(keyring, 16, 1);
         let attestor = ReplicaAttestor::new(0, 0, kp.into_private_key());
         let stats = ClusterStats::new(1);

@@ -10,8 +10,8 @@ use crate::protocol::{
     attach_signature, decode_ack, encode_ack, header_seq, split_signature, SIG_LEN_FIELD,
 };
 use adlp_crypto::sha256::{binding_digest, sha256};
-use adlp_crypto::{pkcs1, Signature};
-use adlp_logger::{AckRecord, KeyRegistry};
+use adlp_crypto::{Signature, Statement};
+use adlp_logger::{AckRecord, Binding, KeyRegistry};
 use adlp_pubsub::{Clock, ConnectionInfo, LinkInterceptor, NodeId, RecvOutcome, Topic};
 use adlp_witness::AckProbe;
 use parking_lot::Mutex;
@@ -380,13 +380,14 @@ impl LinkInterceptor for AdlpInterceptor {
                     .get(&(conn.topic.clone(), conn.subscriber.clone()))
                     .map(|p| p.seq);
                 let valid = match (keys.get(&conn.subscriber), pending_seq) {
-                    (Some(k), Some(seq)) => {
-                        pkcs1::verify_digest(
-                            &k,
-                            &binding_digest(conn.topic.as_str(), seq, &peer_hash),
-                            &peer_sig,
-                        )
+                    (Some(k), Some(seq)) => Binding {
+                        signer: conn.subscriber.clone(),
+                        topic: conn.topic.clone(),
+                        seq,
+                        payload_digest: peer_hash,
+                        signature: peer_sig.clone(),
                     }
+                    .verify(&k),
                     _ => false,
                 };
                 if !valid {
@@ -610,7 +611,8 @@ mod tests {
     fn light_client_audits_on_ack_and_counts_failures() {
         use adlp_logger::sth::{SthPublisher, TreeHeadSigner};
         use adlp_logger::LogStore;
-        use adlp_witness::{AckProbe, LightClient, SthKeyring};
+        use adlp_logger::Keyring;
+        use adlp_witness::{AckProbe, LightClient};
 
         let mut rng = rand::rngs::StdRng::seed_from_u64(78);
         let sth_kp = adlp_crypto::RsaKeyPair::generate(512, &mut rng);
@@ -628,7 +630,7 @@ mod tests {
 
         let run = |trusted_key: &adlp_crypto::RsaPublicKey| {
             let client = Arc::new(LightClient::new(
-                SthKeyring::new().with_log(NodeId::new("logger"), trusted_key.clone()),
+                Keyring::new().with(NodeId::new("logger"), trusted_key.clone()),
             ));
             let f = fixture(AdlpConfig::default());
             let interceptor = f

@@ -15,6 +15,8 @@
 //!   operations.
 //! * [`pkcs1`] — EMSA-PKCS1-v1_5 encoding (RFC 8017 §9.2) and the signature
 //!   scheme built on it.
+//! * [`statement`] — the [`Statement`] trait every signed ADLP statement
+//!   implements, and its one signature check.
 //!
 //! # Example
 //!
@@ -40,12 +42,14 @@ pub mod pkcs1;
 pub mod prime;
 pub mod rsa;
 pub mod sha256;
+pub mod statement;
 
 pub use bignum::BigUint;
 pub use ct::constant_time_eq;
 pub use pkcs1::Signature;
 pub use rsa::{RsaKeyPair, RsaPrivateKey, RsaPublicKey};
 pub use sha256::{sha256, Digest, Sha256};
+pub use statement::Statement;
 
 use std::error::Error;
 use std::fmt;

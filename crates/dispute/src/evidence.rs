@@ -10,7 +10,7 @@
 //! and so a party cannot later disown what it submitted.
 
 use adlp_cluster::EquivocationProof;
-use adlp_crypto::{pkcs1, Digest, RsaPrivateKey, RsaPublicKey, Sha256, Signature};
+use adlp_crypto::{pkcs1, Digest, RsaPrivateKey, Sha256, Signature, Statement};
 use adlp_logger::encoding::{read_bytes, write_bytes, write_str, write_uvarint};
 use adlp_logger::{LogError, RecordingWindow, Wire};
 use adlp_pubsub::NodeId;
@@ -126,13 +126,29 @@ impl SignedEvidence {
             signature,
         })
     }
+}
 
-    /// Verifies the envelope signature against the party's public key.
-    /// Verifying the *body* (proof validity, window soundness) is the
-    /// resolvers' job; a valid envelope only proves who said it.
-    pub fn verify(&self, key: &RsaPublicKey) -> bool {
-        let digest = evidence_digest(&self.party, self.dispute, self.round, &self.evidence.encode());
-        pkcs1::verify_digest(key, &digest, &self.signature)
+/// Signed by the submitting party. Verifying the envelope proves only who
+/// said it; verifying the *body* (proof validity, window soundness) is
+/// the resolvers' job.
+impl Statement for SignedEvidence {
+    type Signer = NodeId;
+
+    fn signer(&self) -> NodeId {
+        self.party.clone()
+    }
+
+    fn signature(&self) -> &Signature {
+        &self.signature
+    }
+
+    fn signed_digest(&self) -> Option<Digest> {
+        Some(evidence_digest(
+            &self.party,
+            self.dispute,
+            self.round,
+            &self.evidence.encode(),
+        ))
     }
 }
 

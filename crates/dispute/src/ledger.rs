@@ -32,14 +32,14 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use adlp_audit::ContestedVerdict;
-use adlp_crypto::Digest;
+use adlp_crypto::{Digest, Statement};
 use adlp_logger::encoding::{read_uvarint, write_uvarint};
 use adlp_logger::frame::DurableCell;
-use adlp_logger::{KeyRegistry, LogError, Storage, Wire};
+use adlp_logger::{KeyRegistry, Keyring, LogError, Storage, Wire};
 use adlp_pubsub::NodeId;
 
 use crate::evidence::{evidence_set_digest, SignedEvidence};
-use crate::resolver::{claim_digest, ResolverKeyring, SignedVote, Vote};
+use crate::resolver::{claim_digest, SignedVote, Vote};
 
 /// Storage file the ledger persists its full state under.
 pub const DISPUTE_STATE_FILE: &str = "dispute-ledger";
@@ -303,7 +303,7 @@ impl ResolutionProof {
     /// (recomputed here, so swapping the claim breaks every vote), and one
     /// evidence set, with the claimed outcome held by a strict
     /// supermajority. A "resolution" failing any of it proves nothing.
-    pub fn verify(&self, keyring: &ResolverKeyring) -> bool {
+    pub fn verify(&self, keyring: &Keyring<NodeId>) -> bool {
         if self.votes.is_empty() || self.votes.len().is_multiple_of(2) {
             return false;
         }
@@ -402,7 +402,7 @@ fn splitmix64(state: &mut u64) -> u64 {
 pub struct DisputeLedger {
     config: DisputeConfig,
     parties: KeyRegistry,
-    resolvers: ResolverKeyring,
+    resolvers: Keyring<NodeId>,
     cell: Option<DurableCell<LedgerState>>,
     state: LedgerState,
     counters: DisputeCounters,
@@ -414,7 +414,7 @@ impl DisputeLedger {
         DisputeLedger {
             config,
             parties: KeyRegistry::new(),
-            resolvers: ResolverKeyring::new(),
+            resolvers: Keyring::new(),
             cell: None,
             state: LedgerState::default(),
             counters: DisputeCounters::default(),
@@ -428,7 +428,7 @@ impl DisputeLedger {
     }
 
     /// Sets the resolver pool (vote keys and panel-selection pool).
-    pub fn with_resolvers(mut self, resolvers: ResolverKeyring) -> Self {
+    pub fn with_resolvers(mut self, resolvers: Keyring<NodeId>) -> Self {
         self.resolvers = resolvers;
         self
     }
@@ -791,9 +791,9 @@ impl DisputeLedger {
         let taken: BTreeSet<&NodeId> = sitting.iter().map(|(_, r)| r).collect();
         let mut available: Vec<NodeId> = self
             .resolvers
-            .members()
-            .into_iter()
+            .ids()
             .filter(|m| !taken.contains(m))
+            .cloned()
             .collect();
         if available.len() < count {
             return Err(LogError::Malformed("dispute panel (resolver pool exhausted)"));
@@ -830,7 +830,7 @@ mod tests {
     struct Bench {
         ledger: DisputeLedger,
         resolvers: BTreeMap<NodeId, Resolver>,
-        keyring: ResolverKeyring,
+        keyring: Keyring<NodeId>,
         claimant: NodeId,
         claimant_key: RsaPrivateKey,
     }
@@ -844,7 +844,7 @@ mod tests {
             .register(&claimant, claimant_pair.public_key().clone())
             .unwrap();
 
-        let mut keyring = ResolverKeyring::new();
+        let mut keyring = Keyring::new();
         let mut resolvers = BTreeMap::new();
         for i in 0..pool {
             let id = NodeId::new(format!("resolver-{i}"));
@@ -1134,7 +1134,7 @@ mod tests {
         dup.votes.push(v);
         assert!(!dup.verify(&b.keyring));
         // An unknown keyring verifies nothing.
-        assert!(!proof.verify(&ResolverKeyring::new()));
+        assert!(!proof.verify(&Keyring::new()));
     }
 
     #[test]

@@ -38,4 +38,4 @@ pub use ledger::{
     DISPUTE_STATE_FILE, DISPUTE_STATE_MAGIC,
 };
 pub use replay::{replay_window, ReplayContext, ReplayReport};
-pub use resolver::{claim_digest, Resolver, ResolverContext, ResolverKeyring, SignedVote, Vote};
+pub use resolver::{claim_digest, Resolver, ResolverContext, SignedVote, Vote};

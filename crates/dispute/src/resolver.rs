@@ -21,15 +21,11 @@
 //! what makes a [`crate::ResolutionProof`] non-reusable: a vote cast on
 //! one contested verdict can never be presented as settling another.
 
-use std::collections::BTreeMap;
-
 use adlp_audit::ContestedVerdict;
-use adlp_cluster::ReplicaKeyring;
-use adlp_crypto::{pkcs1, Digest, RsaPrivateKey, RsaPublicKey, Sha256, Signature};
+use adlp_crypto::{pkcs1, Digest, RsaPrivateKey, Sha256, Signature, Statement};
 use adlp_logger::encoding::{write_str, write_uvarint};
-use adlp_logger::{LogError, Wire};
+use adlp_logger::{Keyring, LogError, Wire};
 use adlp_pubsub::NodeId;
-use adlp_witness::SthKeyring;
 
 use crate::evidence::{evidence_set_digest, Evidence, SignedEvidence};
 use crate::replay::{replay_window, ReplayContext};
@@ -120,10 +116,20 @@ pub struct SignedVote {
     pub signature: Signature,
 }
 
-impl SignedVote {
-    /// Verifies the vote against the resolver's public key.
-    pub fn verify(&self, key: &RsaPublicKey) -> bool {
-        let digest = vote_digest(
+/// Signed by the voting resolver.
+impl Statement for SignedVote {
+    type Signer = NodeId;
+
+    fn signer(&self) -> NodeId {
+        self.resolver.clone()
+    }
+
+    fn signature(&self) -> &Signature {
+        &self.signature
+    }
+
+    fn signed_digest(&self) -> Option<Digest> {
+        Some(vote_digest(
             self.instance,
             &self.resolver,
             self.dispute,
@@ -131,8 +137,7 @@ impl SignedVote {
             self.vote,
             &self.claim_digest,
             &self.evidence_digest,
-        );
-        pkcs1::verify_digest(key, &digest, &self.signature)
+        ))
     }
 }
 
@@ -162,67 +167,15 @@ impl Wire for SignedVote {
     }
 }
 
-/// The resolver identities and public keys a ledger (or any third party)
-/// verifies votes against. Iteration order — used for deterministic panel
-/// selection — is the sorted identity order.
-#[derive(Debug, Clone, Default)]
-pub struct ResolverKeyring {
-    keys: BTreeMap<NodeId, RsaPublicKey>,
-}
-
-impl ResolverKeyring {
-    /// An empty keyring.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Registers a resolver's public key.
-    pub fn insert(&mut self, resolver: NodeId, key: RsaPublicKey) {
-        self.keys.insert(resolver, key);
-    }
-
-    /// Builder-style [`ResolverKeyring::insert`].
-    pub fn with_resolver(mut self, resolver: NodeId, key: RsaPublicKey) -> Self {
-        self.insert(resolver, key);
-        self
-    }
-
-    /// The key registered for `resolver`.
-    pub fn key(&self, resolver: &NodeId) -> Option<&RsaPublicKey> {
-        self.keys.get(resolver)
-    }
-
-    /// Verifies a vote under its claimed resolver's key. Unknown resolvers
-    /// never verify.
-    pub fn verify(&self, vote: &SignedVote) -> bool {
-        self.key(&vote.resolver).is_some_and(|key| vote.verify(key))
-    }
-
-    /// All registered resolvers, sorted — the panel-selection pool.
-    pub fn members(&self) -> Vec<NodeId> {
-        self.keys.keys().cloned().collect()
-    }
-
-    /// Number of registered resolvers.
-    pub fn len(&self) -> usize {
-        self.keys.len()
-    }
-
-    /// Whether no resolver is registered.
-    pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
-    }
-}
-
 /// Everything a resolver needs to re-verify evidence: STH keys for
 /// split-view proofs, the replica keyring for equivocation proofs, and a
 /// replay context for recordings.
 #[derive(Debug, Clone)]
 pub struct ResolverContext {
     /// Keys signed tree heads are verified under.
-    pub sth_keys: SthKeyring,
+    pub sth_keys: Keyring<NodeId>,
     /// Keys replica head attestations are verified under.
-    pub replica_keys: ReplicaKeyring,
+    pub replica_keys: Keyring<(usize, usize)>,
     /// Key registry + topology for deterministic replays.
     pub replay: ReplayContext,
 }
@@ -232,20 +185,20 @@ impl ResolverContext {
     /// proof-carried conviction then falls to "no verifying proof").
     pub fn new(replay: ReplayContext) -> Self {
         ResolverContext {
-            sth_keys: SthKeyring::new(),
-            replica_keys: ReplicaKeyring::new(Vec::new()),
+            sth_keys: Keyring::new(),
+            replica_keys: Keyring::new(),
             replay,
         }
     }
 
     /// Adds STH keys.
-    pub fn with_sth_keys(mut self, keys: SthKeyring) -> Self {
+    pub fn with_sth_keys(mut self, keys: Keyring<NodeId>) -> Self {
         self.sth_keys = keys;
         self
     }
 
     /// Adds replica attestation keys.
-    pub fn with_replica_keys(mut self, keys: ReplicaKeyring) -> Self {
+    pub fn with_replica_keys(mut self, keys: Keyring<(usize, usize)>) -> Self {
         self.replica_keys = keys;
         self
     }
@@ -424,8 +377,7 @@ mod tests {
         let vote = resolver.cast(0, 9, 1, Vote::Overturn, &claim(), &[]).unwrap();
         assert!(vote.verify(&public));
 
-        let keyring =
-            ResolverKeyring::new().with_resolver(NodeId::new("resolver-0"), public.clone());
+        let keyring = Keyring::new().with(NodeId::new("resolver-0"), public.clone());
         assert!(keyring.verify(&vote));
     }
 
@@ -438,12 +390,11 @@ mod tests {
         let mut vote = resolver.cast(7, 9, 0, Vote::Uphold, &claim(), &[]).unwrap();
 
         // Unknown resolver: empty keyring.
-        assert!(!ResolverKeyring::new().verify(&vote));
+        assert!(!Keyring::new().verify(&vote));
 
         // Rebinding the vote to another ledger instance, dispute, round,
         // claim, or verdict breaks it.
-        let keyring =
-            ResolverKeyring::new().with_resolver(NodeId::new("resolver-0"), public.clone());
+        let keyring = Keyring::new().with(NodeId::new("resolver-0"), public.clone());
         vote.instance = 8;
         assert!(!keyring.verify(&vote));
         vote.instance = 7;

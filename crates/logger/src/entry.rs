@@ -12,8 +12,8 @@ use crate::encoding::{
     read_bytes, read_str, read_uvarint, write_bytes, write_str, write_uvarint, Wire,
 };
 use crate::LogError;
-use adlp_crypto::sha256::{Digest, DIGEST_LEN};
-use adlp_crypto::Signature;
+use adlp_crypto::sha256::{binding_digest, Digest, DIGEST_LEN};
+use adlp_crypto::{Signature, Statement};
 use adlp_pubsub::{NodeId, Topic};
 
 /// Data flow direction of an entry.
@@ -107,6 +107,45 @@ pub struct AckRecord {
     pub hash: Digest,
     /// Its signature `s_y`.
     pub sig: Signature,
+}
+
+/// The protocol's signed statement (§IV): `signer` vouches that the
+/// payload with digest `payload_digest` was sequence number `seq` on
+/// `topic`. Both sides sign it, `s_x` as the publisher and `s_y` as the
+/// acknowledging subscriber, over
+/// [`binding_digest`]`(topic, seq, payload_digest)`.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct Binding {
+    /// The component whose key must have signed.
+    pub signer: NodeId,
+    /// The data type (`type(D)`).
+    pub topic: Topic,
+    /// Sequence number of the transmission.
+    pub seq: u64,
+    /// `h(D)`.
+    pub payload_digest: Digest,
+    /// The signer's signature.
+    pub signature: Signature,
+}
+
+impl Statement for Binding {
+    type Signer = NodeId;
+
+    fn signer(&self) -> NodeId {
+        self.signer.clone()
+    }
+
+    fn signature(&self) -> &Signature {
+        &self.signature
+    }
+
+    fn signed_digest(&self) -> Option<Digest> {
+        Some(binding_digest(
+            self.topic.as_str(),
+            self.seq,
+            &self.payload_digest,
+        ))
+    }
 }
 
 impl LogEntry {

@@ -10,8 +10,9 @@
 //!   (standing in for the prototype's protocol buffers);
 //! * [`entry`] — the log-entry model: the naive scheme of Definition 2 and
 //!   the ADLP-extended entries of Figure 9, with a compact binary encoding;
-//! * [`keyreg`] — the public-key registry the logger keeps for verifying
-//!   entry authenticity;
+//! * [`keyreg`] — public keys: the live component registry the logger
+//!   verifies entry authenticity against, and the fixed [`Keyring`] every
+//!   other signing role is verified against;
 //! * [`store`] — an append-only store whose one tamper-evident commitment
 //!   is the Merkle tree over its records' digests;
 //! * [`merkle`] — Merkle-tree commitments over the store with inclusion
@@ -60,8 +61,8 @@ pub use durable::{
     QUARANTINE_WAL_FILE,
 };
 pub use encoding::Wire;
-pub use entry::{AckRecord, Direction, LogEntry, PayloadRecord};
-pub use keyreg::KeyRegistry;
+pub use entry::{AckRecord, Binding, Direction, LogEntry, PayloadRecord};
+pub use keyreg::{KeyRegistry, Keyring};
 pub use receipt::{GapReceipt, ShedReason, GAP_RECEIPT_MAGIC};
 pub use recording::{Recorder, RecordingWindow, RECORDING_MAGIC};
 pub use remote::{ReconnectConfig, RemoteLogClient, RemoteLogEndpoint};

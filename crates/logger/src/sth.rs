@@ -22,9 +22,9 @@ use crate::merkle::{ConsistencyProof, InclusionProof};
 use crate::store::LogStore;
 use crate::LogError;
 use adlp_crypto::pkcs1;
-use adlp_crypto::rsa::{RsaPrivateKey, RsaPublicKey};
+use adlp_crypto::rsa::RsaPrivateKey;
 use adlp_crypto::sha256::{Digest, Sha256};
-use adlp_crypto::Signature;
+use adlp_crypto::{Signature, Statement};
 use adlp_pubsub::NodeId;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -74,15 +74,6 @@ pub struct SignedTreeHead {
 }
 
 impl SignedTreeHead {
-    /// Verifies the signature under `key` (the log's public STH key).
-    pub fn verify(&self, key: &RsaPublicKey) -> bool {
-        pkcs1::verify_digest(
-            key,
-            &sth_digest(&self.log, self.epoch, self.size, &self.root),
-            &self.signature,
-        )
-    }
-
     /// Whether two heads by the same log at the same size commit to
     /// different roots — the split-view condition. An append-only log can
     /// only ever have one root per size, so two validly-signed conflicting
@@ -92,9 +83,26 @@ impl SignedTreeHead {
     }
 }
 
+/// Signed by the log it names, under its STH key.
+impl Statement for SignedTreeHead {
+    type Signer = NodeId;
+
+    fn signer(&self) -> NodeId {
+        self.log.clone()
+    }
+
+    fn signature(&self) -> &Signature {
+        &self.signature
+    }
+
+    fn signed_digest(&self) -> Option<Digest> {
+        Some(sth_digest(&self.log, self.epoch, self.size, &self.root))
+    }
+}
+
 /// Gossiped as a sealed blob under [`STH_MAGIC`]. A head that decodes is
-/// still *untrusted* until [`SignedTreeHead::verify`] passes under the
-/// log's key.
+/// still *untrusted* until [`Statement::verify`] passes under the log's
+/// key.
 impl Wire for SignedTreeHead {
     const MAGIC: Option<&'static [u8; 8]> = Some(STH_MAGIC);
 

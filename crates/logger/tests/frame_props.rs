@@ -38,12 +38,13 @@ use adlp_logger::recording::replay_bytes;
 use adlp_logger::sth::TreeHeadSigner;
 use adlp_logger::wal;
 use adlp_logger::{
-    Direction, KeyRegistry, MemStorage, Recorder, RecordingWindow, SignedTreeHead, Storage, Wire,
+    Direction, KeyRegistry, Keyring, MemStorage, Recorder, RecordingWindow, SignedTreeHead,
+    Storage, Wire,
 };
 use adlp_pubsub::{NodeId, Topic};
 use adlp_witness::{
-    decode_conviction_frame, encode_conviction_frame, Cosignature, SplitViewProof, SthKeyring,
-    SthObservation, Witness, WitnessState,
+    decode_conviction_frame, encode_conviction_frame, Cosignature, SplitViewProof, SthObservation,
+    Witness, WitnessState,
 };
 use proptest::prelude::*;
 use rand::{RngCore, SeedableRng};
@@ -189,7 +190,7 @@ fn formats() -> Vec<Format> {
     rows.push(row("signed tree head", head_a.encode(), Sealed, wire::<SignedTreeHead>));
 
     let witness_pair = RsaKeyPair::generate(512, &mut rng);
-    let mut loggers = SthKeyring::new();
+    let mut loggers = Keyring::new();
     loggers.insert(log.clone(), log_pair.public_key().clone());
     let mem = Arc::new(MemStorage::new());
     let witness = Witness::new(0, private(&witness_pair), loggers.clone());

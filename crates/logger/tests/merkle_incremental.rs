@@ -6,7 +6,7 @@
 
 use adlp_crypto::rsa::RsaPrivateKey;
 use adlp_crypto::sha256::{sha256, Digest, Sha256};
-use adlp_crypto::RsaKeyPair;
+use adlp_crypto::{RsaKeyPair, Statement};
 use adlp_logger::durable::{DurabilityConfig, DurableLog};
 use adlp_logger::merkle::{ConsistencyProof, InclusionProof, MerkleTree};
 use adlp_logger::sth::{empty_tree_root, SthPublisher, TreeHeadSigner};

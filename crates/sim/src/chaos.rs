@@ -35,18 +35,18 @@ use adlp_cluster::{
 use adlp_core::{
     AdlpNode, AdlpNodeBuilder, BehaviorProfile, DepositTarget, LinkRole, LogBehavior, Scheme,
 };
-use adlp_crypto::{sha256, RsaKeyPair, RsaPrivateKey, RsaPublicKey};
+use adlp_crypto::{sha256, RsaKeyPair, RsaPrivateKey, RsaPublicKey, Statement};
 use adlp_dispute::{replay_window, Outcome, ReplayContext};
 use adlp_logger::sth::{SthPublisher, TreeHeadSigner};
 use adlp_logger::{
-    Direction, FaultyStorage, LogEntry, LogError, LogStore, MemStorage, Recovery, Storage,
+    Direction, FaultyStorage, Keyring, LogEntry, LogError, LogStore, MemStorage, Recovery, Storage,
     StorageFaultConfig, SyncPolicy, Wire,
 };
 use adlp_pubsub::transport::chaos::ChaosConfig;
 use adlp_pubsub::{FaultConfig, Master, NodeId, Publisher, Subscription, Topic};
 use adlp_witness::{
-    Federation, FederationConfig, InprocLink, LightClient, Link, SplitViewProof, SthKeyring,
-    TcpGossipConfig, TcpLink, TreeHeadSource,
+    Federation, FederationConfig, InprocLink, LightClient, Link, SplitViewProof, TcpGossipConfig,
+    TcpLink, TreeHeadSource,
 };
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -828,7 +828,7 @@ impl ShardHead {
 struct Witnesses {
     fed: Federation,
     light: LightClient,
-    sth_keys: SthKeyring,
+    sth_keys: Keyring<NodeId>,
     heads: Vec<ShardHead>,
     /// Light audits attempted; each must end verified or counted failed.
     audits: u64,
@@ -837,7 +837,7 @@ struct Witnesses {
 
 impl Witnesses {
     fn build(plan: &ChaosPlan, cluster: &LoggerCluster) -> Result<Witnesses, Stop> {
-        let mut sth_keys = SthKeyring::new();
+        let mut sth_keys = Keyring::new();
         let mut heads = Vec::new();
         for shard in 0..cluster.shard_count() {
             let mut rng = StdRng::seed_from_u64(plan.seed ^ 0x71_7E55 ^ ((shard as u64) << 32));
@@ -1541,7 +1541,7 @@ impl<'p> Rig<'p> {
         if let Some(ledger) = self.cluster.attestations() {
             auditor = auditor.with_attestation_keys(ledger.keyring().clone());
         }
-        let (mut proofs, mut sth_keys) = (Vec::new(), SthKeyring::new());
+        let (mut proofs, mut sth_keys) = (Vec::new(), Keyring::new());
         if let Some(w) = &self.witnesses {
             (proofs, sth_keys) = (w.proofs(), w.sth_keys.clone());
             self.run.last_converged = w.last_converged;
@@ -1609,7 +1609,7 @@ pub struct ChaosOutcome {
     /// The key the run's seals verify under.
     pub sealing_key: RsaPublicKey,
     /// The tree-head keys split-view proofs verify under.
-    pub sth_keys: SthKeyring,
+    pub sth_keys: Keyring<NodeId>,
     /// The cluster, alive.
     pub cluster: LoggerCluster,
     /// The federation, alive, if the plan built one.

@@ -13,10 +13,12 @@ use adlp_crypto::rsa::RsaPrivateKey;
 use adlp_crypto::RsaKeyPair;
 use adlp_dispute::{
     DisputeConfig, DisputeCounters, DisputeLedger, Evidence, Phase, ReplayContext, ResolutionProof,
-    Resolver, ResolverContext, ResolverKeyring, SignedEvidence, Vote,
+    Resolver, ResolverContext, SignedEvidence, Vote,
 };
 use adlp_logger::frame::encode_frame;
-use adlp_logger::{Direction, KeyRegistry, LogEntry, MemStorage, RecordingWindow, Storage};
+use adlp_logger::{
+    Direction, KeyRegistry, Keyring, LogEntry, MemStorage, RecordingWindow, Storage,
+};
 use adlp_pubsub::NodeId;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -93,7 +95,7 @@ pub struct Verdict {
     /// The transferable resolution proof (outcome, rounds, every vote).
     pub proof: ResolutionProof,
     /// The resolver keys the proof verifies under.
-    pub resolvers: ResolverKeyring,
+    pub resolvers: Keyring<NodeId>,
     /// Whether the full-view audit supports the contested conviction.
     pub supported: bool,
     /// Total stake posted across all rounds.
@@ -108,7 +110,7 @@ pub struct Verdict {
 pub(crate) struct Court {
     ledger: DisputeLedger,
     resolvers: Vec<Resolver>,
-    keyring: ResolverKeyring,
+    keyring: Keyring<NodeId>,
     ctx: ResolverContext,
     claimant: NodeId,
     claimant_key: RsaPrivateKey,
@@ -134,7 +136,7 @@ impl Court {
             .register(&claimant, claimant_pair.public_key().clone())
             .map_err(fail("register claimant"))?;
         let mut resolvers = Vec::with_capacity(POOL);
-        let mut keyring = ResolverKeyring::new();
+        let mut keyring = Keyring::new();
         for i in 0..POOL {
             let id = NodeId::new(format!("resolver-{i}"));
             let pair = RsaKeyPair::generate(KEY_BITS, &mut rng);

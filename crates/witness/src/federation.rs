@@ -32,14 +32,13 @@
 //! until [`Federation::heal`].
 
 use crate::proof::{
-    decode_conviction_frame, encode_conviction_frame, CosignedHead, SplitViewProof, SthKeyring,
-    WitnessKeyring,
+    decode_conviction_frame, encode_conviction_frame, CosignedHead, SplitViewProof,
 };
 use crate::witness::{SthObservation, TreeHeadSource, Witness};
 use adlp_crypto::rsa::{RsaKeyPair, RsaPrivateKey};
 use adlp_logger::sth::SignedTreeHead;
 use adlp_logger::storage::MemStorage;
-use adlp_logger::{LogError, Wire};
+use adlp_logger::{Keyring, LogError, Wire};
 use adlp_pubsub::transport::faults::{FaultConfig, FaultStats, FaultyTransport};
 use adlp_pubsub::transport::{duplex_pair, FrameDuplex};
 use adlp_pubsub::{NodeId, PubSubError};
@@ -306,8 +305,8 @@ pub struct GossipCounters {
 pub struct Federation {
     config: FederationConfig,
     link: Box<dyn Link>,
-    loggers: SthKeyring,
-    keyring: WitnessKeyring,
+    loggers: Keyring<NodeId>,
+    keyring: Keyring<usize>,
     keys: Vec<RsaKeyPair>,
     witnesses: Vec<Arc<Witness>>,
     storages: Vec<Arc<MemStorage>>,
@@ -335,7 +334,7 @@ impl std::fmt::Debug for Federation {
 fn boot_witness(
     w: usize,
     key: &RsaKeyPair,
-    loggers: &SthKeyring,
+    loggers: &Keyring<NodeId>,
     storage: &Arc<MemStorage>,
 ) -> Result<Arc<Witness>, LogError> {
     let key = RsaPrivateKey::from_bytes(&key.private_key().to_bytes())
@@ -359,7 +358,7 @@ impl Federation {
     pub fn new(
         config: FederationConfig,
         link: Box<dyn Link>,
-        loggers: SthKeyring,
+        loggers: Keyring<NodeId>,
         mut sources: Vec<Vec<Arc<dyn TreeHeadSource>>>,
     ) -> Result<Self, LogError> {
         let n = config.witnesses();
@@ -370,7 +369,11 @@ impl Federation {
                 RsaKeyPair::generate(config.key_bits, &mut rng)
             })
             .collect();
-        let keyring = WitnessKeyring::new(keys.iter().map(|k| k.public_key().clone()).collect());
+        let keyring = keys
+            .iter()
+            .map(|k| k.public_key().clone())
+            .enumerate()
+            .collect();
         let storages: Vec<Arc<MemStorage>> = (0..n).map(|_| Arc::new(MemStorage::new())).collect();
         let witnesses = keys
             .iter()
@@ -401,7 +404,7 @@ impl Federation {
     }
 
     /// The public keys of the witness set, for light clients and auditors.
-    pub fn keyring(&self) -> &WitnessKeyring {
+    pub fn keyring(&self) -> &Keyring<usize> {
         &self.keyring
     }
 
@@ -715,10 +718,10 @@ pub(crate) mod tests {
     }
 
     /// A 512-bit logger key with its keyring and a signer over it.
-    fn logger_key(seed: u64) -> (SthKeyring, TreeHeadSigner) {
+    fn logger_key(seed: u64) -> (Keyring<NodeId>, TreeHeadSigner) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let kp = RsaKeyPair::generate(512, &mut rng);
-        let keyring = SthKeyring::new().with_log(logger_id(), kp.public_key().clone());
+        let keyring = Keyring::new().with(logger_id(), kp.public_key().clone());
         (
             keyring,
             TreeHeadSigner::new(logger_id(), kp.into_private_key()),
@@ -744,7 +747,7 @@ pub(crate) mod tests {
         seed: u64,
         config: FederationConfig,
         link: Box<dyn Link>,
-    ) -> (Federation, SthKeyring, LogStore) {
+    ) -> (Federation, Keyring<NodeId>, LogStore) {
         let (keyring, signer) = logger_key(seed);
         let store = LogStore::new();
         for i in 0..4u8 {

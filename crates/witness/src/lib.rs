@@ -45,7 +45,7 @@ pub use federation::{
 pub use light::{AckProbe, LightClient, WitnessedHeadSource};
 pub use proof::{
     decode_conviction_frame, encode_conviction_frame, Cosignature, CosignedHead, SplitViewProof,
-    SthKeyring, WitnessKeyring, SPLIT_VIEW_FRAME_MAGIC,
+    SthKeyring, SPLIT_VIEW_FRAME_MAGIC,
 };
 pub use state::{LogWitnessRecord, WitnessState};
 pub use tcp::{TcpGossipConfig, TcpLink};

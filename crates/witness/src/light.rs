@@ -9,10 +9,11 @@
 //! validly-signed conflicting heads becomes the same transferable
 //! [`SplitViewProof`] evidence the witness set assembles.
 
-use crate::proof::{CosignedHead, SplitViewProof, SthKeyring, WitnessKeyring};
+use crate::proof::{CosignedHead, SplitViewProof};
 use crate::witness::TreeHeadSource;
 use adlp_logger::merkle::{ConsistencyProof, MerkleTree};
 use adlp_logger::sth::SignedTreeHead;
+use adlp_logger::Keyring;
 use adlp_pubsub::NodeId;
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet};
@@ -72,7 +73,7 @@ struct LightInner {
 /// one instance serves every connection of a node.
 #[derive(Debug)]
 pub struct LightClient {
-    loggers: SthKeyring,
+    loggers: Keyring<NodeId>,
     inner: Mutex<LightInner>,
     verify_failures: AtomicU64,
     verified_acks: AtomicU64,
@@ -82,7 +83,7 @@ pub struct LightClient {
 
 impl LightClient {
     /// Creates a light client trusting the logger keys in `loggers`.
-    pub fn new(loggers: SthKeyring) -> Self {
+    pub fn new(loggers: Keyring<NodeId>) -> Self {
         LightClient {
             loggers,
             inner: Mutex::new(LightInner::default()),
@@ -102,6 +103,10 @@ impl LightClient {
     /// head, and consistency when it advances the log — and adopts it on
     /// success. Failures are counted.
     ///
+    /// A head equal, signature included, to the one held for its log is
+    /// accepted without RSA: the held head was verified under the same
+    /// fixed keyring when it was adopted.
+    ///
     /// # Errors
     ///
     /// Returns the reason the head was refused; on
@@ -112,6 +117,9 @@ impl LightClient {
         sth: SignedTreeHead,
         consistency: Option<&ConsistencyProof>,
     ) -> Result<(), LightClientError> {
+        if self.inner.lock().latest.get(&sth.log) == Some(&sth) {
+            return Ok(());
+        }
         if !self.loggers.verify(&sth) {
             return Err(self.fail(LightClientError::BadSignature));
         }
@@ -217,7 +225,7 @@ impl LightClient {
         source: &dyn TreeHeadSource,
         index: u64,
         witnessed: Option<&CosignedHead>,
-        witnesses: &WitnessKeyring,
+        witnesses: &Keyring<usize>,
         quorum: usize,
     ) -> Result<(), LightClientError> {
         let log = source.log_id();
@@ -319,7 +327,7 @@ impl LightClient {
 pub struct AckProbe {
     client: Arc<LightClient>,
     source: Arc<dyn TreeHeadSource>,
-    federation: Option<(Arc<dyn WitnessedHeadSource>, WitnessKeyring, usize)>,
+    federation: Option<(Arc<dyn WitnessedHeadSource>, Keyring<usize>, usize)>,
     acked: AtomicU64,
 }
 
@@ -341,7 +349,7 @@ impl AckProbe {
     pub fn with_federation(
         mut self,
         federation: Arc<dyn WitnessedHeadSource>,
-        witnesses: WitnessKeyring,
+        witnesses: Keyring<usize>,
         quorum: usize,
     ) -> Self {
         self.federation = Some((federation, witnesses, quorum));
@@ -425,9 +433,9 @@ mod tests {
         RsaPrivateKey::from_bytes(&kp.private_key().to_bytes()).unwrap()
     }
 
-    fn setup(seed: u64, entries: usize) -> (RsaKeyPair, SthKeyring, LogStore, SthPublisher) {
+    fn setup(seed: u64, entries: usize) -> (RsaKeyPair, Keyring<NodeId>, LogStore, SthPublisher) {
         let kp = keypair(seed);
-        let keyring = SthKeyring::new().with_log(NodeId::new("logger"), kp.public_key().clone());
+        let keyring = Keyring::new().with(NodeId::new("logger"), kp.public_key().clone());
         let store = LogStore::new();
         for i in 0..entries {
             store.append_encoded(vec![i as u8; 16]);
@@ -492,15 +500,31 @@ mod tests {
             Err(LightClientError::BadSignature)
         );
         assert_eq!(client.sth_verify_failures(), 2);
+
+        // Re-seeing the held head passes and moves no counter.
+        let held = client.latest_head(&NodeId::new("logger")).unwrap();
+        assert_eq!(client.observe_head(held.clone(), None), Ok(()));
+        assert_eq!(client.sth_verify_failures(), 2);
+        assert_eq!(client.verified_acks(), 1);
+
+        // The held head's fields under another key's signature are not the
+        // held head: refused and counted.
+        let resigned = imposter.sign(held.epoch, held.size, held.root).unwrap();
+        assert_ne!(resigned, held);
+        assert_eq!(
+            client.observe_head(resigned, None),
+            Err(LightClientError::BadSignature)
+        );
+        assert_eq!(client.sth_verify_failures(), 3);
         // The trusted head never moved.
-        assert_eq!(client.latest_head(&NodeId::new("logger")).unwrap().size, 3);
+        assert_eq!(client.latest_head(&NodeId::new("logger")), Some(held));
     }
 
     /// Three witness keypairs plus a keyring over them, and a closure
     /// minting a quorum-cosigned head for the publisher's current tree.
-    fn witness_set(seed: u64) -> (Vec<RsaKeyPair>, WitnessKeyring) {
+    fn witness_set(seed: u64) -> (Vec<RsaKeyPair>, Keyring<usize>) {
         let keypairs: Vec<RsaKeyPair> = (0..3).map(|i| keypair(seed + 100 + i)).collect();
-        let keyring = WitnessKeyring::new(keypairs.iter().map(|kp| kp.public_key().clone()).collect());
+        let keyring = keypairs.iter().map(|kp| kp.public_key().clone()).enumerate().collect();
         (keypairs, keyring)
     }
 

@@ -1,51 +1,19 @@
-//! Keyrings, cosignatures, and the transferable split-view conviction.
+//! Cosignatures, witnessed heads, and the transferable split-view
+//! conviction.
 
 use adlp_crypto::pkcs1;
-use adlp_crypto::rsa::{RsaPrivateKey, RsaPublicKey};
+use adlp_crypto::rsa::RsaPrivateKey;
 use adlp_crypto::sha256::{Digest, Sha256};
-use adlp_crypto::Signature;
+use adlp_crypto::{Signature, Statement};
 use adlp_logger::encoding::Wire;
 use adlp_logger::sth::SignedTreeHead;
-use adlp_logger::LogError;
+use adlp_logger::{Keyring, LogError};
 use adlp_pubsub::NodeId;
-use std::collections::BTreeMap;
 
-/// The verification half of the logger side: every log's public STH key,
-/// indexed by log identity. Witnesses, light clients, and auditors share
-/// one keyring.
-#[derive(Debug, Clone, Default)]
-pub struct SthKeyring {
-    keys: BTreeMap<NodeId, RsaPublicKey>,
-}
-
-impl SthKeyring {
-    /// An empty keyring.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Registers (or replaces) the STH key of `log`.
-    pub fn insert(&mut self, log: NodeId, key: RsaPublicKey) {
-        self.keys.insert(log, key);
-    }
-
-    /// Builder form of [`SthKeyring::insert`].
-    pub fn with_log(mut self, log: NodeId, key: RsaPublicKey) -> Self {
-        self.insert(log, key);
-        self
-    }
-
-    /// The public STH key of `log`, if known.
-    pub fn key(&self, log: &NodeId) -> Option<&RsaPublicKey> {
-        self.keys.get(log)
-    }
-
-    /// Verifies a head against the key its claimed log identity maps to.
-    /// Unknown logs never verify.
-    pub fn verify(&self, sth: &SignedTreeHead) -> bool {
-        self.key(&sth.log).is_some_and(|key| sth.verify(key))
-    }
-}
+/// A keyring of log STH keys by log identity. Product code names
+/// [`Keyring<NodeId>`] directly; the alias stays because the standalone
+/// `benchmark/` package builds its light clients from one by this name.
+pub type SthKeyring = Keyring<NodeId>;
 
 /// Two valid signatures, one log, one size, two roots: a self-contained,
 /// transferable conviction of a split-view logger.
@@ -76,7 +44,7 @@ impl SplitViewProof {
     /// Verifies the proof: both heads must conflict (same log, same size,
     /// different roots) and both signatures must verify under the log's
     /// key in `keyring`.
-    pub fn verify(&self, keyring: &SthKeyring) -> bool {
+    pub fn verify(&self, keyring: &Keyring<NodeId>) -> bool {
         self.first.conflicts_with(&self.second)
             && keyring.verify(&self.first)
             && keyring.verify(&self.second)
@@ -176,14 +144,22 @@ impl Cosignature {
             signature,
         })
     }
+}
 
-    /// Verifies the endorsement under `key` (the witness's public key).
-    pub fn verify(&self, key: &RsaPublicKey) -> bool {
-        pkcs1::verify_digest(
-            key,
-            &cosign_digest(self.witness, &self.log, self.size, &self.root),
-            &self.signature,
-        )
+/// Signed by the endorsing witness, under its witness index.
+impl Statement for Cosignature {
+    type Signer = usize;
+
+    fn signer(&self) -> usize {
+        self.witness
+    }
+
+    fn signature(&self) -> &Signature {
+        &self.signature
+    }
+
+    fn signed_digest(&self) -> Option<Digest> {
+        Some(cosign_digest(self.witness, &self.log, self.size, &self.root))
     }
 }
 
@@ -207,41 +183,6 @@ impl Wire for Cosignature {
     }
 }
 
-/// The verification half of the witness side: every witness's public key,
-/// indexed by witness number.
-#[derive(Debug, Clone, Default)]
-pub struct WitnessKeyring {
-    keys: Vec<RsaPublicKey>,
-}
-
-impl WitnessKeyring {
-    /// Builds a keyring from the witness keys in index order.
-    pub fn new(keys: Vec<RsaPublicKey>) -> Self {
-        WitnessKeyring { keys }
-    }
-
-    /// Number of witnesses in the set.
-    pub fn len(&self) -> usize {
-        self.keys.len()
-    }
-
-    /// Whether the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
-    }
-
-    /// The public key of witness `witness`, if known.
-    pub fn key(&self, witness: usize) -> Option<&RsaPublicKey> {
-        self.keys.get(witness)
-    }
-
-    /// Verifies a cosignature against the key its claimed witness index
-    /// maps to. Unknown witnesses never verify.
-    pub fn verify(&self, cosig: &Cosignature) -> bool {
-        self.key(cosig.witness).is_some_and(|key| cosig.verify(key))
-    }
-}
-
 /// A head together with the witness endorsements backing it — what a light
 /// client treats as "the witnessed view of the log".
 #[derive(Debug, Clone)]
@@ -257,7 +198,12 @@ impl CosignedHead {
     /// endorsements that actually cover it; `true` when at least `quorum`
     /// of them do. With `quorum = f + 1`, at least one endorsement is from
     /// an honest witness.
-    pub fn witnessed_by(&self, loggers: &SthKeyring, witnesses: &WitnessKeyring, quorum: usize) -> bool {
+    pub fn witnessed_by(
+        &self,
+        loggers: &Keyring<NodeId>,
+        witnesses: &Keyring<usize>,
+        quorum: usize,
+    ) -> bool {
         if !loggers.verify(&self.sth) {
             return false;
         }
@@ -268,7 +214,7 @@ impl CosignedHead {
                 c.log == self.sth.log
                     && c.size == self.sth.size
                     && c.root == self.sth.root
-                    && witnesses.verify(c)
+                    && witnesses.verify(*c)
             })
             .map(|c| c.witness)
             .collect();
@@ -301,7 +247,7 @@ mod tests {
     #[test]
     fn split_view_proof_convicts_and_forgeries_do_not() {
         let kp = keypair(1);
-        let keyring = SthKeyring::new().with_log(NodeId::new("logger"), kp.public_key().clone());
+        let keyring = Keyring::new().with(NodeId::new("logger"), kp.public_key().clone());
         let signer = TreeHeadSigner::new(NodeId::new("logger"), private(&kp));
         let a = signer.sign(0, 9, root(1)).unwrap();
         let b = signer.sign(1, 9, root(2)).unwrap();
@@ -334,7 +280,7 @@ mod tests {
     #[test]
     fn cosignature_roundtrips_and_binds_witness_and_head() {
         let kp = keypair(3);
-        let witnesses = WitnessKeyring::new(vec![keypair(9).public_key().clone(), kp.public_key().clone()]);
+        let witnesses = Keyring::from_iter([(0, keypair(9).public_key().clone()), (1, kp.public_key().clone())]);
         let cosig = Cosignature::sign(1, &private(&kp), NodeId::new("logger"), 7, root(1)).unwrap();
         assert!(witnesses.verify(&cosig));
         let decoded = Cosignature::decode(&cosig.encode()).unwrap();
@@ -357,12 +303,12 @@ mod tests {
     #[test]
     fn cosigned_head_needs_a_distinct_valid_quorum() {
         let log_kp = keypair(4);
-        let loggers = SthKeyring::new().with_log(NodeId::new("logger"), log_kp.public_key().clone());
+        let loggers = Keyring::new().with(NodeId::new("logger"), log_kp.public_key().clone());
         let signer = TreeHeadSigner::new(NodeId::new("logger"), private(&log_kp));
         let sth = signer.sign(0, 5, root(1)).unwrap();
 
         let w: Vec<RsaKeyPair> = (0..3).map(|i| keypair(10 + i)).collect();
-        let witnesses = WitnessKeyring::new(w.iter().map(|k| k.public_key().clone()).collect());
+        let witnesses = w.iter().map(|k| k.public_key().clone()).enumerate().collect::<Keyring<usize>>();
         let cosig = |i: usize| {
             Cosignature::sign(i, &private(&w[i]), NodeId::new("logger"), 5, root(1)).unwrap()
         };

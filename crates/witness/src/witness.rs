@@ -1,6 +1,6 @@
 //! One witness: verify, remember, cosign, convict.
 
-use crate::proof::{Cosignature, SplitViewProof, SthKeyring};
+use crate::proof::{Cosignature, SplitViewProof};
 use crate::state::{LogWitnessRecord, WitnessState};
 use adlp_crypto::rsa::RsaPrivateKey;
 use adlp_crypto::sha256::Digest;
@@ -8,7 +8,7 @@ use adlp_logger::merkle::{ConsistencyProof, InclusionProof, MerkleTree};
 use adlp_logger::frame::DurableCell;
 use adlp_logger::storage::Storage;
 use adlp_logger::sth::{SignedTreeHead, SthPublisher};
-use adlp_logger::LogError;
+use adlp_logger::{Keyring, LogError};
 use adlp_pubsub::NodeId;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
@@ -145,7 +145,7 @@ fn durable_snapshot(inner: &WitnessInner) -> WitnessState {
 pub struct Witness {
     id: usize,
     key: RsaPrivateKey,
-    loggers: SthKeyring,
+    loggers: Keyring<NodeId>,
     rejected: AtomicU64,
     unproven: AtomicU64,
     state_persist_failures: AtomicU64,
@@ -155,7 +155,7 @@ pub struct Witness {
 impl Witness {
     /// Creates witness `id` signing with `key` and trusting the logger
     /// keys in `loggers`.
-    pub fn new(id: usize, key: RsaPrivateKey, loggers: SthKeyring) -> Self {
+    pub fn new(id: usize, key: RsaPrivateKey, loggers: Keyring<NodeId>) -> Self {
         Witness {
             id,
             key,
@@ -517,7 +517,7 @@ mod tests {
     }
 
     fn witness_for(kp: &RsaKeyPair) -> Witness {
-        let loggers = SthKeyring::new().with_log(NodeId::new("logger"), kp.public_key().clone());
+        let loggers = Keyring::new().with(NodeId::new("logger"), kp.public_key().clone());
         Witness::new(0, private(&keypair(99)), loggers)
     }
 
@@ -574,7 +574,7 @@ mod tests {
     fn witness_convicts_split_view_and_discards_forgeries() {
         let kp = keypair(3);
         let signer = TreeHeadSigner::new(NodeId::new("logger"), private(&kp));
-        let loggers = SthKeyring::new().with_log(NodeId::new("logger"), kp.public_key().clone());
+        let loggers = Keyring::new().with(NodeId::new("logger"), kp.public_key().clone());
         let w = Witness::new(1, private(&keypair(98)), loggers.clone());
 
         let a = signer.sign(0, 4, adlp_crypto::sha256(b"a")).unwrap();

@@ -11,11 +11,11 @@
 
 use adlp::crypto::rsa::RsaKeyPair;
 use adlp::logger::sth::{SthPublisher, TreeHeadSigner};
-use adlp::logger::LogStore;
+use adlp::logger::{Keyring, LogStore};
 use adlp::pubsub::transport::chaos::ChaosConfig;
 use adlp::pubsub::NodeId;
 use adlp::witness::{
-    Federation, FederationConfig, LightClient, SthKeyring, TcpGossipConfig, TcpLink,
+    Federation, FederationConfig, LightClient, TcpGossipConfig, TcpLink,
     TreeHeadSource,
 };
 use rand::SeedableRng;
@@ -26,7 +26,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let log_id = NodeId::new("logger");
     let mut rng = rand::rngs::StdRng::seed_from_u64(42);
     let kp = RsaKeyPair::generate(512, &mut rng);
-    let sth_keys = SthKeyring::new().with_log(log_id.clone(), kp.public_key().clone());
+    let sth_keys = Keyring::new().with(log_id.clone(), kp.public_key().clone());
     let store = LogStore::new();
     for i in 0u8..8 {
         store.append_encoded(vec![i; 16]);

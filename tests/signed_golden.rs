@@ -11,14 +11,14 @@
 
 use adlp_audit::ContestedVerdict;
 use adlp_cluster::{AttestationScope, EpochSeal, ReplicaAttestor, ShardRoot};
-use adlp_crypto::rsa::{RsaPrivateKey, RsaPublicKey};
+use adlp_crypto::rsa::RsaPrivateKey;
 use adlp_crypto::sha256::binding_digest;
-use adlp_crypto::{hex, pkcs1, sha256, Digest, RsaKeyPair, Sha256, Signature};
+use adlp_crypto::{hex, pkcs1, sha256, Digest, RsaKeyPair, Sha256, Statement};
 use adlp_dispute::{Evidence, Resolver, SignedEvidence, Vote};
 use adlp_logger::encoding::{write_bytes, write_str, write_uvarint};
 use adlp_logger::sth::TreeHeadSigner;
-use adlp_logger::{RecordingWindow, Wire};
-use adlp_pubsub::NodeId;
+use adlp_logger::{Binding, Keyring, RecordingWindow, Wire};
+use adlp_pubsub::{NodeId, Topic};
 use adlp_witness::Cosignature;
 use rand::SeedableRng;
 
@@ -100,37 +100,40 @@ fn log_id() -> NodeId {
     NodeId::new("shard-1")
 }
 
-/// Checks one statement against its pins: `digest` must be what the
-/// signer's key signed, both hexes must match, and `verify` must hold
-/// under the signer's key only.
-fn check(
-    keys: &Keys,
-    name: &str,
-    digest: Digest,
-    signature: &Signature,
-    verify: impl Fn(&RsaPublicKey) -> bool,
-) {
+/// Checks one statement against its pins: `digest`, computed from the
+/// documented layout, must be what the statement signs and what the
+/// signer's key signed, both hexes must match, and the statement must
+/// verify when its signer's key is on file and fail when another key is
+/// filed under that signer.
+fn check<S: Statement>(keys: &Keys, name: &str, digest: Digest, statement: &S) {
     let (_, digest_pin, sig_pin) = PINS
         .iter()
         .find(|(n, _, _)| *n == name)
         .unwrap_or_else(|| panic!("no pin for {name}"));
     let digest_hex = hex::encode(digest.as_bytes());
-    let sig_hex = hex::encode(signature.as_bytes());
+    let sig_hex = hex::encode(statement.signature().as_bytes());
     assert_eq!(
         (digest_hex.as_str(), sig_hex.as_str()),
         (*digest_pin, *sig_pin),
         "{name}: signed digest or signature moved"
     );
-    assert!(
-        pkcs1::verify_digest(keys.signer.public_key(), &digest, signature),
-        "{name}: the signature does not cover the documented digest"
+    assert_eq!(
+        statement.signed_digest(),
+        Some(digest),
+        "{name}: the statement signs another digest than its documented layout"
     );
     assert!(
-        verify(keys.signer.public_key()),
+        pkcs1::verify_digest(keys.signer.public_key(), &digest, statement.signature()),
+        "{name}: the signature does not cover the documented digest"
+    );
+    let filed =
+        |key: &RsaKeyPair| Keyring::new().with(statement.signer(), key.public_key().clone());
+    assert!(
+        filed(&keys.signer).verify(statement),
         "{name}: refused under its signer's key"
     );
     assert!(
-        !verify(keys.other.public_key()),
+        !filed(&keys.other).verify(statement),
         "{name}: accepted under another key"
     );
 }
@@ -149,14 +152,18 @@ fn every_signed_digest_and_signature_is_byte_identical() {
         h.update(payload_digest.as_bytes());
         h.finalize()
     };
-    let sig = pkcs1::sign_digest(
-        keys.signer.private_key(),
-        &binding_digest("/ctrl", 42, &payload_digest),
-    )
-    .unwrap();
-    check(&keys, "binding", digest, &sig, |k| {
-        pkcs1::verify_digest(k, &binding_digest("/ctrl", 42, &payload_digest), &sig)
-    });
+    let binding = Binding {
+        signer: NodeId::new("camera"),
+        topic: Topic::new("/ctrl"),
+        seq: 42,
+        payload_digest,
+        signature: pkcs1::sign_digest(
+            keys.signer.private_key(),
+            &binding_digest("/ctrl", 42, &payload_digest),
+        )
+        .unwrap(),
+    };
+    check(&keys, "binding", digest, &binding);
 
     // h("adlp-witness/sth" ‖ len(log) ‖ log ‖ epoch ‖ size ‖ root), little-endian.
     let sth = TreeHeadSigner::new(log_id(), keys.private())
@@ -172,7 +179,7 @@ fn every_signed_digest_and_signature_is_byte_identical() {
         h.update(root(1).as_bytes());
         h.finalize()
     };
-    check(&keys, "sth", digest, &sth.signature, |k| sth.verify(k));
+    check(&keys, "sth", digest, &sth);
 
     // h("adlp-witness/cosign" ‖ witness ‖ len(log) ‖ log ‖ size ‖ root).
     let cosig = Cosignature::sign(2, &keys.private(), log_id(), 9, root(1)).unwrap();
@@ -186,9 +193,7 @@ fn every_signed_digest_and_signature_is_byte_identical() {
         h.update(root(1).as_bytes());
         h.finalize()
     };
-    check(&keys, "cosignature", digest, &cosig.signature, |k| {
-        cosig.verify(k)
-    });
+    check(&keys, "cosignature", digest, &cosig);
 
     // h("adlp-cluster/attested-root" ‖ shard ‖ replica ‖ incarnation ‖
     //   scope tag ‖ scope value ‖ root).
@@ -220,7 +225,7 @@ fn every_signed_digest_and_signature_is_byte_identical() {
             h.update(root(2).as_bytes());
             h.finalize()
         };
-        check(&keys, name, digest, &att.signature, |k| att.verify(k));
+        check(&keys, name, digest, &att);
     }
 
     // h("adlp-cluster/epoch-seal" ‖ epoch ‖ super_root).
@@ -244,9 +249,7 @@ fn every_signed_digest_and_signature_is_byte_identical() {
         h.update(seal.super_root.as_bytes());
         h.finalize()
     };
-    check(&keys, "epoch_seal", digest, &seal.signature, |k| {
-        seal.verify(k)
-    });
+    check(&keys, "epoch_seal", digest, &seal);
 
     // h("adlp-dispute/evidence" ‖ str(party) ‖ uvarint(dispute) ‖
     //   uvarint(round) ‖ bytes(evidence)).
@@ -271,9 +274,7 @@ fn every_signed_digest_and_signature_is_byte_identical() {
         h.update(&buf);
         h.finalize()
     };
-    check(&keys, "evidence", digest, &evidence.signature, |k| {
-        evidence.verify(k)
-    });
+    check(&keys, "evidence", digest, &evidence);
 
     // h("adlp-dispute/vote" ‖ uvarint(instance) ‖ str(resolver) ‖
     //   uvarint(dispute) ‖ uvarint(round) ‖ vote ‖ claim digest ‖
@@ -306,5 +307,5 @@ fn every_signed_digest_and_signature_is_byte_identical() {
         h.update(&buf);
         h.finalize()
     };
-    check(&keys, "vote", digest, &vote.signature, |k| vote.verify(k));
+    check(&keys, "vote", digest, &vote);
 }

@@ -5,11 +5,9 @@
 use adlp::audit::ClusterAuditor;
 use adlp::crypto::{sha256, RsaKeyPair, RsaPrivateKey};
 use adlp::logger::sth::{SthPublisher, TreeHeadSigner};
-use adlp::logger::LogStore;
+use adlp::logger::{Keyring, LogStore};
 use adlp::pubsub::{FaultConfig, NodeId, Topic};
-use adlp::witness::{
-    Federation, FederationConfig, InprocLink, SthKeyring, SthObservation, TreeHeadSource,
-};
+use adlp::witness::{Federation, FederationConfig, InprocLink, SthObservation, TreeHeadSource};
 use adlp_cluster::{ClusterConfig, LoggerCluster};
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -20,9 +18,9 @@ fn logger_id() -> NodeId {
 
 /// The logger's STH keyring and two signers over the same key (one per
 /// view a split-view logger serves).
-fn logger_keys(seed: u64) -> (SthKeyring, TreeHeadSigner, TreeHeadSigner) {
+fn logger_keys(seed: u64) -> (Keyring<NodeId>, TreeHeadSigner, TreeHeadSigner) {
     let kp = RsaKeyPair::generate(512, &mut rand::rngs::StdRng::seed_from_u64(seed));
-    let keys = SthKeyring::new().with_log(logger_id(), kp.public_key().clone());
+    let keys = Keyring::new().with(logger_id(), kp.public_key().clone());
     let copy = RsaPrivateKey::from_bytes(&kp.private_key().to_bytes()).expect("own key");
     let signer = |key| TreeHeadSigner::new(logger_id(), key);
     (keys, signer(copy), signer(kp.into_private_key()))
@@ -38,7 +36,7 @@ fn store_of(records: &[&[u8]]) -> LogStore {
 
 /// A three-witness federation over a fault-free in-process mesh, witness
 /// `w` polling `views[w]`.
-fn federation(seed: u64, keys: SthKeyring, views: [&Arc<SthPublisher>; 3]) -> Federation {
+fn federation(seed: u64, keys: Keyring<NodeId>, views: [&Arc<SthPublisher>; 3]) -> Federation {
     let config = FederationConfig::new(1).with_seed(seed);
     let link = InprocLink::new(config.witnesses(), FaultConfig::default());
     let sources = views
