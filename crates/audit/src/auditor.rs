@@ -212,11 +212,7 @@ impl Auditor {
     /// skipped and not counted; [`crate::ClusterAuditReport::undecodable`]
     /// is where a cluster audit counts them.
     pub fn audit_store(&self, store: &LogStore) -> AuditReport {
-        let entries: Vec<LogEntry> = store
-            .entries()
-            .into_iter()
-            .filter_map(Result::ok)
-            .collect();
+        let entries: Vec<LogEntry> = store.entries().into_iter().filter_map(Result::ok).collect();
         self.audit(&entries)
     }
 
@@ -285,7 +281,11 @@ impl Auditor {
                 continue;
             }
             deposited
-                .entry((entry.component.clone(), entry.topic.clone(), entry.direction))
+                .entry((
+                    entry.component.clone(),
+                    entry.topic.clone(),
+                    entry.direction,
+                ))
                 .or_default()
                 .insert(entry.seq);
             match entry.direction {
@@ -293,7 +293,10 @@ impl Auditor {
                     if !entry.is_adlp() && entry.peer.is_none() {
                         naive_pubs.insert(
                             (entry.topic.clone(), entry.seq),
-                            PubView { entry, ack_of: None },
+                            PubView {
+                                entry,
+                                ack_of: None,
+                            },
                         );
                     } else if entry.acks.is_empty() {
                         let subscriber = entry.peer.clone().unwrap_or_else(|| NodeId::new("?"));
@@ -310,13 +313,24 @@ impl Auditor {
                                 .push((entry.clone(), InvalidReason::DuplicateSeq));
                             continue;
                         }
-                        pub_entries.insert(key, PubView { entry, ack_of: None });
+                        pub_entries.insert(
+                            key,
+                            PubView {
+                                entry,
+                                ack_of: None,
+                            },
+                        );
                     } else {
                         // Aggregated: one view per acknowledged subscriber.
                         for (i, ack) in entry.acks.iter().enumerate() {
-                            let key =
-                                (entry.topic.clone(), entry.seq, ack.subscriber.clone());
-                            pub_entries.insert(key, PubView { entry, ack_of: Some(i) });
+                            let key = (entry.topic.clone(), entry.seq, ack.subscriber.clone());
+                            pub_entries.insert(
+                                key,
+                                PubView {
+                                    entry,
+                                    ack_of: Some(i),
+                                },
+                            );
                         }
                     }
                 }
@@ -493,7 +507,13 @@ impl Auditor {
             // Signatures cover the binding digest h(seq ‖ h(D)): a
             // relabeled sequence number fails right here instead of
             // framing the counterpart.
-            match self.check(memo, &entry.component, entry, entry.payload.digest(), own_sig) {
+            match self.check(
+                memo,
+                &entry.component,
+                entry,
+                entry.payload.digest(),
+                own_sig,
+            ) {
                 None => return Some(InvalidReason::UnknownComponent),
                 Some(false) => return Some(InvalidReason::AuthenticityFailure),
                 Some(true) => {}
@@ -589,7 +609,9 @@ impl Auditor {
         let s = sub_entry.map(|e| self.sub_evidence(e, publisher, memo));
 
         match (p, s) {
-            (Some(p), Some(s)) => self.judge_dispute(topic, seq, publisher, subscriber, p, s, &mut link, report),
+            (Some(p), Some(s)) => {
+                self.judge_dispute(topic, seq, publisher, subscriber, p, s, &mut link, report)
+            }
             (Some(p), None) => {
                 // Only the publisher reported (Lemma 2: the subscriber's
                 // receipt is exposed by its own acknowledgement).
@@ -604,8 +626,10 @@ impl Auditor {
                                 // The subscriber admitted shedding this
                                 // receipt record under overload: bounded,
                                 // accounted loss — no Lemma 2 verdict.
-                                link.subscriber_entry =
-                                    Some(EntryClass::Shed { first_seq, last_seq });
+                                link.subscriber_entry = Some(EntryClass::Shed {
+                                    first_seq,
+                                    last_seq,
+                                });
                             } else {
                                 link.hidden.push(HiddenRecord {
                                     component: subscriber.clone(),
@@ -671,7 +695,10 @@ impl Auditor {
                     if let Some((first_seq, last_seq)) =
                         shed_cover(shed, publisher, topic, Direction::Out, seq)
                     {
-                        link.publisher_entry = Some(EntryClass::Shed { first_seq, last_seq });
+                        link.publisher_entry = Some(EntryClass::Shed {
+                            first_seq,
+                            last_seq,
+                        });
                     } else {
                         link.hidden.push(HiddenRecord {
                             component: publisher.clone(),
@@ -973,7 +1000,10 @@ mod tests {
         for seq in 1..=n {
             let digest = sha256(&seq.to_be_bytes());
             let bound = binding_digest("t", seq, &digest);
-            let (s_x, s_y) = (p.sign_digest(&bound).unwrap(), s.sign_digest(&bound).unwrap());
+            let (s_x, s_y) = (
+                p.sign_digest(&bound).unwrap(),
+                s.sign_digest(&bound).unwrap(),
+            );
             entries.push(LogEntry {
                 component: p.id().clone(),
                 topic: Topic::new("t"),

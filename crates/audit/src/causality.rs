@@ -95,7 +95,9 @@ impl CausalityChecker {
         let t_out = self.stamp(topic, seq, publisher, DirKey::Out)?;
         let t_in = self.stamp(topic, seq, subscriber, DirKey::In)?;
         (t_out > t_in).then(|| CausalityViolation {
-            constraint: format!("t({publisher} out {topic}#{seq}) ≤ t({subscriber} in {topic}#{seq})"),
+            constraint: format!(
+                "t({publisher} out {topic}#{seq}) ≤ t({subscriber} in {topic}#{seq})"
+            ),
             earlier_ns: t_out,
             later_ns: t_in,
             suspects: vec![publisher.clone(), subscriber.clone()],
@@ -130,10 +132,7 @@ impl CausalityChecker {
     /// `chain` is the sequence of hops the flow took, e.g. for
     /// Figure 10's `D_{x→y}` then `D_{y→z}`:
     /// `[(image hop to y), (feature hop to z)]` with publishers `[x, y]`.
-    pub fn check_chain(
-        &self,
-        hops: &[(FlowStep, NodeId)],
-    ) -> Vec<CausalityViolation> {
+    pub fn check_chain(&self, hops: &[(FlowStep, NodeId)]) -> Vec<CausalityViolation> {
         let mut violations = Vec::new();
         for (step, publisher) in hops {
             if let Some(v) = self.check_hop(&step.topic, step.seq, publisher, &step.subscriber) {
@@ -303,10 +302,20 @@ mod tests {
         let c = CausalityChecker::from_entries(&entries);
         // Each hop is locally consistent...
         assert!(c
-            .check_hop(&Topic::new("image"), 3, &NodeId::new("x"), &NodeId::new("y"))
+            .check_hop(
+                &Topic::new("image"),
+                3,
+                &NodeId::new("x"),
+                &NodeId::new("y")
+            )
             .is_none());
         assert!(c
-            .check_hop(&Topic::new("feature"), 7, &NodeId::new("y"), &NodeId::new("z"))
+            .check_hop(
+                &Topic::new("feature"),
+                7,
+                &NodeId::new("y"),
+                &NodeId::new("z")
+            )
             .is_none());
         // ...but the declared chain (image before feature) is caught only
         // through y's processing constraint — which requires y's entries,
@@ -321,7 +330,12 @@ mod tests {
         let entries = vec![entry("image", 3, "x", Direction::Out, 100)];
         let c = CausalityChecker::from_entries(&entries);
         assert!(c
-            .check_hop(&Topic::new("image"), 3, &NodeId::new("x"), &NodeId::new("y"))
+            .check_hop(
+                &Topic::new("image"),
+                3,
+                &NodeId::new("x"),
+                &NodeId::new("y")
+            )
             .is_none());
         assert!(c.check_chain(&chain()).is_empty());
     }

@@ -34,9 +34,7 @@ impl CollusionGroups {
 
     /// Derives *candidate* edges from audit anomalies: conflicting evidence
     /// implicates the pair; (other anomaly kinds carry no pair information).
-    pub fn candidates_from_anomalies<'a>(
-        anomalies: impl IntoIterator<Item = &'a Anomaly>,
-    ) -> Self {
+    pub fn candidates_from_anomalies<'a>(anomalies: impl IntoIterator<Item = &'a Anomaly>) -> Self {
         let mut g = Self::new();
         for a in anomalies {
             if let Anomaly::ConflictingEvidence { parties, .. } = a {
@@ -133,7 +131,8 @@ mod tests {
 
     #[test]
     fn chains_merge() {
-        let mut g = CollusionGroups::from_edges([(n("a"), n("b")), (n("b"), n("c")), (n("d"), n("e"))]);
+        let mut g =
+            CollusionGroups::from_edges([(n("a"), n("b")), (n("b"), n("c")), (n("d"), n("e"))]);
         assert!(g.same_group(&n("a"), &n("c")));
         assert!(!g.same_group(&n("a"), &n("d")));
         assert_eq!(g.maximal_groups().len(), 2);

@@ -43,8 +43,8 @@
 
 pub mod auditor;
 pub mod causality;
-pub mod cluster;
 pub mod classify;
+pub mod cluster;
 pub mod collusion;
 pub mod forensic;
 pub mod provenance;
@@ -52,11 +52,9 @@ pub mod recovery;
 
 pub use auditor::{AuditReport, AuditSession, Auditor, ComponentVerdict, Violation, ViolationKind};
 pub use causality::{CausalityChecker, CausalityViolation, FlowStep};
-pub use cluster::{ClusterAuditReport, ClusterAuditor, SealCheck};
 pub use classify::{Anomaly, EntryClass, HiddenRecord, InvalidReason, LinkAudit};
+pub use cluster::{ClusterAuditReport, ClusterAuditor, SealCheck};
 pub use collusion::CollusionGroups;
 pub use forensic::{canonical_report_bytes, contestable_verdicts, ContestedVerdict};
 pub use provenance::{FlowEdge, ImpactNode, ProvenanceGraph, ProvenanceNode};
-pub use recovery::{
-    verify_recovered_store, RecoveryCheck, RecoveryVerdict, RetainedCommitment,
-};
+pub use recovery::{verify_recovered_store, RecoveryCheck, RecoveryVerdict, RetainedCommitment};

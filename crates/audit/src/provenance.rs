@@ -60,7 +60,12 @@ impl ProvenanceNode {
 
     /// Depth of the trace (1 for a leaf).
     pub fn depth(&self) -> usize {
-        1 + self.inputs.iter().map(ProvenanceNode::depth).max().unwrap_or(0)
+        1 + self
+            .inputs
+            .iter()
+            .map(ProvenanceNode::depth)
+            .max()
+            .unwrap_or(0)
     }
 }
 
@@ -118,7 +123,10 @@ impl ProvenanceGraph {
                         .entry((e.topic.clone(), e.seq))
                         .or_insert((e.component.clone(), e.timestamp_ns));
                     let produced = g.produced_by.entry(e.component.clone()).or_default();
-                    if !produced.iter().any(|(t, s, _)| t == &e.topic && *s == e.seq) {
+                    if !produced
+                        .iter()
+                        .any(|(t, s, _)| t == &e.topic && *s == e.seq)
+                    {
                         produced.push((e.topic.clone(), e.seq, e.timestamp_ns));
                     }
                     if let Some(peer) = &e.peer {
@@ -161,7 +169,11 @@ impl ProvenanceGraph {
             let in_side = ins.get(&key);
             let publisher = out
                 .map(|(p, _)| p.clone())
-                .or_else(|| g.productions.get(&(topic.clone(), seq)).map(|(p, _)| p.clone()))
+                .or_else(|| {
+                    g.productions
+                        .get(&(topic.clone(), seq))
+                        .map(|(p, _)| p.clone())
+                })
                 .or_else(|| in_side.and_then(|(_, claimed)| claimed.clone()))
                 .unwrap_or_else(|| NodeId::new("?"));
             g.edges.push(FlowEdge {
@@ -291,7 +303,14 @@ impl ProvenanceGraph {
 mod tests {
     use super::*;
 
-    fn entry(topic: &str, seq: u64, who: &str, dir: Direction, t: u64, peer: Option<&str>) -> LogEntry {
+    fn entry(
+        topic: &str,
+        seq: u64,
+        who: &str,
+        dir: Direction,
+        t: u64,
+        peer: Option<&str>,
+    ) -> LogEntry {
         let mut e = LogEntry::naive(
             NodeId::new(who),
             Topic::new(topic),
@@ -309,7 +328,14 @@ mod tests {
         vec![
             entry("image", 3, "camera", Direction::Out, 100, Some("detector")),
             entry("image", 3, "detector", Direction::In, 110, Some("camera")),
-            entry("steer", 9, "detector", Direction::Out, 120, Some("actuator")),
+            entry(
+                "steer",
+                9,
+                "detector",
+                Direction::Out,
+                120,
+                Some("actuator"),
+            ),
             entry("steer", 9, "actuator", Direction::In, 130, Some("detector")),
         ]
     }
@@ -345,8 +371,22 @@ mod tests {
     fn trace_uses_latest_input_before_production() {
         let mut entries = pipeline_entries();
         // An older image receipt that must NOT be selected.
-        entries.push(entry("image", 2, "detector", Direction::In, 90, Some("camera")));
-        entries.push(entry("image", 2, "camera", Direction::Out, 85, Some("detector")));
+        entries.push(entry(
+            "image",
+            2,
+            "detector",
+            Direction::In,
+            90,
+            Some("camera"),
+        ));
+        entries.push(entry(
+            "image",
+            2,
+            "camera",
+            Direction::Out,
+            85,
+            Some("detector"),
+        ));
         let g = ProvenanceGraph::from_entries(&entries);
         let trace = g.trace(&Topic::new("steer"), 9, 5).unwrap();
         let flat = trace.flatten();
@@ -384,7 +424,14 @@ mod tests {
         let mut entries = pipeline_entries();
         // A steering command produced BEFORE the image arrived cannot have
         // been derived from it.
-        entries.push(entry("steer", 8, "detector", Direction::Out, 50, Some("actuator")));
+        entries.push(entry(
+            "steer",
+            8,
+            "detector",
+            Direction::Out,
+            50,
+            Some("actuator"),
+        ));
         let g = ProvenanceGraph::from_entries(&entries);
         let impact = g.trace_forward(&Topic::new("image"), 3, 5);
         let affected = impact[0].affected();
@@ -404,7 +451,14 @@ mod tests {
     #[test]
     fn subscriber_only_edge_surfaces_with_unknown_timestamps() {
         // Publisher hid: only the receipt exists.
-        let entries = vec![entry("image", 1, "detector", Direction::In, 50, Some("camera"))];
+        let entries = vec![entry(
+            "image",
+            1,
+            "detector",
+            Direction::In,
+            50,
+            Some("camera"),
+        )];
         let g = ProvenanceGraph::from_entries(&entries);
         assert_eq!(g.edges().len(), 1);
         assert_eq!(g.edges()[0].t_out_ns, None);

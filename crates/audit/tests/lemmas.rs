@@ -40,8 +40,7 @@ impl Scenario {
     }
 
     fn auditor(&self) -> Auditor {
-        Auditor::new(self.handle().keys().clone())
-            .with_topology(self.master.topology())
+        Auditor::new(self.handle().keys().clone()).with_topology(self.master.topology())
     }
 }
 
@@ -64,7 +63,9 @@ fn run_link(publisher: &AdlpNode, subscriber: &AdlpNode, topic: &str, n: usize) 
         let r = p.publish(&[i as u8; 32]).unwrap();
         assert_eq!(r.sent, 1, "publish {i} must reach the subscriber");
     }
-    wait_until(|| publisher.pending_acks() == 0 || subscriber.stats().snapshot().received >= n as u64);
+    wait_until(|| {
+        publisher.pending_acks() == 0 || subscriber.stats().snapshot().received >= n as u64
+    });
     // Give the final ack a moment to land before flushing.
     std::thread::sleep(Duration::from_millis(30));
     publisher.flush().unwrap();
@@ -170,10 +171,7 @@ fn lemma3_publisher_falsification_detected() {
     assert!(report.verdicts[&NodeId::new("detector")].is_faithful());
     assert_eq!(report.verdicts[&NodeId::new("detector")].valid_entries, 3);
     for link in &report.links {
-        assert!(matches!(
-            link.publisher_entry,
-            Some(EntryClass::Invalid(_))
-        ));
+        assert!(matches!(link.publisher_entry, Some(EntryClass::Invalid(_))));
         assert_eq!(link.subscriber_entry, Some(EntryClass::Valid));
     }
 }
@@ -267,11 +265,10 @@ fn impersonation_rejected_by_authenticity_check() {
 
     let report = s.auditor().audit_store(s.handle().store());
     // The forged entries fail authenticity under the victim's key.
-    assert!(report
-        .anomalies
-        .iter()
-        .any(|a| matches!(a, Anomaly::ImpersonationSuspected { claimed, .. }
-            if claimed == &NodeId::new("innocent"))));
+    assert!(report.anomalies.iter().any(
+        |a| matches!(a, Anomaly::ImpersonationSuspected { claimed, .. }
+            if claimed == &NodeId::new("innocent"))
+    ));
     // The victim is NOT convicted of anything.
     assert!(report
         .verdicts
@@ -392,18 +389,17 @@ fn theorem1_faithful_entries_never_misclassified_under_any_peer_behavior() {
     let behaviors: Vec<(&str, LogBehavior)> = vec![
         ("hide", LogBehavior::Hide),
         ("falsify", LogBehavior::Falsify),
-        ("impersonate", LogBehavior::ImpersonateAs(NodeId::new("ghost"))),
+        (
+            "impersonate",
+            LogBehavior::ImpersonateAs(NodeId::new("ghost")),
+        ),
     ];
     for (i, (name, b)) in behaviors.into_iter().enumerate() {
         let mut s = Scenario::new(100 + i as u64);
         let cam = s.node("camera", BehaviorProfile::faithful());
         let det = s.node(
             "detector",
-            BehaviorProfile::faithful().with_link(
-                LinkRole::Subscriber,
-                Topic::new("image"),
-                b,
-            ),
+            BehaviorProfile::faithful().with_link(LinkRole::Subscriber, Topic::new("image"), b),
         );
         run_link(&cam, &det, "image", 2);
         let report = s.auditor().audit_store(s.handle().store());

@@ -77,11 +77,9 @@ fn bench_lightweight_mac(c: &mut Criterion) {
         let mut body = vec![0u8; 16];
         body.extend_from_slice(&kind.generate(1));
         g.throughput(Throughput::Bytes(body.len() as u64));
-        g.bench_with_input(
-            BenchmarkId::new("hmac_tag", kind.label()),
-            &body,
-            |b, d| b.iter(|| mac.tag(d)),
-        );
+        g.bench_with_input(BenchmarkId::new("hmac_tag", kind.label()), &body, |b, d| {
+            b.iter(|| mac.tag(d))
+        });
         g.bench_with_input(
             BenchmarkId::new("rsa1024_sign", kind.label()),
             &body,

@@ -63,27 +63,26 @@ fn bench_latency(c: &mut Criterion) {
         for (label, scheme) in [
             ("base", Scheme::Base),
             ("adlp", Scheme::adlp()),
-            ("adlp_nogate", Scheme::Adlp(AdlpConfig::new().without_gating())),
+            (
+                "adlp_nogate",
+                Scheme::Adlp(AdlpConfig::new().without_gating()),
+            ),
         ] {
             let link = build_link(scheme, 7);
-            g.bench_with_input(
-                BenchmarkId::new(label, size),
-                &payload,
-                |b, payload| {
-                    b.iter(|| {
-                        // Under gating the publish may be skipped while the
-                        // previous ack is in flight; spin until accepted.
-                        loop {
-                            let r = link.publisher.publish(payload).unwrap();
-                            if r.sent == 1 {
-                                break;
-                            }
-                            std::hint::spin_loop();
+            g.bench_with_input(BenchmarkId::new(label, size), &payload, |b, payload| {
+                b.iter(|| {
+                    // Under gating the publish may be skipped while the
+                    // previous ack is in flight; spin until accepted.
+                    loop {
+                        let r = link.publisher.publish(payload).unwrap();
+                        if r.sent == 1 {
+                            break;
                         }
-                        link.delivered.recv().unwrap();
-                    });
-                },
-            );
+                        std::hint::spin_loop();
+                    }
+                    link.delivered.recv().unwrap();
+                });
+            });
         }
     }
     g.finish();

@@ -15,8 +15,7 @@ use proptest::prelude::*;
 const VNODES: usize = 32;
 
 fn arb_key() -> impl Strategy<Value = (NodeId, Topic)> {
-    ("[a-z0-9_]{1,24}", "[a-z0-9_]{1,24}")
-        .prop_map(|(n, t)| (NodeId::new(n), Topic::new(t)))
+    ("[a-z0-9_]{1,24}", "[a-z0-9_]{1,24}").prop_map(|(n, t)| (NodeId::new(n), Topic::new(t)))
 }
 
 proptest! {

@@ -180,9 +180,7 @@ mod tests {
     fn defaults_are_faithful() {
         let p = BehaviorProfile::faithful();
         assert!(p.is_faithful());
-        assert!(p
-            .link(LinkRole::Publisher, &Topic::new("x"))
-            .is_faithful());
+        assert!(p.link(LinkRole::Publisher, &Topic::new("x")).is_faithful());
         assert_eq!(p.skewed_timestamp(100), 100);
     }
 
@@ -199,8 +197,12 @@ mod tests {
         ));
         // Same topic, other role: still faithful (the paper's example of B
         // forging logs for D_{C→B} while correctly logging D_{B→A}).
-        assert!(p.link(LinkRole::Publisher, &Topic::new("image")).is_faithful());
-        assert!(p.link(LinkRole::Subscriber, &Topic::new("scan")).is_faithful());
+        assert!(p
+            .link(LinkRole::Publisher, &Topic::new("image"))
+            .is_faithful());
+        assert!(p
+            .link(LinkRole::Subscriber, &Topic::new("scan"))
+            .is_faithful());
         assert!(!p.is_faithful());
     }
 

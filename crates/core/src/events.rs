@@ -127,7 +127,10 @@ impl LogEvent {
 
     /// Whether this is a publication-side event.
     pub fn is_publication(&self) -> bool {
-        !matches!(self, LogEvent::Receipt { .. } | LogEvent::BaseReceipt { .. })
+        !matches!(
+            self,
+            LogEvent::Receipt { .. } | LogEvent::BaseReceipt { .. }
+        )
     }
 }
 

@@ -161,8 +161,7 @@ impl AdlpInterceptor {
     /// acknowledged, and flushes any aggregated entry in progress. Called at
     /// node flush/shutdown.
     pub fn flush_pending(&self) {
-        let pending: Vec<((Topic, NodeId), PendingAck)> =
-            self.pending.lock().drain().collect();
+        let pending: Vec<((Topic, NodeId), PendingAck)> = self.pending.lock().drain().collect();
         for ((topic, subscriber), p) in pending {
             self.sink.submit(LogEvent::UnackedPublication {
                 topic,
@@ -174,8 +173,7 @@ impl AdlpInterceptor {
             });
         }
         if self.config.aggregated_publisher_log {
-            let current: Vec<(Topic, CurrentPublication)> =
-                self.current.lock().drain().collect();
+            let current: Vec<(Topic, CurrentPublication)> = self.current.lock().drain().collect();
             for (topic, cur) in current {
                 self.sink.submit(LogEvent::AggregatedPublication {
                     topic,
@@ -222,9 +220,7 @@ impl LinkInterceptor for AdlpInterceptor {
         let stamp_ns = self.clock.now_ns();
 
         let mut current = self.current.lock();
-        let needs_new = current
-            .get(&conn.topic)
-            .is_none_or(|c| c.seq != seq);
+        let needs_new = current.get(&conn.topic).is_none_or(|c| c.seq != seq);
         if needs_new {
             // New publication: hash + sign once. The signature covers the
             // binding digest h(seq ‖ h(D)) so auditors can recompute it
@@ -610,8 +606,8 @@ mod tests {
     #[test]
     fn light_client_audits_on_ack_and_counts_failures() {
         use adlp_logger::sth::{SthPublisher, TreeHeadSigner};
-        use adlp_logger::LogStore;
         use adlp_logger::Keyring;
+        use adlp_logger::LogStore;
         use adlp_witness::{AckProbe, LightClient};
 
         let mut rng = rand::rngs::StdRng::seed_from_u64(78);
@@ -633,9 +629,10 @@ mod tests {
                 Keyring::new().with(NodeId::new("logger"), trusted_key.clone()),
             ));
             let f = fixture(AdlpConfig::default());
-            let interceptor = f
-                .interceptor
-                .with_light_client(Arc::new(AckProbe::new(Arc::clone(&client), publisher.clone())));
+            let interceptor = f.interceptor.with_light_client(Arc::new(AckProbe::new(
+                Arc::clone(&client),
+                publisher.clone(),
+            )));
             let conn = ConnectionInfo {
                 topic: Topic::new("plan"),
                 publisher: NodeId::new("det"),
@@ -652,7 +649,11 @@ mod tests {
                 .sign_digest(&binding_digest("plan", 1, &digest))
                 .unwrap();
             interceptor.on_return(&conn, crate::protocol::encode_ack(&digest, &sig));
-            assert_eq!(interceptor.pending_count(), 0, "audit never blocks the path");
+            assert_eq!(
+                interceptor.pending_count(),
+                0,
+                "audit never blocks the path"
+            );
             (interceptor.sth_verify_failures(), client.verified_acks())
         };
 
@@ -675,10 +676,8 @@ mod tests {
         body.extend_from_slice(&1u64.to_le_bytes());
         body.extend_from_slice(&9u64.to_le_bytes());
         let _ = f.interceptor.on_send(&conn, body.clone());
-        let bad = crate::protocol::encode_ack(
-            &sha256(&body),
-            &Signature::from_bytes(vec![0u8; 64]),
-        );
+        let bad =
+            crate::protocol::encode_ack(&sha256(&body), &Signature::from_bytes(vec![0u8; 64]));
         f.interceptor.on_return(&conn, bad);
         // Paper default: verification is the auditor's job; the gate opens.
         assert_eq!(f.interceptor.pending_count(), 0);

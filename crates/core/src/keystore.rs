@@ -37,8 +37,10 @@ impl IdentityStore {
 
     fn path_for(&self, id: &NodeId) -> PathBuf {
         // Node ids may contain path-hostile characters; encode as hex.
-        self.dir
-            .join(format!("{}.key", adlp_crypto::hex::encode(id.as_str().as_bytes())))
+        self.dir.join(format!(
+            "{}.key",
+            adlp_crypto::hex::encode(id.as_str().as_bytes())
+        ))
     }
 
     /// Loads the identity for `id`, or generates (and persists) a fresh one.
@@ -192,9 +194,11 @@ mod tests {
         let ident = store.load_or_generate(&id, 512, &mut rng).unwrap();
         assert_eq!(ident.id(), &id);
         // The file landed inside the store directory.
-        assert!(store.path_for(&id).parent().unwrap().ends_with(
-            store.dir.file_name().unwrap()
-        ));
+        assert!(store
+            .path_for(&id)
+            .parent()
+            .unwrap()
+            .ends_with(store.dir.file_name().unwrap()));
     }
 
     #[cfg(unix)]

@@ -416,7 +416,11 @@ impl Worker {
 
     fn breaker_outcome(&mut self, success: bool) {
         if let Some(b) = &mut self.breaker {
-            let transition = if success { b.on_success() } else { b.on_failure() };
+            let transition = if success {
+                b.on_success()
+            } else {
+                b.on_failure()
+            };
             if let Some(t) = transition {
                 self.pressure.note_transition(t);
             }
@@ -709,7 +713,8 @@ fn apply_sub_falsification(
         LogBehavior::Falsify => {
             let fake = falsify_body(&body);
             let digest = sha256(&fake);
-            let sig = sign_own(ctx, &binding_digest(topic.as_str(), seq, &digest)).unwrap_or(own_sig);
+            let sig =
+                sign_own(ctx, &binding_digest(topic.as_str(), seq, &digest)).unwrap_or(own_sig);
             // Keeps the real s_x: the subscriber cannot forge the
             // publisher's signature over its lie (Lemma 3 ii).
             (store(fake, digest), sig, peer_sig)
@@ -936,10 +941,7 @@ mod tests {
             .into_iter()
             .map(Result::unwrap)
             .collect();
-        let receipts: Vec<GapReceipt> = entries
-            .iter()
-            .filter_map(GapReceipt::from_entry)
-            .collect();
+        let receipts: Vec<GapReceipt> = entries.iter().filter_map(GapReceipt::from_entry).collect();
         assert_eq!(receipts.len(), 1);
         let r = &receipts[0];
         assert!(r.well_formed());

@@ -214,12 +214,9 @@ impl AdlpNodeBuilder {
                 (node, None, Some(logging), None)
             }
             Scheme::Adlp(config) => {
-                let identity = self
-                    .identity
-                    .clone()
-                    .unwrap_or_else(|| {
-                        ComponentIdentity::generate(self.id.clone(), self.key_bits, rng)
-                    });
+                let identity = self.identity.clone().unwrap_or_else(|| {
+                    ComponentIdentity::generate(self.id.clone(), self.key_bits, rng)
+                });
                 logger.register_key(identity.id(), identity.public_key().clone())?;
                 let logging = LoggingThread::spawn(LoggingContext {
                     node_id: self.id.clone(),
@@ -316,7 +313,11 @@ impl AdlpNode {
     /// # Errors
     ///
     /// Propagates middleware errors (e.g. no such topic).
-    pub fn subscribe<F>(&self, topic: impl Into<Topic>, callback: F) -> Result<Subscription, AdlpError>
+    pub fn subscribe<F>(
+        &self,
+        topic: impl Into<Topic>,
+        callback: F,
+    ) -> Result<Subscription, AdlpError>
     where
         F: Fn(Message) + Send + 'static,
     {
@@ -453,7 +454,9 @@ impl AdlpNode {
     /// Entries the logger refused to make durable (nodes built with
     /// [`AdlpNodeBuilder::ack_after_durable`] only; 0 otherwise).
     pub fn deposit_failures(&self) -> u64 {
-        self.logging.as_ref().map_or(0, LoggingThread::deposit_failures)
+        self.logging
+            .as_ref()
+            .map_or(0, LoggingThread::deposit_failures)
     }
 
     /// The deposit pipeline's shared overload view: queue depth and
@@ -546,10 +549,21 @@ mod tests {
         p.flush().unwrap();
         s.flush().unwrap();
 
-        let entries: Vec<_> = h.store().entries().into_iter().map(Result::unwrap).collect();
+        let entries: Vec<_> = h
+            .store()
+            .entries()
+            .into_iter()
+            .map(Result::unwrap)
+            .collect();
         assert_eq!(entries.len(), 2);
-        let pub_entry = entries.iter().find(|e| e.direction == Direction::Out).unwrap();
-        let sub_entry = entries.iter().find(|e| e.direction == Direction::In).unwrap();
+        let pub_entry = entries
+            .iter()
+            .find(|e| e.direction == Direction::Out)
+            .unwrap();
+        let sub_entry = entries
+            .iter()
+            .find(|e| e.direction == Direction::In)
+            .unwrap();
         assert_eq!(pub_entry.component, NodeId::new("cam"));
         assert_eq!(pub_entry.peer, Some(NodeId::new("det")));
         assert!(pub_entry.peer_sig.is_some());
@@ -603,7 +617,12 @@ mod tests {
         wait_until(|| s.stats().snapshot().received == 1);
         p.flush().unwrap();
         s.flush().unwrap();
-        let entries: Vec<_> = h.store().entries().into_iter().map(Result::unwrap).collect();
+        let entries: Vec<_> = h
+            .store()
+            .entries()
+            .into_iter()
+            .map(Result::unwrap)
+            .collect();
         assert_eq!(entries.len(), 2);
         for e in &entries {
             assert!(!e.is_adlp());
@@ -661,7 +680,12 @@ mod tests {
         publisher.publish(&[1u8; 10]).unwrap();
         wait_until(|| s.stats().snapshot().received == 1);
         p.flush().unwrap();
-        let entries: Vec<_> = h.store().entries().into_iter().map(Result::unwrap).collect();
+        let entries: Vec<_> = h
+            .store()
+            .entries()
+            .into_iter()
+            .map(Result::unwrap)
+            .collect();
         let pub_entries: Vec<_> = entries
             .iter()
             .filter(|e| e.direction == Direction::Out)
@@ -686,7 +710,13 @@ mod tests {
         let mut subs = Vec::new();
         let mut nodes = Vec::new();
         for i in 0..3 {
-            let s = build(&format!("det{i}"), Scheme::adlp(), &master, &h, 20 + i as u64);
+            let s = build(
+                &format!("det{i}"),
+                Scheme::adlp(),
+                &master,
+                &h,
+                20 + i as u64,
+            );
             subs.push(s.subscribe("image", |_| {}).unwrap());
             nodes.push(s);
         }
@@ -696,7 +726,12 @@ mod tests {
         for n in &nodes {
             n.flush().unwrap();
         }
-        let entries: Vec<_> = h.store().entries().into_iter().map(Result::unwrap).collect();
+        let entries: Vec<_> = h
+            .store()
+            .entries()
+            .into_iter()
+            .map(Result::unwrap)
+            .collect();
         let agg: Vec<_> = entries.iter().filter(|e| !e.acks.is_empty()).collect();
         assert_eq!(agg.len(), 1);
         assert_eq!(agg[0].acks.len(), 3);
@@ -780,7 +815,12 @@ mod tests {
             "expected a teardown event, got {events:?}"
         );
         p.flush().unwrap();
-        let entries: Vec<_> = h.store().entries().into_iter().map(Result::unwrap).collect();
+        let entries: Vec<_> = h
+            .store()
+            .entries()
+            .into_iter()
+            .map(Result::unwrap)
+            .collect();
         let pub_entries: Vec<_> = entries
             .iter()
             .filter(|e| e.direction == Direction::Out)
@@ -844,9 +884,18 @@ mod tests {
         p.fabricate_receipt("scan", 7, &[4, 5], "lidar", &mut rng)
             .unwrap();
         p.flush().unwrap();
-        let entries: Vec<_> = h.store().entries().into_iter().map(Result::unwrap).collect();
+        let entries: Vec<_> = h
+            .store()
+            .entries()
+            .into_iter()
+            .map(Result::unwrap)
+            .collect();
         assert_eq!(entries.len(), 2);
-        assert!(entries.iter().any(|e| e.seq == 99 && e.direction == Direction::Out));
-        assert!(entries.iter().any(|e| e.seq == 7 && e.direction == Direction::In));
+        assert!(entries
+            .iter()
+            .any(|e| e.seq == 99 && e.direction == Direction::Out));
+        assert!(entries
+            .iter()
+            .any(|e| e.seq == 7 && e.direction == Direction::In));
     }
 }

@@ -277,6 +277,11 @@ mod tests {
         let c = OverloadConfig::with_capacity(100).with_watermarks(90, 50);
         assert_eq!(c.high_watermark, 50);
         assert_eq!(c.low_watermark, 49);
-        assert_eq!(OverloadConfig::default().with_receipt_span(0).receipt_max_span, 1);
+        assert_eq!(
+            OverloadConfig::default()
+                .with_receipt_span(0)
+                .receipt_max_span,
+            1
+        );
     }
 }

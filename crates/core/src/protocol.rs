@@ -37,9 +37,14 @@ pub fn header_seq(body: &[u8]) -> Option<u64> {
 ///
 /// Returns [`PubSubError::Malformed`] if the frame is shorter than the
 /// signature.
-pub fn split_signature(mut frame: Vec<u8>, sig_len: usize) -> Result<(Vec<u8>, Signature), PubSubError> {
+pub fn split_signature(
+    mut frame: Vec<u8>,
+    sig_len: usize,
+) -> Result<(Vec<u8>, Signature), PubSubError> {
     if frame.len() < sig_len {
-        return Err(PubSubError::Malformed("adlp message (shorter than signature)"));
+        return Err(PubSubError::Malformed(
+            "adlp message (shorter than signature)",
+        ));
     }
     let sig_bytes = frame.split_off(frame.len() - sig_len);
     Ok((frame, Signature::from_bytes(sig_bytes)))
@@ -66,8 +71,7 @@ pub fn decode_ack(frame: &[u8], sig_len: usize) -> Result<(Digest, Signature), P
     let (head, sig) = frame
         .split_at_checked(DIGEST_LEN)
         .ok_or(PubSubError::Malformed("adlp ack (wrong length)"))?;
-    let digest =
-        Digest::from_slice(head).ok_or(PubSubError::Malformed("adlp ack (digest)"))?;
+    let digest = Digest::from_slice(head).ok_or(PubSubError::Malformed("adlp ack (digest)"))?;
     Ok((digest, Signature::from_bytes(sig.to_vec())))
 }
 

@@ -269,7 +269,10 @@ mod tests {
         let crash_target = DepositTarget::from(Arc::new(ClusterLogClient::in_proc(&crash)));
         assert_eq!(
             crash_target.ack_mode(),
-            AckMode::Quorum { write: 2, replicas: 3 }
+            AckMode::Quorum {
+                write: 2,
+                replicas: 3
+            }
         );
 
         let bft = LoggerCluster::spawn(ClusterConfig::byzantine(1, 1)).unwrap();

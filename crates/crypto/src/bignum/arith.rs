@@ -216,8 +216,9 @@ impl Sub<&BigUint> for &BigUint {
     ///
     /// Panics on underflow; use [`BigUint::checked_sub`] to handle it.
     fn sub(self, rhs: &BigUint) -> BigUint {
-        // adlp-lint: allow(no-panic-paths) — the panic is the documented operator contract; checked_sub is the fallible form
-        self.checked_sub(rhs).expect("BigUint subtraction underflow")
+        self.checked_sub(rhs)
+            // adlp-lint: allow(no-panic-paths) — the panic is the documented operator contract; checked_sub is the fallible form
+            .expect("BigUint subtraction underflow")
     }
 }
 

@@ -107,9 +107,7 @@ fn knuth_d(u: &BigUint, v: &BigUint) -> (BigUint, BigUint) {
             qhat = u128::from(u64::MAX);
             rhat = num - qhat * v_top;
         }
-        while rhat <= u128::from(u64::MAX)
-            && qhat * v_next > ((rhat << 64) | num_third)
-        {
+        while rhat <= u128::from(u64::MAX) && qhat * v_next > ((rhat << 64) | num_third) {
             qhat -= 1;
             rhat += v_top;
         }
@@ -173,7 +171,10 @@ mod tests {
     #[test]
     fn division_by_zero_is_error() {
         let a = BigUint::from_u64(5);
-        assert_eq!(a.div_rem(&BigUint::zero()), Err(CryptoError::DivisionByZero));
+        assert_eq!(
+            a.div_rem(&BigUint::zero()),
+            Err(CryptoError::DivisionByZero)
+        );
     }
 
     #[test]

@@ -63,7 +63,9 @@ impl BigUint {
         if hi == 0 {
             Self::from_u64(lo)
         } else {
-            BigUint { limbs: vec![lo, hi] }
+            BigUint {
+                limbs: vec![lo, hi],
+            }
         }
     }
 
@@ -391,7 +393,10 @@ mod tests {
     #[test]
     fn roundtrip_bytes_be() {
         let v = BigUint::from_bytes_be(&[0, 0, 0x12, 0x34, 0x56, 0x78, 0x9a, 0xbc, 0xde, 0xf0]);
-        assert_eq!(v.to_bytes_be(), vec![0x12, 0x34, 0x56, 0x78, 0x9a, 0xbc, 0xde, 0xf0]);
+        assert_eq!(
+            v.to_bytes_be(),
+            vec![0x12, 0x34, 0x56, 0x78, 0x9a, 0xbc, 0xde, 0xf0]
+        );
         assert_eq!(v.to_hex(), "123456789abcdef0");
     }
 
@@ -406,10 +411,7 @@ mod tests {
     fn padded_bytes() {
         let v = BigUint::from_u64(0x0102);
         assert_eq!(v.to_bytes_be_padded(4).unwrap(), vec![0, 0, 1, 2]);
-        assert_eq!(
-            v.to_bytes_be_padded(1),
-            Err(CryptoError::MessageTooLarge)
-        );
+        assert_eq!(v.to_bytes_be_padded(1), Err(CryptoError::MessageTooLarge));
     }
 
     #[test]
@@ -446,7 +448,10 @@ mod tests {
         for s in ["0", "1", "9", "10", "12345678901234567890123456789012345"] {
             assert_eq!(BigUint::from_decimal(s).unwrap().to_decimal(), s);
         }
-        assert_eq!(BigUint::from_u64(u64::MAX).to_decimal(), u64::MAX.to_string());
+        assert_eq!(
+            BigUint::from_u64(u64::MAX).to_decimal(),
+            u64::MAX.to_string()
+        );
         assert!(BigUint::from_decimal("").is_err());
         assert!(BigUint::from_decimal("12a").is_err());
         assert!(BigUint::from_decimal("-5").is_err());

@@ -10,7 +10,8 @@ const ALPHABET: &[u8; 16] = b"0123456789abcdef";
 /// assert_eq!(adlp_crypto::hex::encode(&[0xde, 0xad]), "dead");
 /// ```
 pub fn encode(bytes: &[u8]) -> String {
-    let digit = |nibble: u8| char::from(ALPHABET.get(nibble as usize & 0xf).copied().unwrap_or(b'0'));
+    let digit =
+        |nibble: u8| char::from(ALPHABET.get(nibble as usize & 0xf).copied().unwrap_or(b'0'));
     let mut s = String::with_capacity(bytes.len() * 2);
     for &b in bytes {
         s.push(digit(b >> 4));

@@ -11,8 +11,8 @@ use std::fmt;
 
 /// ASN.1 DER `DigestInfo` prefix for SHA-256 (RFC 8017 §9.2 note 1).
 const SHA256_DIGEST_INFO_PREFIX: [u8; 19] = [
-    0x30, 0x31, 0x30, 0x0d, 0x06, 0x09, 0x60, 0x86, 0x48, 0x01, 0x65, 0x03, 0x04, 0x02, 0x01,
-    0x05, 0x00, 0x04, 0x20,
+    0x30, 0x31, 0x30, 0x0d, 0x06, 0x09, 0x60, 0x86, 0x48, 0x01, 0x65, 0x03, 0x04, 0x02, 0x01, 0x05,
+    0x00, 0x04, 0x20,
 ];
 
 /// A detached RSASSA-PKCS1-v1_5 signature.
@@ -183,7 +183,11 @@ mod tests {
         let sig = sign(kp.private_key(), b"msg").unwrap();
         let mut bytes = sig.into_bytes();
         bytes[10] ^= 0x01;
-        assert!(!verify(kp.public_key(), b"msg", &Signature::from_bytes(bytes)));
+        assert!(!verify(
+            kp.public_key(),
+            b"msg",
+            &Signature::from_bytes(bytes)
+        ));
     }
 
     #[test]

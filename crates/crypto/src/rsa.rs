@@ -105,7 +105,10 @@ impl RsaPublicKey {
         if !rest.is_empty() {
             return Err(CryptoError::Malformed("public key (trailing bytes)"));
         }
-        Self::new(BigUint::from_bytes_be(n_bytes), BigUint::from_bytes_be(e_bytes))
+        Self::new(
+            BigUint::from_bytes_be(n_bytes),
+            BigUint::from_bytes_be(e_bytes),
+        )
     }
 }
 
@@ -201,12 +204,7 @@ impl RsaPrivateKey {
     /// key in each component" (§II-A).
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        for field in [
-            &self.public.e,
-            &self.d,
-            &self.p,
-            &self.q,
-        ] {
+        for field in [&self.public.e, &self.d, &self.p, &self.q] {
             let bytes = field.to_bytes_be();
             out.extend_from_slice(&(bytes.len() as u32).to_be_bytes());
             out.extend_from_slice(&bytes);
@@ -245,10 +243,8 @@ impl RsaPrivateKey {
         let qinv = q
             .mod_inverse(&p)
             .map_err(|_| CryptoError::Malformed("private key (qinv)"))?;
-        let mont_p =
-            Montgomery::new(&p).map_err(|_| CryptoError::Malformed("private key (p)"))?;
-        let mont_q =
-            Montgomery::new(&q).map_err(|_| CryptoError::Malformed("private key (q)"))?;
+        let mont_p = Montgomery::new(&p).map_err(|_| CryptoError::Malformed("private key (p)"))?;
+        let mont_q = Montgomery::new(&q).map_err(|_| CryptoError::Malformed("private key (q)"))?;
         let public =
             RsaPublicKey::new(n, e).map_err(|_| CryptoError::Malformed("private key (n)"))?;
         Ok(RsaPrivateKey {
@@ -302,7 +298,10 @@ impl RsaKeyPair {
     ///
     /// Panics if `bits < 32` or `bits` is odd.
     pub fn generate<R: RngCore + ?Sized>(bits: usize, rng: &mut R) -> Self {
-        assert!(bits >= 32 && bits.is_multiple_of(2), "invalid RSA modulus width");
+        assert!(
+            bits >= 32 && bits.is_multiple_of(2),
+            "invalid RSA modulus width"
+        );
         let e = BigUint::from_u64(PUBLIC_EXPONENT);
         loop {
             let p = crate::prime::random_prime(bits / 2, rng);

@@ -109,7 +109,10 @@ fn direction_byte(d: Direction) -> u8 {
 /// Returns [`LogError::Malformed`] when the window's bytes are not a
 /// recording at all (wrong magic). Torn tails and undecodable frames are
 /// *not* errors — they are counted and reflected in [`ReplayReport::sound`].
-pub fn replay_window(window: &RecordingWindow, ctx: &ReplayContext) -> Result<ReplayReport, LogError> {
+pub fn replay_window(
+    window: &RecordingWindow,
+    ctx: &ReplayContext,
+) -> Result<ReplayReport, LogError> {
     let replay = window.replay()?;
     let frames = replay.frames.len();
     let torn = replay.torn();
@@ -133,8 +136,18 @@ pub fn replay_window(window: &RecordingWindow, ctx: &ReplayContext) -> Result<Re
 
     // Total order over entry content so audit input order is canonical.
     entries.sort_by(|(abytes, a), (bbytes, b)| {
-        (a.component.as_str(), a.topic.as_str(), direction_byte(a.direction), a.seq)
-            .cmp(&(b.component.as_str(), b.topic.as_str(), direction_byte(b.direction), b.seq))
+        (
+            a.component.as_str(),
+            a.topic.as_str(),
+            direction_byte(a.direction),
+            a.seq,
+        )
+            .cmp(&(
+                b.component.as_str(),
+                b.topic.as_str(),
+                direction_byte(b.direction),
+                b.seq,
+            ))
             .then_with(|| abytes.cmp(bbytes))
     });
     let ordered: Vec<LogEntry> = entries.iter().map(|(_, e)| e.clone()).collect();
@@ -182,7 +195,8 @@ mod tests {
         let b = (1, naive("det", "image", Direction::In, 1).encode());
         let c = (2, naive("cam", "image", Direction::Out, 2).encode());
 
-        let forward = replay_window(&window_of(&[a.clone(), b.clone(), c.clone()]), &ctx()).unwrap();
+        let forward =
+            replay_window(&window_of(&[a.clone(), b.clone(), c.clone()]), &ctx()).unwrap();
         // Reversed order plus replicated frames: same logical multiset.
         let shuffled = replay_window(
             &window_of(&[c.clone(), c.clone(), b.clone(), a.clone(), b.clone()]),

@@ -60,25 +60,102 @@ pub struct CallSite {
 /// Method names so common on std types that unqualified-name resolution
 /// must never bind them to a workspace function of the same name.
 const STD_METHODS: &[&str] = &[
-    "push", "pop", "insert", "remove", "get", "get_mut", "len", "is_empty",
-    "clear", "contains", "contains_key", "iter", "iter_mut", "into_iter",
-    "next", "map", "and_then", "unwrap_or", "unwrap_or_else", "unwrap_or_default",
-    "ok", "err", "is_ok", "is_err", "is_some", "is_none", "take", "replace",
-    "clone", "to_vec", "to_owned", "to_string", "as_ref", "as_mut", "as_slice",
-    "as_bytes", "split", "join", "extend", "drain", "retain", "sort", "sort_by",
-    "new", "default", "from", "into", "try_from", "try_into", "fmt", "eq",
-    "cmp", "hash", "drop", "send", "recv", "lock", "read", "write", "flush",
-    "append", "write_all", "read_exact", "clone_from", "with_capacity",
-    "first", "last", "min", "max", "abs", "wrapping_add", "wrapping_sub",
-    "checked_add", "checked_sub", "checked_mul", "saturating_add",
-    "saturating_sub", "count", "sum", "collect", "filter", "find", "position",
-    "any", "all", "zip", "rev", "chain", "enumerate", "copy_from_slice",
+    "push",
+    "pop",
+    "insert",
+    "remove",
+    "get",
+    "get_mut",
+    "len",
+    "is_empty",
+    "clear",
+    "contains",
+    "contains_key",
+    "iter",
+    "iter_mut",
+    "into_iter",
+    "next",
+    "map",
+    "and_then",
+    "unwrap_or",
+    "unwrap_or_else",
+    "unwrap_or_default",
+    "ok",
+    "err",
+    "is_ok",
+    "is_err",
+    "is_some",
+    "is_none",
+    "take",
+    "replace",
+    "clone",
+    "to_vec",
+    "to_owned",
+    "to_string",
+    "as_ref",
+    "as_mut",
+    "as_slice",
+    "as_bytes",
+    "split",
+    "join",
+    "extend",
+    "drain",
+    "retain",
+    "sort",
+    "sort_by",
+    "new",
+    "default",
+    "from",
+    "into",
+    "try_from",
+    "try_into",
+    "fmt",
+    "eq",
+    "cmp",
+    "hash",
+    "drop",
+    "send",
+    "recv",
+    "lock",
+    "read",
+    "write",
+    "flush",
+    "append",
+    "write_all",
+    "read_exact",
+    "clone_from",
+    "with_capacity",
+    "first",
+    "last",
+    "min",
+    "max",
+    "abs",
+    "wrapping_add",
+    "wrapping_sub",
+    "checked_add",
+    "checked_sub",
+    "checked_mul",
+    "saturating_add",
+    "saturating_sub",
+    "count",
+    "sum",
+    "collect",
+    "filter",
+    "find",
+    "position",
+    "any",
+    "all",
+    "zip",
+    "rev",
+    "chain",
+    "enumerate",
+    "copy_from_slice",
 ];
 
 /// Keywords that can precede `(` without forming a call.
 const NON_CALL_IDENTS: &[&str] = &[
-    "fn", "if", "while", "for", "match", "return", "loop", "move", "in",
-    "as", "let", "else", "impl", "where", "dyn",
+    "fn", "if", "while", "for", "match", "return", "loop", "move", "in", "as", "let", "else",
+    "impl", "where", "dyn",
 ];
 
 /// The workspace-wide view the flow-aware rules run against: every file's
@@ -134,9 +211,7 @@ fn collect_fns(fi: usize, ctx: &FileCtx, out: &mut Vec<FnDef>) {
     let toks = &ctx.toks;
     let mut i = 0;
     while i < toks.len() {
-        if toks[i].is_ident("fn")
-            && toks.get(i + 1).is_some_and(|t| t.kind == TokKind::Ident)
-        {
+        if toks[i].is_ident("fn") && toks.get(i + 1).is_some_and(|t| t.kind == TokKind::Ident) {
             let name = toks[i + 1].text.clone();
             let mut j = i + 2;
             while j < toks.len() && !toks[j].is_punct("{") && !toks[j].is_punct(";") {
@@ -229,9 +304,9 @@ fn collect_calls(
         } else {
             // Bare call: a free function in the same file wins, else a
             // workspace-unique name.
-            let local = fns.iter().position(|g| {
-                g.file == f.file && g.owner.is_none() && g.name == name
-            });
+            let local = fns
+                .iter()
+                .position(|g| g.file == f.file && g.owner.is_none() && g.name == name);
             local.or_else(|| unique_by_name(name, by_name))
         };
         if let Some(callee) = resolved {

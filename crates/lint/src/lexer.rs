@@ -51,9 +51,8 @@ impl Token {
 /// Multi-character operators, longest first so maximal munch works by
 /// trying them in order.
 const OPS: &[&str] = &[
-    "<<=", ">>=", "..=", "...", "==", "!=", "<=", ">=", "&&", "||", "::",
-    "..", "->", "=>", "+=", "-=", "*=", "/=", "%=", "^=", "&=", "|=", "<<",
-    ">>",
+    "<<=", ">>=", "..=", "...", "==", "!=", "<=", ">=", "&&", "||", "::", "..", "->", "=>", "+=",
+    "-=", "*=", "/=", "%=", "^=", "&=", "|=", "<<", ">>",
 ];
 
 /// Lexes `src` into tokens, comments included. Never fails: unterminated
@@ -100,7 +99,12 @@ impl<'a> Lexer<'a> {
 
     fn emit(&mut self, kind: TokKind, start: usize, line: u32, col: u32) {
         let text = String::from_utf8_lossy(&self.src[start..self.pos]).into_owned();
-        self.toks.push(Token { kind, text, line, col });
+        self.toks.push(Token {
+            kind,
+            text,
+            line,
+            col,
+        });
     }
 
     fn run(mut self) -> Vec<Token> {
@@ -351,8 +355,12 @@ mod tests {
     #[test]
     fn strings_hide_their_contents() {
         let toks = kinds(r#"let s = "a.unwrap() // not code";"#);
-        assert!(toks.iter().any(|(k, t)| *k == TokKind::Str && t.contains("unwrap")));
-        assert!(!toks.iter().any(|(k, t)| *k == TokKind::Ident && t == "unwrap"));
+        assert!(toks
+            .iter()
+            .any(|(k, t)| *k == TokKind::Str && t.contains("unwrap")));
+        assert!(!toks
+            .iter()
+            .any(|(k, t)| *k == TokKind::Ident && t == "unwrap"));
     }
 
     #[test]
@@ -372,8 +380,10 @@ mod tests {
     #[test]
     fn lifetimes_vs_chars() {
         let toks = kinds("fn f<'a>(x: &'a u8) { let c = 'x'; let q = '\\''; }");
-        let lifetimes: Vec<_> =
-            toks.iter().filter(|(k, _)| *k == TokKind::Lifetime).collect();
+        let lifetimes: Vec<_> = toks
+            .iter()
+            .filter(|(k, _)| *k == TokKind::Lifetime)
+            .collect();
         let chars: Vec<_> = toks.iter().filter(|(k, _)| *k == TokKind::Char).collect();
         assert_eq!(lifetimes.len(), 2);
         assert_eq!(chars.len(), 2);
@@ -382,7 +392,9 @@ mod tests {
     #[test]
     fn raw_identifiers() {
         let toks = kinds("let r#fn = 1;");
-        assert!(toks.iter().any(|(k, t)| *k == TokKind::Ident && t == "r#fn"));
+        assert!(toks
+            .iter()
+            .any(|(k, t)| *k == TokKind::Ident && t == "r#fn"));
     }
 
     #[test]

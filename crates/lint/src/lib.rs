@@ -266,10 +266,7 @@ fn find_fn_regions(toks: &[Token]) -> Vec<(usize, usize, String)> {
     let mut out = Vec::new();
     let mut i = 0;
     while i < toks.len() {
-        if toks[i].is_ident("fn")
-            && i + 1 < toks.len()
-            && toks[i + 1].kind == TokKind::Ident
-        {
+        if toks[i].is_ident("fn") && i + 1 < toks.len() && toks[i + 1].kind == TokKind::Ident {
             let name = toks[i + 1].text.clone();
             // Find the body's opening brace (a `;` first means a trait
             // method declaration or extern fn — no body).
@@ -379,13 +376,15 @@ fn collect_allows(
         if reason.is_empty() {
             bad.push((
                 c.line,
-                "allow directive without a reason (write `allow(rule) — why`)"
-                    .to_owned(),
+                "allow directive without a reason (write `allow(rule) — why`)".to_owned(),
             ));
             continue;
         }
         // The directive's own line…
-        allows.entry(c.line).or_default().extend(rules.iter().cloned());
+        allows
+            .entry(c.line)
+            .or_default()
+            .extend(rules.iter().cloned());
         // …and, for standalone comment lines, the next line.
         let own_line = lines
             .get(c.line as usize - 1)

@@ -103,13 +103,9 @@ fn print_json(
     total: usize,
     suppressed: usize,
 ) {
-    let mut findings: Vec<&Diagnostic> = reports
-        .values()
-        .flat_map(|r| r.diags.iter())
-        .collect();
-    findings.sort_by(|a, b| {
-        (&a.path, a.line, a.col, a.rule).cmp(&(&b.path, b.line, b.col, b.rule))
-    });
+    let mut findings: Vec<&Diagnostic> = reports.values().flat_map(|r| r.diags.iter()).collect();
+    findings
+        .sort_by(|a, b| (&a.path, a.line, a.col, a.rule).cmp(&(&b.path, b.line, b.col, b.rule)));
     let mut out = String::from("{\n  \"findings\": [\n");
     for (i, d) in findings.iter().enumerate() {
         let witness = d
@@ -197,9 +193,7 @@ fn main() -> ExitCode {
                 ExitCode::SUCCESS
             }
             None => {
-                eprintln!(
-                    "adlp-lint: unknown rule `{rule}` (see --list-rules for the set)"
-                );
+                eprintln!("adlp-lint: unknown rule `{rule}` (see --list-rules for the set)");
                 ExitCode::from(2)
             }
         };

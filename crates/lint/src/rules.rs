@@ -139,11 +139,10 @@ fn push(out: &mut Vec<Diagnostic>, ctx: &FileCtx, rule: &'static str, i: usize, 
 /// Keywords that may legitimately precede `[` without it being an index
 /// expression (slice patterns, array literals in `for … in [..]`, …).
 const KEYWORDS: &[&str] = &[
-    "as", "async", "await", "box", "break", "const", "continue", "crate", "dyn",
-    "else", "enum", "extern", "fn", "for", "if", "impl", "in", "let", "loop",
-    "match", "mod", "move", "mut", "pub", "ref", "return", "self", "Self",
-    "static", "struct", "super", "trait", "type", "union", "unsafe", "use",
-    "where", "while", "yield",
+    "as", "async", "await", "box", "break", "const", "continue", "crate", "dyn", "else", "enum",
+    "extern", "fn", "for", "if", "impl", "in", "let", "loop", "match", "mod", "move", "mut", "pub",
+    "ref", "return", "self", "Self", "static", "struct", "super", "trait", "type", "union",
+    "unsafe", "use", "where", "while", "yield",
 ];
 
 /// Rule 1: `unwrap`/`expect`/`panic!`/`unreachable!`/`todo!`/
@@ -167,13 +166,19 @@ fn no_panic_paths(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
                 ctx,
                 "no-panic-paths",
                 i,
-                format!(".{}() panics on the error path; return a typed error instead", t.text),
+                format!(
+                    ".{}() panics on the error path; return a typed error instead",
+                    t.text
+                ),
             );
             continue;
         }
         // panic!( … ) family
         if t.kind == TokKind::Ident
-            && matches!(t.text.as_str(), "panic" | "unreachable" | "todo" | "unimplemented")
+            && matches!(
+                t.text.as_str(),
+                "panic" | "unreachable" | "todo" | "unimplemented"
+            )
             && toks.get(i + 1).is_some_and(|n| n.is_punct("!"))
         {
             push(
@@ -181,7 +186,10 @@ fn no_panic_paths(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
                 ctx,
                 "no-panic-paths",
                 i,
-                format!("{}! aborts the component; protocol code must degrade, not die", t.text),
+                format!(
+                    "{}! aborts the component; protocol code must degrade, not die",
+                    t.text
+                ),
             );
             continue;
         }
@@ -211,14 +219,23 @@ fn no_panic_paths(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
 
 /// Identifier words that mark an operand as secret-adjacent.
 const SENSITIVE: &[&str] = &[
-    "digest", "digests", "sig", "sigs", "signature", "signatures", "hash",
-    "hashes", "hmac", "mac", "tag", "em",
+    "digest",
+    "digests",
+    "sig",
+    "sigs",
+    "signature",
+    "signatures",
+    "hash",
+    "hashes",
+    "hmac",
+    "mac",
+    "tag",
+    "em",
 ];
 /// Identifier words that mark a comparison as numeric/structural (length
 /// checks and the like are fine at variable time).
 const NUMERIC: &[&str] = &[
-    "len", "length", "count", "size", "bits", "capacity", "width", "empty",
-    "num", "idx", "index",
+    "len", "length", "count", "size", "bits", "capacity", "width", "empty", "num", "idx", "index",
 ];
 /// Functions allowed to compare secret bytes directly — they *are* the
 /// constant-time implementations.
@@ -264,8 +281,20 @@ fn constant_time_crypto(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
             toks.get(idx).is_none_or(|t| {
                 matches!(
                     t.text.as_str(),
-                    ";" | "{" | "}" | "," | "&&" | "||" | "=" | "==" | "!=" | "return"
-                        | "if" | "while" | "let" | "match" | "assert"
+                    ";" | "{"
+                        | "}"
+                        | ","
+                        | "&&"
+                        | "||"
+                        | "="
+                        | "=="
+                        | "!="
+                        | "return"
+                        | "if"
+                        | "while"
+                        | "let"
+                        | "match"
+                        | "assert"
                 )
             })
         };
@@ -344,9 +373,7 @@ fn sim_determinism(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
             }
             "thread_rng" | "from_entropy" | "from_os_rng" => true,
             // rand::random
-            "random" => {
-                i >= 2 && toks[i - 1].is_punct("::") && toks[i - 2].is_ident("rand")
-            }
+            "random" => i >= 2 && toks[i - 1].is_punct("::") && toks[i - 2].is_ident("rand"),
             _ => false,
         };
         if flagged {
@@ -368,8 +395,16 @@ fn sim_determinism(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
 /// Method names that perform socket/channel I/O; holding a lock guard
 /// across them is the deadlock/stall heuristic this rule encodes.
 const IO_CALLS: &[&str] = &[
-    "write_all", "read_exact", "read_to_end", "connect", "connect_timeout",
-    "accept", "recv", "recv_timeout", "send_frame", "shutdown",
+    "write_all",
+    "read_exact",
+    "read_to_end",
+    "connect",
+    "connect_timeout",
+    "accept",
+    "recv",
+    "recv_timeout",
+    "send_frame",
+    "shutdown",
 ];
 
 /// Rule 4: `.lock().unwrap()`-style poison panics, and lock guards held
@@ -414,7 +449,8 @@ fn lock_hygiene(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
                 format!(
                     ".{}().{}() panics when the lock is poisoned, cascading one \
                      panic into many; use the poison-recovering lock API",
-                    t.text, toks[i + 4].text
+                    t.text,
+                    toks[i + 4].text
                 ),
             );
             continue;
@@ -485,10 +521,25 @@ fn lock_hygiene(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
 /// overload layer's breaker/shedder verdicts, where a discarded outcome
 /// means an untripped breaker or an uncounted loss.
 const FALLIBLE_SENDS: &[&str] = &[
-    "publish", "submit", "send", "try_send", "send_frame", "append", "flush",
-    "log_event", "submit_durable", "adopt_encoded", "sync", "write_replace",
-    "truncate", "store", "deposit", "deposit_durable", "admit",
-    "on_success", "on_failure",
+    "publish",
+    "submit",
+    "send",
+    "try_send",
+    "send_frame",
+    "append",
+    "flush",
+    "log_event",
+    "submit_durable",
+    "adopt_encoded",
+    "sync",
+    "write_replace",
+    "truncate",
+    "store",
+    "deposit",
+    "deposit_durable",
+    "admit",
+    "on_success",
+    "on_failure",
 ];
 
 /// Rule 5: `let _ = <protocol send / log submission>;` discards delivery
@@ -621,8 +672,7 @@ fn lock_order_cycles(ws: &Workspace, sums: &Summaries, out: &mut Vec<Diagnostic>
             let mut canon = cycle.clone();
             canon.pop();
             canon.sort();
-            if cycle.first().map(String::as_str)
-                != canon.first().map(String::as_str)
+            if cycle.first().map(String::as_str) != canon.first().map(String::as_str)
                 || !reported.insert(canon)
             {
                 continue;
@@ -698,9 +748,13 @@ fn shortest_path(
 
 /// Crates on the deposit/ack pipeline.
 fn ack_scope(p: &str) -> bool {
-    ["crates/core/src/", "crates/logger/src/", "crates/cluster/src/"]
-        .iter()
-        .any(|pre| p.starts_with(pre))
+    [
+        "crates/core/src/",
+        "crates/logger/src/",
+        "crates/cluster/src/",
+    ]
+    .iter()
+    .any(|pre| p.starts_with(pre))
 }
 
 /// Flow rule: in any function on a durable-write path, an ack emission
@@ -715,10 +769,8 @@ fn ack_before_durable(ws: &Workspace, sums: &Summaries, out: &mut Vec<Diagnostic
         // Only functions that perform a durable write (directly or via a
         // callee) are on an ack-after-durable path; pure volatile-mode
         // acking is legitimate by construction.
-        let on_durable_path = sums.fns[id].durable
-            || ws.calls[id]
-                .iter()
-                .any(|c| sums.fns[c.callee].durable);
+        let on_durable_path =
+            sums.fns[id].durable || ws.calls[id].iter().any(|c| sums.fns[c.callee].durable);
         if !on_durable_path {
             continue;
         }
@@ -763,8 +815,7 @@ fn ack_before_durable(ws: &Workspace, sums: &Summaries, out: &mut Vec<Diagnostic
                 continue;
             }
             let is_ack = (call_like
-                && (summary::ACK_CALLS.contains(&name)
-                    || callee_at(i).is_some_and(|s| s.acks)))
+                && (summary::ACK_CALLS.contains(&name) || callee_at(i).is_some_and(|s| s.acks)))
                 || (name == "Accepted"
                     && i >= 2
                     && toks[i - 1].is_punct("::")

@@ -47,8 +47,12 @@ pub struct Summary {
 /// re-surfaces through it, so its return value is wire bytes no matter
 /// that the call itself is a channel pop.
 pub const TAINT_SOURCES: &[&str] = &[
-    "read_frame", "read_frame_timeout", "read_exact", "read_to_end",
-    "read_to_string", "recv_gossip_frame",
+    "read_frame",
+    "read_frame_timeout",
+    "read_exact",
+    "read_to_end",
+    "read_to_string",
+    "recv_gossip_frame",
 ];
 
 /// Calls that check integrity/authenticity of bytes: signature verifies,
@@ -71,22 +75,38 @@ pub fn is_verifier(name: &str) -> bool {
 /// and `submit_evidence`/`submit_vote` admit material into the dispute
 /// ledger — all of them must only ever see structurally decoded input.
 pub const TAINT_SINKS: &[&str] = &[
-    "append_encoded", "adopt_encoded", "append_pipeline", "submit",
-    "submit_durable", "adopt_head", "observe_head", "adopt_proof",
-    "observe_conviction", "submit_evidence", "submit_vote",
+    "append_encoded",
+    "adopt_encoded",
+    "append_pipeline",
+    "submit",
+    "submit_durable",
+    "adopt_head",
+    "observe_head",
+    "adopt_proof",
+    "observe_conviction",
+    "submit_evidence",
+    "submit_vote",
 ];
 
 /// Durable-write operations (ack-gating events for `ack-before-durable`).
-pub const DURABLE_CALLS: &[&str] =
-    &["submit_durable", "append_pipeline", "append_durable", "sync"];
+pub const DURABLE_CALLS: &[&str] = &[
+    "submit_durable",
+    "append_pipeline",
+    "append_durable",
+    "sync",
+];
 
 /// Ack-emission calls (pressure-gauge deposit acknowledgements).
 pub const ACK_CALLS: &[&str] = &["note_deposited", "note_acked"];
 
 /// Counted-failure calls: losing an entry is fine *if it is counted* —
 /// these mark the explicit accounting branch the rule accepts.
-pub const COUNTED_FAILURES: &[&str] =
-    &["note_lost", "note_shed", "note_spilled", "note_deposit_failure"];
+pub const COUNTED_FAILURES: &[&str] = &[
+    "note_lost",
+    "note_shed",
+    "note_spilled",
+    "note_deposit_failure",
+];
 
 /// One lock acquisition inside a function body.
 pub struct LockSite {
@@ -189,12 +209,7 @@ pub fn compute(ws: &Workspace) -> Summaries {
 }
 
 /// Scans one body span for the direct (intraprocedural) facts.
-fn direct_summary(
-    ctx: &FileCtx,
-    body: usize,
-    end: usize,
-    nested: &[(usize, usize)],
-) -> Summary {
+fn direct_summary(ctx: &FileCtx, body: usize, end: usize, nested: &[(usize, usize)]) -> Summary {
     let toks = &ctx.toks;
     let mut s = Summary::default();
     let mut saw_source_tok: Option<usize> = None;
@@ -340,7 +355,11 @@ fn find_lock_sites(
                 k
             }
         };
-        out.push(LockSite { tok: i, id, held_until });
+        out.push(LockSite {
+            tok: i,
+            id,
+            held_until,
+        });
     }
     out
 }

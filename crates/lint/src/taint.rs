@@ -33,12 +33,7 @@ pub fn unverified_wire_taint(ws: &Workspace, sums: &Summaries, out: &mut Vec<Dia
             .collect();
 
         // Resolved call sites by token index, for callee summaries.
-        let callee_at = |tok: usize| {
-            ws.calls[id]
-                .iter()
-                .find(|c| c.tok == tok)
-                .map(|c| c.callee)
-        };
+        let callee_at = |tok: usize| ws.calls[id].iter().find(|c| c.tok == tok).map(|c| c.callee);
 
         let mut taint: Option<(usize, String)> = None; // (token, source name)
         for i in f.body..f.end.min(toks.len()) {
@@ -49,18 +44,14 @@ pub fn unverified_wire_taint(ws: &Workspace, sums: &Summaries, out: &mut Vec<Dia
                 continue;
             }
             let t = &toks[i];
-            if t.kind != TokKind::Ident
-                || !toks.get(i + 1).is_some_and(|n| n.is_punct("("))
-            {
+            if t.kind != TokKind::Ident || !toks.get(i + 1).is_some_and(|n| n.is_punct("(")) {
                 continue;
             }
             let name = t.text.as_str();
             let callee = callee_at(i);
             let callee_sum = callee.map(|c| &sums.fns[c]);
 
-            if summary::TAINT_SOURCES.contains(&name)
-                || callee_sum.is_some_and(|s| s.wire_source)
-            {
+            if summary::TAINT_SOURCES.contains(&name) || callee_sum.is_some_and(|s| s.wire_source) {
                 taint = Some((i, name.to_owned()));
                 continue;
             }

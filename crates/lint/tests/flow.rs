@@ -265,9 +265,7 @@ fn no_panic_propagates_across_files() {
         diag.message
     );
     assert!(
-        diag.witness
-            .last()
-            .is_some_and(|w| w.contains(".unwrap()")),
+        diag.witness.last().is_some_and(|w| w.contains(".unwrap()")),
         "witness reaches the concrete panic site: {:?}",
         diag.witness
     );

@@ -283,7 +283,5 @@ fn render_roundtrips_and_drops_zeros() {
     let text = Baseline::render(&counts, "two lines\nof header");
     let parsed = Baseline::parse(&text).unwrap();
     assert_eq!(parsed.total(), 3);
-    assert!(!parsed
-        .counts
-        .contains_key("crates/b/src/y.rs:lock-hygiene"));
+    assert!(!parsed.counts.contains_key("crates/b/src/y.rs:lock-hygiene"));
 }

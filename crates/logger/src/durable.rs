@@ -29,10 +29,10 @@
 //! so recovery can tell a clean snapshot from one truncated or doctored on
 //! disk — the paper's tamper-evidence carried across restarts.
 
+use crate::frame::FrameLog;
 use crate::stats::DurabilityStats;
 use crate::storage::Storage;
 use crate::store::LogStore;
-use crate::frame::FrameLog;
 use crate::LogError;
 use adlp_crypto::sha256::Digest;
 use std::sync::Arc;
@@ -254,7 +254,9 @@ fn load_snapshot(storage: &Arc<dyn Storage>, name: &str) -> Result<SnapshotLoad,
             }
         }
     }
-    load.records_truncated += load.declared_count.saturating_sub(load.records.len() as u64);
+    load.records_truncated += load
+        .declared_count
+        .saturating_sub(load.records.len() as u64);
     Ok(load)
 }
 
@@ -367,7 +369,8 @@ impl DurableLog {
             };
 
         if recovery.records_truncated > 0 {
-            log.counters.note_records_truncated(recovery.records_truncated);
+            log.counters
+                .note_records_truncated(recovery.records_truncated);
         }
         Ok((log, store, recovery))
     }
@@ -534,8 +537,8 @@ mod tests {
     #[test]
     fn unsynced_appends_are_lost_without_panic() {
         let mem = Arc::new(MemStorage::new());
-        let config = DurabilityConfig::new(mem.clone() as Arc<dyn Storage>)
-            .fsync(SyncPolicy::Never);
+        let config =
+            DurabilityConfig::new(mem.clone() as Arc<dyn Storage>).fsync(SyncPolicy::Never);
         let (mut log, store, _) = DurableLog::open(&config).unwrap();
         for i in 0..5u64 {
             let e = entry(i);
@@ -617,7 +620,8 @@ mod tests {
         }
         log.rotate(&store).unwrap();
         let snap = mem.read(SNAPSHOT_FILE).unwrap().unwrap();
-        mem.write_replace(SNAPSHOT_FILE, &snap[..snap.len() - 10]).unwrap();
+        mem.write_replace(SNAPSHOT_FILE, &snap[..snap.len() - 10])
+            .unwrap();
         let (_log2, store2, recovery) = open_mem(&mem);
         assert_eq!(store2.len(), 4);
         assert_eq!(recovery.records_truncated, 1);
@@ -640,7 +644,10 @@ mod tests {
         let (_log2, _store2, recovery) = open_mem(&mem);
         assert!(!recovery.root_verified);
         assert!(recovery.quarantined, "tampered snapshot must be preserved");
-        assert!(recovery.compacted, "compaction proceeds once evidence is safe");
+        assert!(
+            recovery.compacted,
+            "compaction proceeds once evidence is safe"
+        );
         // The quarantined copy is the tampered artifact byte-for-byte, even
         // though compaction replaced the live snapshot with a clean one.
         assert_eq!(
@@ -687,12 +694,13 @@ mod tests {
     fn counters_accumulate_truncations() {
         let mem = Arc::new(MemStorage::new());
         let counters = DurabilityStats::default();
-        let config = DurabilityConfig::new(mem.clone() as Arc<dyn Storage>)
-            .counters(counters.clone());
+        let config =
+            DurabilityConfig::new(mem.clone() as Arc<dyn Storage>).counters(counters.clone());
         let (mut log, _store, _) = DurableLog::open(&config).unwrap();
         log.append(0, &entry(0)).unwrap();
         let wal_bytes = mem.read(WAL_FILE).unwrap().unwrap();
-        mem.write_replace(WAL_FILE, &wal_bytes[..wal_bytes.len() - 3]).unwrap();
+        mem.write_replace(WAL_FILE, &wal_bytes[..wal_bytes.len() - 3])
+            .unwrap();
         let (_log2, _store2, _rec) = DurableLog::open(&config).unwrap();
         assert_eq!(counters.records_truncated(), 1);
     }

@@ -95,7 +95,11 @@ pub fn decode_frame(bytes: &[u8]) -> Option<(u64, &[u8], usize)> {
         return None;
     }
     let (tag, body) = payload.split_at_checked(TAG_LEN)?;
-    Some((u64::from_le_bytes(tag.try_into().ok()?), body, FRAME_HEADER_LEN + len))
+    Some((
+        u64::from_le_bytes(tag.try_into().ok()?),
+        body,
+        FRAME_HEADER_LEN + len,
+    ))
 }
 
 /// Outcome of replaying a framed log: the longest valid frame prefix plus
@@ -390,8 +394,8 @@ impl<T: Wire> DurableCell<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::storage::{FaultyStorage, MemStorage, StorageFaultConfig};
     use crate::sth::SignedTreeHead;
+    use crate::storage::{FaultyStorage, MemStorage, StorageFaultConfig};
 
     const MAGIC: &[u8; 8] = b"ADLPTST1";
 
@@ -407,7 +411,12 @@ mod tests {
             ..StorageFaultConfig::none(3)
         };
         let dev = Arc::new(FaultyStorage::new(mem.clone(), plan));
-        let log = FrameLog::new(dev.clone() as Arc<dyn Storage>, "log", MAGIC, "test log (magic)");
+        let log = FrameLog::new(
+            dev.clone() as Arc<dyn Storage>,
+            "log",
+            MAGIC,
+            "test log (magic)",
+        );
         (mem, dev, log)
     }
 
@@ -433,7 +442,9 @@ mod tests {
         // starts: it must not land a frame behind the debris.
         dev.heal();
         let debris = mem.read("log").unwrap();
-        assert!(log.append(2, b"refused without touching the device").is_err());
+        assert!(log
+            .append(2, b"refused without touching the device")
+            .is_err());
         assert_eq!(mem.read("log").unwrap(), debris);
         assert!(log.replay().unwrap().torn());
         // A restarted handle repairs on first touch and carries on.

@@ -196,10 +196,7 @@ mod tests {
         let reg = KeyRegistry::new();
         reg.register(&NodeId::new("b"), key(1)).unwrap();
         reg.register(&NodeId::new("a"), key(2)).unwrap();
-        assert_eq!(
-            reg.components(),
-            vec![NodeId::new("a"), NodeId::new("b")]
-        );
+        assert_eq!(reg.components(), vec![NodeId::new("a"), NodeId::new("b")]);
     }
 
     #[test]

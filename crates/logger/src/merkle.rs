@@ -285,7 +285,9 @@ impl MerkleTree {
         }
         let mut iter = proof.nodes.iter();
         let (mut old_hash, mut new_hash) = if node != 0 {
-            let Some(first) = iter.next() else { return false };
+            let Some(first) = iter.next() else {
+                return false;
+            };
             (*first, *first)
         } else {
             // The old tree is a left-aligned perfect subtree: its root is
@@ -387,7 +389,9 @@ mod tests {
     }
 
     fn leaves(n: usize) -> Vec<Digest> {
-        (0..n).map(|i| sha256(format!("record-{i}").as_bytes())).collect()
+        (0..n)
+            .map(|i| sha256(format!("record-{i}").as_bytes()))
+            .collect()
     }
 
     #[test]
@@ -416,10 +420,7 @@ mod tests {
             let root = t.root().unwrap();
             for (i, leaf) in l.iter().enumerate() {
                 let proof = t.prove(i).unwrap();
-                assert!(
-                    MerkleTree::verify(&root, n, leaf, &proof),
-                    "n={n} i={i}"
-                );
+                assert!(MerkleTree::verify(&root, n, leaf, &proof), "n={n} i={i}");
             }
         }
     }
@@ -596,10 +597,14 @@ mod tests {
         if let Some(first) = proof.nodes.first_mut() {
             *first = sha256(b"evil");
         }
-        assert!(!MerkleTree::verify_consistency(&old_root, &new_root, &proof));
+        assert!(!MerkleTree::verify_consistency(
+            &old_root, &new_root, &proof
+        ));
         let mut truncated = MerkleTree::prove_consistency(&l, 9).unwrap();
         truncated.nodes.pop();
-        assert!(!MerkleTree::verify_consistency(&old_root, &new_root, &truncated));
+        assert!(!MerkleTree::verify_consistency(
+            &old_root, &new_root, &truncated
+        ));
     }
 
     #[test]

@@ -167,7 +167,11 @@ impl Recorder {
             }
             Ok(())
         });
-        let outcome = if write.is_ok() { &self.frames } else { &self.failed };
+        let outcome = if write.is_ok() {
+            &self.frames
+        } else {
+            &self.failed
+        };
         outcome.fetch_add(1, Ordering::SeqCst);
     }
 
@@ -297,7 +301,10 @@ mod tests {
         assert!(window.verify());
         let replay = window.replay().unwrap();
         assert_eq!(replay.frames.len(), 2);
-        assert!(replay.frames.iter().all(|(epoch, _)| (1..=2).contains(epoch)));
+        assert!(replay
+            .frames
+            .iter()
+            .all(|(epoch, _)| (1..=2).contains(epoch)));
     }
 
     #[test]

@@ -296,7 +296,11 @@ impl RemoteLogClient {
     /// the buffer is full).
     pub fn submit(&mut self, entry: &LogEntry) -> SubmitOutcome {
         self.stats.note_submitted();
-        if self.cmd_tx.send(Cmd::Entry(Box::new(entry.clone()))).is_err() {
+        if self
+            .cmd_tx
+            .send(Cmd::Entry(Box::new(entry.clone())))
+            .is_err()
+        {
             // Worker gone (shutdown race): account for the entry as spilled
             // so the nothing-vanishes-silently invariant holds.
             self.stats.note_spilled();
@@ -312,11 +316,7 @@ impl RemoteLogClient {
     ///
     /// Returns [`LogError::KeyConflict`] (reported by the server) or
     /// [`LogError::ServerClosed`] when the server stays unreachable.
-    pub fn register_key(
-        &mut self,
-        component: &NodeId,
-        key: &RsaPublicKey,
-    ) -> Result<(), LogError> {
+    pub fn register_key(&mut self, component: &NodeId, key: &RsaPublicKey) -> Result<(), LogError> {
         let (tx, rx) = crossbeam::channel::bounded(1);
         self.cmd_tx
             .send(Cmd::Register {
@@ -361,7 +361,9 @@ impl Drop for RemoteLogClient {
 
 fn dial(addr: SocketAddr) -> Result<TcpStream, LogError> {
     let stream = TcpStream::connect(addr).map_err(|_| LogError::ServerClosed)?;
-    stream.set_nodelay(true).map_err(|e| LogError::Io(e.to_string()))?;
+    stream
+        .set_nodelay(true)
+        .map_err(|e| LogError::Io(e.to_string()))?;
     Ok(stream)
 }
 
@@ -505,7 +507,9 @@ impl Worker {
 
     fn drain_buffer(&mut self) {
         while self.connected() {
-            let Some(entry) = self.buffer.pop_front() else { break };
+            let Some(entry) = self.buffer.pop_front() else {
+                break;
+            };
             if self.write_entry(&entry) {
                 self.stats.set_buffered(self.buffer.len() as u64);
             } else {
@@ -568,11 +572,7 @@ impl Worker {
     }
 
     /// The raw request/response exchange on the current socket.
-    fn register_on_wire(
-        &mut self,
-        component: &NodeId,
-        key: &RsaPublicKey,
-    ) -> Result<(), LogError> {
+    fn register_on_wire(&mut self, component: &NodeId, key: &RsaPublicKey) -> Result<(), LogError> {
         let Some(stream) = self.stream.as_mut() else {
             return Err(LogError::ServerClosed);
         };
@@ -671,7 +671,11 @@ mod tests {
         client
             .register_key(&NodeId::new("remote_cam"), kp.public_key())
             .unwrap();
-        assert!(server.handle().keys().get(&NodeId::new("remote_cam")).is_some());
+        assert!(server
+            .handle()
+            .keys()
+            .get(&NodeId::new("remote_cam"))
+            .is_some());
         // Conflicting key is rejected end-to-end.
         let kp2 = RsaKeyPair::generate(128, &mut rng);
         assert!(matches!(

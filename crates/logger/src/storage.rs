@@ -181,7 +181,8 @@ impl Storage for FsStorage {
         let tmp = self.path(&format!("{name}.tmp"));
         let result = (|| {
             let mut f = File::create(&tmp).map_err(io_err("create storage temp file"))?;
-            f.write_all(bytes).map_err(io_err("write storage temp file"))?;
+            f.write_all(bytes)
+                .map_err(io_err("write storage temp file"))?;
             f.sync_all().map_err(io_err("sync storage temp file"))?;
             std::fs::rename(&tmp, self.path(name))
                 .map_err(io_err("rename storage file into place"))?;
@@ -279,7 +280,11 @@ impl Storage for MemStorage {
 
     fn append(&self, name: &str, bytes: &[u8]) -> Result<(), LogError> {
         let mut files = self.files.lock();
-        files.entry(name.to_string()).or_default().bytes.extend_from_slice(bytes);
+        files
+            .entry(name.to_string())
+            .or_default()
+            .bytes
+            .extend_from_slice(bytes);
         Ok(())
     }
 
@@ -290,7 +295,9 @@ impl Storage for MemStorage {
                 f.synced = f.bytes.len();
                 Ok(())
             }
-            None => Err(LogError::Io(format!("sync storage file: no such file {name}"))),
+            None => Err(LogError::Io(format!(
+                "sync storage file: no such file {name}"
+            ))),
         }
     }
 
@@ -305,7 +312,9 @@ impl Storage for MemStorage {
                 f.synced = f.synced.min(f.bytes.len());
                 Ok(())
             }
-            None => Err(LogError::Io(format!("truncate storage file: no such file {name}"))),
+            None => Err(LogError::Io(format!(
+                "truncate storage file: no such file {name}"
+            ))),
         }
     }
 
@@ -644,7 +653,10 @@ mod tests {
         assert!(faulty.append("wal", &[0xAA; 32]).is_err());
         assert_eq!(faulty.injected().torn_writes, 1);
         let persisted = mem.read("wal").unwrap().unwrap_or_default();
-        assert!(persisted.len() < 32, "torn write must not persist everything");
+        assert!(
+            persisted.len() < 32,
+            "torn write must not persist everything"
+        );
     }
 
     #[test]

@@ -28,7 +28,11 @@ pub struct TamperEvidence {
 
 impl std::fmt::Display for TamperEvidence {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "record {} does not match its committed digest", self.first_bad_index)
+        write!(
+            f,
+            "record {} does not match its committed digest",
+            self.first_bad_index
+        )
     }
 }
 

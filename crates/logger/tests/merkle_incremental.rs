@@ -347,7 +347,9 @@ fn a_rewrite_anywhere_leaves_every_root_and_proof_and_is_named_by_index() {
     let acknowledged = roots(&store);
     let root = oracle::mth(&honest);
     for victim in [15, 3] {
-        store.tamper_with_record(victim, b"forged".to_vec()).unwrap();
+        store
+            .tamper_with_record(victim, b"forged".to_vec())
+            .unwrap();
         // The commitment keeps describing what was acknowledged …
         assert_eq!(roots(&store), acknowledged, "victim={victim}");
         assert_eq!(store.record_hashes(), honest);

@@ -37,27 +37,25 @@ fn arb_entry() -> impl Strategy<Value = LogEntry> {
         proptest::collection::vec(("[a-z_]{1,12}", arb_digest(), arb_sig()), 0..4),
     )
         .prop_map(
-            |(comp, topic, dir, seq, ts, payload, own, peer_sig, peer_hash, peer, acks)| {
-                LogEntry {
-                    component: NodeId::new(comp),
-                    topic: Topic::new(topic),
-                    direction: if dir { Direction::In } else { Direction::Out },
-                    seq,
-                    timestamp_ns: ts,
-                    payload,
-                    own_sig: own,
-                    peer_sig,
-                    peer_hash,
-                    peer: peer.map(NodeId::new),
-                    acks: acks
-                        .into_iter()
-                        .map(|(s, hash, sig)| AckRecord {
-                            subscriber: NodeId::new(s),
-                            hash,
-                            sig,
-                        })
-                        .collect(),
-                }
+            |(comp, topic, dir, seq, ts, payload, own, peer_sig, peer_hash, peer, acks)| LogEntry {
+                component: NodeId::new(comp),
+                topic: Topic::new(topic),
+                direction: if dir { Direction::In } else { Direction::Out },
+                seq,
+                timestamp_ns: ts,
+                payload,
+                own_sig: own,
+                peer_sig,
+                peer_hash,
+                peer: peer.map(NodeId::new),
+                acks: acks
+                    .into_iter()
+                    .map(|(s, hash, sig)| AckRecord {
+                        subscriber: NodeId::new(s),
+                        hash,
+                        sig,
+                    })
+                    .collect(),
             },
         )
 }

@@ -53,12 +53,16 @@ pub mod transport;
 pub mod types;
 pub mod wire;
 
-pub use breaker::{Admission, BreakerConfig, BreakerSnapshot, BreakerState, CircuitBreaker, Transition};
+pub use breaker::{
+    Admission, BreakerConfig, BreakerSnapshot, BreakerState, CircuitBreaker, Transition,
+};
 pub use clock::{Clock, ManualClock, OffsetClock, SystemClock};
 pub use interceptor::{ConnectionInfo, LinkInterceptor, NoopInterceptor, RecvOutcome};
 pub use master::Master;
 pub use message::{Header, Message, HEADER_LEN};
-pub use node::{Node, NodeBuilder, PublishReport, Publisher, SubscribeOptions, Subscription, TransportKind};
+pub use node::{
+    Node, NodeBuilder, PublishReport, Publisher, SubscribeOptions, Subscription, TransportKind,
+};
 pub use resilience::{LinkEvent, LinkHealth, ResilienceConfig};
 pub use stats::{LinkStats, LinkStatsSnapshot, NodeStats};
 pub use transport::faults::{FaultConfig, FaultStats};

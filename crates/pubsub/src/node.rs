@@ -177,7 +177,12 @@ impl NodeShared {
 /// reproducible random stream.
 fn link_salt(topic: &Topic, subscriber: &NodeId) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in topic.as_str().bytes().chain([0u8]).chain(subscriber.as_str().bytes()) {
+    for b in topic
+        .as_str()
+        .bytes()
+        .chain([0u8])
+        .chain(subscriber.as_str().bytes())
+    {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
@@ -237,9 +242,11 @@ impl Node {
         match self.shared.transport {
             TransportKind::InProc => {
                 let (handle, queue) = inproc::control_channel();
-                self.shared
-                    .master
-                    .register_publisher(&topic, &self.shared.id, Contact::InProc(handle))?;
+                self.shared.master.register_publisher(
+                    &topic,
+                    &self.shared.id,
+                    Contact::InProc(handle),
+                )?;
                 let accept_shared = Arc::clone(&shared);
                 thread::Builder::new()
                     .name(format!("pa-{}", self.shared.id))
@@ -269,9 +276,11 @@ impl Node {
                 let listener = tcp::bind()?;
                 let addr = listener.local_addr()?;
                 *shared.tcp_addr.lock() = Some(addr);
-                self.shared
-                    .master
-                    .register_publisher(&topic, &self.shared.id, Contact::Tcp(addr))?;
+                self.shared.master.register_publisher(
+                    &topic,
+                    &self.shared.id,
+                    Contact::Tcp(addr),
+                )?;
                 let accept_shared = Arc::clone(&shared);
                 thread::Builder::new()
                     .name(format!("pa-{}", self.shared.id))
@@ -285,15 +294,12 @@ impl Node {
                             let Ok(peer_hs) = tcp::accept_handshake(&mut stream, &reply_hs) else {
                                 continue;
                             };
-                            let queue_size = peer_hs
-                                .get("queue_size")
-                                .and_then(|v| v.parse().ok());
+                            let queue_size = peer_hs.get("queue_size").and_then(|v| v.parse().ok());
                             let timeouts = tcp::SocketTimeouts {
                                 read: accept_shared.node.resilience.io_read_timeout,
                                 write: accept_shared.node.resilience.io_write_timeout,
                             };
-                            let Ok(duplex) =
-                                tcp::bridge_stream_tuned(stream, queue_size, timeouts)
+                            let Ok(duplex) = tcp::bridge_stream_tuned(stream, queue_size, timeouts)
                             else {
                                 continue;
                             };
@@ -382,35 +388,33 @@ impl Node {
         let reader_info = info.clone();
         let handle = thread::Builder::new()
             .name(format!("sr-{}", reader_info.subscriber))
-            .spawn(move || {
-                loop {
-                    let body = match duplex.rx.recv_timeout(Duration::from_millis(50)) {
-                        Ok(b) => b,
-                        Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
-                            if reader_closed.load(Ordering::SeqCst) {
-                                return;
-                            }
-                            continue;
+            .spawn(move || loop {
+                let body = match duplex.rx.recv_timeout(Duration::from_millis(50)) {
+                    Ok(b) => b,
+                    Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
+                        if reader_closed.load(Ordering::SeqCst) {
+                            return;
                         }
-                        Err(crossbeam::channel::RecvTimeoutError::Disconnected) => return,
-                    };
-                    if reader_closed.load(Ordering::SeqCst) {
-                        return;
+                        continue;
                     }
-                    node_shared.stats.record_receive(body.len());
-                    let outcome = node_shared.interceptor.on_recv(&reader_info, body);
-                    if let Some(reply) = outcome.reply {
-                        if duplex.send(reply) {
-                            node_shared.stats.record_reply();
-                        }
+                    Err(crossbeam::channel::RecvTimeoutError::Disconnected) => return,
+                };
+                if reader_closed.load(Ordering::SeqCst) {
+                    return;
+                }
+                node_shared.stats.record_receive(body.len());
+                let outcome = node_shared.interceptor.on_recv(&reader_info, body);
+                if let Some(reply) = outcome.reply {
+                    if duplex.send(reply) {
+                        node_shared.stats.record_reply();
                     }
-                    match outcome.deliver {
-                        Some(body) => match Message::decode(&body) {
-                            Ok(msg) => callback(msg),
-                            Err(_) => node_shared.stats.record_recv_dropped(),
-                        },
-                        None => node_shared.stats.record_recv_dropped(),
-                    }
+                }
+                match outcome.deliver {
+                    Some(body) => match Message::decode(&body) {
+                        Ok(msg) => callback(msg),
+                        Err(_) => node_shared.stats.record_recv_dropped(),
+                    },
+                    None => node_shared.stats.record_recv_dropped(),
                 }
             })
             .map_err(|e| PubSubError::Io(format!("spawn subscriber thread: {e}")))?;
@@ -955,7 +959,9 @@ mod tests {
         let got = Arc::new(Mutex::new(Vec::new()));
         let got2 = Arc::clone(&got);
         let _sub = s
-            .subscribe("image", move |m| got2.lock().push((m.header.seq, m.payload.to_vec())))
+            .subscribe("image", move |m| {
+                got2.lock().push((m.header.seq, m.payload.to_vec()))
+            })
             .unwrap();
 
         publisher.publish(b"frame-a").unwrap();
@@ -1035,7 +1041,9 @@ mod tests {
         let s = NodeBuilder::new("s").build(&master).unwrap();
         let stamps = Arc::new(Mutex::new(Vec::new()));
         let st = Arc::clone(&stamps);
-        let _sub = s.subscribe("t", move |m| st.lock().push(m.header.stamp_ns)).unwrap();
+        let _sub = s
+            .subscribe("t", move |m| st.lock().push(m.header.stamp_ns))
+            .unwrap();
         publisher.publish(b"x").unwrap();
         wait_until(|| !stamps.lock().is_empty());
         assert!(stamps.lock()[0] >= 7_000);
@@ -1071,17 +1079,13 @@ mod tests {
         let gate = Arc::new((Mutex::new(false), parking_lot::Condvar::new()));
         let gate2 = Arc::clone(&gate);
         let _sub = s
-            .subscribe_with(
-                "t",
-                SubscribeOptions::new().with_queue_size(2),
-                move |_| {
-                    let (lock, cvar) = &*gate2;
-                    let mut released = lock.lock();
-                    while !*released {
-                        cvar.wait(&mut released);
-                    }
-                },
-            )
+            .subscribe_with("t", SubscribeOptions::new().with_queue_size(2), move |_| {
+                let (lock, cvar) = &*gate2;
+                let mut released = lock.lock();
+                while !*released {
+                    cvar.wait(&mut released);
+                }
+            })
             .unwrap();
         // 1 in-callback + 2 queued; everything beyond drops.
         for _ in 0..10 {
@@ -1250,17 +1254,13 @@ mod tests {
         let gate = Arc::new((Mutex::new(false), parking_lot::Condvar::new()));
         let gate2 = Arc::clone(&gate);
         let _slow_sub = slow
-            .subscribe_with(
-                "t",
-                SubscribeOptions::new().with_queue_size(1),
-                move |_| {
-                    let (lock, cvar) = &*gate2;
-                    let mut released = lock.lock();
-                    while !*released {
-                        cvar.wait(&mut released);
-                    }
-                },
-            )
+            .subscribe_with("t", SubscribeOptions::new().with_queue_size(1), move |_| {
+                let (lock, cvar) = &*gate2;
+                let mut released = lock.lock();
+                while !*released {
+                    cvar.wait(&mut released);
+                }
+            })
             .unwrap();
         let _fast_sub = fast.subscribe("t", |_| {}).unwrap();
         assert!(publisher.wait_for_subscribers(2, Duration::from_secs(2)));
@@ -1315,8 +1315,7 @@ mod tests {
             }
             let stats = Arc::clone(p.fault_stats());
             wait_until(|| {
-                stats.forwarded.load(Ordering::Relaxed)
-                    + stats.dropped.load(Ordering::Relaxed)
+                stats.forwarded.load(Ordering::Relaxed) + stats.dropped.load(Ordering::Relaxed)
                     == 50
             });
             wait_until(|| {

@@ -110,7 +110,9 @@ impl NodeStats {
 
     pub(crate) fn record_send(&self, bytes: usize) {
         self.inner.sent.fetch_add(1, Ordering::Relaxed);
-        self.inner.bytes_sent.fetch_add(bytes as u64, Ordering::Relaxed);
+        self.inner
+            .bytes_sent
+            .fetch_add(bytes as u64, Ordering::Relaxed);
     }
 
     pub(crate) fn record_send_skipped(&self) {

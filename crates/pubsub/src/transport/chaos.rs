@@ -496,11 +496,7 @@ fn pump(
     }
 }
 
-fn write_chunk(
-    shared: &ProxyShared,
-    dst: &mut TcpStream,
-    bytes: &[u8],
-) -> std::io::Result<()> {
+fn write_chunk(shared: &ProxyShared, dst: &mut TcpStream, bytes: &[u8]) -> std::io::Result<()> {
     dst.write_all(bytes)?;
     dst.flush()?;
     shared
@@ -572,11 +568,7 @@ mod tests {
     #[test]
     fn splits_reassemble_into_identical_frames() {
         let (target, handle) = echo_listener();
-        let proxy = ChaosProxy::spawn(
-            target,
-            ChaosConfig::seeded(7).with_split_rate(1.0),
-        )
-        .unwrap();
+        let proxy = ChaosProxy::spawn(target, ChaosConfig::seeded(7).with_split_rate(1.0)).unwrap();
         let mut stream = TcpStream::connect(proxy.addr()).unwrap();
         let frames: Vec<Vec<u8>> = (0..10u8).map(|i| vec![i; 200 + i as usize]).collect();
         for f in &frames {
@@ -657,11 +649,8 @@ mod tests {
     #[test]
     fn resets_tear_down_mid_stream() {
         let (target, _handle) = echo_listener();
-        let proxy = ChaosProxy::spawn(
-            target,
-            ChaosConfig::seeded(11).with_reset_rate(1.0),
-        )
-        .unwrap();
+        let proxy =
+            ChaosProxy::spawn(target, ChaosConfig::seeded(11).with_reset_rate(1.0)).unwrap();
         let mut stream = TcpStream::connect(proxy.addr()).unwrap();
         stream
             .set_read_timeout(Some(Duration::from_secs(2)))

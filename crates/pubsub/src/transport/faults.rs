@@ -390,15 +390,17 @@ mod tests {
             assert!(b.send(vec![i]));
         }
         for i in 0..10u8 {
-            assert_eq!(a.rx.recv_timeout(Duration::from_millis(200)).unwrap(), vec![i]);
+            assert_eq!(
+                a.rx.recv_timeout(Duration::from_millis(200)).unwrap(),
+                vec![i]
+            );
         }
     }
 
     #[test]
     fn delayed_frames_eventually_arrive() {
-        let (a, b, stats) = wrap_pair(
-            FaultConfig::seeded(8).with_delay(1.0, Duration::from_millis(30)),
-        );
+        let (a, b, stats) =
+            wrap_pair(FaultConfig::seeded(8).with_delay(1.0, Duration::from_millis(30)));
         for i in 0..10u8 {
             assert!(a.send(vec![i]));
         }

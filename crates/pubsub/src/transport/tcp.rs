@@ -135,7 +135,10 @@ pub fn bind() -> Result<TcpListener, PubSubError> {
 ///
 /// Returns transport errors, or [`PubSubError::Disconnected`] if the
 /// publisher closes during the handshake.
-pub fn dial(addr: SocketAddr, handshake: &Handshake) -> Result<(FrameDuplex, Handshake), PubSubError> {
+pub fn dial(
+    addr: SocketAddr,
+    handshake: &Handshake,
+) -> Result<(FrameDuplex, Handshake), PubSubError> {
     dial_tuned(addr, handshake, SocketTimeouts::none())
 }
 

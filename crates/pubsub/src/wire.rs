@@ -195,6 +195,9 @@ mod tests {
     #[test]
     fn handshake_value_may_contain_equals() {
         let hs = Handshake::new().with("k", "a=b=c");
-        assert_eq!(Handshake::decode(&hs.encode()).unwrap().get("k"), Some("a=b=c"));
+        assert_eq!(
+            Handshake::decode(&hs.encode()).unwrap().get("k"),
+            Some("a=b=c")
+        );
     }
 }

@@ -45,9 +45,7 @@ impl Read for ChunkedReader {
         // true EOF (a zero-length read would be a spurious EOF).
         let scripted = self.sizes.get(self.next).copied().unwrap_or(1).max(1);
         self.next = (self.next + 1) % self.sizes.len().max(1);
-        let n = scripted
-            .min(buf.len())
-            .min(self.data.len() - self.pos);
+        let n = scripted.min(buf.len()).min(self.data.len() - self.pos);
         let Some(src) = self.data.get(self.pos..self.pos + n) else {
             return Ok(0);
         };
@@ -222,7 +220,11 @@ fn chaos_proxy_full_split_preserves_frames_exactly() {
         "a fully split relay must be invisible to frame reassembly"
     );
     assert!(
-        proxy.stats().splits.load(std::sync::atomic::Ordering::Relaxed) > 0,
+        proxy
+            .stats()
+            .splits
+            .load(std::sync::atomic::Ordering::Relaxed)
+            > 0,
         "the proxy must actually have split chunks: {:?}",
         proxy.stats()
     );

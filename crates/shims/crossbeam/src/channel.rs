@@ -158,8 +158,11 @@ impl<T> Sender<T> {
             }
             match shared.cap {
                 Some(cap) if queue.len() >= cap => {
-                    let (q, timeout) =
-                        recover(shared.not_full.wait_timeout(queue, Duration::from_millis(100)));
+                    let (q, timeout) = recover(
+                        shared
+                            .not_full
+                            .wait_timeout(queue, Duration::from_millis(100)),
+                    );
                     queue = q;
                     let _ = timeout;
                 }
@@ -256,7 +259,9 @@ impl<T> Receiver<T> {
                 return Err(RecvTimeoutError::Disconnected);
             }
             let now = Instant::now();
-            let Some(remaining) = deadline.checked_duration_since(now).filter(|d| !d.is_zero())
+            let Some(remaining) = deadline
+                .checked_duration_since(now)
+                .filter(|d| !d.is_zero())
             else {
                 return Err(RecvTimeoutError::Timeout);
             };

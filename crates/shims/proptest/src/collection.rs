@@ -69,11 +69,7 @@ impl<S: Strategy> Strategy for VecStrategy<S> {
 
 /// Strategy for `BTreeMap<K, V>` with a size drawn from `size` (duplicate
 /// generated keys collapse, so the result may be smaller).
-pub fn btree_map<K, V>(
-    keys: K,
-    values: V,
-    size: impl Into<SizeRange>,
-) -> BTreeMapStrategy<K, V>
+pub fn btree_map<K, V>(keys: K, values: V, size: impl Into<SizeRange>) -> BTreeMapStrategy<K, V>
 where
     K: Strategy,
     K::Value: Ord,

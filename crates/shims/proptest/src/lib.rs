@@ -39,7 +39,9 @@ pub mod prelude {
     pub use crate::prop;
     pub use crate::strategy::{Just, Strategy};
     pub use crate::test_runner::{ProptestConfig, TestCaseError};
-    pub use crate::{prop_assert, prop_assert_eq, prop_assert_ne, prop_assume, prop_oneof, proptest};
+    pub use crate::{
+        prop_assert, prop_assert_eq, prop_assert_ne, prop_assume, prop_oneof, proptest,
+    };
 }
 
 /// Fails the current property case unless `cond` holds.

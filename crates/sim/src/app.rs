@@ -157,11 +157,7 @@ impl AppSpec {
 /// endpoint. Rates follow the paper where stated (camera at 20 Hz).
 pub fn self_driving_app() -> AppSpec {
     AppSpec::new()
-        .with_node(NodeSpec::new("imgfeed").publishes_periodic(
-            "image",
-            PayloadKind::Image,
-            20.0,
-        ))
+        .with_node(NodeSpec::new("imgfeed").publishes_periodic("image", PayloadKind::Image, 20.0))
         .with_node(NodeSpec::new("scanfeed").publishes_periodic("scan", PayloadKind::Scan, 10.0))
         .with_node(NodeSpec::new("lanedet").publishes_on(
             "lane_pos",
@@ -184,22 +180,19 @@ pub fn self_driving_app() -> AppSpec {
                 .publishes_on("throttle", PayloadKind::Custom(20), "obstacle")
                 .subscribes_to("sign_class"),
         )
-        .with_node(NodeSpec::new("ctrl").publishes_on(
-            "actuation",
-            PayloadKind::Custom(24),
-            "steering",
-        ).subscribes_to("throttle"))
+        .with_node(
+            NodeSpec::new("ctrl")
+                .publishes_on("actuation", PayloadKind::Custom(24), "steering")
+                .subscribes_to("throttle"),
+        )
         .with_node(NodeSpec::new("actuator").subscribes_to("actuation"))
 }
 
 /// A single publisher fanning `payload` out to `n_subs` sink subscribers at
 /// `hz` — the workload of Figure 14 (Image publisher, 1–4 subscribers).
 pub fn fanout_app(payload: PayloadKind, n_subs: usize, hz: f64) -> AppSpec {
-    let mut app = AppSpec::new().with_node(NodeSpec::new("feeder").publishes_periodic(
-        "data",
-        payload,
-        hz,
-    ));
+    let mut app =
+        AppSpec::new().with_node(NodeSpec::new("feeder").publishes_periodic("data", payload, hz));
     for i in 0..n_subs {
         app = app.with_node(NodeSpec::new(format!("sink{i}")).subscribes_to("data"));
     }
@@ -218,7 +211,9 @@ mod tests {
         // The paper's end-to-end flow camera → steering exists.
         let topics = app.topics();
         assert!(topics.iter().any(|(t, p)| t == "image" && p == "imgfeed"));
-        assert!(topics.iter().any(|(t, p)| t == "steering" && p == "planner"));
+        assert!(topics
+            .iter()
+            .any(|(t, p)| t == "steering" && p == "planner"));
     }
 
     #[test]

@@ -204,7 +204,10 @@ mod tests {
         busy.join().unwrap();
         other.join().unwrap();
         assert!(pct > 20.0, "attributed thread busy, got {pct}%");
-        assert!(pct < 190.0, "only one thread should be attributed, got {pct}%");
+        assert!(
+            pct < 190.0,
+            "only one thread should be attributed, got {pct}%"
+        );
     }
 
     #[test]

@@ -14,10 +14,10 @@ use adlp_core::{
     OverloadConfig, QueuePressure, ResilienceConfig, Scheme,
 };
 use adlp_crypto::{RsaKeyPair, RsaPublicKey};
+use adlp_logger::stats::VolumeSnapshot;
 use adlp_logger::{KeyRegistry, LogServer, LoggerHandle};
 use adlp_pubsub::stats::StatsSnapshot;
 use adlp_pubsub::{Master, Publisher, SubscribeOptions, TransportKind};
-use adlp_logger::stats::VolumeSnapshot;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -574,10 +574,7 @@ impl Scenario {
             client.volume().reset();
         }
         let cpu = CpuProbe::start();
-        let node_cpu = self
-            .cpu_node
-            .as_deref()
-            .map(ThreadCpuProbe::for_node);
+        let node_cpu = self.cpu_node.as_deref().map(ThreadCpuProbe::for_node);
         // adlp-lint: allow(sim-determinism) — the measurement window is wall-clock by definition (Table IV reports real rates); protocol state stays seed-driven
         let t0 = Instant::now();
         let mut timeline = self.timeline.clone();

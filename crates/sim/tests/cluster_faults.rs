@@ -106,12 +106,20 @@ fn tampered_replica_is_identified_by_shard_and_replica() {
     let cam = AdlpNodeBuilder::new("cam")
         .scheme(Scheme::adlp())
         .key_bits(512)
-        .build_with_target(&master, DepositTarget::Cluster(Arc::clone(&client)), &mut rng)
+        .build_with_target(
+            &master,
+            DepositTarget::Cluster(Arc::clone(&client)),
+            &mut rng,
+        )
         .unwrap();
     let det = AdlpNodeBuilder::new("det")
         .scheme(Scheme::adlp())
         .key_bits(512)
-        .build_with_target(&master, DepositTarget::Cluster(Arc::clone(&client)), &mut rng)
+        .build_with_target(
+            &master,
+            DepositTarget::Cluster(Arc::clone(&client)),
+            &mut rng,
+        )
         .unwrap();
     let publisher = cam.advertise("image").unwrap();
     let _sub = det.subscribe("image", |_| {}).unwrap();

@@ -93,7 +93,11 @@ fn assert_overload_invariants(report: &ScenarioReport) {
     // Accountable shedding: losses happened, and every one of them is
     // admitted by a receipt that was actually delivered.
     let shed_total: u64 = report.pressure.values().map(|p| p.entries_shed()).sum();
-    assert!(shed_total > 0, "16x overload must shed: {:?}", report.pressure);
+    assert!(
+        shed_total > 0,
+        "16x overload must shed: {:?}",
+        report.pressure
+    );
     for (node, p) in &report.pressure {
         assert_eq!(
             p.receipts_undeliverable(),

@@ -78,7 +78,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\n-- component verdicts --");
     for (component, verdict) in &report.verdicts {
         if verdict.is_faithful() {
-            println!("  {component:<16} FAITHFUL ({} valid entries)", verdict.valid_entries);
+            println!(
+                "  {component:<16} FAITHFUL ({} valid entries)",
+                verdict.valid_entries
+            );
         } else {
             println!("  {component:<16} UNFAITHFUL:");
             for v in &verdict.violations {

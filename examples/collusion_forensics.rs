@@ -83,7 +83,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for (component, verdict) in &report.verdicts {
         println!(
             "  {component:<12} {} ({} valid, {} violations)",
-            if verdict.is_faithful() { "faithful" } else { "UNFAITHFUL" },
+            if verdict.is_faithful() {
+                "faithful"
+            } else {
+                "UNFAITHFUL"
+            },
             verdict.valid_entries,
             verdict.violations.len()
         );
@@ -117,6 +121,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         },
         NodeId::new("planner"),
     )]);
-    println!("\n-- causality check on plan#1 → monitor: {} violations --", violations.len());
+    println!(
+        "\n-- causality check on plan#1 → monitor: {} violations --",
+        violations.len()
+    );
     Ok(())
 }

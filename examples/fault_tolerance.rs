@@ -8,10 +8,10 @@
 //! ```
 
 use adlp::audit::Auditor;
-use adlp::core::{
-    AdlpNodeBuilder, BehaviorProfile, FaultConfig, ResilienceConfig, Scheme,
+use adlp::core::{AdlpNodeBuilder, BehaviorProfile, FaultConfig, ResilienceConfig, Scheme};
+use adlp::logger::{
+    Direction, LogEntry, LogServer, ReconnectConfig, RemoteLogClient, RemoteLogEndpoint,
 };
-use adlp::logger::{Direction, LogEntry, LogServer, ReconnectConfig, RemoteLogClient, RemoteLogEndpoint};
 use adlp::pubsub::{Master, Topic};
 use rand::SeedableRng;
 use std::time::{Duration, Instant};
@@ -141,7 +141,10 @@ fn lossy_link() -> Result<(), Box<dyn std::error::Error>> {
         .with_topology(master.topology())
         .audit_store(handle.store());
     println!("  audit all clear = {}", report.all_clear());
-    assert!(report.all_clear(), "a faulted-but-recovered run must audit clean");
+    assert!(
+        report.all_clear(),
+        "a faulted-but-recovered run must audit clean"
+    );
     Ok(())
 }
 
@@ -160,7 +163,16 @@ fn logger_outage() -> Result<(), Box<dyn std::error::Error>> {
             .with_redial_backoff(Duration::from_millis(10)),
     )?;
 
-    let entry = |seq| LogEntry::naive("cam".into(), Topic::new("t"), Direction::Out, seq, 0, vec![0u8; 64]);
+    let entry = |seq| {
+        LogEntry::naive(
+            "cam".into(),
+            Topic::new("t"),
+            Direction::Out,
+            seq,
+            0,
+            vec![0u8; 64],
+        )
+    };
     for seq in 0..6 {
         assert!(client.submit(&entry(seq)).is_accepted());
     }
@@ -191,7 +203,10 @@ fn logger_outage() -> Result<(), Box<dyn std::error::Error>> {
             Err(e) => return Err(Box::new(e)),
         }
     };
-    assert!(client.flush(Duration::from_secs(10)), "client must drain after the server returns");
+    assert!(
+        client.flush(Duration::from_secs(10)),
+        "client must drain after the server returns"
+    );
     let snap = client.stats().snapshot();
     println!("  after restart: {snap:?}");
     assert_eq!(snap.buffered, 0);

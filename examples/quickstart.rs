@@ -55,7 +55,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         handle.store().len(),
         handle.store().total_bytes()
     );
-    handle.store().verify_chain().expect("records match their commitment");
+    handle
+        .store()
+        .verify_chain()
+        .expect("records match their commitment");
 
     let report = Auditor::new(handle.keys().clone())
         .with_topology(master.topology())

@@ -104,7 +104,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "fresh checkpoint must read back whole"
     );
     assert_eq!(reloaded.len(), ckpt_len);
-    println!("reloaded checkpoint: {} entries, records verify: {}", reloaded.len(), reloaded.verify_chain().is_ok());
+    println!(
+        "reloaded checkpoint: {} entries, records verify: {}",
+        reloaded.len(),
+        reloaded.verify_chain().is_ok()
+    );
 
     let report = Auditor::new(handle.keys().clone())
         .with_topology(master.topology())

@@ -15,8 +15,7 @@ use adlp::logger::{Keyring, LogStore};
 use adlp::pubsub::transport::chaos::ChaosConfig;
 use adlp::pubsub::NodeId;
 use adlp::witness::{
-    Federation, FederationConfig, LightClient, TcpGossipConfig, TcpLink,
-    TreeHeadSource,
+    Federation, FederationConfig, LightClient, TcpGossipConfig, TcpLink, TreeHeadSource,
 };
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -31,8 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for i in 0u8..8 {
         store.append_encoded(vec![i; 16]);
     }
-    let sth_key =
-        adlp::crypto::rsa::RsaPrivateKey::from_bytes(&kp.private_key().to_bytes())?;
+    let sth_key = adlp::crypto::rsa::RsaPrivateKey::from_bytes(&kp.private_key().to_bytes())?;
     let publisher = Arc::new(SthPublisher::new(
         TreeHeadSigner::new(log_id.clone(), sth_key),
         store.clone(),

@@ -48,12 +48,30 @@ b475d3f0f6b6f0f65d803dd2e825f5a189072fc6a8aa18bee430e26dab2b7618c80d8dd33e400599
 /// `(len, sha256([0, 1, …, len − 1]))` around the one- and two-block
 /// padding boundaries.
 const SHA256_EDGES: [(usize, &str); 6] = [
-    (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    (55, "463eb28e72f82e0a96c0a4cc53690c571281131f672aa229e0d45ae59b598b59"),
-    (56, "da2ae4d6b36748f2a318f23e7ab1dfdf45acdc9d049bd80e59de82a60895f562"),
-    (63, "29af2686fd53374a36b0846694cc342177e428d1647515f078784d69cdb9e488"),
-    (64, "fdeab9acf3710362bd2658cdc9a29e8f9c757fcf9811603a8c447cd1d9151108"),
-    (65, "4bfd2c8b6f1eec7a2afeb48b934ee4b2694182027e6d0fc075074f2fabb31781"),
+    (
+        0,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    (
+        55,
+        "463eb28e72f82e0a96c0a4cc53690c571281131f672aa229e0d45ae59b598b59",
+    ),
+    (
+        56,
+        "da2ae4d6b36748f2a318f23e7ab1dfdf45acdc9d049bd80e59de82a60895f562",
+    ),
+    (
+        63,
+        "29af2686fd53374a36b0846694cc342177e428d1647515f078784d69cdb9e488",
+    ),
+    (
+        64,
+        "fdeab9acf3710362bd2658cdc9a29e8f9c757fcf9811603a8c447cd1d9151108",
+    ),
+    (
+        65,
+        "4bfd2c8b6f1eec7a2afeb48b934ee4b2694182027e6d0fc075074f2fabb31781",
+    ),
 ];
 
 #[test]

@@ -121,8 +121,14 @@ fn naive_scheme_cannot_resolve_disputes_but_adlp_can() {
             .map(Result::unwrap)
             .collect();
         assert_eq!(entries.len(), 2);
-        let pub_e = entries.iter().find(|e| e.direction == Direction::Out).unwrap();
-        let sub_e = entries.iter().find(|e| e.direction == Direction::In).unwrap();
+        let pub_e = entries
+            .iter()
+            .find(|e| e.direction == Direction::Out)
+            .unwrap();
+        let sub_e = entries
+            .iter()
+            .find(|e| e.direction == Direction::In)
+            .unwrap();
         // The records conflict in both schemes.
         assert_ne!(pub_e.payload.digest(), sub_e.payload.digest());
 

@@ -46,8 +46,10 @@ fn assert_classifies_clean(audit: &AuditReport, label: &str) {
         "{label}: honest nodes must not be convicted: {:?}",
         audit.unfaithful_components()
     );
-    let acceptable =
-        |c: &Option<EntryClass>| c.as_ref().is_none_or(|c| matches!(c, EntryClass::Valid | EntryClass::Unproven));
+    let acceptable = |c: &Option<EntryClass>| {
+        c.as_ref()
+            .is_none_or(|c| matches!(c, EntryClass::Valid | EntryClass::Unproven))
+    };
     for link in &audit.links {
         assert!(
             acceptable(&link.publisher_entry) && acceptable(&link.subscriber_entry),

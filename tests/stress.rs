@@ -18,7 +18,11 @@ fn self_driving_soak_faithful() {
     assert!(report.node_stats["actuator"].received >= 5);
     // The logger holds a consistent, tamper-evident record.
     assert!(report.store_len > 50);
-    report.logger.store().verify_chain().expect("records intact");
+    report
+        .logger
+        .store()
+        .verify_chain()
+        .expect("records intact");
     // The audit is clean.
     let audit = report.audit();
     assert!(
@@ -26,8 +30,12 @@ fn self_driving_soak_faithful() {
         "faithful soak must convict nobody: {:?}",
         audit.unfaithful_components()
     );
-    assert!(audit.all_clear(), "hidden={:?} rejected={}",
-        audit.hidden.len(), audit.rejected_entries.len());
+    assert!(
+        audit.all_clear(),
+        "hidden={:?} rejected={}",
+        audit.hidden.len(),
+        audit.rejected_entries.len()
+    );
 }
 
 #[test]
@@ -95,5 +103,9 @@ fn soak_with_three_simultaneous_liars() {
         .map(|(id, _)| id.to_string())
         .collect();
     unfaithful.sort();
-    assert_eq!(unfaithful, vec!["obsdet", "planner", "signrec"], "{audit:?}");
+    assert_eq!(
+        unfaithful,
+        vec!["obsdet", "planner", "signrec"],
+        "{audit:?}"
+    );
 }
