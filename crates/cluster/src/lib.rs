@@ -21,8 +21,8 @@
 //!   evidence naming the shard and replica);
 //! * [`attestation`] — Byzantine mode: per-replica signed head
 //!   attestations, `2f+1`-of-`3f+1` signed-quorum acks, and transferable
-//!   [`attestation::EquivocationProof`]s minted by a shared split-view
-//!   ledger; a convicted replica surfaces as
+//!   [`ConflictProof`](adlp_logger::ConflictProof)s minted by a shared
+//!   split-view ledger; a convicted replica surfaces as
 //!   [`view::ReplicaStatus::Equivocated`] — the first *provably malicious*
 //!   verdict in the lattice.
 //!
@@ -47,10 +47,7 @@ pub mod ring;
 pub mod stats;
 pub mod view;
 
-pub use attestation::{
-    AttestationLog, AttestationScope, BftConfig, EquivocationProof, HeadAttestation, Observation,
-    ReplicaAttestor,
-};
+pub use attestation::{AttestationLog, BftConfig, HeadAttestation, Observation, ReplicaAttestor};
 pub use client::{slot_sink, ClusterLogClient, ReplicaSink};
 pub use cluster::LoggerCluster;
 pub use config::ClusterConfig;

@@ -1,11 +1,9 @@
 //! A replica's signed head is one instant of its log. Two depositors and a
 //! view loop interrogate the same replicas concurrently; a head read in two
-//! steps could pair `Head { length: n }` with the root of `n + 1` records —
+//! steps could pair length `n` with the root of `n + 1` records —
 //! a false statement that convicts the honest replica that signed it.
 
-use adlp_cluster::{
-    empty_shard_root, AttestationScope, ClusterConfig, ClusterLogClient, LoggerCluster, Observation,
-};
+use adlp_cluster::{empty_shard_root, ClusterConfig, ClusterLogClient, LoggerCluster, Observation};
 use adlp_logger::{Direction, LogEntry};
 use adlp_pubsub::{NodeId, Topic};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -53,8 +51,7 @@ fn concurrent_deposits_and_views_attest_only_checkable_heads() {
             let root = store
                 .root_at(length as usize)
                 .unwrap_or_else(empty_shard_root);
-            let scope = AttestationScope::Head { length };
-            let honest = slot.attestor().unwrap().attest(scope, root).unwrap();
+            let honest = slot.attestor().unwrap().attest(length, root).unwrap();
             let observation = ledger.observe(honest);
             let expected = match length {
                 0 => matches!(

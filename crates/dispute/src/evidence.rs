@@ -1,20 +1,20 @@
 //! Signed, transferable dispute evidence.
 //!
 //! A dispute is settled on evidence, never on testimony: every item a party
-//! posts is either a self-certifying transferable proof ([`SplitViewProof`],
-//! [`EquivocationProof`]) or a recorded traffic window ([`RecordingWindow`])
-//! that resolvers re-audit deterministically. Each item arrives wrapped in a
-//! [`SignedEvidence`] envelope binding it to a (dispute, round, party)
-//! triple under the party's registered key, so evidence can be transferred,
-//! gossiped, and replayed without trusting the channel it arrived on —
-//! and so a party cannot later disown what it submitted.
+//! posts is either a self-certifying transferable [`ConflictProof`] (two
+//! tree heads or two replica attestations) or a recorded traffic window
+//! ([`RecordingWindow`]) that resolvers re-audit deterministically. Each
+//! item arrives wrapped in a [`SignedEvidence`] envelope binding it to a
+//! (dispute, round, party) triple under the party's registered key, so
+//! evidence can be transferred, gossiped, and replayed without trusting
+//! the channel it arrived on — and so a party cannot later disown what it
+//! submitted.
 
-use adlp_cluster::EquivocationProof;
+use adlp_cluster::HeadAttestation;
 use adlp_crypto::{pkcs1, Digest, RsaPrivateKey, Sha256, Signature, Statement};
 use adlp_logger::encoding::{read_bytes, write_bytes, write_str, write_uvarint};
-use adlp_logger::{LogError, RecordingWindow, Wire};
+use adlp_logger::{ConflictProof, LogError, RecordingWindow, SignedTreeHead, Wire};
 use adlp_pubsub::NodeId;
-use adlp_witness::SplitViewProof;
 
 /// Domain separator for evidence signatures.
 const EVIDENCE_DOMAIN: &[u8] = b"adlp-dispute/evidence";
@@ -26,10 +26,10 @@ const EVIDENCE_SET_DOMAIN: &[u8] = b"adlp-dispute/evidence-set";
 pub enum Evidence {
     /// A split-view conviction proof: two signed tree heads, one log, one
     /// tree size, two roots. Self-certifying against the log's STH key.
-    SplitView(SplitViewProof),
+    SplitView(ConflictProof<SignedTreeHead>),
     /// A replica-equivocation proof: two conflicting head attestations from
     /// one replica. Self-certifying against the replica keyring.
-    Equivocation(EquivocationProof),
+    Equivocation(ConflictProof<HeadAttestation>),
     /// A recorded traffic window, deterministically re-auditable. Not
     /// self-certifying — probative only if [`RecordingWindow::verify`]
     /// holds and the replay is sound.

@@ -29,8 +29,8 @@ use adlp_audit::{Auditor, ClusterAuditReport, ClusterAuditor};
 use adlp_cluster::cluster::ReplicaSlot;
 use adlp_cluster::epoch::shard_log_id;
 use adlp_cluster::{
-    slot_sink, AttestationScope, BftConfig, ClusterConfig, ClusterLogClient, ClusterView,
-    EpochSeal, HeadAttestation, LoggerCluster, ReplicaSink, ReplicaStatus,
+    slot_sink, BftConfig, ClusterConfig, ClusterLogClient, ClusterView, EpochSeal, HeadAttestation,
+    LoggerCluster, ReplicaSink, ReplicaStatus,
 };
 use adlp_core::{
     AdlpNode, AdlpNodeBuilder, BehaviorProfile, DepositTarget, LinkRole, LogBehavior, Scheme,
@@ -39,14 +39,14 @@ use adlp_crypto::{sha256, RsaKeyPair, RsaPrivateKey, RsaPublicKey, Statement};
 use adlp_dispute::{replay_window, Outcome, ReplayContext};
 use adlp_logger::sth::{SthPublisher, TreeHeadSigner};
 use adlp_logger::{
-    Direction, FaultyStorage, Keyring, LogEntry, LogError, LogStore, MemStorage, Recovery, Storage,
-    StorageFaultConfig, SyncPolicy, Wire,
+    ConflictProof, Direction, FaultyStorage, Keyring, LogEntry, LogError, LogStore, MemStorage,
+    Recovery, SignedTreeHead, Storage, StorageFaultConfig, SyncPolicy, Wire,
 };
 use adlp_pubsub::transport::chaos::ChaosConfig;
 use adlp_pubsub::{FaultConfig, Master, NodeId, Publisher, Subscription, Topic};
 use adlp_witness::{
-    Federation, FederationConfig, InprocLink, LightClient, Link, SplitViewProof, TcpGossipConfig,
-    TcpLink, TreeHeadSource,
+    Federation, FederationConfig, InprocLink, LightClient, Link, TcpGossipConfig, TcpLink,
+    TreeHeadSource,
 };
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -141,10 +141,13 @@ pub enum Fault {
     DeviceHeal(usize, usize),
     /// The replica's deposit lane follows a [`TraitorScript`] from now on.
     Traitor(usize, usize, TraitorScript),
-    /// The replica countersigns a second, conflicting root for the epoch
-    /// last sealed — a split-brain seal shown to some other audience.
+    /// The replica signs a second, conflicting root at the length it signed
+    /// during the last seal — a split-brain seal shown to some other
+    /// audience. Fires before any later deposit, so the replica's latest
+    /// signed length is its sealed one.
     ConflictingSeal(usize, usize),
-    /// Seals the epoch: signed super-root, every replica countersigns.
+    /// Seals the epoch: signed super-root; the head every live replica
+    /// signs during the seal's view is its countersignature.
     Seal,
     /// The shard's log forks: the last `f` witnesses (and, at the end, the
     /// light client) are served a copy that grows in step with the true
@@ -757,15 +760,13 @@ impl ReplicaSink for Lane {
             TraitorScript::Silent => None,
             TraitorScript::Equivocate => {
                 // The *true* length with a *forged* head: the claim stays
-                // scope-compatible with the honest group, so the conflict
+                // length-compatible with the honest group, so the conflict
                 // is attributable, not just noise.
                 let length = self.slot.handle().store().len() as u64;
                 let mut preimage = b"equivocated head #".to_vec();
                 preimage.extend_from_slice(&length.to_le_bytes());
                 let attestor = self.slot.attestor()?;
-                attestor
-                    .attest(AttestationScope::Head { length }, sha256(&preimage))
-                    .ok()
+                attestor.attest(length, sha256(&preimage)).ok()
             }
             TraitorScript::StaleReplay => {
                 let mut replay = self.replay.lock();
@@ -985,7 +986,7 @@ impl Witnesses {
 
     /// Every conviction assembled by gossip or by the light client (the
     /// auditor deduplicates per log and size).
-    fn proofs(&self) -> Vec<SplitViewProof> {
+    fn proofs(&self) -> Vec<ConflictProof<SignedTreeHead>> {
         self.fed
             .proofs()
             .into_iter()
@@ -1312,12 +1313,9 @@ impl<'p> Rig<'p> {
                 self.run.seals.push(seal);
             }
             Fault::ConflictingSeal(s, r) => {
-                let epoch = self
-                    .run
-                    .seals
-                    .last()
-                    .ok_or_else(|| bad("ConflictingSeal before any Seal"))?
-                    .epoch;
+                if self.run.seals.is_empty() {
+                    return Err(bad("ConflictingSeal before any Seal"));
+                }
                 let attestor = self.cluster.replica(s, r).and_then(|slot| slot.attestor());
                 let (Some(attestor), Some(ledger)) = (attestor, self.cluster.attestations()) else {
                     return Err(bad("ConflictingSeal needs a replica of a BFT cluster"));
@@ -1326,7 +1324,7 @@ impl<'p> Rig<'p> {
                 // ledger models its audience forwarding the evidence.
                 let forged = attestor
                     .attest(
-                        AttestationScope::Epoch { epoch },
+                        attestor.state().signed_len,
                         sha256(b"split-brain epoch root"),
                     )
                     .map_err(harness("conflicting seal"))?;
@@ -1813,11 +1811,7 @@ pub fn judge(expect: &Expect, out: &ChaosOutcome) -> Result<(), Breach> {
         .iter()
         .find(|p| !keyring.is_some_and(|k| p.verify(k)))
     {
-        return unproven(format!(
-            "the equivocation proof against ({}, {})",
-            p.shard(),
-            p.replica()
-        ));
+        return unproven(format!("the equivocation proof against {:?}", p.signer()));
     }
     if let Some(p) = out
         .report
@@ -1825,7 +1819,7 @@ pub fn judge(expect: &Expect, out: &ChaosOutcome) -> Result<(), Breach> {
         .iter()
         .find(|p| !p.verify(&out.sth_keys))
     {
-        return unproven(format!("the split-view proof against {}", p.log()));
+        return unproven(format!("the split-view proof against {}", p.signer()));
     }
     if let Some(seal) = run.seals.iter().find(|seal| !seal.verify(&out.sealing_key)) {
         return unproven(format!("the seal of epoch {}", seal.epoch));

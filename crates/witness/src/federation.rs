@@ -31,14 +31,12 @@
 //! running: it polls its own logger view and keeps sending into the void
 //! until [`Federation::heal`].
 
-use crate::proof::{
-    decode_conviction_frame, encode_conviction_frame, CosignedHead, SplitViewProof,
-};
+use crate::proof::{decode_conviction_frame, encode_conviction_frame, CosignedHead};
 use crate::witness::{SthObservation, TreeHeadSource, Witness};
 use adlp_crypto::rsa::{RsaKeyPair, RsaPrivateKey};
 use adlp_logger::sth::SignedTreeHead;
 use adlp_logger::storage::MemStorage;
-use adlp_logger::{Keyring, LogError, Wire};
+use adlp_logger::{ConflictProof, FirstSeen, Keyring, LogError, Wire};
 use adlp_pubsub::transport::faults::{FaultConfig, FaultStats, FaultyTransport};
 use adlp_pubsub::transport::{duplex_pair, FrameDuplex};
 use adlp_pubsub::{NodeId, PubSubError};
@@ -506,15 +504,14 @@ impl Federation {
         for source in &self.sources[w] {
             witness.poll(source.as_ref());
         }
-        let convictions: Vec<Vec<u8>> = witness
-            .proofs()
-            .iter()
-            .map(encode_conviction_frame)
-            .collect();
+        let proofs = witness.proofs();
+        let convictions: Vec<Vec<u8>> = proofs.iter().map(encode_conviction_frame).collect();
+        // Both halves of every conviction follow the adopted heads: peers
+        // re-derive the conviction from the conflicting heads themselves.
         let heads: Vec<Vec<u8>> = witness
             .latest_heads()
             .iter()
-            .chain(&witness.conviction_heads())
+            .chain(proofs.iter().flat_map(|p| [&p.first, &p.second]))
             .map(SignedTreeHead::encode)
             .collect();
         for to in (0..self.witnesses.len()).filter(|&to| to != w) {
@@ -627,17 +624,12 @@ impl Federation {
 
     /// Every conviction assembled anywhere in the federation, deduplicated
     /// per (log, size).
-    pub fn proofs(&self) -> Vec<SplitViewProof> {
-        let mut out: Vec<SplitViewProof> = Vec::new();
+    pub fn proofs(&self) -> Vec<ConflictProof<SignedTreeHead>> {
+        let mut out = FirstSeen::default();
         for proof in self.witnesses.iter().flat_map(|w| w.proofs()) {
-            if !out
-                .iter()
-                .any(|p| p.log() == proof.log() && p.size() == proof.size())
-            {
-                out.push(proof);
-            }
+            out.admit(proof);
         }
-        out
+        out.proofs().to_vec()
     }
 
     /// What the engine counted for witness slot `w` since the federation
@@ -883,9 +875,9 @@ pub(crate) mod tests {
 
     /// A forged conviction (right shape, imposter key) and an
     /// outright-garbage conviction frame.
-    fn bad_conviction_frames(seed: u64) -> (SplitViewProof, Vec<u8>) {
+    fn bad_conviction_frames(seed: u64) -> (ConflictProof<SignedTreeHead>, Vec<u8>) {
         let (_, imposter) = logger_key(seed ^ 0x1337);
-        let forged = SplitViewProof {
+        let forged = ConflictProof {
             first: imposter.sign(0, 9, adlp_crypto::sha256(b"fa")).unwrap(),
             second: imposter.sign(1, 9, adlp_crypto::sha256(b"fb")).unwrap(),
         };

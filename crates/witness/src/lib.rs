@@ -14,8 +14,8 @@
 //!   ([`InprocLink`]) or real sockets behind chaos proxies ([`TcpLink`]);
 //!   one engine, two transports — each witness cosigning ([`Cosignature`])
 //!   heads it has verified RFC 6962 consistency for, and assembling a
-//!   transferable [`SplitViewProof`] the moment two validly-signed heads at
-//!   the same size disagree;
+//!   transferable [`ConflictProof`](adlp_logger::ConflictProof) the moment
+//!   two validly-signed heads at the same size disagree;
 //! * publishers and subscribers become **light clients** ([`LightClient`]):
 //!   on acknowledgement they fetch an inclusion proof against the latest
 //!   witnessed head and verify consistency between successive heads
@@ -23,10 +23,11 @@
 //!   is detected by gossip rather than by post-hoc full audit.
 //!
 //! The security argument is the same self-incrimination discipline as
-//! `adlp-cluster`'s `EquivocationProof`: an append-only log has exactly one
-//! root per size, so a split view requires the logger's own key to sign two
-//! conflicting heads — a [`SplitViewProof`] anyone can re-verify with the
-//! public key alone. Honest behavior can never be convicted (the proof
+//! `adlp-cluster`'s replica attestations: an append-only log has exactly
+//! one root per size, so a split view requires the logger's own key to
+//! sign two conflicting heads — a
+//! [`ConflictProof`](adlp_logger::ConflictProof) anyone can re-verify with
+//! the public key alone. Honest behavior can never be convicted (the proof
 //! demands two *valid* signatures that actually conflict), and with a
 //! cosign quorum of `f + 1` out of `≥ 2f + 1` witnesses, heads keep getting
 //! witnessed while `f` witnesses are unreachable, and every witnessed head
@@ -44,8 +45,8 @@ pub use federation::{
 };
 pub use light::{AckProbe, LightClient, WitnessedHeadSource};
 pub use proof::{
-    decode_conviction_frame, encode_conviction_frame, Cosignature, CosignedHead, SplitViewProof,
-    SthKeyring, SPLIT_VIEW_FRAME_MAGIC,
+    decode_conviction_frame, encode_conviction_frame, Cosignature, CosignedHead, SthKeyring,
+    SPLIT_VIEW_FRAME_MAGIC,
 };
 pub use state::{LogWitnessRecord, WitnessState};
 pub use tcp::{TcpGossipConfig, TcpLink};

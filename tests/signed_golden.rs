@@ -1,23 +1,24 @@
 //! Golden signed digests. Every statement ADLP verifies a signature over
 //! — the protocol's binding digest, a signed tree head, a witness
-//! cosignature, a replica attestation in both scopes, an epoch seal, a
-//! dispute evidence envelope and a resolver vote — is built on fixed
-//! fields by its product signing path. For each, the test pins the hex of
-//! the digest the signature covers (computed here from the documented
-//! layout) and the hex of the signature a seeded 512-bit key makes over
-//! it. PKCS#1 v1.5 is deterministic, so a refactor that moves one signed
-//! byte fails here even when every round trip stays green. Each statement
-//! must also verify under its signer's key and fail under another one.
+//! cosignature, a replica head attestation, an epoch seal, a dispute
+//! evidence envelope and a resolver vote — is built on fixed fields by its
+//! product signing path. For each, the test pins the hex of the digest the
+//! signature covers (computed here from the documented layout) and the hex
+//! of the signature a seeded 512-bit key makes over it. PKCS#1 v1.5 is
+//! deterministic, so a refactor that moves one signed byte fails here even
+//! when every round trip stays green. Each statement must also verify
+//! under its signer's key and fail under another one. The retired
+//! epoch-scope attestation, signed under its old pin, must fail to decode.
 
 use adlp_audit::ContestedVerdict;
-use adlp_cluster::{AttestationScope, EpochSeal, ReplicaAttestor, ShardRoot};
+use adlp_cluster::{EpochSeal, HeadAttestation, ReplicaAttestor, ShardRoot};
 use adlp_crypto::rsa::RsaPrivateKey;
 use adlp_crypto::sha256::binding_digest;
 use adlp_crypto::{hex, pkcs1, sha256, Digest, RsaKeyPair, Sha256, Statement};
 use adlp_dispute::{Evidence, Resolver, SignedEvidence, Vote};
 use adlp_logger::encoding::{write_bytes, write_str, write_uvarint};
 use adlp_logger::sth::TreeHeadSigner;
-use adlp_logger::{Binding, Keyring, RecordingWindow, Wire};
+use adlp_logger::{Binding, Keyring, LogError, RecordingWindow, Wire};
 use adlp_pubsub::{NodeId, Topic};
 use adlp_witness::Cosignature;
 use rand::SeedableRng;
@@ -47,12 +48,6 @@ const PINS: &[(&str, &str, &str)] = &[
         "6050548f31cb8ba477a2bb596f98d64c1e11bb985a64c64a21d1b224c12aa214",
         "4f4e154b741e2eb8700ce70eb67c7837a778779b73d74fcdb2c204390be7e690\
          e2a48bf911fd4f0f2e569d37212195f24b9ee66fedecc685ed98c48c968621b8",
-    ),
-    (
-        "attestation_epoch",
-        "10162f5d068b3f06d490b40d3c08f7aa809331a2ec46fa39f2d16f22eebcc0b3",
-        "06e610b536845b547433424a8ff3389deb3bdf115a2ecd2173192b7b2c6de371\
-         d26e02e39de22c5c07baeb5eab625b405d2483c25e8d2c336ecc92155f7c63e3",
     ),
     (
         "epoch_seal",
@@ -195,38 +190,47 @@ fn every_signed_digest_and_signature_is_byte_identical() {
     };
     check(&keys, "cosignature", digest, &cosig);
 
-    // h("adlp-cluster/attested-root" ‖ shard ‖ replica ‖ incarnation ‖
-    //   scope tag ‖ scope value ‖ root).
+    // h("adlp-cluster/attested-root" ‖ shard ‖ replica ‖ incarnation ‖ 1 ‖
+    //   length ‖ root).
     let attestor = ReplicaAttestor::new(1, 3, keys.private());
     attestor.set_incarnation(2).unwrap();
-    for (name, scope, tag, value) in [
-        (
-            "attestation_head",
-            AttestationScope::Head { length: 9 },
-            1u8,
-            9u64,
+    let att = attestor.attest(9, root(2)).unwrap();
+    let digest = {
+        let mut h = Sha256::new();
+        h.update(b"adlp-cluster/attested-root");
+        h.update(&1u64.to_le_bytes());
+        h.update(&3u64.to_le_bytes());
+        h.update(&2u64.to_le_bytes());
+        h.update(&[1]);
+        h.update(&9u64.to_le_bytes());
+        h.update(root(2).as_bytes());
+        h.finalize()
+    };
+    check(&keys, "attestation_head", digest, &att);
+
+    // The retired epoch countersignature (tag 2, epoch 4) as the signer
+    // encoded it, under the signature once pinned for it: refused whole.
+    let mut epoch_scope = vec![1, 3, 2, 2, 4];
+    epoch_scope.extend_from_slice(root(2).as_bytes());
+    write_bytes(
+        &mut epoch_scope,
+        &hex::decode(
+            "06e610b536845b547433424a8ff3389deb3bdf115a2ecd2173192b7b2c6de371\
+             d26e02e39de22c5c07baeb5eab625b405d2483c25e8d2c336ecc92155f7c63e3",
+        )
+        .unwrap(),
+    );
+    assert!(
+        matches!(
+            HeadAttestation::decode(&epoch_scope),
+            Err(LogError::Malformed(_))
         ),
-        (
-            "attestation_epoch",
-            AttestationScope::Epoch { epoch: 4 },
-            2u8,
-            4u64,
-        ),
-    ] {
-        let att = attestor.attest(scope, root(2)).unwrap();
-        let digest = {
-            let mut h = Sha256::new();
-            h.update(b"adlp-cluster/attested-root");
-            h.update(&1u64.to_le_bytes());
-            h.update(&3u64.to_le_bytes());
-            h.update(&2u64.to_le_bytes());
-            h.update(&[tag]);
-            h.update(&value.to_le_bytes());
-            h.update(root(2).as_bytes());
-            h.finalize()
-        };
-        check(&keys, name, digest, &att);
-    }
+        "attestation_epoch: an epoch-scope attestation must not decode"
+    );
+    // The refusal is the tag's: the same bytes under tag 1 are a head.
+    epoch_scope[3] = 1;
+    let head = HeadAttestation::decode(&epoch_scope).unwrap();
+    assert_eq!((head.length, head.root), (4, root(2)));
 
     // h("adlp-cluster/epoch-seal" ‖ epoch ‖ super_root).
     let shard_roots = vec![
