@@ -27,7 +27,7 @@
 use crate::classify::{Anomaly, EntryClass, HiddenRecord, InvalidReason, LinkAudit};
 use adlp_crypto::sha256::Digest;
 use adlp_crypto::{Signature, Statement};
-use adlp_logger::{Binding, Direction, GapReceipt, KeyRegistry, LogEntry, LogStore};
+use adlp_logger::{AckRecord, Binding, Direction, GapReceipt, KeyRegistry, LogEntry, LogStore};
 use adlp_pubsub::{NodeId, Topic};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -322,13 +322,13 @@ impl Auditor {
                         );
                     } else {
                         // Aggregated: one view per acknowledged subscriber.
-                        for (i, ack) in entry.acks.iter().enumerate() {
+                        for ack in &entry.acks {
                             let key = (entry.topic.clone(), entry.seq, ack.subscriber.clone());
                             pub_entries.insert(
                                 key,
                                 PubView {
                                     entry,
-                                    ack_of: Some(i),
+                                    ack_of: Some(ack),
                                 },
                             );
                         }
@@ -530,7 +530,7 @@ impl Auditor {
     ) -> SideEvidence {
         let entry = view.entry;
         let ack = match view.ack_of {
-            Some(i) => Some((&entry.acks[i].hash, &entry.acks[i].sig)),
+            Some(ack) => Some((&ack.hash, &ack.sig)),
             None => entry.peer_hash.as_ref().zip(entry.peer_sig.as_ref()),
         };
         SideEvidence {
@@ -722,7 +722,9 @@ impl Auditor {
                     report.record_violation(subscriber, topic, seq, ViolationKind::FabricatedLog);
                 }
             }
-            (None, None) => unreachable!("link key without any entry"),
+            // Link keys come from the entry maps, so some side is always
+            // present; a link with neither has nothing to classify.
+            (None, None) => {}
         }
         link
     }
@@ -957,8 +959,9 @@ impl AuditSession {
 
 struct PubView<'a> {
     entry: &'a LogEntry,
-    /// Index into `entry.acks` when this view came from an aggregated entry.
-    ack_of: Option<usize>,
+    /// The acknowledgement this view stands for when it came from an
+    /// aggregated entry.
+    ack_of: Option<&'a AckRecord>,
 }
 
 /// Finds the verified receipt (if any) by which `component` admitted

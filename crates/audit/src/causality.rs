@@ -140,8 +140,9 @@ impl CausalityChecker {
             }
         }
         for window in hops.windows(2) {
-            let (in_step, _) = &window[0];
-            let (out_step, out_publisher) = &window[1];
+            let [(in_step, _), (out_step, out_publisher)] = window else {
+                continue;
+            };
             // The middle component: subscriber of hop k and publisher of
             // hop k+1 (must match for a well-formed chain).
             if &in_step.subscriber != out_publisher {

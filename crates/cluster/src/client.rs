@@ -255,7 +255,7 @@ impl ClusterLogClient {
         sinks: Vec<Vec<Box<dyn ReplicaSink>>>,
         stats: ClusterStats,
     ) -> Self {
-        let ring = HashRing::new(config.shards, config.vnodes);
+        let ring = HashRing::new(config.shards, crate::config::VNODES);
         let shards = sinks
             .into_iter()
             .map(|replicas| ShardLanes {

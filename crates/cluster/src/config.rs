@@ -4,6 +4,10 @@ use crate::attestation::BftConfig;
 use adlp_logger::LogError;
 use adlp_pubsub::BreakerConfig;
 
+/// Virtual nodes per shard on the hash ring (smooths the key
+/// distribution; purely deterministic).
+pub(crate) const VNODES: usize = 16;
+
 /// Shape of a logger cluster: how many shards, how many replicas per
 /// shard, and how many replica acknowledgements a deposit needs before it
 /// counts as durable.
@@ -16,9 +20,6 @@ pub struct ClusterConfig {
     /// Write quorum W: a deposit is acknowledged once W replicas of its
     /// shard accepted it. `W ≤ replicas`.
     pub write_quorum: usize,
-    /// Virtual nodes per shard on the hash ring (smooths the key
-    /// distribution; purely deterministic).
-    pub vnodes: usize,
     /// When set, every replica lane is wrapped in a circuit breaker seeded
     /// deterministically from this configuration: a persistently failing
     /// replica is routed around (fast-fail, counted) and re-admitted
@@ -41,7 +42,6 @@ impl ClusterConfig {
             shards: shards.max(1),
             replicas: 1,
             write_quorum: 1,
-            vnodes: 16,
             breaker: None,
             bft: None,
         }
@@ -57,12 +57,6 @@ impl ClusterConfig {
     /// Sets the write quorum W.
     pub fn with_write_quorum(mut self, quorum: usize) -> Self {
         self.write_quorum = quorum.max(1);
-        self
-    }
-
-    /// Sets the number of virtual ring nodes per shard.
-    pub fn with_vnodes(mut self, vnodes: usize) -> Self {
-        self.vnodes = vnodes.max(1);
         self
     }
 
@@ -104,7 +98,7 @@ impl ClusterConfig {
     /// Returns [`LogError::Malformed`] when `write_quorum > replicas` or a
     /// field is zero.
     pub fn validate(&self) -> Result<(), LogError> {
-        if self.shards == 0 || self.replicas == 0 || self.vnodes == 0 {
+        if self.shards == 0 || self.replicas == 0 {
             return Err(LogError::Malformed("cluster config (zero dimension)"));
         }
         if self.write_quorum == 0 || self.write_quorum > self.replicas {

@@ -60,6 +60,19 @@
 //! # }
 //! ```
 
+// Protocol crate: no panic paths outside tests (paper Lemma 2 — a
+// panicking component is indistinguishable from a hiding one). adlp-lint's
+// transitive `no-panic-paths` rule reads this set to find protocol crates.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 pub mod behavior;
 pub mod config;
 pub mod events;

@@ -215,9 +215,12 @@ impl Sub<&BigUint> for &BigUint {
     /// # Panics
     ///
     /// Panics on underflow; use [`BigUint::checked_sub`] to handle it.
+    #[allow(
+        clippy::expect_used,
+        reason = "the panic is the documented operator contract; checked_sub is the fallible form"
+    )]
     fn sub(self, rhs: &BigUint) -> BigUint {
         self.checked_sub(rhs)
-            // adlp-lint: allow(no-panic-paths) — the panic is the documented operator contract; checked_sub is the fallible form
             .expect("BigUint subtraction underflow")
     }
 }

@@ -1,17 +1,18 @@
-//! Constant-time comparison — the *blessed* helpers the
-//! `constant-time-crypto` lint rule points at.
+//! Constant-time comparison.
 //!
 //! Digest and signature verification must not leak, via early exit, how
 //! many leading bytes of an attacker-supplied value matched the expected
-//! one. Every secret-adjacent equality in this crate (and in callers
-//! comparing [`crate::Digest`]/[`crate::Signature`] material) routes
-//! through here; `adlp-lint` flags direct `==` on such values.
+//! one. [`crate::Digest`] and [`crate::Signature`] implement `==` through
+//! [`constant_time_eq`], so every comparison of such values, in any crate,
+//! is constant-time; raw encodings (pkcs1's encoded message) call it
+//! directly.
 
 /// Compares two byte strings in time dependent only on their lengths.
 ///
 /// Length inequality returns early: in this protocol all compared lengths
 /// (digest size, modulus size) are public constants, so the length check
 /// leaks nothing.
+#[inline]
 pub fn constant_time_eq(a: &[u8], b: &[u8]) -> bool {
     if a.len() != b.len() {
         return false;

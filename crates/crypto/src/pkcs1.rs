@@ -8,6 +8,7 @@ use crate::rsa::{RsaPrivateKey, RsaPublicKey};
 use crate::sha256::{Digest, DIGEST_LEN};
 use crate::CryptoError;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// ASN.1 DER `DigestInfo` prefix for SHA-256 (RFC 8017 §9.2 note 1).
 const SHA256_DIGEST_INFO_PREFIX: [u8; 19] = [
@@ -20,7 +21,10 @@ const SHA256_DIGEST_INFO_PREFIX: [u8; 19] = [
 /// The byte length always equals the signer's modulus length (128 bytes for
 /// the paper's RSA-1024), which is what makes ADLP's message and log-entry
 /// size overheads constant per entry.
-#[derive(Clone, PartialEq, Eq, Hash)]
+///
+/// `==` is constant-time in the bytes ([`crate::ct::constant_time_eq`]);
+/// only the length, a public modulus size, may end it early.
+#[derive(Clone, Eq)]
 pub struct Signature(Vec<u8>);
 
 impl Signature {
@@ -47,6 +51,20 @@ impl Signature {
     /// Consumes self, returning the raw bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.0
+    }
+}
+
+impl PartialEq for Signature {
+    #[inline]
+    fn eq(&self, other: &Signature) -> bool {
+        crate::ct::constant_time_eq(&self.0, &other.0)
+    }
+}
+
+impl Hash for Signature {
+    #[inline]
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.0.hash(state);
     }
 }
 

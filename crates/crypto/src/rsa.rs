@@ -153,11 +153,6 @@ impl RsaPrivateKey {
         &self.public
     }
 
-    /// The private exponent `d` (exposed for the plain-vs-CRT ablation bench).
-    pub fn private_exponent(&self) -> &BigUint {
-        &self.d
-    }
-
     /// Raw RSA signature primitive `RSASP1` using the CRT:
     /// `m1 = m^dp mod p`, `m2 = m^dq mod q`,
     /// `h = qinv (m1 - m2) mod p`, `s = m2 + h q`.

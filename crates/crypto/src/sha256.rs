@@ -25,6 +25,7 @@
 //! process uses.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// Size of a SHA-256 digest in bytes.
 pub const DIGEST_LEN: usize = 32;
@@ -40,7 +41,11 @@ pub const DIGEST_LEN: usize = 32;
 ///     "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
 /// );
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+///
+/// `==` is constant-time ([`crate::ct::constant_time_eq`]): a digest may
+/// stand in for a secret (a MAC tag, an expected signature encoding), so
+/// no comparison of two digests leaks how many leading bytes matched.
+#[derive(Clone, Copy, Eq, PartialOrd, Ord)]
 pub struct Digest(pub [u8; DIGEST_LEN]);
 
 impl Digest {
@@ -75,11 +80,19 @@ impl Digest {
     pub fn as_bytes(&self) -> &[u8; DIGEST_LEN] {
         &self.0
     }
+}
 
-    /// Constant-time equality, for digests standing in for secrets (MAC
-    /// tags, expected signature encodings).
-    pub fn ct_eq(&self, other: &Digest) -> bool {
+impl PartialEq for Digest {
+    #[inline]
+    fn eq(&self, other: &Digest) -> bool {
         crate::ct::constant_time_eq(&self.0, &other.0)
+    }
+}
+
+impl Hash for Digest {
+    #[inline]
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.0.hash(state);
     }
 }
 

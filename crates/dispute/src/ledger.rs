@@ -299,12 +299,15 @@ impl ResolutionProof {
     /// evidence set, with the claimed outcome held by a strict
     /// supermajority. A "resolution" failing any of it proves nothing.
     pub fn verify(&self, keyring: &Keyring<NodeId>) -> bool {
-        if self.votes.is_empty() || self.votes.len().is_multiple_of(2) {
+        let Some(first) = self.votes.first() else {
+            return false;
+        };
+        if self.votes.len().is_multiple_of(2) {
             return false;
         }
         let expected_claim = claim_digest(&self.claim);
         let mut resolvers = BTreeSet::new();
-        let evidence_digest = &self.votes[0].evidence_digest;
+        let evidence_digest = &first.evidence_digest;
         for vote in &self.votes {
             if vote.instance != self.instance
                 || vote.dispute != self.dispute
@@ -558,18 +561,12 @@ impl DisputeLedger {
         }
 
         let fought = ev.party != dispute.claimant;
-        let dispute = self.state.disputes.get_mut(&id).expect("checked above");
-        let prior_phase = dispute.phase;
-        dispute.evidence.push(ev);
-        if fought {
-            dispute.phase = Phase::Fought;
-        }
-        if let Err(e) = self.persist() {
-            let dispute = self.state.disputes.get_mut(&id).expect("checked above");
-            dispute.evidence.pop();
-            dispute.phase = prior_phase;
-            return Err(e);
-        }
+        self.commit(id, |dispute| {
+            dispute.evidence.push(ev);
+            if fought {
+                dispute.phase = Phase::Fought;
+            }
+        })?;
         self.counters.evidence_accepted += 1;
         Ok(())
     }
@@ -593,18 +590,12 @@ impl DisputeLedger {
             return Err(LogError::Malformed("dispute panel (phase)"));
         }
         let chosen = self.select_panel(id, 0, self.config.initial_panel, &dispute.panel)?;
-        let dispute = self.state.disputes.get_mut(&id).expect("checked above");
-        let prior_phase = dispute.phase;
-        dispute
-            .panel
-            .extend(chosen.iter().map(|r| (0u32, r.clone())));
-        dispute.phase = Phase::Evaluating;
-        if let Err(e) = self.persist() {
-            let dispute = self.state.disputes.get_mut(&id).expect("checked above");
-            dispute.panel.clear();
-            dispute.phase = prior_phase;
-            return Err(e);
-        }
+        self.commit(id, |dispute| {
+            dispute
+                .panel
+                .extend(chosen.iter().map(|r| (0u32, r.clone())));
+            dispute.phase = Phase::Evaluating;
+        })?;
         Ok(chosen)
     }
 
@@ -660,19 +651,13 @@ impl DisputeLedger {
             return Err(LogError::Malformed("dispute vote (signature)"));
         }
 
-        let dispute = self.state.disputes.get_mut(&id).expect("checked above");
-        let prior_phase = dispute.phase;
-        dispute.votes.push(vote);
-        if dispute.round_complete() && dispute.supermajority().is_some() {
-            dispute.phase = Phase::Finalizing;
-        }
-        let phase = dispute.phase;
-        if let Err(e) = self.persist() {
-            let dispute = self.state.disputes.get_mut(&id).expect("checked above");
-            dispute.votes.pop();
-            dispute.phase = prior_phase;
-            return Err(e);
-        }
+        let phase = self.commit(id, |dispute| {
+            dispute.votes.push(vote);
+            if dispute.round_complete() && dispute.supermajority().is_some() {
+                dispute.phase = Phase::Finalizing;
+            }
+            dispute.phase
+        })?;
         self.counters.votes_accepted += 1;
         Ok(phase)
     }
@@ -708,27 +693,14 @@ impl DisputeLedger {
             self.select_panel(id, next_round, self.config.escalation_step, &dispute.panel)?;
         let stake = self.required_stake(next_round);
 
-        let dispute = self.state.disputes.get_mut(&id).expect("checked above");
-        let prior = (
-            dispute.phase,
-            dispute.round,
-            dispute.panel.len(),
-            dispute.stakes.len(),
-        );
-        dispute.round = next_round;
-        dispute
-            .panel
-            .extend(chosen.iter().map(|r| (next_round, r.clone())));
-        dispute.stakes.push((staker, stake));
-        dispute.phase = Phase::Evaluating;
-        if let Err(e) = self.persist() {
-            let dispute = self.state.disputes.get_mut(&id).expect("checked above");
-            dispute.phase = prior.0;
-            dispute.round = prior.1;
-            dispute.panel.truncate(prior.2);
-            dispute.stakes.truncate(prior.3);
-            return Err(e);
-        }
+        self.commit(id, |dispute| {
+            dispute.round = next_round;
+            dispute
+                .panel
+                .extend(chosen.iter().map(|r| (next_round, r.clone())));
+            dispute.stakes.push((staker, stake));
+            dispute.phase = Phase::Evaluating;
+        })?;
         self.counters.escalations += 1;
         Ok(chosen)
     }
@@ -753,18 +725,13 @@ impl DisputeLedger {
             .supermajority()
             .ok_or(LogError::Malformed("dispute finalize (no supermajority)"))?;
 
-        let dispute = self.state.disputes.get_mut(&id).expect("checked above");
-        let prior = (dispute.phase, dispute.outcome);
-        dispute.phase = Phase::Finalized;
-        dispute.outcome = Some(outcome);
-        if let Err(e) = self.persist() {
-            let dispute = self.state.disputes.get_mut(&id).expect("checked above");
-            dispute.phase = prior.0;
-            dispute.outcome = prior.1;
-            return Err(e);
-        }
+        self.commit(id, |dispute| {
+            dispute.phase = Phase::Finalized;
+            dispute.outcome = Some(outcome);
+        })?;
         self.counters.finalized += 1;
-        Ok(self.resolution(id).expect("just finalized"))
+        self.resolution(id)
+            .ok_or(LogError::Malformed("dispute finalize (no resolution)"))
     }
 
     /// The resolution proof of a finalized dispute.
@@ -820,6 +787,28 @@ impl DisputeLedger {
             None => Ok(()),
         }
     }
+
+    /// Applies `change` to dispute `id` and persists the ledger. When
+    /// persisting fails the dispute is restored, so the ledger in memory
+    /// never runs ahead of what a restart would recover.
+    fn commit<T>(
+        &mut self,
+        id: u64,
+        change: impl FnOnce(&mut Dispute) -> T,
+    ) -> Result<T, LogError> {
+        let dispute = self
+            .state
+            .disputes
+            .get_mut(&id)
+            .ok_or(LogError::NoSuchEntry(id as usize))?;
+        let prior = dispute.clone();
+        let out = change(dispute);
+        if let Err(e) = self.persist() {
+            self.state.disputes.insert(id, prior);
+            return Err(e);
+        }
+        Ok(out)
+    }
 }
 
 #[cfg(test)]
@@ -828,7 +817,7 @@ mod tests {
     use crate::evidence::Evidence;
     use crate::resolver::Resolver;
     use adlp_crypto::{RsaKeyPair, RsaPrivateKey};
-    use adlp_logger::{MemStorage, RecordingWindow};
+    use adlp_logger::{FaultyStorage, MemStorage, RecordingWindow, StorageFaultConfig};
     use rand::{rngs::StdRng, SeedableRng};
     use std::collections::BTreeMap;
 
@@ -1103,6 +1092,78 @@ mod tests {
         let proof = resumed.finalize(id).unwrap();
         assert_eq!(proof.outcome, Outcome::Upheld);
         assert!(proof.verify(&b.keyring));
+    }
+
+    /// Runs `change` as one ledger mutation; when it fails, the dispute
+    /// must read exactly as it did before, and the failure is `name`d.
+    fn mutation<T>(
+        b: &mut Bench,
+        id: u64,
+        name: &'static str,
+        change: impl FnOnce(&mut Bench) -> Result<T, LogError>,
+    ) -> Result<T, &'static str> {
+        let before = b.ledger.dispute(id).cloned();
+        change(b).map_err(|_| {
+            assert_eq!(b.ledger.dispute(id).cloned(), before, "{name}");
+            name
+        })
+    }
+
+    fn vote(b: &mut Bench, id: u64, resolver: &NodeId, round: u32, vote: Vote) -> SignedVote {
+        let d = b.ledger.dispute(id).unwrap().clone();
+        b.resolvers[resolver]
+            .cast(0, id, round, vote, &d.claim, &d.evidence)
+            .unwrap()
+    }
+
+    /// A whole contested lifecycle: evidence, a 2–1 panel, escalation, a
+    /// settling round, finalization.
+    fn lifecycle(b: &mut Bench, id: u64) -> Result<(), &'static str> {
+        mutation(b, id, "evidence", |b| {
+            let ev = recording_evidence(b, id, 0);
+            b.ledger.submit_evidence(id, ev)
+        })?;
+        let panel = mutation(b, id, "convene", |b| b.ledger.convene(id))?;
+        for (i, r) in panel.iter().enumerate() {
+            let v = if i == 0 { Vote::Overturn } else { Vote::Uphold };
+            let signed = vote(b, id, r, 0, v);
+            mutation(b, id, "vote", |b| b.ledger.submit_vote(id, signed))?;
+        }
+        let added = mutation(b, id, "escalate", |b| {
+            b.ledger.escalate(id, b.claimant.clone())
+        })?;
+        for r in &added {
+            let signed = vote(b, id, r, 1, Vote::Uphold);
+            mutation(b, id, "vote", |b| b.ledger.submit_vote(id, signed))?;
+        }
+        mutation(b, id, "finalize", |b| b.ledger.finalize(id)).map(drop)
+    }
+
+    #[test]
+    fn a_mutation_that_cannot_persist_leaves_the_dispute_as_it_was() {
+        // The device dies after `limit` operations: whichever mutation
+        // meets the dead device fails and must leave no trace in memory.
+        let mut failed = BTreeSet::new();
+        for limit in 0..200 {
+            let mut b = bench(5, 38);
+            let device = StorageFaultConfig {
+                die_after_ops: Some(limit),
+                ..StorageFaultConfig::none(limit)
+            };
+            let storage = FaultyStorage::new(std::sync::Arc::new(MemStorage::new()), device);
+            if b.ledger.bind_storage(std::sync::Arc::new(storage)).is_err() {
+                continue;
+            }
+            let Ok(id) = b.ledger.open(b.claimant.clone(), claim()) else {
+                continue;
+            };
+            match lifecycle(&mut b, id) {
+                Err(name) => failed.insert(name),
+                Ok(()) => break,
+            };
+        }
+        let every = BTreeSet::from(["convene", "escalate", "evidence", "finalize", "vote"]);
+        assert_eq!(failed, every);
     }
 
     #[test]

@@ -165,6 +165,9 @@ pub struct Workspace {
     pub fns: Vec<FnDef>,
     /// Per-function resolved call sites, token order preserved.
     pub calls: Vec<Vec<CallSite>>,
+    /// `src/` directories of the protocol crates: those whose `lib.rs`
+    /// denies every lint in [`crate::rules::PANIC_LINTS`].
+    pub protocol: Vec<String>,
 }
 
 impl Workspace {
@@ -189,7 +192,27 @@ impl Workspace {
         for f in &fns {
             calls.push(collect_calls(f, &files[f.file], &fns, &by_owner, &by_name));
         }
-        Workspace { files, fns, calls }
+        let protocol = files
+            .iter()
+            .filter(|ctx| {
+                let denied = ctx.denied_clippy_lints();
+                crate::rules::PANIC_LINTS.iter().all(|l| denied.contains(l))
+            })
+            .filter_map(|ctx| ctx.path.strip_suffix("src/lib.rs"))
+            .map(|root| format!("{root}src/"))
+            .collect();
+        Workspace {
+            files,
+            fns,
+            calls,
+            protocol,
+        }
+    }
+
+    /// Whether `path` lies in a protocol crate, where clippy rules out
+    /// panic sites.
+    pub fn is_protocol(&self, path: &str) -> bool {
+        self.protocol.iter().any(|root| path.starts_with(root))
     }
 
     /// Index of the innermost function containing token `tok` of file

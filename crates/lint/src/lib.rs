@@ -1,14 +1,14 @@
 //! `adlp-lint` — a from-scratch static-analysis pass for this workspace.
 //!
 //! ADLP's accountability guarantees (paper Lemmas 1–4, Theorems 1–2) rest
-//! on implementation invariants the type system cannot express: protocol
-//! hot paths must not panic (a panicking subscriber is indistinguishable
-//! from a *hiding* one in the audit model), digest/signature comparisons
-//! must be constant-time, and the seeded fault-injection sim must stay
-//! deterministic. This crate mechanically enforces those invariants on
-//! every `.rs` file in the workspace with a real token-level lexer
-//! ([`lexer`]) and five rules ([`rules`]), reporting `file:line:col`
-//! diagnostics.
+//! on implementation invariants. Those clippy can state live in clippy:
+//! the protocol crates deny its panic lints (a panicking subscriber is
+//! indistinguishable from a *hiding* one in the audit model), and the
+//! seeded sim denies the ambient clocks and rng `clippy.toml` disallows.
+//! This crate enforces the rest on every `.rs` file in the workspace with
+//! a real token-level lexer ([`lexer`]): two token rules and four flow
+//! rules over the cross-crate call graph ([`rules`]), reporting
+//! `file:line:col` diagnostics.
 //!
 //! Pre-existing debt is recorded in a committed baseline
 //! ([`baseline`], `lint-baseline.toml`) and ratcheted: `--deny` fails on
@@ -25,7 +25,7 @@ pub mod summary;
 pub mod taint;
 
 use lexer::{lex, TokKind, Token};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::path::{Path, PathBuf};
 
 /// One reported violation.
@@ -71,8 +71,6 @@ pub struct FileCtx {
     test_regions: Vec<(usize, usize)>,
     /// Token-index ranges of `#[…]` / `#![…]` attributes.
     attr_regions: Vec<(usize, usize)>,
-    /// Token-index ranges of function bodies, with the function name.
-    fn_regions: Vec<(usize, usize, String)>,
     /// Token-index ranges of `impl` blocks with the owner type name.
     impl_regions: Vec<(usize, usize, String)>,
     /// Line → rule-ids suppressed on that line (via the line itself or a
@@ -98,7 +96,6 @@ impl FileCtx {
         }
         let attr_regions = find_attr_regions(&toks);
         let test_regions = find_test_regions(&toks, &attr_regions);
-        let fn_regions = find_fn_regions(&toks);
         let impl_regions = find_impl_regions(&toks);
         let (allows, bad_allows) = collect_allows(&comments, source);
         FileCtx {
@@ -106,7 +103,6 @@ impl FileCtx {
             toks,
             test_regions,
             attr_regions,
-            fn_regions,
             impl_regions,
             allows,
             bad_allows,
@@ -123,13 +119,31 @@ impl FileCtx {
         self.attr_regions.iter().any(|&(s, e)| i >= s && i < e)
     }
 
-    /// Name of the innermost function containing token `i`.
-    pub fn enclosing_fn(&self, i: usize) -> Option<&str> {
-        self.fn_regions
-            .iter()
-            .rev()
-            .find(|&&(s, e, _)| i >= s && i < e)
-            .map(|(_, _, name)| name.as_str())
+    /// The clippy lints this file denies crate-wide: every `clippy::x`
+    /// named in a `#![deny(…)]` or `#![forbid(…)]` inner attribute.
+    pub fn denied_clippy_lints(&self) -> BTreeSet<&str> {
+        let mut out = BTreeSet::new();
+        for &(s, e) in &self.attr_regions {
+            let attr = self.toks.get(s..e).unwrap_or(&[]);
+            let inner_deny = matches!(
+                attr,
+                [hash, bang, open, level, ..]
+                    if hash.is_punct("#") && bang.is_punct("!") && open.is_punct("[")
+                        && (level.is_ident("deny") || level.is_ident("forbid"))
+            );
+            if !inner_deny {
+                continue;
+            }
+            for w in attr.windows(3) {
+                if let [tool, sep, lint] = w {
+                    if tool.is_ident("clippy") && sep.is_punct("::") && lint.kind == TokKind::Ident
+                    {
+                        out.insert(lint.text.as_str());
+                    }
+                }
+            }
+        }
+        out
     }
 
     /// Owner type of the innermost `impl` block containing token `i`.
@@ -260,30 +274,6 @@ pub(crate) fn matching_close(toks: &[Token], open: usize, op: &str, cl: &str) ->
     toks.len()
 }
 
-/// Records each `fn name … { … }` body span so rules can bless specific
-/// functions (e.g. the constant-time helpers).
-fn find_fn_regions(toks: &[Token]) -> Vec<(usize, usize, String)> {
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < toks.len() {
-        if toks[i].is_ident("fn") && i + 1 < toks.len() && toks[i + 1].kind == TokKind::Ident {
-            let name = toks[i + 1].text.clone();
-            // Find the body's opening brace (a `;` first means a trait
-            // method declaration or extern fn — no body).
-            let mut j = i + 2;
-            while j < toks.len() && !toks[j].is_punct("{") && !toks[j].is_punct(";") {
-                j += 1;
-            }
-            if j < toks.len() && toks[j].is_punct("{") {
-                let end = matching_close(toks, j, "{", "}");
-                out.push((i, end, name));
-            }
-        }
-        i += 1;
-    }
-    out
-}
-
 /// Records `impl Type { … }` / `impl Trait for Type { … }` spans with the
 /// owner type name, tracking angle-bracket depth so generic parameters
 /// never masquerade as the owner.
@@ -404,7 +394,7 @@ pub struct FileReport {
     pub suppressed: usize,
 }
 
-/// Runs every applicable rule over one file. The flow rules still run —
+/// Runs every rule over one file. The flow rules still run —
 /// the file is treated as a one-file workspace — so fixtures exercise
 /// them, but cross-file calls stay unresolved.
 pub fn analyze(path: &str, source: &str) -> FileReport {
@@ -415,9 +405,10 @@ pub fn analyze(path: &str, source: &str) -> FileReport {
     })
 }
 
-/// Analyzes a set of files as one workspace: per-file token rules first,
-/// then the call-graph flow rules (lock-order-cycles, unverified-wire-taint,
-/// ack-before-durable, transitive no-panic-paths) over all of them.
+/// Analyzes a set of files as one workspace: the token rules over each
+/// `src/` file first, then the call-graph flow rules (lock-order-cycles,
+/// unverified-wire-taint, ack-before-durable, transitive no-panic-paths)
+/// over all of them.
 pub fn analyze_files(files: Vec<(String, String)>) -> BTreeMap<String, FileReport> {
     let ctxs: Vec<FileCtx> = files
         .iter()
@@ -426,8 +417,8 @@ pub fn analyze_files(files: Vec<(String, String)>) -> BTreeMap<String, FileRepor
 
     let mut raw: Vec<Diagnostic> = Vec::new();
     for ctx in &ctxs {
-        for rule in rules::ALL {
-            if (rule.applies)(&ctx.path) {
+        if ctx.path.contains("/src/") || ctx.path.starts_with("src/") {
+            for rule in rules::ALL {
                 (rule.check)(ctx, &mut raw);
             }
         }

@@ -180,9 +180,7 @@ fn main() -> ExitCode {
             println!("{:<22} {}", r.id, r.rationale);
         }
         for r in rules::FLOW {
-            if rules::by_id(r.id).is_none() {
-                println!("{:<22} {} (flow)", r.id, r.rationale);
-            }
+            println!("{:<22} {} (flow)", r.id, r.rationale);
         }
         return ExitCode::SUCCESS;
     }

@@ -1,12 +1,14 @@
-//! The five ADLP invariant rules.
+//! The ADLP invariant rules clippy cannot state.
 //!
 //! Each rule maps to a guarantee in the paper (see DESIGN.md §3.7):
-//! panicking hot paths break the audit model's hide/crash distinction,
-//! variable-time comparisons leak what signatures/digests are being
-//! checked, ambient time/randomness breaks seeded replay of the fault
-//! sim, poisoned-lock unwraps turn one panic into a cascade, and
-//! discarded fallible sends silently lose the evidence the protocol
-//! exists to keep.
+//! poisoned-lock unwraps turn one panic into a cascade, discarded
+//! fallible sends silently lose the evidence the protocol exists to keep,
+//! and the flow rules follow locks, wire bytes, acks and panics across the
+//! call graph. Panic sites, ambient time and randomness, and
+//! variable-time digest comparison are the compiler's: the protocol
+//! crates deny clippy's panic lints, `clippy.toml` disallows the ambient
+//! sources where replay is the contract, and `Digest`/`Signature`
+//! compare in constant time by type.
 
 use crate::graph::Workspace;
 use crate::lexer::TokKind;
@@ -14,11 +16,11 @@ use crate::summary::{self, Summaries};
 use crate::{Diagnostic, FileCtx};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-/// A single token-local lint rule: id, rationale, path scope, checker.
+/// A single token-local lint rule over `src/` code: id, rationale,
+/// checker.
 pub struct Rule {
     pub id: &'static str,
     pub rationale: &'static str,
-    pub applies: fn(&str) -> bool,
     pub check: fn(&FileCtx, &mut Vec<Diagnostic>),
 }
 
@@ -30,53 +32,26 @@ pub struct FlowRule {
     pub check: fn(&Workspace, &Summaries, &mut Vec<Diagnostic>),
 }
 
-/// All rules, in reporting order.
+/// All token rules, in reporting order.
 pub const ALL: &[Rule] = &[
-    Rule {
-        id: "no-panic-paths",
-        rationale: "a panicking component is indistinguishable from a hiding one \
-                    in the audit model (Lemma 2), so protocol crates must not panic",
-        applies: no_panic_scope,
-        check: no_panic_paths,
-    },
-    Rule {
-        id: "constant-time-crypto",
-        rationale: "variable-time digest/signature comparison leaks match length \
-                    (timing side channel); use the blessed constant_time_eq helper",
-        applies: |p| p.starts_with("crates/crypto/src/"),
-        check: constant_time_crypto,
-    },
-    Rule {
-        id: "sim-determinism",
-        rationale: "the sim and fault injector must replay exactly from a seed; \
-                    ambient clocks/randomness must flow through the Clock/rng abstractions",
-        applies: |p| {
-            p.starts_with("crates/sim/src/") || p == "crates/pubsub/src/transport/faults.rs"
-        },
-        check: sim_determinism,
-    },
     Rule {
         id: "lock-hygiene",
         rationale: "poisoned-lock unwraps cascade one panic into many, and a guard \
                     held across socket I/O stalls every peer of that lock",
-        applies: in_src,
         check: lock_hygiene,
     },
     Rule {
         id: "discarded-fallible",
         rationale: "a discarded protocol send or log submission silently loses the \
                     evidence accountability depends on; handle, count, or suppress with a reason",
-        applies: in_src,
         check: discarded_fallible,
     },
 ];
 
-/// The flow rules, in reporting order. `no-panic-paths` appears in both
-/// tables: the token rule flags panic sites at their definition, the flow
-/// rule makes the property transitive by flagging *calls* into panicking
-/// code defined outside the rule's protocol-crate scope (in-scope callees
-/// are already reported where they panic, so call sites stay quiet and
-/// counts do not explode).
+/// The flow rules, in reporting order. `no-panic-paths` here is the half
+/// of panic-freedom clippy cannot see: clippy reports panic sites inside
+/// each protocol crate, this rule reports *calls* from protocol code into
+/// panicking code defined outside the protocol crates.
 pub const FLOW: &[FlowRule] = &[
     FlowRule {
         id: "lock-order-cycles",
@@ -101,29 +76,23 @@ pub const FLOW: &[FlowRule] = &[
     },
     FlowRule {
         id: "no-panic-paths",
-        rationale: "a protocol function that calls panicking code outside the linted \
+        rationale: "a protocol function that calls panicking code outside the protocol \
                     crates still dies; the no-panic property must hold transitively",
         check: no_panic_transitive,
     },
 ];
 
-fn in_src(p: &str) -> bool {
-    p.contains("/src/") || p.starts_with("src/")
-}
-
-/// Scope of the `no-panic-paths` token rule — shared with its transitive
-/// flow variant, which only reports calls *leaving* this scope.
-pub(crate) fn no_panic_scope(p: &str) -> bool {
-    [
-        "crates/core/src/",
-        "crates/pubsub/src/",
-        "crates/logger/src/",
-        "crates/crypto/src/",
-        "crates/cluster/src/",
-    ]
-    .iter()
-    .any(|pre| p.starts_with(pre))
-}
+/// The clippy lints whose `#![deny(…)]` in a crate's `lib.rs` makes it a
+/// protocol crate for the transitive `no-panic-paths` rule.
+pub const PANIC_LINTS: &[&str] = &[
+    "unwrap_used",
+    "expect_used",
+    "panic",
+    "indexing_slicing",
+    "unreachable",
+    "todo",
+    "unimplemented",
+];
 
 fn push(out: &mut Vec<Diagnostic>, ctx: &FileCtx, rule: &'static str, i: usize, msg: String) {
     out.push(Diagnostic {
@@ -134,262 +103,6 @@ fn push(out: &mut Vec<Diagnostic>, ctx: &FileCtx, rule: &'static str, i: usize, 
         message: msg,
         witness: Vec::new(),
     });
-}
-
-/// Keywords that may legitimately precede `[` without it being an index
-/// expression (slice patterns, array literals in `for … in [..]`, …).
-const KEYWORDS: &[&str] = &[
-    "as", "async", "await", "box", "break", "const", "continue", "crate", "dyn", "else", "enum",
-    "extern", "fn", "for", "if", "impl", "in", "let", "loop", "match", "mod", "move", "mut", "pub",
-    "ref", "return", "self", "Self", "static", "struct", "super", "trait", "type", "union",
-    "unsafe", "use", "where", "while", "yield",
-];
-
-/// Rule 1: `unwrap`/`expect`/`panic!`/`unreachable!`/`todo!`/
-/// `unimplemented!` and direct indexing in protocol-crate non-test code.
-fn no_panic_paths(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
-    let toks = &ctx.toks;
-    for i in 0..toks.len() {
-        if ctx.in_test(i) || ctx.in_attr(i) {
-            continue;
-        }
-        let t = &toks[i];
-        // .unwrap( / .expect(
-        if t.kind == TokKind::Ident
-            && (t.text == "unwrap" || t.text == "expect")
-            && i > 0
-            && toks[i - 1].is_punct(".")
-            && toks.get(i + 1).is_some_and(|n| n.is_punct("("))
-        {
-            push(
-                out,
-                ctx,
-                "no-panic-paths",
-                i,
-                format!(
-                    ".{}() panics on the error path; return a typed error instead",
-                    t.text
-                ),
-            );
-            continue;
-        }
-        // panic!( … ) family
-        if t.kind == TokKind::Ident
-            && matches!(
-                t.text.as_str(),
-                "panic" | "unreachable" | "todo" | "unimplemented"
-            )
-            && toks.get(i + 1).is_some_and(|n| n.is_punct("!"))
-        {
-            push(
-                out,
-                ctx,
-                "no-panic-paths",
-                i,
-                format!(
-                    "{}! aborts the component; protocol code must degrade, not die",
-                    t.text
-                ),
-            );
-            continue;
-        }
-        // Direct indexing: `expr[…]` can panic on out-of-range.
-        if t.is_punct("[") && i > 0 {
-            let p = &toks[i - 1];
-            let indexable = match p.kind {
-                TokKind::Ident => !KEYWORDS.contains(&p.text.as_str()),
-                TokKind::Num | TokKind::Str => true,
-                TokKind::Punct => p.text == ")" || p.text == "]" || p.text == "?",
-                _ => false,
-            };
-            if indexable {
-                push(
-                    out,
-                    ctx,
-                    "no-panic-paths",
-                    i,
-                    "direct indexing panics out-of-range; use .get()/.get_mut() or \
-                     a checked split"
-                        .to_owned(),
-                );
-            }
-        }
-    }
-}
-
-/// Identifier words that mark an operand as secret-adjacent.
-const SENSITIVE: &[&str] = &[
-    "digest",
-    "digests",
-    "sig",
-    "sigs",
-    "signature",
-    "signatures",
-    "hash",
-    "hashes",
-    "hmac",
-    "mac",
-    "tag",
-    "em",
-];
-/// Identifier words that mark a comparison as numeric/structural (length
-/// checks and the like are fine at variable time).
-const NUMERIC: &[&str] = &[
-    "len", "length", "count", "size", "bits", "capacity", "width", "empty", "num", "idx", "index",
-];
-/// Functions allowed to compare secret bytes directly — they *are* the
-/// constant-time implementations.
-const BLESSED_FNS: &[&str] = &["constant_time_eq", "ct_eq", "ct_ne"];
-
-/// Rule 2: `==`/`!=` over digest/signature-like operands in the crypto
-/// crate, outside the blessed constant-time helpers.
-fn constant_time_crypto(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
-    let toks = &ctx.toks;
-    for i in 0..toks.len() {
-        if !(toks[i].is_punct("==") || toks[i].is_punct("!=")) {
-            continue;
-        }
-        if ctx.in_test(i) || ctx.in_attr(i) {
-            continue;
-        }
-        if ctx
-            .enclosing_fn(i)
-            .is_some_and(|f| BLESSED_FNS.contains(&f))
-        {
-            continue;
-        }
-        let mut sensitive = false;
-        let mut numeric = false;
-        let mut classify = |idx: usize| {
-            if let Some(t) = toks.get(idx) {
-                if t.kind == TokKind::Ident {
-                    for w in t.text.split('_') {
-                        let w = w.to_ascii_lowercase();
-                        if SENSITIVE.contains(&w.as_str()) {
-                            sensitive = true;
-                        }
-                        if NUMERIC.contains(&w.as_str()) || w.starts_with("is") {
-                            numeric = true;
-                        }
-                    }
-                }
-            }
-        };
-        // Walk a bounded window of expression tokens on each side,
-        // stopping at statement/operator boundaries.
-        let boundary = |idx: usize| {
-            toks.get(idx).is_none_or(|t| {
-                matches!(
-                    t.text.as_str(),
-                    ";" | "{"
-                        | "}"
-                        | ","
-                        | "&&"
-                        | "||"
-                        | "="
-                        | "=="
-                        | "!="
-                        | "return"
-                        | "if"
-                        | "while"
-                        | "let"
-                        | "match"
-                        | "assert"
-                )
-            })
-        };
-        let mut j = i;
-        let mut balance = 0i32;
-        for _ in 0..16 {
-            if j == 0 {
-                break;
-            }
-            j -= 1;
-            let t = &toks[j];
-            if t.is_punct(")") || t.is_punct("]") {
-                balance += 1;
-            } else if t.is_punct("(") || t.is_punct("[") {
-                balance -= 1;
-                if balance < 0 {
-                    break;
-                }
-            }
-            if balance == 0 && boundary(j) {
-                break;
-            }
-            classify(j);
-        }
-        let mut j = i;
-        let mut balance = 0i32;
-        for _ in 0..16 {
-            j += 1;
-            if j >= toks.len() {
-                break;
-            }
-            let t = &toks[j];
-            if t.is_punct("(") || t.is_punct("[") {
-                balance += 1;
-            } else if t.is_punct(")") || t.is_punct("]") {
-                balance -= 1;
-                if balance < 0 {
-                    break;
-                }
-            }
-            if balance == 0 && boundary(j) {
-                break;
-            }
-            classify(j);
-        }
-        if sensitive && !numeric {
-            push(
-                out,
-                ctx,
-                "constant-time-crypto",
-                i,
-                "variable-time comparison of digest/signature bytes; route through \
-                 constant_time_eq"
-                    .to_owned(),
-            );
-        }
-    }
-}
-
-/// Rule 3: ambient time or randomness in the sim / fault injector.
-fn sim_determinism(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
-    let toks = &ctx.toks;
-    for i in 0..toks.len() {
-        if ctx.in_test(i) || ctx.in_attr(i) {
-            continue;
-        }
-        let t = &toks[i];
-        if t.kind != TokKind::Ident {
-            continue;
-        }
-        let flagged = match t.text.as_str() {
-            // Instant::now / SystemTime::now
-            "Instant" | "SystemTime" => {
-                toks.get(i + 1).is_some_and(|a| a.is_punct("::"))
-                    && toks.get(i + 2).is_some_and(|b| b.is_ident("now"))
-            }
-            "thread_rng" | "from_entropy" | "from_os_rng" => true,
-            // rand::random
-            "random" => i >= 2 && toks[i - 1].is_punct("::") && toks[i - 2].is_ident("rand"),
-            _ => false,
-        };
-        if flagged {
-            push(
-                out,
-                ctx,
-                "sim-determinism",
-                i,
-                format!(
-                    "`{}` injects ambient nondeterminism; derive time from the Clock \
-                     abstraction and randomness from the scenario seed",
-                    t.text
-                ),
-            );
-        }
-    }
 }
 
 /// Method names that perform socket/channel I/O; holding a lock guard
@@ -407,7 +120,7 @@ const IO_CALLS: &[&str] = &[
     "shutdown",
 ];
 
-/// Rule 4: `.lock().unwrap()`-style poison panics, and lock guards held
+/// Rule 1: `.lock().unwrap()`-style poison panics, and lock guards held
 /// across socket I/O (heuristic: a `let g = ….lock();` binding whose
 /// enclosing block performs I/O before the guard dies).
 fn lock_hygiene(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
@@ -542,7 +255,7 @@ const FALLIBLE_SENDS: &[&str] = &[
     "on_failure",
 ];
 
-/// Rule 5: `let _ = <protocol send / log submission>;` discards delivery
+/// Rule 2: `let _ = <protocol send / log submission>;` discards delivery
 /// or persistence failures the accountability argument depends on.
 fn discarded_fallible(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
     let toks = &ctx.toks;
@@ -841,12 +554,12 @@ fn ack_before_durable(ws: &Workspace, sums: &Summaries, out: &mut Vec<Diagnostic
 }
 
 /// Flow rule: transitive `no-panic-paths` — flag calls from protocol
-/// crates into panicking functions defined *outside* the rule's scope
-/// (in-scope panic sites are already flagged at their definition).
+/// crates into panicking functions defined *outside* them (panic sites
+/// inside a protocol crate are clippy's to report).
 fn no_panic_transitive(ws: &Workspace, sums: &Summaries, out: &mut Vec<Diagnostic>) {
     for (id, f) in ws.fns.iter().enumerate() {
         let ctx = &ws.files[f.file];
-        if !no_panic_scope(&ctx.path) {
+        if !ws.is_protocol(&ctx.path) {
             continue;
         }
         let mut seen: BTreeSet<(u32, usize)> = BTreeSet::new();
@@ -856,7 +569,7 @@ fn no_panic_transitive(ws: &Workspace, sums: &Summaries, out: &mut Vec<Diagnosti
             }
             let callee = &ws.fns[call.callee];
             let callee_path = &ws.files[callee.file].path;
-            if no_panic_scope(callee_path) {
+            if ws.is_protocol(callee_path) {
                 continue;
             }
             if sums.fns[call.callee].panics.is_none() {
@@ -912,11 +625,6 @@ fn panic_witness(ws: &Workspace, sums: &Summaries, mut id: usize) -> Vec<String>
     chain
 }
 
-/// Looks up a token rule by id (used by the CLI).
-pub fn by_id(id: &str) -> Option<&'static Rule> {
-    ALL.iter().find(|r| r.id == id)
-}
-
 /// Rationale for any rule id, token-local or flow.
 pub fn rationale(id: &str) -> Option<&'static str> {
     ALL.iter()
@@ -930,33 +638,18 @@ pub fn rationale(id: &str) -> Option<&'static str> {
 pub fn explain(id: &str) -> Option<&'static str> {
     Some(match id {
         "no-panic-paths" => {
-            "Invariant: protocol crates (core/pubsub/logger/crypto/cluster) must not\n\
-             panic — in the audit model a panicking component is indistinguishable\n\
-             from a hiding one (paper Lemma 2).\n\
-             Matches: .unwrap()/.expect(), panic!/unreachable!/todo!/unimplemented!,\n\
-             direct indexing `expr[i]`, and (transitively, through the call graph)\n\
-             calls from protocol code into panicking functions defined outside the\n\
-             protocol crates. In-scope panic sites are reported at their definition,\n\
-             so call sites inside the scope are not double-counted.\n\
-             Suppress: `// adlp-lint: allow(no-panic-paths) — reason` on sites whose\n\
-             unreachability is locally provable; the reason is mandatory and a\n\
-             suppressed definition is not re-reported at its callers."
-        }
-        "constant-time-crypto" => {
-            "Invariant: digest/signature/MAC bytes must be compared in constant\n\
-             time; an early-exit == leaks the matching prefix length as a timing\n\
-             side channel.\n\
-             Matches: ==/!= whose operand window mentions digest/sig/hash/mac-like\n\
-             identifiers inside crates/crypto, outside the blessed constant_time_eq\n\
-             helpers. Length/count comparisons are exempt.\n\
-             Suppress: allow() with a reason, for comparisons of public values."
-        }
-        "sim-determinism" => {
-            "Invariant: the simulator and fault injector replay exactly from a\n\
-             seed; ambient time or OS randomness silently breaks reproduction.\n\
-             Matches: Instant::now/SystemTime::now, thread_rng/from_entropy/\n\
-             from_os_rng, rand::random in crates/sim and the fault transport.\n\
-             Suppress: allow() with a reason (e.g. wall-clock only for reporting)."
+            "Invariant: protocol crates must not panic — in the audit model a\n\
+             panicking component is indistinguishable from a hiding one (paper\n\
+             Lemma 2).\n\
+             A protocol crate is one whose src/lib.rs denies clippy::{unwrap_used,\n\
+             expect_used, panic, indexing_slicing, unreachable, todo,\n\
+             unimplemented}; clippy reports every panic site inside it.\n\
+             Matches: calls, through the call graph, from protocol code into\n\
+             functions defined outside the protocol crates that can reach\n\
+             .unwrap()/.expect() or panic!/unreachable!/todo!/unimplemented!.\n\
+             Suppress: a panic site inside a protocol crate takes\n\
+             #[allow(clippy::<lint>, reason = \"…\")] on its item; a flagged call\n\
+             takes an inline allow of this rule id, with its reason."
         }
         "lock-hygiene" => {
             "Invariant: one panic must not cascade through poisoned locks, and no\n\

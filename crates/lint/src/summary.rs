@@ -64,7 +64,7 @@ pub fn is_verifier(name: &str) -> bool {
         || name.starts_with("check")
         || name.starts_with("decode")
         || name.starts_with("validate")
-        || matches!(name, "constant_time_eq" | "ct_eq")
+        || name == "constant_time_eq"
 }
 
 /// Sinks that chain/commit bytes into the tamper-evident structures.
@@ -135,6 +135,10 @@ pub fn compute(ws: &Workspace) -> Summaries {
     let mut lock_sites = Vec::with_capacity(ws.fns.len());
     for f in ws.fns.iter() {
         let ctx = &ws.files[f.file];
+        // Clippy rules out panic sites in protocol crates (an allowed one
+        // carries its reason on the item), so only code outside them
+        // seeds panic facts.
+        let seeds_panics = !ws.is_protocol(&ctx.path);
         // Nested fn items summarize themselves; mask their spans out of
         // the enclosing function's scan.
         let nested: Vec<(usize, usize)> = ws
@@ -144,7 +148,7 @@ pub fn compute(ws: &Workspace) -> Summaries {
             .map(|g| (g.start, g.end))
             .collect();
         let sites = find_lock_sites(ctx, f.body, f.end, &nested);
-        let mut s = direct_summary(ctx, f.body, f.end, &nested);
+        let mut s = direct_summary(ctx, f.body, f.end, &nested, seeds_panics);
         for l in &sites {
             s.locks.insert(l.id.clone());
         }
@@ -209,7 +213,13 @@ pub fn compute(ws: &Workspace) -> Summaries {
 }
 
 /// Scans one body span for the direct (intraprocedural) facts.
-fn direct_summary(ctx: &FileCtx, body: usize, end: usize, nested: &[(usize, usize)]) -> Summary {
+fn direct_summary(
+    ctx: &FileCtx,
+    body: usize,
+    end: usize,
+    nested: &[(usize, usize)],
+    seeds_panics: bool,
+) -> Summary {
     let toks = &ctx.toks;
     let mut s = Summary::default();
     let mut saw_source_tok: Option<usize> = None;
@@ -227,9 +237,7 @@ fn direct_summary(ctx: &FileCtx, body: usize, end: usize, nested: &[(usize, usiz
         }
         let call_like = toks.get(i + 1).is_some_and(|n| n.is_punct("("));
         let name = t.text.as_str();
-        // Panic facts mirror the per-file rule, minus sites waived inline
-        // (an accepted suppression must not re-surface at every caller).
-        if s.panics.is_none() && !ctx.is_allowed("no-panic-paths", t.line) {
+        if seeds_panics && s.panics.is_none() {
             if (name == "unwrap" || name == "expect")
                 && i > 0
                 && toks[i - 1].is_punct(".")

@@ -2,7 +2,15 @@
 // mandatory reason). The waived match must count as suppressed, not as a
 // violation.
 
-pub fn documented(v: &[u8]) -> u8 {
-    // adlp-lint: allow(no-panic-paths) — fixture: bounds established by the caller
-    v[0]
+pub struct Channel;
+
+impl Channel {
+    pub fn send(&self, _frame: u32) -> Result<(), ()> {
+        Err(())
+    }
+}
+
+pub fn documented(ch: &Channel) {
+    // adlp-lint: allow(discarded-fallible) — fixture: the peer is known gone
+    let _ = ch.send(1);
 }

@@ -1,6 +1,6 @@
-// Helper half of the transitive no-panic fixture pair: lives under a
-// virtual bench path (outside the no-panic scope), so its own unwrap is
-// not reported at the definition — only the call from protocol code is.
+// Helper half of the transitive no-panic fixture pair: outside a protocol
+// crate its own unwrap is nobody's to report at the definition, so the
+// call from protocol code is the finding.
 
 pub fn hottest_sample(xs: &[u64]) -> u64 {
     xs.iter().copied().max().unwrap()

@@ -1,10 +1,12 @@
 //! Integration tests for the flow-aware engine: each of the three new
 //! rules must fire on its known-bad fixture and stay silent on its
 //! known-good twin, `no-panic-paths` must propagate transitively across
-//! files, and the baseline ratchet must cover the new rule ids.
+//! files into code outside the protocol crates, and the baseline ratchet
+//! must cover the new rule ids.
 
 use adlp_lint::baseline::{Baseline, Delta};
-use adlp_lint::{analyze, analyze_files, FileReport};
+use adlp_lint::graph::Workspace;
+use adlp_lint::{analyze, analyze_files, workspace_files, FileCtx, FileReport};
 use std::collections::BTreeMap;
 
 fn count(report: &FileReport, rule: &str) -> usize {
@@ -234,21 +236,35 @@ fn ack_before_durable_accepts_good_fixture() {
 
 // ---- transitive no-panic-paths -------------------------------------------
 
-#[test]
-fn no_panic_propagates_across_files() {
-    let reports = analyze_files(vec![
+/// The transitive fixture pair with the caller at `crates/core/src/` and
+/// the helper at `helper_dir`; `protocol` lists the crate roots given the
+/// panic-denying `lib.rs`.
+fn transitive_pair(helper_dir: &str, protocol: &[&str]) -> BTreeMap<String, FileReport> {
+    let mut files = vec![
         (
             "crates/core/src/fixture.rs".to_owned(),
             include_str!("fixtures/transitive_panic_caller.rs").to_owned(),
         ),
         (
-            "crates/bench/src/fixture_helper.rs".to_owned(),
+            format!("{helper_dir}fixture_helper.rs"),
             include_str!("fixtures/transitive_panic_helper.rs").to_owned(),
         ),
-    ]);
+    ];
+    for root in protocol {
+        files.push((
+            format!("{root}lib.rs"),
+            include_str!("fixtures/protocol_lib.rs").to_owned(),
+        ));
+    }
+    analyze_files(files)
+}
+
+#[test]
+fn no_panic_propagates_across_files() {
+    let reports = transitive_pair("crates/bench/src/", &["crates/core/src/"]);
     let caller = &reports["crates/core/src/fixture.rs"];
     let helper = &reports["crates/bench/src/fixture_helper.rs"];
-    // The panicking helper is out of scope at its definition…
+    // The panicking helper is outside the protocol crates…
     assert_clean(helper, "transitive_panic_helper.rs");
     // …so the *call* from protocol code is the finding; the safe helper
     // stays quiet.
@@ -273,22 +289,49 @@ fn no_panic_propagates_across_files() {
 
 #[test]
 fn no_panic_transitive_is_quiet_within_scope() {
-    // A panicking callee *inside* the protocol scope is reported at its
-    // definition only — the call site must not double-count.
-    let reports = analyze_files(vec![
-        (
-            "crates/core/src/fixture.rs".to_owned(),
-            include_str!("fixtures/transitive_panic_caller.rs").to_owned(),
-        ),
-        (
-            "crates/logger/src/fixture_helper.rs".to_owned(),
-            include_str!("fixtures/transitive_panic_helper.rs").to_owned(),
-        ),
-    ]);
-    let caller = &reports["crates/core/src/fixture.rs"];
-    let helper = &reports["crates/logger/src/fixture_helper.rs"];
-    assert_eq!(count(helper, "no-panic-paths"), 1, "definition-site report");
-    assert_eq!(count(caller, "no-panic-paths"), 0, "no call-site duplicate");
+    // A panicking callee *inside* a protocol crate is clippy's to report
+    // at its definition; the call site stays quiet.
+    let reports = transitive_pair(
+        "crates/logger/src/",
+        &["crates/core/src/", "crates/logger/src/"],
+    );
+    assert_clean(&reports["crates/core/src/fixture.rs"], "caller");
+    assert_clean(&reports["crates/logger/src/fixture_helper.rs"], "helper");
+}
+
+#[test]
+fn no_panic_scope_comes_from_the_crate_attribute_not_the_path() {
+    // Without a panic-denying lib.rs, crates/core is not a protocol crate:
+    // its call into the panicking helper is not this rule's business.
+    let reports = transitive_pair("crates/bench/src/", &[]);
+    assert_clean(&reports["crates/core/src/fixture.rs"], "caller");
+}
+
+#[test]
+fn protocol_scope_is_the_eight_crates_that_deny_panics() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../..")
+        .canonicalize()
+        .expect("workspace root");
+    let roots: Vec<FileCtx> = workspace_files(&root)
+        .into_iter()
+        .filter(|p| p.ends_with("src/lib.rs"))
+        .filter_map(|p| {
+            let source = std::fs::read_to_string(&p).ok()?;
+            let rel = p
+                .strip_prefix(&root)
+                .ok()?
+                .to_string_lossy()
+                .replace('\\', "/");
+            Some(FileCtx::new(&rel, &source))
+        })
+        .collect();
+    let ws = Workspace::build(roots);
+    let crates = [
+        "audit", "cluster", "core", "crypto", "dispute", "logger", "pubsub", "witness",
+    ];
+    let expected: Vec<String> = crates.iter().map(|c| format!("crates/{c}/src/")).collect();
+    assert_eq!(ws.protocol, expected);
 }
 
 // ---- baseline ratchet over the new rule ids ------------------------------

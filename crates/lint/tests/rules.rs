@@ -1,5 +1,5 @@
-//! Integration tests for adlp-lint: every rule must fire on its known-bad
-//! fixture and stay silent on its known-good twin, suppression must require
+//! Integration tests for adlp-lint's token rules: each must fire on its
+//! known-bad fixture and stay silent on its known-good twin, suppression must require
 //! a reason, and the baseline must ratchet one way only.
 //!
 //! Fixtures live under `tests/fixtures/` — a directory the workspace walker
@@ -27,114 +27,6 @@ fn assert_clean(report: &FileReport, fixture: &str) {
             .collect::<Vec<_>>()
             .join("\n")
     );
-}
-
-// ---- rule: no-panic-paths ------------------------------------------------
-
-#[test]
-fn no_panic_paths_fires_on_bad_fixture() {
-    let report = analyze(
-        "crates/core/src/fixture.rs",
-        include_str!("fixtures/no_panic_bad.rs"),
-    );
-    // v[0], .unwrap(), .expect(), panic! — four distinct panic paths.
-    assert_eq!(
-        count(&report, "no-panic-paths"),
-        4,
-        "diags: {:?}",
-        report.diags
-    );
-}
-
-#[test]
-fn no_panic_paths_accepts_good_fixture() {
-    let report = analyze(
-        "crates/core/src/fixture.rs",
-        include_str!("fixtures/no_panic_good.rs"),
-    );
-    assert_clean(&report, "no_panic_good.rs");
-}
-
-#[test]
-fn no_panic_paths_is_scoped_to_protocol_crates() {
-    // Same panicky source under crates/bench (perf harness) must pass: the
-    // rule protects the protocol hot paths, not every crate.
-    let report = analyze(
-        "crates/bench/src/fixture.rs",
-        include_str!("fixtures/no_panic_bad.rs"),
-    );
-    assert_eq!(count(&report, "no-panic-paths"), 0);
-}
-
-// ---- rule: constant-time-crypto ------------------------------------------
-
-#[test]
-fn constant_time_crypto_fires_on_bad_fixture() {
-    let report = analyze(
-        "crates/crypto/src/fixture.rs",
-        include_str!("fixtures/ct_bad.rs"),
-    );
-    assert_eq!(
-        count(&report, "constant-time-crypto"),
-        1,
-        "diags: {:?}",
-        report.diags
-    );
-}
-
-#[test]
-fn constant_time_crypto_accepts_good_fixture() {
-    // Blessed helper bodies and public length comparisons are allowed.
-    let report = analyze(
-        "crates/crypto/src/fixture.rs",
-        include_str!("fixtures/ct_good.rs"),
-    );
-    assert_clean(&report, "ct_good.rs");
-}
-
-#[test]
-fn constant_time_crypto_is_scoped_to_crypto_crate() {
-    let report = analyze(
-        "crates/sim/src/fixture.rs",
-        include_str!("fixtures/ct_bad.rs"),
-    );
-    assert_eq!(count(&report, "constant-time-crypto"), 0);
-}
-
-// ---- rule: sim-determinism -----------------------------------------------
-
-#[test]
-fn sim_determinism_fires_on_bad_fixture() {
-    let report = analyze(
-        "crates/sim/src/fixture.rs",
-        include_str!("fixtures/sim_bad.rs"),
-    );
-    // Instant::now and SystemTime::now.
-    assert_eq!(
-        count(&report, "sim-determinism"),
-        2,
-        "diags: {:?}",
-        report.diags
-    );
-}
-
-#[test]
-fn sim_determinism_accepts_good_fixture() {
-    let report = analyze(
-        "crates/sim/src/fixture.rs",
-        include_str!("fixtures/sim_good.rs"),
-    );
-    assert_clean(&report, "sim_good.rs");
-}
-
-#[test]
-fn sim_determinism_covers_fault_injector() {
-    // The fault-injection transport shares the reproducibility contract.
-    let report = analyze(
-        "crates/pubsub/src/transport/faults.rs",
-        include_str!("fixtures/sim_bad.rs"),
-    );
-    assert_eq!(count(&report, "sim-determinism"), 2);
 }
 
 // ---- rule: lock-hygiene --------------------------------------------------
@@ -193,7 +85,7 @@ fn discarded_fallible_accepts_good_fixture() {
 #[test]
 fn allow_with_reason_suppresses_and_is_counted() {
     let report = analyze(
-        "crates/core/src/fixture.rs",
+        "crates/audit/src/fixture.rs",
         include_str!("fixtures/suppressed.rs"),
     );
     assert_clean(&report, "suppressed.rs");
@@ -203,12 +95,12 @@ fn allow_with_reason_suppresses_and_is_counted() {
 #[test]
 fn allow_without_reason_is_itself_a_violation() {
     let report = analyze(
-        "crates/core/src/fixture.rs",
+        "crates/audit/src/fixture.rs",
         include_str!("fixtures/suppressed_no_reason.rs"),
     );
     // The reasonless directive suppresses nothing and is reported itself.
     assert_eq!(report.suppressed, 0);
-    assert_eq!(count(&report, "no-panic-paths"), 1);
+    assert_eq!(count(&report, "discarded-fallible"), 1);
     assert_eq!(count(&report, "suppression-missing-reason"), 1);
 }
 
@@ -217,14 +109,14 @@ fn allow_without_reason_is_itself_a_violation() {
 #[test]
 fn diagnostics_carry_stable_positions() {
     let report = analyze(
-        "crates/core/src/fixture.rs",
-        include_str!("fixtures/no_panic_bad.rs"),
+        "crates/audit/src/fixture.rs",
+        include_str!("fixtures/discard_bad.rs"),
     );
     let first = report.diags.first().expect("at least one diagnostic");
-    // Line 5 is `let head = v[0];` — the slice-indexing finding.
-    assert_eq!((first.line, first.rule), (5, "no-panic-paths"));
+    // Line 32 is `let _ = ch.send(1);` — the first discarded send.
+    assert_eq!((first.line, first.rule), (32, "discarded-fallible"));
     assert!(first.col > 1);
-    assert_eq!(first.path, "crates/core/src/fixture.rs");
+    assert_eq!(first.path, "crates/audit/src/fixture.rs");
 }
 
 // ---- baseline ratchet ----------------------------------------------------
@@ -240,9 +132,9 @@ fn scan_counts(path: &str, source: &str) -> BTreeMap<String, usize> {
 
 #[test]
 fn baseline_blocks_reintroduced_violations() {
-    let path = "crates/core/src/fixture.rs";
-    let bad = include_str!("fixtures/no_panic_bad.rs");
-    let good = include_str!("fixtures/no_panic_good.rs");
+    let path = "crates/audit/src/fixture.rs";
+    let bad = include_str!("fixtures/discard_bad.rs");
+    let good = include_str!("fixtures/discard_good.rs");
 
     // 1. Debt is recorded when the baseline is first written.
     let recorded = Baseline::parse(&Baseline::render(&scan_counts(path, bad), "seed")).unwrap();
@@ -253,7 +145,9 @@ fn baseline_blocks_reintroduced_violations() {
     //    demands the baseline be rewritten at the lower count…
     let after_fix = scan_counts(path, good);
     match recorded.compare(&after_fix).as_slice() {
-        [Delta::Stale(key, 4, 0)] => assert_eq!(key, "crates/core/src/fixture.rs:no-panic-paths"),
+        [Delta::Stale(key, 4, 0)] => {
+            assert_eq!(key, "crates/audit/src/fixture.rs:discarded-fallible")
+        }
         other => panic!("expected one stale entry, got {other:?}"),
     }
 
@@ -262,7 +156,7 @@ fn baseline_blocks_reintroduced_violations() {
     let tightened = Baseline::parse(&Baseline::render(&after_fix, "tightened")).unwrap();
     match tightened.compare(&scan_counts(path, bad)).as_slice() {
         [Delta::Regression(key, 0, 4)] => {
-            assert_eq!(key, "crates/core/src/fixture.rs:no-panic-paths");
+            assert_eq!(key, "crates/audit/src/fixture.rs:discarded-fallible");
         }
         other => panic!("expected one regression, got {other:?}"),
     }

@@ -321,11 +321,14 @@ impl LogServer {
     /// handle.flush().unwrap();
     /// assert_eq!(handle.store().len(), 1);
     /// ```
+    #[allow(
+        clippy::expect_used,
+        reason = "documented startup panic; try_spawn is the fallible alternative"
+    )]
     pub fn spawn() -> Self {
         // Public constructor kept infallible for API compatibility; thread
         // creation only fails when the OS is out of resources, before any
         // protocol traffic exists. Fallible callers use `try_spawn`.
-        // adlp-lint: allow(no-panic-paths) — documented startup panic; try_spawn is the fallible alternative
         Self::try_spawn().expect("spawn log server")
     }
 

@@ -781,17 +781,6 @@ impl Publisher {
             .collect()
     }
 
-    /// Subscribers whose links are currently degraded.
-    pub fn degraded_links(&self) -> Vec<NodeId> {
-        self.shared
-            .conns
-            .lock()
-            .iter()
-            .filter(|c| c.health() == LinkHealth::Degraded)
-            .map(|c| c.info.subscriber.clone())
-            .collect()
-    }
-
     /// Blocks until at least `n` subscribers are connected or `timeout`
     /// elapses; returns whether the target was reached.
     pub fn wait_for_subscribers(&self, n: usize, timeout: Duration) -> bool {

@@ -13,6 +13,10 @@
 //! Injected faults are counted in [`FaultStats`] so tests can assert the
 //! harness actually did something.
 
+// Seeded replay: fault decisions come from the seed alone; clippy.toml
+// lists the ambient time and randomness sources this module must not use.
+#![deny(clippy::disallowed_methods)]
+
 use crate::transport::FrameDuplex;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
@@ -146,6 +150,11 @@ impl FaultyTransport {
     /// bounded queue was full (the `queue_size` QoS policy — distinct from
     /// injected drops), so the owning node can keep its drop accounting
     /// exact.
+    #[allow(
+        clippy::expect_used,
+        reason = "test-harness link setup before any traffic; the injector owns the only copy of \
+                  the duplex, so there is no caller to hand an error to"
+    )]
     pub fn wrap(
         inner: FrameDuplex,
         config: FaultConfig,
@@ -171,7 +180,6 @@ impl FaultyTransport {
         thread::Builder::new()
             .name("fault-injector".into())
             .spawn(move || injector.run(outer_rx))
-            // adlp-lint: allow(no-panic-paths) — test-harness link setup before any traffic; the injector owns the only copy of the duplex, so there is no caller to hand an error to
             .expect("spawn fault injector");
         outer
     }
@@ -200,7 +208,11 @@ impl Injector {
         let mut delayed: Vec<(Instant, Vec<u8>)> = Vec::new();
         let mut held: Option<Vec<u8>> = None;
         loop {
-            // adlp-lint: allow(sim-determinism) — which frames get delayed (and by how much) is decided by the seeded RNG above; Instant only paces their physical delivery
+            #[allow(
+                clippy::disallowed_methods,
+                reason = "which frames get delayed (and by how much) is decided by the seeded RNG \
+                          above; Instant only paces their physical delivery"
+            )]
             let now = Instant::now();
             let (ready, still): (Vec<_>, Vec<_>) = std::mem::take(&mut delayed)
                 .into_iter()
@@ -247,8 +259,12 @@ impl Injector {
                 let span = self.config.max_delay.as_millis().max(1) as u64;
                 let wait = Duration::from_millis(self.rng.next_u64() % span);
                 self.stats.delayed.fetch_add(1, Ordering::Relaxed);
-                // adlp-lint: allow(sim-determinism) — the delay amount is seeded; Instant only anchors the wall-clock due time
-                delayed.push((Instant::now() + wait, frame));
+                #[allow(
+                    clippy::disallowed_methods,
+                    reason = "the delay amount is seeded; Instant only anchors the wall-clock due time"
+                )]
+                let due = Instant::now() + wait;
+                delayed.push((due, frame));
                 continue;
             }
             if self.roll(self.config.reorder_rate) && held.is_none() {

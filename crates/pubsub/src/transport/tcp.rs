@@ -38,20 +38,9 @@ pub fn bridge_stream(stream: TcpStream) -> Result<FrameDuplex, PubSubError> {
     bridge_stream_tuned(stream, None, SocketTimeouts::none())
 }
 
-/// Like [`bridge_stream`], bounding the *outgoing* direction to `out_cap`
-/// frames (ROS `queue_size`; a full queue drops frames at the sender).
-///
-/// # Errors
-///
-/// Propagates socket errors.
-pub fn bridge_stream_with(
-    stream: TcpStream,
-    out_cap: Option<usize>,
-) -> Result<FrameDuplex, PubSubError> {
-    bridge_stream_tuned(stream, out_cap, SocketTimeouts::none())
-}
-
-/// Full-control variant: queue bound plus socket read/write deadlines.
+/// Full-control variant: an outgoing bound of `out_cap` frames (ROS
+/// `queue_size`; a full queue drops frames at the sender) plus socket
+/// read/write deadlines.
 ///
 /// A timeout firing is indistinguishable from a dead peer by design — the
 /// reader (or writer) thread exits and the duplex reports disconnection,

@@ -24,8 +24,8 @@
 //! clause comes back as a [`ChaosFailure`] printing the plan, seed, events
 //! fired, clause, offending entry or culprit sets, and counter snapshots.
 
-use crate::dispute::{brief, Court, Verdict};
-use adlp_audit::{Auditor, ClusterAuditReport, ClusterAuditor};
+use crate::dispute::{brief, equivocation_brief, Court, Verdict};
+use adlp_audit::{Auditor, ClusterAuditReport, ClusterAuditor, ContestedVerdict};
 use adlp_cluster::cluster::ReplicaSlot;
 use adlp_cluster::epoch::shard_log_id;
 use adlp_cluster::{
@@ -36,7 +36,7 @@ use adlp_core::{
     AdlpNode, AdlpNodeBuilder, BehaviorProfile, DepositTarget, LinkRole, LogBehavior, Scheme,
 };
 use adlp_crypto::{sha256, RsaKeyPair, RsaPrivateKey, RsaPublicKey, Statement};
-use adlp_dispute::{replay_window, Outcome, ReplayContext};
+use adlp_dispute::{replay_window, Evidence, Outcome, ReplayContext, ResolverContext};
 use adlp_logger::sth::{SthPublisher, TreeHeadSigner};
 use adlp_logger::{
     ConflictProof, Direction, FaultyStorage, Keyring, LogEntry, LogError, LogStore, MemStorage,
@@ -111,6 +111,9 @@ pub enum ClaimScript {
     Bribed,
     /// A hiding detector contests, then posts no evidence at all.
     Withheld,
+    /// An equivocating replica contests its conviction; the file holds the
+    /// conflict proof the cluster's attestation log assembled.
+    Equivocation,
 }
 
 /// The closed fault vocabulary. Replicas are `(shard, replica)`, witnesses
@@ -433,6 +436,19 @@ pub fn plans(seed: u64, link: ChaosLink) -> Vec<ChaosPlan> {
             single(),
             vec![(3, Litigate(ClaimScript::Bribed)), (3, CrashLedger)],
             settled(Outcome::Upheld),
+        ),
+        // The traitor contests; the panel upholds from the conflict proof.
+        row(
+            "equivocation_litigated",
+            bft(),
+            vec![
+                (0, Traitor(0, 2, TraitorScript::Equivocate)),
+                (8, Litigate(ClaimScript::Equivocation)),
+            ],
+            Expect {
+                outcome: Some(Outcome::Upheld),
+                ..replica(0, 2)
+            },
         ),
         // -- composed: two layers degraded at once.
         row(
@@ -1187,7 +1203,8 @@ impl<'p> Rig<'p> {
             .transpose()?;
         // The detector hides its receipts unless its conviction is wrongful.
         let hiding = !mentions(|f| matches!(f, Litigate(ClaimScript::Wrongful)));
-        let litigates = mentions(|f| matches!(f, Litigate(_)));
+        // Recorded traffic is what a Lemma 2 claim is fought over.
+        let litigates = mentions(|f| matches!(f, Litigate(s) if *s != ClaimScript::Equivocation));
         let nodes = litigates
             .then(|| Nodes::build(plan.seed, &client, hiding))
             .transpose()?;
@@ -1432,6 +1449,45 @@ impl<'p> Rig<'p> {
     }
 
     fn litigate(&mut self, script: ClaimScript) -> Result<(), Stop> {
+        let replica_keys = self
+            .cluster
+            .attestations()
+            .map_or_else(Keyring::new, |ledger| ledger.keyring().clone());
+        let sth_keys = self
+            .witnesses
+            .as_ref()
+            .map_or_else(Keyring::new, |w| w.sth_keys.clone());
+        let (party, claim, evidence, supported, replay) = match script {
+            ClaimScript::Equivocation => {
+                let (keys, view) = (self.cluster.keys().clone(), self.cluster.view());
+                let (signer, claim, evidence) = equivocation_brief(&view).map_err(bad)?;
+                let full = ClusterAuditor::new(keys.clone())
+                    .with_attestation_keys(replica_keys.clone())
+                    .audit_view(&view);
+                let supported = full.convicted_replicas().contains(&signer);
+                let replay = ReplayContext::new(keys);
+                (claim.convicted(), claim, evidence, supported, replay)
+            }
+            _ => self.traffic_brief(script)?,
+        };
+        let ctx = ResolverContext::new(replay)
+            .with_replica_keys(replica_keys)
+            .with_sth_keys(sth_keys);
+        let court = self
+            .court
+            .insert(Court::new(self.plan.seed, party, ctx).map_err(bad)?);
+        court
+            .open(claim, supported, evidence, script == ClaimScript::Bribed)
+            .map_err(bad)
+    }
+
+    /// A Lemma 2 claim over the detector's recorded traffic: the
+    /// conviction `script` contests, its evidence, whether the full view
+    /// supports it, and the replay context its recordings need.
+    fn traffic_brief(
+        &self,
+        script: ClaimScript,
+    ) -> Result<(NodeId, ContestedVerdict, Vec<Evidence>, bool, ReplayContext), Stop> {
         let nodes = self
             .nodes
             .as_ref()
@@ -1459,12 +1515,7 @@ impl<'p> Rig<'p> {
         let (claim, evidence) = brief(script, &party, &full, &partial, truth).map_err(bad)?;
         let supported = claim.supported_by(&full);
         let replay = ReplayContext::new(keys).with_topology(topology);
-        let court = self
-            .court
-            .insert(Court::new(self.plan.seed, party, replay).map_err(bad)?);
-        court
-            .open(claim, supported, evidence, script == ClaimScript::Bribed)
-            .map_err(bad)
+        Ok((party, claim, evidence, supported, replay))
     }
 
     /// Fires the events due at `step`, snapshotting after each one, then

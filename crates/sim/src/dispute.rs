@@ -3,12 +3,14 @@
 //! [`crate::chaos`] builds a `Court` when a plan litigates: a resolver
 //! pool, a claimant with a registered dispute key, and a storage-bound
 //! [`DisputeLedger`]. `Litigate` files the claim a [`ClaimScript`] prepares
-//! from the run's own recorded traffic and fights the first round,
+//! from the run's own recorded traffic (an equivocation: from the conflict
+//! proof the cluster assembled) and fights the first round,
 //! `CrashLedger` power-cuts the ledger, and the end of the run settles the
 //! verdict. Nothing here panics: a refusal comes back as a harness error.
 
 use crate::chaos::ClaimScript;
 use adlp_audit::{contestable_verdicts, AuditReport, ContestedVerdict};
+use adlp_cluster::ClusterView;
 use adlp_crypto::rsa::RsaPrivateKey;
 use adlp_crypto::RsaKeyPair;
 use adlp_dispute::{
@@ -86,7 +88,26 @@ pub(crate) fn brief(
         }
         ClaimScript::Bribed => Ok((hidden_claim(full, party)?, vec![Evidence::Recording(truth)])),
         ClaimScript::Withheld => Ok((hidden_claim(full, party)?, Vec::new())),
+        ClaimScript::Equivocation => Err("an equivocation is briefed from attestations".into()),
     }
+}
+
+/// The equivocation conviction `view` assembled, for its signer to
+/// contest: the replica, the claim, and the conflict proof as evidence.
+pub(crate) fn equivocation_brief(
+    view: &ClusterView,
+) -> Result<((usize, usize), ContestedVerdict, Vec<Evidence>), String> {
+    let proof = view
+        .convictions
+        .first()
+        .ok_or("the view assembled no equivocation proof")?;
+    let (shard, replica) = proof.signer();
+    let claim = ContestedVerdict::Equivocation {
+        shard: shard as u64,
+        replica: replica as u64,
+    };
+    let evidence = vec![Evidence::Equivocation(proof.clone())];
+    Ok(((shard, replica), claim, evidence))
 }
 
 /// A settled dispute, as the oracle and the tests read it.
@@ -128,7 +149,7 @@ fn fail<E: std::fmt::Display>(what: &'static str) -> impl Fn(E) -> String {
 }
 
 impl Court {
-    pub(crate) fn new(seed: u64, claimant: NodeId, replay: ReplayContext) -> Result<Self, String> {
+    pub(crate) fn new(seed: u64, claimant: NodeId, ctx: ResolverContext) -> Result<Self, String> {
         let mut rng = StdRng::seed_from_u64(seed ^ 0xD15B);
         let claimant_pair = RsaKeyPair::generate(KEY_BITS, &mut rng);
         let parties = KeyRegistry::new();
@@ -147,7 +168,7 @@ impl Court {
             ledger: DisputeLedger::new(DisputeConfig::default()),
             resolvers,
             keyring,
-            ctx: ResolverContext::new(replay),
+            ctx,
             claimant,
             claimant_key: claimant_pair.into_private_key(),
             storage: Arc::new(MemStorage::new()),

@@ -22,6 +22,10 @@
 //!   one outcome oracle stating Lemmas 1–4 / Theorems 1–2 once;
 //! * [`dispute`] — the dispute court, the chaos rig's top layer.
 
+// Seeded replay: time and randomness come from the scenario seed and the
+// Clock abstraction; clippy.toml lists the ambient sources.
+#![deny(clippy::disallowed_methods)]
+
 pub mod app;
 pub mod chaos;
 pub mod data;

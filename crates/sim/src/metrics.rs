@@ -89,10 +89,14 @@ impl Default for CpuProbe {
 
 impl CpuProbe {
     /// Begins a measurement window.
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "a CPU-utilization probe measures physical time; it feeds reports, never \
+                  protocol decisions"
+    )]
     pub fn start() -> Self {
         CpuProbe {
             start_cpu: process_cpu_seconds(),
-            // adlp-lint: allow(sim-determinism) — a CPU-utilization probe measures physical time; it feeds reports, never protocol decisions
             start_wall: Instant::now(),
         }
     }
@@ -133,12 +137,16 @@ impl ThreadCpuProbe {
     }
 
     /// Begins a window over threads with explicit name prefixes.
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "a CPU-utilization probe measures physical time; it feeds reports, never \
+                  protocol decisions"
+    )]
     pub fn with_prefixes(prefixes: Vec<String>) -> Self {
         let start_cpu = thread_cpu_seconds(&prefixes);
         ThreadCpuProbe {
             prefixes,
             start_cpu,
-            // adlp-lint: allow(sim-determinism) — a CPU-utilization probe measures physical time; it feeds reports, never protocol decisions
             start_wall: Instant::now(),
         }
     }
@@ -163,6 +171,11 @@ mod tests {
     use super::*;
     use std::time::Duration;
 
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "the probe under test measures physical time, so the load it reads must burn \
+                  a wall-clock span"
+    )]
     fn burn(ms: u64) {
         let end = Instant::now() + Duration::from_millis(ms);
         let mut x = 0u64;

@@ -541,7 +541,11 @@ impl Scenario {
                         .name(format!("dr-{}", spec.id))
                         .spawn(move || {
                             let mut tick = 0u64;
-                            // adlp-lint: allow(sim-determinism) — publish pacing is physical time by design; logical state (ticks, payloads) is seed-driven
+                            #[allow(
+                                clippy::disallowed_methods,
+                                reason = "publish pacing is physical time by design; logical \
+                                          state (ticks, payloads) is seed-driven"
+                            )]
                             let mut next = Instant::now();
                             while !stop2.load(Ordering::SeqCst) {
                                 if node_pressure.is_high() {
@@ -553,7 +557,11 @@ impl Scenario {
                                 }
                                 tick += 1;
                                 next += period;
-                                // adlp-lint: allow(sim-determinism) — drift correction for the pacing loop; measurement, not decision
+                                #[allow(
+                                    clippy::disallowed_methods,
+                                    reason = "drift correction for the pacing loop; measurement, \
+                                              not decision"
+                                )]
                                 let now = Instant::now();
                                 if next > now {
                                     std::thread::sleep(next - now);
@@ -575,7 +583,11 @@ impl Scenario {
         }
         let cpu = CpuProbe::start();
         let node_cpu = self.cpu_node.as_deref().map(ThreadCpuProbe::for_node);
-        // adlp-lint: allow(sim-determinism) — the measurement window is wall-clock by definition (Table IV reports real rates); protocol state stays seed-driven
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "the measurement window is wall-clock by definition (Table IV reports real \
+                      rates); protocol state stays seed-driven"
+        )]
         let t0 = Instant::now();
         let mut timeline = self.timeline.clone();
         timeline.sort_by_key(|&(at, _)| at);

@@ -424,6 +424,16 @@ mod facts {
         assert_eq!(court(out), (2, 16 + 32, 1), "{run}");
     }
 
+    // Unanimous from the conflict proof alone: the court holds the
+    // replica keyring the proof verifies under.
+    pub fn equivocation_litigated(run: &str, out: &ChaosOutcome) {
+        assert_eq!(court(out), (1, 16, 0), "{run}");
+        let rejected =
+            out.counter("dispute.evidence_rejected") + out.counter("dispute.votes_rejected");
+        assert_eq!(rejected, 0, "{run}");
+        assert_eq!(out.view.equivocated(), [(0, 2)], "{run}");
+    }
+
     pub fn equivocator_during_witness_partition(run: &str, out: &ChaosOutcome) {
         assert_eq!(out.run.refused, 0, "{run}: the honest 2f+1 carry every ack");
         assert!(
@@ -601,7 +611,7 @@ mod witness {
 mod dispute {
     mod inproc {
         rows!(crate::ChaosLink::Inproc => wrongful_conviction, forged_evidence, bribed_resolver,
-            withholding_claimant, crash_mid_escalation);
+            withholding_claimant, crash_mid_escalation, equivocation_litigated);
     }
 }
 

@@ -156,69 +156,81 @@ pub trait Link: Send + Sync {
 /// wrapped in a seeded [`FaultyTransport`] unless the fault config is
 /// transparent — in which case a round costs no sleep at all.
 pub struct InprocLink {
-    /// `lanes[from][to]`: the sending end toward `to`.
-    lanes: Vec<Vec<Option<FrameDuplex>>>,
-    /// `inboxes[to][from]`: the matching receiving end.
-    inboxes: Vec<Vec<Option<FrameDuplex>>>,
+    /// One endpoint per witness.
+    ends: Vec<InprocEnd>,
     /// How long a round waits for the injector threads (delay/reorder)
     /// to flush; zero for a transparent mesh.
     settle: Duration,
-    severed: Vec<bool>,
-    down: Vec<bool>,
     faults: Arc<FaultStats>,
     /// Everything but `injected_faults`, which `faults` holds.
     counts: Mutex<LinkCounters>,
+}
+
+/// Witness `w`'s end of the mesh.
+#[derive(Default)]
+struct InprocEnd {
+    /// `lanes[to]`: the sending end toward `to` (`None` toward itself).
+    lanes: Vec<Option<FrameDuplex>>,
+    /// `inbox[from]`: the matching receiving end.
+    inbox: Vec<Option<FrameDuplex>>,
+    severed: bool,
+    down: bool,
 }
 
 impl InprocLink {
     /// A full mesh over `n` witnesses with `fault` applied to every lane.
     pub fn new(n: usize, fault: FaultConfig) -> Self {
         let faults = Arc::new(FaultStats::default());
-        let mut lanes: Vec<Vec<Option<FrameDuplex>>> = (0..n).map(|_| vec![None; n]).collect();
-        let mut inboxes = lanes.clone();
+        let mut ends: Vec<InprocEnd> = (0..n).map(|_| InprocEnd::default()).collect();
         for from in 0..n {
-            for to in (0..n).filter(|&to| to != from) {
-                let (near, far) = duplex_pair();
-                lanes[from][to] = Some(if fault.is_transparent() {
-                    near
+            for to in 0..n {
+                let (lane, inbox) = if from == to {
+                    (None, None)
                 } else {
-                    FaultyTransport::wrap(
-                        near,
-                        fault.clone(),
-                        (from as u64) << 16 | to as u64,
-                        Arc::clone(&faults),
-                        || {},
-                    )
-                });
-                inboxes[to][from] = Some(far);
+                    let (near, far) = duplex_pair();
+                    let salt = (from as u64) << 16 | to as u64;
+                    let near = if fault.is_transparent() {
+                        near
+                    } else {
+                        FaultyTransport::wrap(near, fault.clone(), salt, Arc::clone(&faults), || {})
+                    };
+                    (Some(near), Some(far))
+                };
+                if let Some(end) = ends.get_mut(from) {
+                    end.lanes.push(lane);
+                }
+                if let Some(end) = ends.get_mut(to) {
+                    end.inbox.push(inbox);
+                }
             }
         }
         InprocLink {
-            lanes,
-            inboxes,
+            ends,
             settle: if fault.is_transparent() {
                 Duration::ZERO
             } else {
                 fault.max_delay + Duration::from_millis(25)
             },
-            severed: vec![false; n],
-            down: vec![false; n],
             faults,
             counts: Mutex::default(),
         }
     }
 
-    fn cut(&self, w: usize) -> bool {
-        self.severed[w] || self.down[w]
+    /// Witness `w`'s end, when it is reachable: it exists, is up and is
+    /// not severed.
+    fn reachable(&self, w: usize) -> Option<&InprocEnd> {
+        self.ends.get(w).filter(|end| !end.severed && !end.down)
     }
 }
 
 impl Link for InprocLink {
     fn send(&self, from: usize, to: usize, frame: &[u8]) -> bool {
-        let sent = match self.lanes.get(from).and_then(|row| row.get(to)) {
-            Some(Some(lane)) if !self.cut(from) && !self.cut(to) => lane.send(frame.to_vec()),
-            _ => false,
-        };
+        let lane = self
+            .reachable(from)
+            .filter(|_| self.reachable(to).is_some())
+            .and_then(|end| end.lanes.get(to))
+            .and_then(Option::as_ref);
+        let sent = lane.is_some_and(|lane| lane.send(frame.to_vec()));
         let mut counts = self.counts.lock();
         if sent {
             counts.frames_sent += 1;
@@ -229,10 +241,9 @@ impl Link for InprocLink {
     }
 
     fn recv(&self, at: usize) -> Option<Vec<u8>> {
-        if self.down[at] {
-            return None;
-        }
-        let frame = self.inboxes[at]
+        let end = self.ends.get(at).filter(|end| !end.down)?;
+        let frame = end
+            .inbox
             .iter()
             .flatten()
             .find_map(|inbox| inbox.rx.try_recv().ok())?;
@@ -247,24 +258,34 @@ impl Link for InprocLink {
     }
 
     fn sever(&mut self, w: usize) {
-        self.severed[w] = true;
+        if let Some(end) = self.ends.get_mut(w) {
+            end.severed = true;
+        }
     }
 
     fn heal(&mut self, w: usize) {
-        self.severed[w] = false;
+        if let Some(end) = self.ends.get_mut(w) {
+            end.severed = false;
+        }
     }
 
     fn down(&mut self, w: usize) {
-        self.down[w] = true;
+        if let Some(end) = self.ends.get_mut(w) {
+            end.down = true;
+        }
     }
 
     fn up(&mut self, w: usize) -> Result<(), PubSubError> {
+        let end = self
+            .ends
+            .get_mut(w)
+            .ok_or(PubSubError::Malformed("witness endpoint index"))?;
         // Whatever was queued at the cut, or landed after it, belonged to
         // a process that is gone: the rebooted one starts empty.
-        for inbox in self.inboxes[w].iter().flatten() {
+        for inbox in end.inbox.iter().flatten() {
             while inbox.rx.try_recv().is_ok() {}
         }
-        self.down[w] = false;
+        end.down = false;
         Ok(())
     }
 
@@ -305,16 +326,29 @@ pub struct Federation {
     link: Box<dyn Link>,
     loggers: Keyring<NodeId>,
     keyring: Keyring<usize>,
-    keys: Vec<RsaKeyPair>,
-    witnesses: Vec<Arc<Witness>>,
-    storages: Vec<Arc<MemStorage>>,
-    sources: Vec<Vec<Arc<dyn TreeHeadSource>>>,
-    running: Vec<bool>,
-    severed: Vec<bool>,
-    /// Per-slot engine counts; `rejected` holds only what retired
-    /// witnesses counted (the current one keeps its own).
-    tallies: Mutex<Vec<GossipCounters>>,
-    restarts: Vec<u64>,
+    slots: Vec<Slot>,
+}
+
+/// One witness position: its key, its state device, its private view of
+/// the logger(s), and whichever [`Witness`] currently fills it.
+struct Slot {
+    key: RsaKeyPair,
+    witness: Arc<Witness>,
+    storage: Arc<MemStorage>,
+    sources: Vec<Arc<dyn TreeHeadSource>>,
+    running: bool,
+    severed: bool,
+    restarts: u64,
+    /// Engine counts; `rejected` holds only what retired witnesses
+    /// counted (the current one keeps its own).
+    tally: Mutex<GossipCounters>,
+}
+
+impl Slot {
+    /// Reachable by peers and clients: running and not severed.
+    fn live(&self) -> bool {
+        self.running && !self.severed
+    }
 }
 
 impl std::fmt::Debug for Federation {
@@ -372,27 +406,31 @@ impl Federation {
             .map(|k| k.public_key().clone())
             .enumerate()
             .collect();
-        let storages: Vec<Arc<MemStorage>> = (0..n).map(|_| Arc::new(MemStorage::new())).collect();
-        let witnesses = keys
-            .iter()
-            .zip(&storages)
-            .enumerate()
-            .map(|(w, (key, storage))| boot_witness(w, key, &loggers, storage))
-            .collect::<Result<Vec<_>, _>>()?;
         sources.resize_with(n, Vec::new);
+        let slots = keys
+            .into_iter()
+            .zip(sources)
+            .enumerate()
+            .map(|(w, (key, sources))| {
+                let storage = Arc::new(MemStorage::new());
+                Ok(Slot {
+                    witness: boot_witness(w, &key, &loggers, &storage)?,
+                    key,
+                    storage,
+                    sources,
+                    running: true,
+                    severed: false,
+                    restarts: 0,
+                    tally: Mutex::default(),
+                })
+            })
+            .collect::<Result<Vec<_>, LogError>>()?;
         Ok(Federation {
             config,
             link,
             loggers,
             keyring,
-            keys,
-            witnesses,
-            storages,
-            sources,
-            running: vec![true; n],
-            severed: vec![false; n],
-            tallies: Mutex::new(vec![GossipCounters::default(); n]),
-            restarts: vec![0; n],
+            slots,
         })
     }
 
@@ -408,33 +446,42 @@ impl Federation {
 
     /// Witness `w`, for inspection (present even while it is down).
     pub fn witness(&self, w: usize) -> Option<&Arc<Witness>> {
-        self.witnesses.get(w)
+        self.slots.get(w).map(|slot| &slot.witness)
     }
 
     /// Indices of the witnesses peers and clients can currently reach:
     /// running and not severed.
     pub fn live(&self) -> Vec<usize> {
-        (0..self.witnesses.len())
-            .filter(|&w| self.running[w] && !self.severed[w])
-            .collect()
+        self.live_slots().map(|(w, _)| w).collect()
+    }
+
+    fn live_slots(&self) -> impl Iterator<Item = (usize, &Slot)> {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter(|(_, slot)| slot.live())
     }
 
     /// How many times witness `w` has been restarted.
     pub fn restarts(&self, w: usize) -> u64 {
-        self.restarts.get(w).copied().unwrap_or(0)
+        self.slots.get(w).map_or(0, |slot| slot.restarts)
     }
 
     /// Partitions witness `w` away from peers and clients (see the module
     /// docs for the one definition of partition).
     pub fn sever(&mut self, w: usize) {
-        self.severed[w] = true;
-        self.link.sever(w);
+        if let Some(slot) = self.slots.get_mut(w) {
+            slot.severed = true;
+            self.link.sever(w);
+        }
     }
 
     /// Reconnects witness `w`.
     pub fn heal(&mut self, w: usize) {
-        self.severed[w] = false;
-        self.link.heal(w);
+        if let Some(slot) = self.slots.get_mut(w) {
+            slot.severed = false;
+            self.link.heal(w);
+        }
     }
 
     /// Kills witness `w` like a power cut: its endpoint goes down,
@@ -443,9 +490,10 @@ impl Federation {
     /// discipline means everything the witness ever *spoke* is still
     /// there.
     pub fn kill(&mut self, w: usize) {
-        if std::mem::replace(&mut self.running[w], false) {
+        if let Some(slot) = self.slots.get_mut(w).filter(|slot| slot.running) {
+            slot.running = false;
             self.link.down(w);
-            self.storages[w].crash();
+            slot.storage.crash();
         }
     }
 
@@ -458,17 +506,21 @@ impl Federation {
     /// Propagates storage errors (corrupt state fails closed) and
     /// transport errors from [`Link::up`].
     pub fn restart(&mut self, w: usize) -> Result<(), LogError> {
-        if self.running[w] {
+        let slot = self
+            .slots
+            .get_mut(w)
+            .ok_or(LogError::Malformed("restart of an unknown witness"))?;
+        if slot.running {
             return Err(LogError::Malformed("restart of a live witness"));
         }
-        let witness = boot_witness(w, &self.keys[w], &self.loggers, &self.storages[w])?;
+        let witness = boot_witness(w, &slot.key, &self.loggers, &slot.storage)?;
         self.link
             .up(w)
             .map_err(|e| LogError::Io(format!("witness restart: {e}")))?;
-        let retired = std::mem::replace(&mut self.witnesses[w], witness);
-        self.tallies.lock()[w].rejected += retired.rejected();
-        self.restarts[w] += 1;
-        self.running[w] = true;
+        let retired = std::mem::replace(&mut slot.witness, witness);
+        slot.tally.lock().rejected += retired.rejected();
+        slot.restarts += 1;
+        slot.running = true;
         Ok(())
     }
 
@@ -478,7 +530,7 @@ impl Federation {
     /// frames — whatever it injects must be rejected by the receivers'
     /// verify-then-adopt path, never believed.
     pub fn inject(&self, from: usize, frame: &[u8]) {
-        for to in (0..self.witnesses.len()).filter(|&to| to != from) {
+        for to in (0..self.slots.len()).filter(|&to| to != from) {
             self.link.send(from, to, frame);
         }
     }
@@ -499,9 +551,9 @@ impl Federation {
     /// frame teaches a peer the conviction (after it re-verifies the
     /// proof) even if the conflicting heads themselves never reach it,
     /// and before the head replay would re-derive it pairwise.
-    fn emit(&self, w: usize) {
-        let witness = &self.witnesses[w];
-        for source in &self.sources[w] {
+    fn emit(&self, w: usize, slot: &Slot) {
+        let witness = &slot.witness;
+        for source in &slot.sources {
             witness.poll(source.as_ref());
         }
         let proofs = witness.proofs();
@@ -514,10 +566,10 @@ impl Federation {
             .chain(proofs.iter().flat_map(|p| [&p.first, &p.second]))
             .map(SignedTreeHead::encode)
             .collect();
-        for to in (0..self.witnesses.len()).filter(|&to| to != w) {
+        for to in (0..self.slots.len()).filter(|&to| to != w) {
             for frame in &convictions {
                 if self.link.send(w, to, frame) {
-                    self.tallies.lock()[w].convictions_sent += 1;
+                    slot.tally.lock().convictions_sent += 1;
                 }
             }
             for frame in &heads {
@@ -529,8 +581,8 @@ impl Federation {
     /// Drains witness `w`'s inbox: decode each frame, fetch the
     /// consistency proof the witness needs from its own sources, and
     /// adopt. Returns how many heads were newly adopted.
-    fn drain(&self, w: usize) -> usize {
-        let witness = &self.witnesses[w];
+    fn drain(&self, w: usize, slot: &Slot) -> usize {
+        let witness = &slot.witness;
         let mut adopted = 0;
         while let Some(frame) = self.recv_gossip_frame(w) {
             // Conviction frames are self-describing (magic-prefixed) and
@@ -538,18 +590,19 @@ impl Federation {
             // a signed tree head.
             if let Some(decoded) = decode_conviction_frame(&frame) {
                 match decoded.ok().map(|proof| witness.adopt_proof(proof)) {
-                    Some(Some(true)) => self.tallies.lock()[w].convictions_ingested += 1,
+                    Some(Some(true)) => slot.tally.lock().convictions_ingested += 1,
                     Some(Some(false)) => {}
-                    Some(None) | None => self.tallies.lock()[w].convictions_rejected += 1,
+                    Some(None) | None => slot.tally.lock().convictions_rejected += 1,
                 }
                 continue;
             }
             let Ok(sth) = SignedTreeHead::decode(&frame) else {
-                self.tallies.lock()[w].undecodable += 1;
+                slot.tally.lock().undecodable += 1;
                 continue;
             };
             let consistency = match witness.latest_head(&sth.log) {
-                Some(cur) if sth.size > cur.size => self.sources[w]
+                Some(cur) if sth.size > cur.size => slot
+                    .sources
                     .iter()
                     .find(|s| s.log_id() == sth.log)
                     .and_then(|s| s.consistency(cur.size, sth.size)),
@@ -566,14 +619,17 @@ impl Federation {
     /// settles, every running witness drains. Returns how many heads were
     /// newly adopted anywhere.
     pub fn round(&self) -> usize {
-        let running: Vec<usize> = (0..self.witnesses.len())
-            .filter(|&w| self.running[w])
+        let running: Vec<(usize, &Slot)> = self
+            .slots
+            .iter()
+            .enumerate()
+            .filter(|(_, slot)| slot.running)
             .collect();
-        for &w in &running {
-            self.emit(w);
+        for &(w, slot) in &running {
+            self.emit(w, slot);
         }
         self.link.settle();
-        running.iter().map(|&w| self.drain(w)).sum()
+        running.iter().map(|&(w, slot)| self.drain(w, slot)).sum()
     }
 
     /// Runs rounds until every live witness agrees on every tracked log's
@@ -589,8 +645,8 @@ impl Federation {
     /// Whether the live witnesses hold identical latest heads — the same
     /// logs, each at the same size and root — and track at least one log.
     pub fn converged(&self) -> bool {
-        let mut views = self.live().into_iter().map(|w| {
-            let heads = self.witnesses[w].latest_heads();
+        let mut views = self.live_slots().map(|(_, slot)| {
+            let heads = slot.witness.latest_heads();
             heads
                 .into_iter()
                 .map(|h| (h.log, h.size, h.root))
@@ -605,16 +661,15 @@ impl Federation {
     /// live witnesses, with the endorsements backing it — `None` once
     /// fewer than `f + 1` reachable witnesses agree.
     pub fn witnessed(&self, log: &NodeId) -> Option<CosignedHead> {
-        let live = self.live();
-        let mut candidates: Vec<SignedTreeHead> = live
-            .iter()
-            .filter_map(|&w| self.witnesses[w].latest_head(log))
+        let mut candidates: Vec<SignedTreeHead> = self
+            .live_slots()
+            .filter_map(|(_, slot)| slot.witness.latest_head(log))
             .collect();
         candidates.sort_by_key(|c| std::cmp::Reverse(c.size));
         candidates.into_iter().find_map(|sth| {
-            let cosignatures: Vec<_> = live
-                .iter()
-                .filter_map(|&w| self.witnesses[w].cosignature(log, sth.size))
+            let cosignatures: Vec<_> = self
+                .live_slots()
+                .filter_map(|(_, slot)| slot.witness.cosignature(log, sth.size))
                 .filter(|c| c.root == sth.root)
                 .collect();
             (cosignatures.len() >= self.config.witness_quorum())
@@ -626,7 +681,7 @@ impl Federation {
     /// per (log, size).
     pub fn proofs(&self) -> Vec<ConflictProof<SignedTreeHead>> {
         let mut out = FirstSeen::default();
-        for proof in self.witnesses.iter().flat_map(|w| w.proofs()) {
+        for proof in self.slots.iter().flat_map(|slot| slot.witness.proofs()) {
             out.admit(proof);
         }
         out.proofs().to_vec()
@@ -635,15 +690,19 @@ impl Federation {
     /// What the engine counted for witness slot `w` since the federation
     /// was built, across every witness that ever filled the slot.
     pub fn counters(&self, w: usize) -> GossipCounters {
-        let mut counted = self.tallies.lock()[w];
-        counted.rejected += self.witnesses[w].rejected();
-        counted
+        self.slots
+            .get(w)
+            .map_or_else(GossipCounters::default, |slot| {
+                let mut counted = *slot.tally.lock();
+                counted.rejected += slot.witness.rejected();
+                counted
+            })
     }
 
     /// [`Federation::counters`] summed over every slot.
     pub fn totals(&self) -> GossipCounters {
         let mut total = GossipCounters::default();
-        for w in 0..self.witnesses.len() {
+        for w in 0..self.slots.len() {
             let slot = self.counters(w);
             total.rejected += slot.rejected;
             total.undecodable += slot.undecodable;
@@ -673,11 +732,12 @@ impl Federation {
     /// Anchor map across the federation, for restart-invariant
     /// assertions: witness index → (log → anchor head).
     pub fn anchors(&self) -> BTreeMap<usize, BTreeMap<NodeId, SignedTreeHead>> {
-        self.witnesses
+        self.slots
             .iter()
             .enumerate()
-            .map(|(w, witness)| {
-                let anchors = witness
+            .map(|(w, slot)| {
+                let anchors = slot
+                    .witness
                     .state()
                     .logs
                     .into_iter()
@@ -751,6 +811,34 @@ pub(crate) mod tests {
             .collect();
         let fed = Federation::new(config, link, keyring.clone(), sources).unwrap();
         (fed, keyring, store)
+    }
+
+    #[test]
+    fn an_unknown_witness_index_is_refused_not_a_panic() {
+        on_both_links(43, |name, config, mut link| {
+            let w = config.witnesses() + 4;
+            assert!(!link.send(0, w, b"frame"), "{name}");
+            assert!(!link.send(w, 0, b"frame"), "{name}");
+            assert!(link.recv(w).is_none(), "{name}");
+            link.sever(w);
+            link.heal(w);
+            link.down(w);
+            assert!(link.up(w).is_err(), "{name}");
+
+            let (mut fed, ..) = honest_federation(43, config, link);
+            fed.sever(w);
+            fed.heal(w);
+            fed.kill(w);
+            assert!(fed.restart(w).is_err(), "{name}");
+            fed.inject(w, b"frame");
+            assert!(fed.witness(w).is_none(), "{name}");
+            assert_eq!(
+                (fed.counters(w), fed.restarts(w)),
+                (GossipCounters::default(), 0),
+                "{name}"
+            );
+            assert!(fed.run_until_converged(10).is_some(), "{name}");
+        });
     }
 
     #[test]

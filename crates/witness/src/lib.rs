@@ -33,6 +33,19 @@
 //! witnessed while `f` witnesses are unreachable, and every witnessed head
 //! was vouched for by at least one honest witness.
 
+// Protocol crate: no panic paths outside tests (paper Lemma 2 — a
+// panicking component is indistinguishable from a hiding one). adlp-lint's
+// transitive `no-panic-paths` rule reads this set to find protocol crates.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 pub mod federation;
 pub mod light;
 pub mod proof;

@@ -346,8 +346,8 @@ impl TcpLink {
 
     /// Points endpoint `w`'s outbound paths at its peers' proxy fronts.
     fn wire_peers(&self, w: usize) {
-        if let Some(endpoint) = &self.endpoints[w] {
-            endpoint.peers.lock().0 = self.proxies[w]
+        if let (Some(Some(endpoint)), Some(row)) = (self.endpoints.get(w), self.proxies.get(w)) {
+            endpoint.peers.lock().0 = row
                 .iter()
                 .map(|proxy| proxy.as_ref().map(|p| PeerLink::new(p.addr())))
                 .collect();
@@ -395,10 +395,15 @@ impl Link for TcpLink {
     }
 
     fn down(&mut self, w: usize) {
-        self.endpoints[w] = None;
+        if let Some(endpoint) = self.endpoints.get_mut(w) {
+            *endpoint = None;
+        }
     }
 
     fn up(&mut self, w: usize) -> Result<(), PubSubError> {
+        if w >= self.endpoints.len() {
+            return Err(PubSubError::Malformed("witness endpoint index"));
+        }
         let endpoint = Endpoint::spawn(w, self.jitter_seed, &self.stats)?;
         // The fresh listener has a fresh ephemeral port: every proxy that
         // fronts `w` is re-pointed at it.
@@ -407,7 +412,9 @@ impl Link for TcpLink {
                 proxy.set_target(endpoint.addr);
             }
         }
-        self.endpoints[w] = Some(endpoint);
+        if let Some(slot) = self.endpoints.get_mut(w) {
+            *slot = Some(endpoint);
+        }
         self.wire_peers(w);
         Ok(())
     }
