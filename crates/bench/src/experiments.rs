@@ -692,15 +692,6 @@ fn dispute_resolution(scale: &Scale) -> Table {
     use adlp_dispute::Outcome;
     use adlp_sim::chaos::{plan, run_chaos, ChaosLink, SEEDS};
 
-    // The five litigation rows of the chaos plan table, by name.
-    let scenarios = [
-        ("wrongful-conviction", "wrongful_conviction"),
-        ("forged-evidence", "forged_evidence"),
-        ("bribed-resolver", "bribed_resolver"),
-        ("withholding-claimant", "withholding_claimant"),
-        ("crash-mid-escalation", "crash_mid_escalation"),
-    ];
-
     let mut table = Table::new(
         format!(
             "Dispute escalation — resolution latency vs rounds \
@@ -710,7 +701,7 @@ fn dispute_resolution(scale: &Scale) -> Table {
         "Scenario | Rounds | Escalations | Stake | Verdict | Resolve ms | Resolve stdev | Proof \
          | Replay",
     );
-    for (scenario, row) in scenarios {
+    for row in litigated_rows() {
         let mut resolve_ms = Vec::with_capacity(scale.dispute_reps);
         // `run_chaos` judges every run by the outcome oracle, whose clause
         // (5) includes both checks; the proof is re-verified here so the
@@ -738,7 +729,7 @@ fn dispute_resolution(scale: &Scale) -> Table {
             }
         }
         let (resolve_avg, resolve_std) = mean_std(&resolve_ms);
-        let mut cells: Vec<Cell> = vec![scenario.into()];
+        let mut cells: Vec<Cell> = vec![row.replace('_', "-").into()];
         match last
             .as_ref()
             .and_then(|out| Some((out, out.verdict.as_ref()?)))
@@ -764,6 +755,16 @@ fn dispute_resolution(scale: &Scale) -> Table {
         table.rows.push(cells);
     }
     table
+}
+
+/// The names of the chaos plan table's litigation (`dispute`) rows, in
+/// table order.
+fn litigated_rows() -> Vec<&'static str> {
+    adlp_sim::chaos::plans(0, adlp_sim::ChaosLink::Inproc)
+        .into_iter()
+        .filter(|p| p.litigates())
+        .map(|p| p.name)
+        .collect()
 }
 
 #[cfg(test)]
@@ -860,8 +861,11 @@ mod tests {
                 }
             }
             "dispute" => {
-                assert_eq!(t.rows.len(), 5);
-                for r in 0..5 {
+                let rows = litigated_rows();
+                assert!(rows.contains(&"equivocation_litigated"), "{rows:?}");
+                assert_eq!(t.rows.len(), rows.len());
+                for (r, row) in rows.iter().enumerate() {
+                    assert_eq!(t.cell(r, "Scenario"), &Cell::from(row.replace('_', "-")));
                     assert!(t.num(r, "Resolve ms") > 0.0, "row {r}");
                 }
                 let (wrongful, bribed) = (0, 2);

@@ -8,8 +8,8 @@ use crate::view::{self, ClusterView};
 use adlp_crypto::rsa::RsaPrivateKey;
 use adlp_crypto::RsaKeyPair;
 use adlp_logger::{
-    DurabilityConfig, DurabilityStats, KeyRegistry, Keyring, LogError, LogServer, LoggerHandle,
-    MemStorage, Recorder, RecordingWindow, Recovery, Storage, SyncPolicy,
+    DurabilityConfig, DurabilityStats, KeyRegistry, Keyring, LogEntry, LogError, LogServer,
+    LoggerHandle, MemStorage, Recorder, RecordingWindow, Recovery, Storage, SyncPolicy,
 };
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -547,7 +547,8 @@ impl LoggerCluster {
             }
             let missing = quorum.get(have.len()..).unwrap_or(&[]);
             for record in missing {
-                handle.adopt_encoded(record.clone())?;
+                let (entry, encoded) = LogEntry::decode_record(record.clone())?;
+                handle.adopt_encoded(entry, encoded)?;
                 adopted_total += 1;
                 mid_adoption(adopted_total);
             }

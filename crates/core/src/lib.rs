@@ -61,8 +61,9 @@
 //! ```
 
 // Protocol crate: no panic paths outside tests (paper Lemma 2 — a
-// panicking component is indistinguishable from a hiding one). adlp-lint's
-// transitive `no-panic-paths` rule reads this set to find protocol crates.
+// panicking component is indistinguishable from a hiding one). The shims
+// the protocol crates call (`bytes`, `crossbeam`, `parking_lot`, `rand`)
+// deny the same set, so the property holds through every call they make.
 #![deny(
     clippy::unwrap_used,
     clippy::expect_used,

@@ -400,16 +400,16 @@ impl Worker {
 
     /// Hands one entry to the target and feeds the breaker.
     fn deposit(&mut self, entry: LogEntry) -> bool {
-        let ok = if self.ctx.ack_after_durable {
-            self.ctx.logger.submit_durable(entry).is_ok()
-        } else {
-            self.ctx.logger.submit(entry).is_accepted()
+        let ok = match self.ctx.logger.deposit(entry, self.ctx.ack_after_durable) {
+            Some(receipt) => {
+                self.pressure.note_deposited(receipt);
+                true
+            }
+            None => {
+                self.deposit_failures.fetch_add(1, Ordering::Relaxed);
+                false
+            }
         };
-        if ok {
-            self.pressure.note_deposited();
-        } else {
-            self.deposit_failures.fetch_add(1, Ordering::Relaxed);
-        }
         self.breaker_outcome(ok);
         ok
     }

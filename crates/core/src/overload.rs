@@ -10,6 +10,7 @@
 //! breaker transitions. Publishers watch the pressure level and slow their
 //! ack-gated send loops instead of letting the backlog grow.
 
+use crate::target::Deposited;
 use adlp_pubsub::{BreakerConfig, Transition};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -212,7 +213,7 @@ impl QueuePressure {
         }
     }
 
-    pub(crate) fn note_deposited(&self) {
+    pub(crate) fn note_deposited(&self, _receipt: Deposited) {
         self.inner.deposited.fetch_add(1, Ordering::Relaxed);
     }
 

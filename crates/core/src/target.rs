@@ -41,6 +41,14 @@ pub enum AckMode {
     },
 }
 
+/// Proof that the logger took one entry. Only [`DepositTarget::deposit`]
+/// mints it, from [`DepositTarget::submit_durable`]'s `Ok` or from
+/// [`SubmitOutcome::Accepted`], and counting a deposit takes one — so a
+/// node on an ack-after-durable path cannot count an entry as deposited
+/// before the logger made it durable.
+#[derive(Debug)]
+pub(crate) struct Deposited(());
+
 /// The deposit destination a node's logging pipeline writes to.
 #[derive(Debug, Clone)]
 pub enum DepositTarget {
@@ -130,6 +138,19 @@ impl DepositTarget {
                 self.pace();
                 inner.submit_durable(entry)
             }
+        }
+    }
+
+    /// Deposits `entry` through [`Self::submit_durable`] when `durable`
+    /// (ack-after-durable) and through [`Self::submit`] otherwise; the
+    /// receipt comes back only when the logger took the entry.
+    pub(crate) fn deposit(&self, entry: LogEntry, durable: bool) -> Option<Deposited> {
+        if durable {
+            return self.submit_durable(entry).ok().map(|()| Deposited(()));
+        }
+        match self.submit(entry) {
+            SubmitOutcome::Accepted => Some(Deposited(())),
+            SubmitOutcome::Lost => None,
         }
     }
 

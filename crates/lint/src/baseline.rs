@@ -111,7 +111,7 @@ mod tests {
 
     #[test]
     fn parse_render_roundtrip() {
-        let c = counts(&[("a.rs:no-panic-paths", 3), ("b.rs:lock-hygiene", 1)]);
+        let c = counts(&[("a.rs:lock-order-cycles", 3), ("b.rs:lock-hygiene", 1)]);
         let text = Baseline::render(&c, "header line");
         let parsed = Baseline::parse(&text).unwrap();
         assert_eq!(parsed.counts, c);

@@ -34,8 +34,6 @@ pub struct FnDef {
     pub end: usize,
     /// Token index of the body's opening brace.
     pub body: usize,
-    /// Line of the `fn` keyword.
-    pub line: u32,
 }
 
 impl FnDef {
@@ -165,9 +163,6 @@ pub struct Workspace {
     pub fns: Vec<FnDef>,
     /// Per-function resolved call sites, token order preserved.
     pub calls: Vec<Vec<CallSite>>,
-    /// `src/` directories of the protocol crates: those whose `lib.rs`
-    /// denies every lint in [`crate::rules::PANIC_LINTS`].
-    pub protocol: Vec<String>,
 }
 
 impl Workspace {
@@ -192,38 +187,7 @@ impl Workspace {
         for f in &fns {
             calls.push(collect_calls(f, &files[f.file], &fns, &by_owner, &by_name));
         }
-        let protocol = files
-            .iter()
-            .filter(|ctx| {
-                let denied = ctx.denied_clippy_lints();
-                crate::rules::PANIC_LINTS.iter().all(|l| denied.contains(l))
-            })
-            .filter_map(|ctx| ctx.path.strip_suffix("src/lib.rs"))
-            .map(|root| format!("{root}src/"))
-            .collect();
-        Workspace {
-            files,
-            fns,
-            calls,
-            protocol,
-        }
-    }
-
-    /// Whether `path` lies in a protocol crate, where clippy rules out
-    /// panic sites.
-    pub fn is_protocol(&self, path: &str) -> bool {
-        self.protocol.iter().any(|root| path.starts_with(root))
-    }
-
-    /// Index of the innermost function containing token `tok` of file
-    /// `file` (the *innermost* matters for nested `fn` items).
-    pub fn enclosing(&self, file: usize, tok: usize) -> Option<usize> {
-        self.fns
-            .iter()
-            .enumerate()
-            .filter(|(_, f)| f.file == file && tok >= f.start && tok < f.end)
-            .max_by_key(|(_, f)| f.start)
-            .map(|(id, _)| id)
+        Workspace { files, fns, calls }
     }
 }
 
@@ -254,7 +218,6 @@ fn collect_fns(fi: usize, ctx: &FileCtx, out: &mut Vec<FnDef>) {
                     start: i,
                     end,
                     body: j,
-                    line: toks[i].line,
                 });
             }
         }

@@ -1,14 +1,16 @@
 //! `adlp-lint` — a from-scratch static-analysis pass for this workspace.
 //!
 //! ADLP's accountability guarantees (paper Lemmas 1–4, Theorems 1–2) rest
-//! on implementation invariants. Those clippy can state live in clippy:
-//! the protocol crates deny its panic lints (a panicking subscriber is
-//! indistinguishable from a *hiding* one in the audit model), and the
-//! seeded sim denies the ambient clocks and rng `clippy.toml` disallows.
-//! This crate enforces the rest on every `.rs` file in the workspace with
-//! a real token-level lexer ([`lexer`]): two token rules and four flow
-//! rules over the cross-crate call graph ([`rules`]), reporting
-//! `file:line:col` diagnostics.
+//! on implementation invariants. Those the compiler can state live in the
+//! compiler: the protocol crates and the shims they call deny clippy's
+//! panic lints (a panicking subscriber is indistinguishable from a
+//! *hiding* one in the audit model), the seeded sim denies the ambient
+//! clocks and rng `clippy.toml` disallows, and types carry the logger's
+//! checked-on-the-way-in records and the node's deposit receipts. This
+//! crate enforces the rest on every `.rs` file in the workspace with a
+//! real token-level lexer ([`lexer`]): two token rules and one flow rule
+//! over the cross-crate call graph ([`rules`]), reporting `file:line:col`
+//! diagnostics.
 //!
 //! Pre-existing debt is recorded in a committed baseline
 //! ([`baseline`], `lint-baseline.toml`) and ratcheted: `--deny` fails on
@@ -22,16 +24,15 @@ pub mod graph;
 pub mod lexer;
 pub mod rules;
 pub mod summary;
-pub mod taint;
 
 use lexer::{lex, TokKind, Token};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::{Path, PathBuf};
 
 /// One reported violation.
 #[derive(Debug, Clone)]
 pub struct Diagnostic {
-    /// Rule identifier, e.g. `no-panic-paths`.
+    /// Rule identifier, e.g. `lock-hygiene`.
     pub rule: &'static str,
     /// Workspace-relative path with forward slashes.
     pub path: String,
@@ -39,8 +40,8 @@ pub struct Diagnostic {
     pub col: u32,
     /// What was matched and why it is a problem.
     pub message: String,
-    /// For flow rules: the witness path (call chain / lock cycle / taint
-    /// flow) that produced the finding, outermost first. Empty for the
+    /// For the flow rule: the witness path (the lock cycle, edge by
+    /// edge) that produced the finding, outermost first. Empty for the
     /// token-local rules.
     pub witness: Vec<String>,
 }
@@ -117,33 +118,6 @@ impl FileCtx {
     /// Whether token `i` lies inside an attribute.
     pub fn in_attr(&self, i: usize) -> bool {
         self.attr_regions.iter().any(|&(s, e)| i >= s && i < e)
-    }
-
-    /// The clippy lints this file denies crate-wide: every `clippy::x`
-    /// named in a `#![deny(…)]` or `#![forbid(…)]` inner attribute.
-    pub fn denied_clippy_lints(&self) -> BTreeSet<&str> {
-        let mut out = BTreeSet::new();
-        for &(s, e) in &self.attr_regions {
-            let attr = self.toks.get(s..e).unwrap_or(&[]);
-            let inner_deny = matches!(
-                attr,
-                [hash, bang, open, level, ..]
-                    if hash.is_punct("#") && bang.is_punct("!") && open.is_punct("[")
-                        && (level.is_ident("deny") || level.is_ident("forbid"))
-            );
-            if !inner_deny {
-                continue;
-            }
-            for w in attr.windows(3) {
-                if let [tool, sep, lint] = w {
-                    if tool.is_ident("clippy") && sep.is_punct("::") && lint.kind == TokKind::Ident
-                    {
-                        out.insert(lint.text.as_str());
-                    }
-                }
-            }
-        }
-        out
     }
 
     /// Owner type of the innermost `impl` block containing token `i`.
@@ -406,8 +380,7 @@ pub fn analyze(path: &str, source: &str) -> FileReport {
 }
 
 /// Analyzes a set of files as one workspace: the token rules over each
-/// `src/` file first, then the call-graph flow rules (lock-order-cycles,
-/// unverified-wire-taint, ack-before-durable, transitive no-panic-paths)
+/// `src/` file first, then the call-graph flow rule (lock-order-cycles)
 /// over all of them.
 pub fn analyze_files(files: Vec<(String, String)>) -> BTreeMap<String, FileReport> {
     let ctxs: Vec<FileCtx> = files

@@ -1,18 +1,19 @@
-//! The ADLP invariant rules clippy cannot state.
+//! The ADLP invariant rules neither clippy nor the type system states.
 //!
 //! Each rule maps to a guarantee in the paper (see DESIGN.md §3.7):
 //! poisoned-lock unwraps turn one panic into a cascade, discarded
 //! fallible sends silently lose the evidence the protocol exists to keep,
-//! and the flow rules follow locks, wire bytes, acks and panics across the
-//! call graph. Panic sites, ambient time and randomness, and
-//! variable-time digest comparison are the compiler's: the protocol
-//! crates deny clippy's panic lints, `clippy.toml` disallows the ambient
-//! sources where replay is the contract, and `Digest`/`Signature`
-//! compare in constant time by type.
+//! and the one flow rule follows lock acquisitions across the call graph.
+//! The rest is the compiler's: the protocol crates and the shims they
+//! call deny clippy's panic lints, `clippy.toml` disallows the ambient
+//! clocks and rng where replay is the contract, `Digest`/`Signature`
+//! compare in constant time by type, the logger appends only an
+//! `EncodedEntry` (a checked record), and a node counts a deposit only
+//! with the receipt the logger's acceptance mints.
 
 use crate::graph::Workspace;
 use crate::lexer::TokKind;
-use crate::summary::{self, Summaries};
+use crate::summary::Summaries;
 use crate::{Diagnostic, FileCtx};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -48,51 +49,14 @@ pub const ALL: &[Rule] = &[
     },
 ];
 
-/// The flow rules, in reporting order. `no-panic-paths` here is the half
-/// of panic-freedom clippy cannot see: clippy reports panic sites inside
-/// each protocol crate, this rule reports *calls* from protocol code into
-/// panicking code defined outside the protocol crates.
-pub const FLOW: &[FlowRule] = &[
-    FlowRule {
-        id: "lock-order-cycles",
-        rationale: "two call paths that acquire the same locks in opposite orders \
+/// The flow rules, in reporting order.
+pub const FLOW: &[FlowRule] = &[FlowRule {
+    id: "lock-order-cycles",
+    rationale: "two call paths that acquire the same locks in opposite orders \
                     deadlock under contention; the interprocedural acquisition graph \
                     must stay acyclic across cluster/logger/pubsub",
-        check: lock_order_cycles,
-    },
-    FlowRule {
-        id: "unverified-wire-taint",
-        rationale: "bytes from transport/storage reads must pass a verify/checksum/\
-                    decode step before reaching append/adopt/submit sinks, or the \
-                    chain commits garbage the auditor attributes to honest parties",
-        check: crate::taint::unverified_wire_taint,
-    },
-    FlowRule {
-        id: "ack-before-durable",
-        rationale: "on ack-after-durable paths an acknowledgement emitted before the \
-                    durable write (or outside a counted-failure branch) converts \
-                    'acked durable' into 'probably on disk'",
-        check: ack_before_durable,
-    },
-    FlowRule {
-        id: "no-panic-paths",
-        rationale: "a protocol function that calls panicking code outside the protocol \
-                    crates still dies; the no-panic property must hold transitively",
-        check: no_panic_transitive,
-    },
-];
-
-/// The clippy lints whose `#![deny(…)]` in a crate's `lib.rs` makes it a
-/// protocol crate for the transitive `no-panic-paths` rule.
-pub const PANIC_LINTS: &[&str] = &[
-    "unwrap_used",
-    "expect_used",
-    "panic",
-    "indexing_slicing",
-    "unreachable",
-    "todo",
-    "unimplemented",
-];
+    check: lock_order_cycles,
+}];
 
 fn push(out: &mut Vec<Diagnostic>, ctx: &FileCtx, rule: &'static str, i: usize, msg: String) {
     out.push(Diagnostic {
@@ -352,7 +316,7 @@ fn lock_order_cycles(ws: &Workspace, sums: &Summaries, out: &mut Vec<Diagnostic>
                     continue;
                 }
                 let callee = &ws.fns[call.callee];
-                for lk in &sums.fns[call.callee].locks {
+                for lk in &sums.locks[call.callee] {
                     if *lk != site.id {
                         edges
                             .entry(site.id.clone())
@@ -459,172 +423,6 @@ fn shortest_path(
     None
 }
 
-/// Crates on the deposit/ack pipeline.
-fn ack_scope(p: &str) -> bool {
-    [
-        "crates/core/src/",
-        "crates/logger/src/",
-        "crates/cluster/src/",
-    ]
-    .iter()
-    .any(|pre| p.starts_with(pre))
-}
-
-/// Flow rule: in any function on a durable-write path, an ack emission
-/// (`note_deposited`/`note_acked`/`SubmitOutcome::Accepted`) must come
-/// after the durable write or a counted-failure event in token order.
-fn ack_before_durable(ws: &Workspace, sums: &Summaries, out: &mut Vec<Diagnostic>) {
-    for (id, f) in ws.fns.iter().enumerate() {
-        let ctx = &ws.files[f.file];
-        if !ack_scope(&ctx.path) {
-            continue;
-        }
-        // Only functions that perform a durable write (directly or via a
-        // callee) are on an ack-after-durable path; pure volatile-mode
-        // acking is legitimate by construction.
-        let on_durable_path =
-            sums.fns[id].durable || ws.calls[id].iter().any(|c| sums.fns[c.callee].durable);
-        if !on_durable_path {
-            continue;
-        }
-        let toks = &ctx.toks;
-        let nested: Vec<(usize, usize)> = ws
-            .fns
-            .iter()
-            .filter(|g| g.file == f.file && g.start > f.start && g.end <= f.end)
-            .map(|g| (g.start, g.end))
-            .collect();
-        let callee_at = |tok: usize| {
-            ws.calls[id]
-                .iter()
-                .find(|c| c.tok == tok)
-                .map(|c| &sums.fns[c.callee])
-        };
-        let mut gated = false; // durable write or counted failure seen
-        let mut durable_line = None;
-        for i in f.body..f.end.min(toks.len()) {
-            if ctx.in_test(i) || ctx.in_attr(i) {
-                continue;
-            }
-            if nested.iter().any(|&(s, e)| i >= s && i < e) {
-                continue;
-            }
-            let t = &toks[i];
-            if t.kind != TokKind::Ident {
-                continue;
-            }
-            let call_like = toks.get(i + 1).is_some_and(|n| n.is_punct("("));
-            let name = t.text.as_str();
-            if call_like
-                && (summary::DURABLE_CALLS.contains(&name)
-                    || callee_at(i).is_some_and(|s| s.durable))
-            {
-                gated = true;
-                durable_line.get_or_insert(t.line);
-                continue;
-            }
-            if call_like && summary::COUNTED_FAILURES.contains(&name) {
-                gated = true;
-                continue;
-            }
-            let is_ack = (call_like
-                && (summary::ACK_CALLS.contains(&name) || callee_at(i).is_some_and(|s| s.acks)))
-                || (name == "Accepted"
-                    && i >= 2
-                    && toks[i - 1].is_punct("::")
-                    && toks[i - 2].is_ident("SubmitOutcome"));
-            if is_ack && !gated {
-                out.push(Diagnostic {
-                    rule: "ack-before-durable",
-                    path: ctx.path.clone(),
-                    line: t.line,
-                    col: t.col,
-                    message: format!(
-                        "`{name}` acknowledges the entry before any durable write or \
-                         counted-failure branch in `{}`; on ack-after-durable paths \
-                         the ack must follow the WAL sync",
-                        f.qname()
-                    ),
-                    witness: vec![format!("{}:{} {name}", ctx.path, t.line)],
-                });
-                gated = true; // one finding per function is enough signal
-            }
-        }
-    }
-}
-
-/// Flow rule: transitive `no-panic-paths` — flag calls from protocol
-/// crates into panicking functions defined *outside* them (panic sites
-/// inside a protocol crate are clippy's to report).
-fn no_panic_transitive(ws: &Workspace, sums: &Summaries, out: &mut Vec<Diagnostic>) {
-    for (id, f) in ws.fns.iter().enumerate() {
-        let ctx = &ws.files[f.file];
-        if !ws.is_protocol(&ctx.path) {
-            continue;
-        }
-        let mut seen: BTreeSet<(u32, usize)> = BTreeSet::new();
-        for call in &ws.calls[id] {
-            if ctx.in_test(call.tok) || ctx.in_attr(call.tok) {
-                continue;
-            }
-            let callee = &ws.fns[call.callee];
-            let callee_path = &ws.files[callee.file].path;
-            if ws.is_protocol(callee_path) {
-                continue;
-            }
-            if sums.fns[call.callee].panics.is_none() {
-                continue;
-            }
-            let t = &ctx.toks[call.tok];
-            if !seen.insert((t.line, call.callee)) {
-                continue;
-            }
-            let witness = panic_witness(ws, sums, call.callee);
-            out.push(Diagnostic {
-                rule: "no-panic-paths",
-                path: ctx.path.clone(),
-                line: t.line,
-                col: t.col,
-                message: format!(
-                    "call into `{}` ({}) which can panic ({}); protocol code must \
-                     not reach panicking helpers",
-                    callee.qname(),
-                    callee_path,
-                    witness.last().map(String::as_str).unwrap_or("?"),
-                ),
-                witness,
-            });
-        }
-    }
-}
-
-/// Follows `PanicOrigin::Via` links to the concrete panic site, producing
-/// a printable chain. Depth-capped defensively; the fixpoint cannot
-/// produce a Via chain without a Direct terminus, but a cap keeps even a
-/// logic bug from looping.
-fn panic_witness(ws: &Workspace, sums: &Summaries, mut id: usize) -> Vec<String> {
-    let mut chain = Vec::new();
-    for _ in 0..32 {
-        let f = &ws.fns[id];
-        match &sums.fns[id].panics {
-            Some(summary::PanicOrigin::Direct { line, what }) => {
-                chain.push(format!(
-                    "{} panics via {what} at {}:{line}",
-                    f.qname(),
-                    ws.files[f.file].path
-                ));
-                break;
-            }
-            Some(summary::PanicOrigin::Via { callee }) => {
-                chain.push(f.qname());
-                id = *callee;
-            }
-            None => break,
-        }
-    }
-    chain
-}
-
 /// Rationale for any rule id, token-local or flow.
 pub fn rationale(id: &str) -> Option<&'static str> {
     ALL.iter()
@@ -637,20 +435,6 @@ pub fn rationale(id: &str) -> Option<&'static str> {
 /// matches, and the suppression policy.
 pub fn explain(id: &str) -> Option<&'static str> {
     Some(match id {
-        "no-panic-paths" => {
-            "Invariant: protocol crates must not panic — in the audit model a\n\
-             panicking component is indistinguishable from a hiding one (paper\n\
-             Lemma 2).\n\
-             A protocol crate is one whose src/lib.rs denies clippy::{unwrap_used,\n\
-             expect_used, panic, indexing_slicing, unreachable, todo,\n\
-             unimplemented}; clippy reports every panic site inside it.\n\
-             Matches: calls, through the call graph, from protocol code into\n\
-             functions defined outside the protocol crates that can reach\n\
-             .unwrap()/.expect() or panic!/unreachable!/todo!/unimplemented!.\n\
-             Suppress: a panic site inside a protocol crate takes\n\
-             #[allow(clippy::<lint>, reason = \"…\")] on its item; a flagged call\n\
-             takes an inline allow of this rule id, with its reason."
-        }
         "lock-hygiene" => {
             "Invariant: one panic must not cascade through poisoned locks, and no\n\
              lock may be held across blocking socket/channel I/O.\n\
@@ -676,30 +460,6 @@ pub fn explain(id: &str) -> Option<&'static str> {
              explicit drop), and unresolved calls contribute no edges.\n\
              Suppress: allow() on the acquisition line with the reason the cycle\n\
              cannot contend (e.g. startup-only path)."
-        }
-        "unverified-wire-taint" => {
-            "Invariant: bytes read from transport or storage must pass a\n\
-             verify/checksum/decode step before reaching the tamper-evident sinks\n\
-             (append_encoded/adopt_encoded/submit/submit_durable/append_pipeline,\n\
-             and the witness layer's STH adoption: adopt_head/observe_head);\n\
-             ADLP decoders validate framing and checksums and fail closed, so a\n\
-             structured decode counts as verification.\n\
-             Matches: a token-order flow inside one function from a read source\n\
-             (read_frame/read_exact/…, or a callee summarized as returning\n\
-             unverified wire bytes) to a sink with no verifier between.\n\
-             Suppress: allow() on the sink line, stating where verification\n\
-             actually happens."
-        }
-        "ack-before-durable" => {
-            "Invariant: on ack-after-durable paths, the acknowledgement\n\
-             (note_deposited/note_acked/SubmitOutcome::Accepted) must be dominated\n\
-             by the durable write or an explicit counted-failure branch; acking\n\
-             first silently downgrades 'acked durable' to 'probably on disk'.\n\
-             Matches: functions that perform a durable write (directly or via a\n\
-             callee) where an ack emission precedes every durable/counted event in\n\
-             token order.\n\
-             Suppress: allow() on the ack line, explaining why durability is\n\
-             already guaranteed at that point."
         }
         "suppression-missing-reason" => {
             "Every `// adlp-lint: allow(rule)` directive must carry a reason:\n\

@@ -1,112 +1,14 @@
-//! Per-function summaries and their transitive (fixpoint) closure.
+//! Per-function lock summaries and their transitive (fixpoint) closure.
 //!
-//! Each function gets a small monotone fact set — panic potential, locks
-//! acquired, wire-taint roles, durable-write/ack emission — computed
-//! directly from its tokens and then propagated through the call graph
-//! with a worklist until stable (cycles in the graph are therefore fine:
-//! the facts only grow, so the fixpoint exists and is reached).
+//! Each function gets the set of locks it acquires, computed directly
+//! from its tokens and then propagated through the call graph with a
+//! worklist until stable (cycles in the graph are therefore fine: the
+//! sets only grow, so the fixpoint exists and is reached).
 
 use crate::graph::Workspace;
 use crate::lexer::TokKind;
 use crate::FileCtx;
 use std::collections::BTreeSet;
-
-/// How a function can reach a panic: directly at a token of its own, or
-/// through a call to a panicking function.
-#[derive(Clone, Debug)]
-pub enum PanicOrigin {
-    /// Panics at this line of the function's own body; the string names
-    /// the construct (`.unwrap()`, `panic!`, `[i]`, …).
-    Direct { line: u32, what: String },
-    /// Panics via a call to `callee` (a [`Workspace::fns`] index).
-    Via { callee: usize },
-}
-
-/// The monotone fact set for one function.
-#[derive(Clone, Default)]
-pub struct Summary {
-    /// `Some` when the function can panic (transitively). Holds the first
-    /// origin discovered, in token order, for witness printing.
-    pub panics: Option<PanicOrigin>,
-    /// Lock identities this function acquires, transitively.
-    pub locks: BTreeSet<String>,
-    /// Produces wire/storage bytes that were never verified: the body
-    /// calls a raw read source and no verifier afterwards.
-    pub wire_source: bool,
-    /// Performs a verification step (signature/checksum/decode).
-    pub verifier: bool,
-    /// Performs a durable write (WAL/fsync-backed append), transitively.
-    pub durable: bool,
-    /// Emits a deposit/submission ack, transitively.
-    pub acks: bool,
-}
-
-/// Raw read calls whose returned bytes are untrusted until verified.
-/// `recv_gossip_frame` is the federation ingest funnel: every frame any
-/// witness link delivers — in-process channel or gossip socket —
-/// re-surfaces through it, so its return value is wire bytes no matter
-/// that the call itself is a channel pop.
-pub const TAINT_SOURCES: &[&str] = &[
-    "read_frame",
-    "read_frame_timeout",
-    "read_exact",
-    "read_to_end",
-    "read_to_string",
-    "recv_gossip_frame",
-];
-
-/// Calls that check integrity/authenticity of bytes: signature verifies,
-/// checksum checks, and structured decodes (every ADLP decoder validates
-/// framing + checksums and fails closed; both `Wire` entry points,
-/// `decode` and `decode_from`, fall under the `decode` prefix).
-pub fn is_verifier(name: &str) -> bool {
-    name.starts_with("verify")
-        || name.starts_with("check")
-        || name.starts_with("decode")
-        || name.starts_with("validate")
-        || name == "constant_time_eq"
-}
-
-/// Sinks that chain/commit bytes into the tamper-evident structures.
-/// `adopt_head`/`observe_head` are the witness layer's STH-adoption
-/// sinks: a gossiped head must be structurally decoded (framing +
-/// checksum) before a witness or light client even considers it.
-/// `adopt_proof`/`observe_conviction` are the conviction-gossip ingests,
-/// and `submit_evidence`/`submit_vote` admit material into the dispute
-/// ledger — all of them must only ever see structurally decoded input.
-pub const TAINT_SINKS: &[&str] = &[
-    "append_encoded",
-    "adopt_encoded",
-    "append_pipeline",
-    "submit",
-    "submit_durable",
-    "adopt_head",
-    "observe_head",
-    "adopt_proof",
-    "observe_conviction",
-    "submit_evidence",
-    "submit_vote",
-];
-
-/// Durable-write operations (ack-gating events for `ack-before-durable`).
-pub const DURABLE_CALLS: &[&str] = &[
-    "submit_durable",
-    "append_pipeline",
-    "append_durable",
-    "sync",
-];
-
-/// Ack-emission calls (pressure-gauge deposit acknowledgements).
-pub const ACK_CALLS: &[&str] = &["note_deposited", "note_acked"];
-
-/// Counted-failure calls: losing an entry is fine *if it is counted* —
-/// these mark the explicit accounting branch the rule accepts.
-pub const COUNTED_FAILURES: &[&str] = &[
-    "note_lost",
-    "note_shed",
-    "note_spilled",
-    "note_deposit_failure",
-];
 
 /// One lock acquisition inside a function body.
 pub struct LockSite {
@@ -121,24 +23,21 @@ pub struct LockSite {
     pub held_until: usize,
 }
 
-/// Everything the flow rules need per function, pre-fixpoint and post.
+/// Everything the flow rule needs per function.
 pub struct Summaries {
-    pub fns: Vec<Summary>,
+    /// Lock identities each function acquires, transitively.
+    pub locks: Vec<BTreeSet<String>>,
     /// Direct lock acquisitions per function, token order.
     pub lock_sites: Vec<Vec<LockSite>>,
 }
 
-/// Computes direct facts for every function, then closes them over the
-/// call graph.
+/// Computes direct lock sites for every function, then closes the lock
+/// sets over the call graph.
 pub fn compute(ws: &Workspace) -> Summaries {
-    let mut fns: Vec<Summary> = Vec::with_capacity(ws.fns.len());
+    let mut locks: Vec<BTreeSet<String>> = Vec::with_capacity(ws.fns.len());
     let mut lock_sites = Vec::with_capacity(ws.fns.len());
     for f in ws.fns.iter() {
         let ctx = &ws.files[f.file];
-        // Clippy rules out panic sites in protocol crates (an allowed one
-        // carries its reason on the item), so only code outside them
-        // seeds panic facts.
-        let seeds_panics = !ws.is_protocol(&ctx.path);
         // Nested fn items summarize themselves; mask their spans out of
         // the enclosing function's scan.
         let nested: Vec<(usize, usize)> = ws
@@ -148,15 +47,11 @@ pub fn compute(ws: &Workspace) -> Summaries {
             .map(|g| (g.start, g.end))
             .collect();
         let sites = find_lock_sites(ctx, f.body, f.end, &nested);
-        let mut s = direct_summary(ctx, f.body, f.end, &nested, seeds_panics);
-        for l in &sites {
-            s.locks.insert(l.id.clone());
-        }
-        fns.push(s);
+        locks.push(sites.iter().map(|l| l.id.clone()).collect());
         lock_sites.push(sites);
     }
 
-    // Worklist fixpoint: when a callee's facts grow, revisit its callers.
+    // Worklist fixpoint: when a callee's set grows, revisit its callers.
     let mut callers: Vec<Vec<usize>> = vec![Vec::new(); ws.fns.len()];
     for (caller, sites) in ws.calls.iter().enumerate() {
         for c in sites {
@@ -165,116 +60,24 @@ pub fn compute(ws: &Workspace) -> Summaries {
     }
     let mut work: Vec<usize> = (0..ws.fns.len()).collect();
     while let Some(id) = work.pop() {
-        let mut changed = false;
-        // Collect callee contributions first to appease the borrow checker.
-        let mut add_locks: Vec<String> = Vec::new();
-        let mut panic_via: Option<usize> = None;
-        let (mut durable, mut acks) = (false, false);
-        for c in &ws.calls[id] {
-            let callee = &fns[c.callee];
-            for l in &callee.locks {
-                if !fns[id].locks.contains(l) {
-                    add_locks.push(l.clone());
-                }
-            }
-            if callee.panics.is_some() && fns[id].panics.is_none() && panic_via.is_none() {
-                panic_via = Some(c.callee);
-            }
-            durable |= callee.durable;
-            acks |= callee.acks;
+        let add: Vec<String> = ws.calls[id]
+            .iter()
+            .flat_map(|c| &locks[c.callee])
+            .filter(|l| !locks[id].contains(*l))
+            .cloned()
+            .collect();
+        if add.is_empty() {
+            continue;
         }
-        let s = &mut fns[id];
-        for l in add_locks {
-            s.locks.insert(l);
-            changed = true;
-        }
-        if let Some(callee) = panic_via {
-            s.panics = Some(PanicOrigin::Via { callee });
-            changed = true;
-        }
-        if durable && !s.durable {
-            s.durable = true;
-            changed = true;
-        }
-        if acks && !s.acks {
-            s.acks = true;
-            changed = true;
-        }
-        if changed {
-            for &caller in &callers[id] {
-                if !work.contains(&caller) {
-                    work.push(caller);
-                }
+        locks[id].extend(add);
+        for &caller in &callers[id] {
+            if !work.contains(&caller) {
+                work.push(caller);
             }
         }
     }
 
-    Summaries { fns, lock_sites }
-}
-
-/// Scans one body span for the direct (intraprocedural) facts.
-fn direct_summary(
-    ctx: &FileCtx,
-    body: usize,
-    end: usize,
-    nested: &[(usize, usize)],
-    seeds_panics: bool,
-) -> Summary {
-    let toks = &ctx.toks;
-    let mut s = Summary::default();
-    let mut saw_source_tok: Option<usize> = None;
-    let mut verified_after_source = true;
-    for i in body..end.min(toks.len()) {
-        if ctx.in_test(i) || ctx.in_attr(i) {
-            continue;
-        }
-        if nested.iter().any(|&(ns, ne)| i >= ns && i < ne) {
-            continue;
-        }
-        let t = &toks[i];
-        if t.kind != TokKind::Ident {
-            continue;
-        }
-        let call_like = toks.get(i + 1).is_some_and(|n| n.is_punct("("));
-        let name = t.text.as_str();
-        if seeds_panics && s.panics.is_none() {
-            if (name == "unwrap" || name == "expect")
-                && i > 0
-                && toks[i - 1].is_punct(".")
-                && call_like
-            {
-                s.panics = Some(PanicOrigin::Direct {
-                    line: t.line,
-                    what: format!(".{name}()"),
-                });
-            } else if matches!(name, "panic" | "unreachable" | "todo" | "unimplemented")
-                && toks.get(i + 1).is_some_and(|n| n.is_punct("!"))
-            {
-                s.panics = Some(PanicOrigin::Direct {
-                    line: t.line,
-                    what: format!("{name}!"),
-                });
-            }
-        }
-        if !call_like {
-            continue;
-        }
-        if TAINT_SOURCES.contains(&name) {
-            saw_source_tok = Some(i);
-            verified_after_source = false;
-        } else if is_verifier(name) {
-            verified_after_source = true;
-            s.verifier = true;
-        }
-        if DURABLE_CALLS.contains(&name) {
-            s.durable = true;
-        }
-        if ACK_CALLS.contains(&name) {
-            s.acks = true;
-        }
-    }
-    s.wire_source = saw_source_tok.is_some() && !verified_after_source;
-    s
+    Summaries { locks, lock_sites }
 }
 
 /// Finds direct lock acquisitions in a body span and how long each guard

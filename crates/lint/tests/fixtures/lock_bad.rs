@@ -1,6 +1,5 @@
 // Known-bad fixture for `lock-hygiene`: a poison-propagating unwrap and a
-// guard held across socket I/O. Analyzed under a virtual `/src/` path
-// outside the no-panic crates so only lock-hygiene fires.
+// guard held across socket I/O. Analyzed under a virtual `/src/` path.
 
 use std::io::Write;
 use std::sync::Mutex;

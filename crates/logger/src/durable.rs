@@ -29,6 +29,7 @@
 //! so recovery can tell a clean snapshot from one truncated or doctored on
 //! disk — the paper's tamper-evidence carried across restarts.
 
+use crate::entry::{EncodedEntry, LogEntry};
 use crate::frame::FrameLog;
 use crate::stats::DurabilityStats;
 use crate::storage::Storage;
@@ -188,7 +189,7 @@ fn encode_snapshot(records: &[Vec<u8>], root: Option<Digest>) -> Vec<u8> {
 }
 
 struct SnapshotLoad {
-    records: Vec<Vec<u8>>,
+    records: Vec<EncodedEntry>,
     declared_count: u64,
     root: Digest,
     records_truncated: u64,
@@ -238,10 +239,9 @@ fn load_snapshot(storage: &Arc<dyn Storage>, name: &str) -> Result<SnapshotLoad,
             if len > crate::frame::MAX_PAYLOAD_LEN {
                 return None;
             }
-            let record = after.get(..len)?;
             // A record the encoder cannot decode is corruption from here on.
-            crate::entry::LogEntry::decode(record).ok()?;
-            Some((record.to_vec(), 4 + len))
+            let (_, record) = LogEntry::decode_record(after.get(..len)?.to_vec()).ok()?;
+            Some((record, 4 + len))
         });
         match parsed {
             Some((record, consumed)) => {
@@ -300,7 +300,7 @@ impl DurableLog {
 
         let store = LogStore::new();
         for record in snapshot.records {
-            store.append_encoded(record);
+            store.append_encoded(record.into_bytes());
         }
         let (count, root) = store.tree_head();
         recovery.root_verified = !snapshot.present
@@ -319,15 +319,20 @@ impl DurableLog {
             let at = store.len() as u64;
             if index < at {
                 recovery.wal_skipped += 1;
-            } else if index == at && crate::entry::LogEntry::decode(&entry).is_ok() {
-                store.append_encoded(entry);
-                recovery.wal_replayed += 1;
-            } else {
+                continue;
+            }
+            match LogEntry::decode_record(entry) {
+                Ok((_, record)) if index == at => {
+                    store.append_encoded(record.into_bytes());
+                    recovery.wal_replayed += 1;
+                }
                 // An index gap (or undecodable record behind a valid
                 // checksum) means the records between are unrecoverable;
                 // everything from here is a lost tail.
-                gap = true;
-                recovery.records_truncated += 1;
+                _ => {
+                    gap = true;
+                    recovery.records_truncated += 1;
+                }
             }
         }
 

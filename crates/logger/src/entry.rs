@@ -148,6 +148,28 @@ impl Statement for Binding {
     }
 }
 
+/// One record's bytes, known to be a well-formed [`LogEntry`] encoding.
+///
+/// Only `LogEntry::encoded` and the validating [`LogEntry::decode_record`]
+/// make one, so the logger's append paths that take it (the server's
+/// pipeline and [`crate::LoggerHandle::adopt_encoded`]) cannot commit
+/// bytes nobody checked — the audit (paper §IV, Lemmas 1–2) attributes
+/// whatever the chain holds to the parties it names.
+#[derive(Debug)]
+pub struct EncodedEntry(Vec<u8>);
+
+impl EncodedEntry {
+    /// The record's bytes.
+    pub(crate) fn as_bytes(&self) -> &[u8] {
+        &self.0
+    }
+
+    /// The record's bytes, by value.
+    pub(crate) fn into_bytes(self) -> Vec<u8> {
+        self.0
+    }
+}
+
 impl LogEntry {
     /// Builds a naive-scheme entry (Definition 2): no signatures.
     pub fn naive(
@@ -180,6 +202,11 @@ impl LogEntry {
 
     /// Encodes to the compact binary form stored by the server.
     pub fn encode(&self) -> Vec<u8> {
+        self.encoded().into_bytes()
+    }
+
+    /// [`Self::encode`], typed as a record the logger may append.
+    pub(crate) fn encoded(&self) -> EncodedEntry {
         let mut flags = 0u8;
         if matches!(self.payload, PayloadRecord::Hash(_)) {
             flags |= 1;
@@ -234,7 +261,7 @@ impl LogEntry {
                 write_bytes(&mut out, ack.sig.as_bytes());
             }
         }
-        out
+        EncodedEntry(out)
     }
 
     /// Decodes the [`Self::encode`] format.
@@ -322,6 +349,18 @@ impl LogEntry {
             peer,
             acks,
         })
+    }
+
+    /// Decodes a record and keeps its bytes as the [`EncodedEntry`] the
+    /// decode just validated — how bytes from storage or another replica
+    /// become appendable.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LogError::Malformed`] on any structural violation.
+    pub fn decode_record(bytes: Vec<u8>) -> Result<(Self, EncodedEntry), LogError> {
+        let entry = Self::decode(&bytes)?;
+        Ok((entry, EncodedEntry(bytes)))
     }
 
     /// Size of the encoded entry in bytes (what the storage experiments in

@@ -44,8 +44,9 @@
 //!   store, the WAL, and the Merkle commitments together.
 
 // Protocol crate: no panic paths outside tests (paper Lemma 2 — a
-// panicking component is indistinguishable from a hiding one). adlp-lint's
-// transitive `no-panic-paths` rule reads this set to find protocol crates.
+// panicking component is indistinguishable from a hiding one). The shims
+// the protocol crates call (`bytes`, `crossbeam`, `parking_lot`, `rand`)
+// deny the same set, so the property holds through every call they make.
 #![deny(
     clippy::unwrap_used,
     clippy::expect_used,
@@ -79,7 +80,7 @@ pub use durable::{
     QUARANTINE_WAL_FILE,
 };
 pub use encoding::Wire;
-pub use entry::{AckRecord, Binding, Direction, LogEntry, PayloadRecord};
+pub use entry::{AckRecord, Binding, Direction, EncodedEntry, LogEntry, PayloadRecord};
 pub use keyreg::{KeyRegistry, Keyring};
 pub use receipt::{GapReceipt, ShedReason, GAP_RECEIPT_MAGIC};
 pub use recording::{Recorder, RecordingWindow, RECORDING_MAGIC};

@@ -7,7 +7,7 @@
 //! appends each entry to the tamper-evident [`LogStore`].
 
 use crate::durable::{Appended, DurabilityConfig, DurableLog, Recovery};
-use crate::entry::LogEntry;
+use crate::entry::{EncodedEntry, LogEntry};
 use crate::keyreg::KeyRegistry;
 use crate::stats::LogStats;
 use crate::store::LogStore;
@@ -59,8 +59,9 @@ enum Command {
     AppendDurable(Box<LogEntry>, Sender<Result<(), LogError>>),
     /// Append an already-encoded record through the durable path — used by
     /// cluster catch-up to transplant quorum records into a lagging
-    /// replica without re-signing anything.
-    Adopt(Vec<u8>, Sender<Result<(), LogError>>),
+    /// replica without re-signing anything. The entry is the record's
+    /// decode, kept for volume accounting.
+    Adopt(Box<LogEntry>, EncodedEntry, Sender<Result<(), LogError>>),
     /// Truncate the store back to a length, durably (snapshot + WAL reset
     /// on a durable server) — used by cluster catch-up to back out an
     /// adoption that raced a concurrent deposit. Runs on the server thread,
@@ -166,17 +167,18 @@ impl LoggerHandle {
 
     /// Appends an already-encoded record through the durable path, waiting
     /// for the acknowledgement. Cluster catch-up uses this to copy quorum
-    /// records byte-for-byte into a lagging replica.
+    /// records byte-for-byte into a lagging replica: `encoded` is what the
+    /// store commits, and `entry` (its decode, from
+    /// [`LogEntry::decode_record`]) feeds the volume accounting.
     ///
     /// # Errors
     ///
-    /// Returns [`LogError::Malformed`] when the bytes do not decode,
-    /// [`LogError::ServerClosed`] when the server is gone, or
+    /// Returns [`LogError::ServerClosed`] when the server is gone, or
     /// [`LogError::Io`] when durability could not be achieved.
-    pub fn adopt_encoded(&self, encoded: Vec<u8>) -> Result<(), LogError> {
+    pub fn adopt_encoded(&self, entry: LogEntry, encoded: EncodedEntry) -> Result<(), LogError> {
         let (tx, rx) = crossbeam::channel::bounded(1);
         self.tx
-            .send(Command::Adopt(encoded, tx))
+            .send(Command::Adopt(Box::new(entry), encoded, tx))
             .map_err(|_| LogError::ServerClosed)?;
         rx.recv().map_err(|_| LogError::ServerClosed)?
     }
@@ -428,21 +430,31 @@ impl LogServer {
     fn append_pipeline(
         durable: &mut Option<DurableLog>,
         store: &LogStore,
-        encoded: &[u8],
+        encoded: &EncodedEntry,
     ) -> Result<Appended, LogError> {
         let outcome = match durable.as_mut() {
             Some(d) => {
-                let outcome = d.append(store.len() as u64, encoded)?;
-                store.append_encoded(encoded.to_vec());
+                let outcome = d.append(store.len() as u64, encoded.as_bytes())?;
+                store.append_encoded(encoded.as_bytes().to_vec());
                 d.maybe_rotate(store);
                 outcome
             }
             None => {
-                store.append_encoded(encoded.to_vec());
+                store.append_encoded(encoded.as_bytes().to_vec());
                 Appended::SyncSkipped
             }
         };
         Ok(outcome)
+    }
+
+    /// What a durable append tells its waiting caller: an entry in the WAL
+    /// and the store but not provably on the platter is stored (indices
+    /// must stay aligned) yet not acknowledged as durable.
+    fn durable_verdict(appended: Result<Appended, LogError>) -> Result<(), LogError> {
+        match appended? {
+            Appended::SyncFailed => Err(LogError::Io("wal sync failed; entry not durable".into())),
+            _ => Ok(()),
+        }
     }
 
     /// Moves one arriving command into the backlog, refusing fire-and-forget
@@ -515,6 +527,25 @@ impl LogServer {
                 r.record(encoded);
             }
         };
+        // Appends one entry and accounts for it: a stored entry is counted,
+        // recorded and paced toward the next seal; one the WAL refused
+        // (torn write / dead device) is not stored and is counted lost,
+        // like a submission to a dead server.
+        let store_entry = |durable: &mut Option<DurableLog>,
+                           entry: &LogEntry,
+                           encoded: &EncodedEntry,
+                           appends_since_seal: &mut u64| {
+            let appended = Self::append_pipeline(durable, &store, encoded);
+            match appended {
+                Ok(_) => {
+                    stats.record(&entry.component, &entry.topic, encoded.as_bytes().len());
+                    record_tap(encoded.as_bytes());
+                    *appends_since_seal += 1;
+                }
+                Err(_) => stats.note_lost(),
+            }
+            appended
+        };
         loop {
             if backlog.is_empty() {
                 match rx.recv() {
@@ -546,72 +577,26 @@ impl LogServer {
             }
             match cmd {
                 Command::Append(entry) => {
-                    let encoded = entry.encode();
-                    match Self::append_pipeline(&mut durable, &store, &encoded) {
-                        Ok(_) => {
-                            stats.record(&entry.component, &entry.topic, encoded.len());
-                            record_tap(&encoded);
-                            appends_since_seal += 1;
-                            maybe_seal(&mut appends_since_seal);
-                        }
-                        // Refused by the WAL (torn write / dead device):
-                        // the entry is not stored; counted, like a
-                        // submission to a dead server.
-                        Err(_) => stats.note_lost(),
+                    let encoded = entry.encoded();
+                    if store_entry(&mut durable, &entry, &encoded, &mut appends_since_seal).is_ok()
+                    {
+                        maybe_seal(&mut appends_since_seal);
                     }
                 }
                 Command::AppendDurable(entry, reply) => {
-                    let encoded = entry.encode();
-                    let verdict = match Self::append_pipeline(&mut durable, &store, &encoded) {
-                        Ok(Appended::SyncFailed) => {
-                            // In the WAL and the store, but not provably on
-                            // the platter: stored (indices must stay
-                            // aligned) yet not acknowledged as durable.
-                            stats.record(&entry.component, &entry.topic, encoded.len());
-                            record_tap(&encoded);
-                            appends_since_seal += 1;
-                            Err(LogError::Io("wal sync failed; entry not durable".into()))
-                        }
-                        Ok(_) => {
-                            stats.record(&entry.component, &entry.topic, encoded.len());
-                            record_tap(&encoded);
-                            appends_since_seal += 1;
-                            Ok(())
-                        }
-                        Err(e) => {
-                            stats.note_lost();
-                            Err(e)
-                        }
-                    };
+                    let encoded = entry.encoded();
+                    let appended =
+                        store_entry(&mut durable, &entry, &encoded, &mut appends_since_seal);
                     maybe_seal(&mut appends_since_seal);
                     // adlp-lint: allow(discarded-fallible) — the depositing caller may have stopped waiting for its verdict
-                    let _ = reply.send(verdict);
+                    let _ = reply.send(Self::durable_verdict(appended));
                 }
-                Command::Adopt(encoded, reply) => {
-                    let verdict = match LogEntry::decode(&encoded) {
-                        Ok(entry) => match Self::append_pipeline(&mut durable, &store, &encoded) {
-                            Ok(Appended::SyncFailed) => {
-                                stats.record(&entry.component, &entry.topic, encoded.len());
-                                record_tap(&encoded);
-                                appends_since_seal += 1;
-                                Err(LogError::Io("wal sync failed; entry not durable".into()))
-                            }
-                            Ok(_) => {
-                                stats.record(&entry.component, &entry.topic, encoded.len());
-                                record_tap(&encoded);
-                                appends_since_seal += 1;
-                                Ok(())
-                            }
-                            Err(e) => {
-                                stats.note_lost();
-                                Err(e)
-                            }
-                        },
-                        Err(e) => Err(e),
-                    };
+                Command::Adopt(entry, encoded, reply) => {
+                    let appended =
+                        store_entry(&mut durable, &entry, &encoded, &mut appends_since_seal);
                     maybe_seal(&mut appends_since_seal);
                     // adlp-lint: allow(discarded-fallible) — the adopting caller may have stopped waiting for its verdict
-                    let _ = reply.send(verdict);
+                    let _ = reply.send(Self::durable_verdict(appended));
                 }
                 Command::Rollback(len, reply) => {
                     let verdict = match store.rollback_to(len) {
@@ -883,12 +868,13 @@ mod tests {
         let config = crate::DurabilityConfig::new(mem.clone() as Arc<dyn Storage>);
         let spawned = LogServer::try_spawn_durable(KeyRegistry::new(), &config).unwrap();
         let h = spawned.server.handle();
-        for encoded in dh.store().encoded_records() {
-            h.adopt_encoded(encoded).unwrap();
+        for record in dh.store().encoded_records() {
+            let (entry, encoded) = LogEntry::decode_record(record).unwrap();
+            h.adopt_encoded(entry, encoded).unwrap();
         }
         assert_eq!(h.store().tree_head(), dh.store().tree_head());
         assert!(matches!(
-            h.adopt_encoded(vec![0xFF; 3]),
+            LogEntry::decode_record(vec![0xFF; 3]),
             Err(LogError::Malformed(_))
         ));
         spawned.server.kill();

@@ -5,6 +5,18 @@
 //! workspace uses (message payloads are built once and then shared across
 //! subscriber queues).
 
+// Called from the protocol crates, so held to their panic lints (paper
+// Lemma 2 — a panicking component is indistinguishable from a hiding one).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use std::borrow::Borrow;
 use std::fmt;
 use std::hash::{Hash, Hasher};

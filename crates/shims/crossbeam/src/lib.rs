@@ -8,4 +8,16 @@
 //! the message rates exercised here (tens of thousands of frames per
 //! second) are far below what this implementation sustains.
 
+// Called from the protocol crates, so held to their panic lints (paper
+// Lemma 2 — a panicking component is indistinguishable from a hiding one).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 pub mod channel;

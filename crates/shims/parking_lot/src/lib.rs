@@ -5,6 +5,18 @@
 //! std lock (a panic while held) is transparently recovered rather than
 //! propagated — matching `parking_lot`'s behavior of not tracking poison.
 
+// Called from the protocol crates, so held to their panic lints (paper
+// Lemma 2 — a panicking component is indistinguishable from a hiding one).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync::{self, WaitTimeoutResult};
@@ -84,12 +96,20 @@ impl<T: ?Sized + fmt::Debug> fmt::Debug for Mutex<T> {
 impl<T: ?Sized> Deref for MutexGuard<'_, T> {
     type Target = T;
 
+    #[allow(
+        clippy::expect_used,
+        reason = "the guard is `None` only inside `Condvar::wait`, which holds `&mut` to it"
+    )]
     fn deref(&self) -> &T {
         self.inner.as_ref().expect("guard present")
     }
 }
 
 impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
+    #[allow(
+        clippy::expect_used,
+        reason = "the guard is `None` only inside `Condvar::wait`, which holds `&mut` to it"
+    )]
     fn deref_mut(&mut self) -> &mut T {
         self.inner.as_mut().expect("guard present")
     }
@@ -193,6 +213,10 @@ impl Condvar {
     }
 
     /// Blocks until notified, releasing the guard while waiting.
+    #[allow(
+        clippy::expect_used,
+        reason = "every `MutexGuard` holds its std guard between calls; only this wait takes it"
+    )]
     pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
         let inner = guard.inner.take().expect("guard present");
         let inner = recover(self.inner.wait(inner));
@@ -201,6 +225,10 @@ impl Condvar {
 
     /// Blocks until notified or `timeout` elapses; returns whether the wait
     /// timed out.
+    #[allow(
+        clippy::expect_used,
+        reason = "every `MutexGuard` holds its std guard between calls; only this wait takes it"
+    )]
     pub fn wait_for<T>(
         &self,
         guard: &mut MutexGuard<'_, T>,

@@ -230,7 +230,7 @@ mod tests {
     #[test]
     fn map_and_union_compose() {
         let mut rng = TestRng::from_seed(4);
-        let s = crate::prop_oneof![(0u8..10).prop_map(|v| v as u32), (100u32..110),];
+        let s = crate::prop_oneof![(0u8..10).prop_map(|v| v as u32), 100u32..110,];
         for _ in 0..100 {
             let v = s.generate(&mut rng);
             assert!(v < 10 || (100..110).contains(&v));

@@ -9,6 +9,18 @@
 //! the upstream ChaCha-based `StdRng` and produces a different stream for
 //! the same seed.
 
+// Called from the protocol crates, so held to their panic lints (paper
+// Lemma 2 — a panicking component is indistinguishable from a hiding one).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 /// A source of random bits, mirroring `rand::RngCore`.
 pub trait RngCore {
     /// Returns the next 32 random bits.
@@ -57,8 +69,9 @@ pub trait SeedableRng: Sized {
         let mut seed = Self::Seed::default();
         let mut sm = SplitMix64 { state };
         for chunk in seed.as_mut().chunks_mut(8) {
-            let bytes = sm.next().to_le_bytes();
-            chunk.copy_from_slice(&bytes[..chunk.len()]);
+            for (dst, src) in chunk.iter_mut().zip(sm.next().to_le_bytes()) {
+                *dst = src;
+            }
         }
         Self::from_seed(seed)
     }
@@ -115,8 +128,9 @@ pub mod rngs {
 
         fn fill_bytes(&mut self, dest: &mut [u8]) {
             for chunk in dest.chunks_mut(8) {
-                let bytes = self.next_u64().to_le_bytes();
-                chunk.copy_from_slice(&bytes[..chunk.len()]);
+                for (dst, src) in chunk.iter_mut().zip(self.next_u64().to_le_bytes()) {
+                    *dst = src;
+                }
             }
         }
     }
@@ -126,8 +140,8 @@ pub mod rngs {
 
         fn from_seed(seed: Self::Seed) -> Self {
             let mut s = [0u64; 4];
-            for (i, word) in s.iter_mut().enumerate() {
-                *word = u64::from_le_bytes(seed[i * 8..(i + 1) * 8].try_into().expect("8 bytes"));
+            for (word, bytes) in s.iter_mut().zip(seed.as_chunks::<8>().0) {
+                *word = u64::from_le_bytes(*bytes);
             }
             // All-zero state is the one degenerate case for xoshiro.
             if s == [0, 0, 0, 0] {

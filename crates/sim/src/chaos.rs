@@ -239,6 +239,15 @@ pub struct ChaosPlan {
     pub expect: Expect,
 }
 
+impl ChaosPlan {
+    /// Whether the plan litigates a conviction — the `dispute` rows.
+    pub fn litigates(&self) -> bool {
+        self.events
+            .iter()
+            .any(|(_, f)| matches!(f, Fault::Litigate(_)))
+    }
+}
+
 /// The plan table: every scenario the harness runs. A mode *is* its event
 /// list; each row's comment says what it must show beyond the oracle.
 pub fn plans(seed: u64, link: ChaosLink) -> Vec<ChaosPlan> {
@@ -1210,6 +1219,7 @@ impl<'p> Rig<'p> {
             .transpose()?;
         let run = Run {
             deposits: plan.events.iter().map(|(step, _)| *step).max().unwrap_or(0),
+            node_traffic: nodes.is_some(),
             acked: vec![Vec::new(); cluster.shard_count()],
             ..Run::default()
         };
@@ -1619,6 +1629,8 @@ impl<'p> Rig<'p> {
 pub struct Run {
     /// Deposits (or publications) the stream made.
     pub deposits: usize,
+    /// Whether nodes published instead of the rig depositing directly.
+    pub node_traffic: bool,
     /// Per shard: encoded entries acked durable, in submission order (empty
     /// under node traffic, whose acks the rig does not observe).
     pub acked: Vec<Vec<Vec<u8>>>,
@@ -1779,7 +1791,7 @@ pub fn judge(expect: &Expect, out: &ChaosOutcome) -> Result<(), Breach> {
         count("cluster.acked"),
         lost,
     )?;
-    if out.verdict.is_none() {
+    if !run.node_traffic {
         let acked = run.acked.iter().map(Vec::len).sum::<usize>() as u64;
         accounted("stream", run.deposits as u64, acked, run.refused)?;
         accounted("stream vs cluster", count("cluster.submitted"), acked, lost)?;

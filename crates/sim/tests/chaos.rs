@@ -643,6 +643,17 @@ mod oracle {
     }
 
     #[test]
+    fn clause_1_a_litigated_run_still_accounts_its_stream() {
+        let mut out = run("equivocation_litigated", 11, ChaosLink::Inproc);
+        out.run.refused += 1;
+        breaks(
+            1,
+            &plan("equivocation_litigated", 11, ChaosLink::Inproc).expect,
+            &out,
+        );
+    }
+
+    #[test]
     fn clause_2_an_acked_entry_removed_from_the_quorum_log() {
         let mut out = run("honest", 11, ChaosLink::Inproc);
         out.view.shards[0].records.remove(5);

@@ -20,8 +20,8 @@
 //! then each running witness drains its inbox through
 //! `Federation::recv_gossip_frame` → [`decode_conviction_frame`] /
 //! [`SignedTreeHead::decode`] → [`Witness::adopt_proof`] /
-//! [`Witness::adopt_head`]. Nothing reaches witness state any other way
-//! (the adlp-lint wire-taint rule pins this path). Gossip frames are
+//! [`Witness::adopt_head`]. Nothing reaches witness state any other way:
+//! both adopt methods take decoded values, never bytes. Gossip frames are
 //! idempotent and re-sent in full every round, so a frame lost to a fault
 //! or a dead link is made whole the first round after the link recovers.
 //!
@@ -540,8 +540,8 @@ impl Federation {
     /// This is the single ingest point for gossip bytes on every link;
     /// everything it returns must pass [`decode_conviction_frame`] or
     /// [`SignedTreeHead::decode`] (and the witness's verify-then-adopt
-    /// path) before touching state — the adlp-lint `unverified-wire-taint`
-    /// rule treats this function as a taint source.
+    /// path) before touching state — the adopt methods take only the
+    /// decoded types.
     fn recv_gossip_frame(&self, w: usize) -> Option<Vec<u8>> {
         self.link.recv(w)
     }
