@@ -60,7 +60,7 @@ struct SlotSink {
 
 impl ReplicaSink for SlotSink {
     fn deposit(&self, entry: &LogEntry) -> bool {
-        self.slot.handle().try_submit(entry.clone()).is_ok()
+        self.slot.try_submit(entry.clone()).is_ok()
     }
 
     fn deposit_durable(&self, entry: &LogEntry) -> bool {

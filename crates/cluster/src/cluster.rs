@@ -42,6 +42,19 @@ impl ReplicaSlot {
         self.server.lock().handle()
     }
 
+    /// Queues `entry` on the current incarnation without waiting for it.
+    /// The slot stays locked across the send, so a submission cannot
+    /// slip in behind a concurrent [`ReplicaSlot::kill`]'s terminate
+    /// command: there it would be reported queued and never stored.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LogError::ServerClosed`] once the replica is dead.
+    pub(crate) fn try_submit(&self, entry: LogEntry) -> Result<(), LogError> {
+        let server = self.server.lock();
+        server.handle().try_submit(entry)
+    }
+
     /// Shard this replica belongs to.
     pub fn shard(&self) -> usize {
         self.shard
@@ -661,6 +674,30 @@ mod tests {
         slot.handle().try_submit(entry(3)).unwrap();
         slot.handle().flush().unwrap();
         assert_eq!(slot.handle().store().len(), 1, "restart is empty (lagging)");
+    }
+
+    #[test]
+    fn a_submission_racing_a_kill_is_stored_or_refused() {
+        let cluster = LoggerCluster::spawn(ClusterConfig::new(1)).unwrap();
+        let slot = Arc::clone(cluster.replica(0, 0).unwrap());
+        let submitter = {
+            let slot = Arc::clone(&slot);
+            std::thread::spawn(move || {
+                // Below the server's queue bound: nothing is shed.
+                let mut queued = 0;
+                while queued < 8_192 && slot.try_submit(entry(queued)).is_ok() {
+                    queued += 1;
+                }
+                queued
+            })
+        };
+        // Kill mid-stream, with submissions still arriving.
+        while slot.handle().store().len() < 64 {
+            std::thread::yield_now();
+        }
+        cluster.kill_replica(0, 0);
+        let queued = submitter.join().unwrap();
+        assert_eq!(slot.handle().store().len() as u64, queued);
     }
 
     #[test]

@@ -8,9 +8,10 @@
 //! clocks and rng `clippy.toml` disallows, and types carry the logger's
 //! checked-on-the-way-in records and the node's deposit receipts. This
 //! crate enforces the rest on every `.rs` file in the workspace with a
-//! real token-level lexer ([`lexer`]): two token rules and one flow rule
-//! over the cross-crate call graph ([`rules`]), reporting `file:line:col`
-//! diagnostics.
+//! real token-level lexer ([`lexer`]): two token rules ([`rules`]),
+//! reporting `file:line:col` diagnostics. Lock order is not a lint: debug
+//! builds check it where every lock is taken, in the workspace's
+//! `parking_lot` shim.
 //!
 //! Pre-existing debt is recorded in a committed baseline
 //! ([`baseline`], `lint-baseline.toml`) and ratcheted: `--deny` fails on
@@ -20,10 +21,8 @@
 //! `// adlp-lint: allow(rule-id) — reason`, reason required.
 
 pub mod baseline;
-pub mod graph;
 pub mod lexer;
 pub mod rules;
-pub mod summary;
 
 use lexer::{lex, TokKind, Token};
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -40,10 +39,6 @@ pub struct Diagnostic {
     pub col: u32,
     /// What was matched and why it is a problem.
     pub message: String,
-    /// For the flow rule: the witness path (the lock cycle, edge by
-    /// edge) that produced the finding, outermost first. Empty for the
-    /// token-local rules.
-    pub witness: Vec<String>,
 }
 
 impl std::fmt::Display for Diagnostic {
@@ -52,17 +47,13 @@ impl std::fmt::Display for Diagnostic {
             f,
             "{}:{}:{}: [{}] {}",
             self.path, self.line, self.col, self.rule, self.message
-        )?;
-        if !self.witness.is_empty() {
-            write!(f, " [witness: {}]", self.witness.join(" -> "))?;
-        }
-        Ok(())
+        )
     }
 }
 
 /// A lexed file plus the derived facts rules need: which tokens are in
-/// test-only regions, which are inside attributes, the enclosing function
-/// for each token, and the inline suppressions.
+/// test-only regions, which are inside attributes, and the inline
+/// suppressions.
 pub struct FileCtx {
     pub path: String,
     /// Significant tokens (comments stripped).
@@ -72,8 +63,6 @@ pub struct FileCtx {
     test_regions: Vec<(usize, usize)>,
     /// Token-index ranges of `#[…]` / `#![…]` attributes.
     attr_regions: Vec<(usize, usize)>,
-    /// Token-index ranges of `impl` blocks with the owner type name.
-    impl_regions: Vec<(usize, usize, String)>,
     /// Line → rule-ids suppressed on that line (via the line itself or a
     /// standalone allow comment directly above).
     allows: HashMap<u32, HashSet<String>>,
@@ -97,14 +86,12 @@ impl FileCtx {
         }
         let attr_regions = find_attr_regions(&toks);
         let test_regions = find_test_regions(&toks, &attr_regions);
-        let impl_regions = find_impl_regions(&toks);
         let (allows, bad_allows) = collect_allows(&comments, source);
         FileCtx {
             path: path.to_owned(),
             toks,
             test_regions,
             attr_regions,
-            impl_regions,
             allows,
             bad_allows,
         }
@@ -118,20 +105,6 @@ impl FileCtx {
     /// Whether token `i` lies inside an attribute.
     pub fn in_attr(&self, i: usize) -> bool {
         self.attr_regions.iter().any(|&(s, e)| i >= s && i < e)
-    }
-
-    /// Owner type of the innermost `impl` block containing token `i`.
-    pub fn impl_owner_at(&self, i: usize) -> Option<String> {
-        self.impl_regions
-            .iter()
-            .filter(|&&(s, e, _)| i >= s && i < e)
-            .max_by_key(|&&(s, _, _)| s)
-            .map(|(_, _, name)| name.clone())
-    }
-
-    /// The cached `impl` regions (start, end, owner type).
-    pub fn impl_regions(&self) -> &[(usize, usize, String)] {
-        &self.impl_regions
     }
 
     /// Whether `rule` is suppressed at `line` by an inline allow.
@@ -231,7 +204,7 @@ fn find_test_regions(toks: &[Token], attrs: &[(usize, usize)]) -> Vec<(usize, us
 }
 
 /// Index one past the delimiter matching the opener at `open`.
-pub(crate) fn matching_close(toks: &[Token], open: usize, op: &str, cl: &str) -> usize {
+fn matching_close(toks: &[Token], open: usize, op: &str, cl: &str) -> usize {
     let mut depth = 0usize;
     let mut i = open;
     while i < toks.len() {
@@ -246,57 +219,6 @@ pub(crate) fn matching_close(toks: &[Token], open: usize, op: &str, cl: &str) ->
         i += 1;
     }
     toks.len()
-}
-
-/// Records `impl Type { … }` / `impl Trait for Type { … }` spans with the
-/// owner type name, tracking angle-bracket depth so generic parameters
-/// never masquerade as the owner.
-fn find_impl_regions(toks: &[Token]) -> Vec<(usize, usize, String)> {
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < toks.len() {
-        if !toks[i].is_ident("impl") {
-            i += 1;
-            continue;
-        }
-        let mut j = i + 1;
-        let mut angle = 0i32;
-        let mut last_ident: Option<String> = None;
-        let mut after_for: Option<String> = None;
-        let mut saw_for = false;
-        while j < toks.len() && !toks[j].is_punct("{") && !toks[j].is_punct(";") {
-            let t = &toks[j];
-            if t.is_punct("<") || t.is_punct("<<") {
-                angle += if t.text == "<<" { 2 } else { 1 };
-            } else if t.is_punct(">") || t.is_punct(">>") {
-                angle -= if t.text == ">>" { 2 } else { 1 };
-            } else if angle <= 0 && t.kind == TokKind::Ident {
-                if t.text == "for" {
-                    saw_for = true;
-                } else if t.text == "where" {
-                    break;
-                } else if saw_for {
-                    after_for = Some(t.text.clone());
-                } else {
-                    last_ident = Some(t.text.clone());
-                }
-            }
-            j += 1;
-        }
-        while j < toks.len() && !toks[j].is_punct("{") && !toks[j].is_punct(";") {
-            j += 1;
-        }
-        if j < toks.len() && toks[j].is_punct("{") {
-            let end = matching_close(toks, j, "{", "}");
-            if let Some(name) = after_for.or(last_ident) {
-                out.push((i, end, name));
-            }
-            i = j + 1;
-        } else {
-            i = j + 1;
-        }
-    }
-    out
 }
 
 /// Parses `// adlp-lint: allow(rule-a, rule-b) — reason` comments.
@@ -368,82 +290,44 @@ pub struct FileReport {
     pub suppressed: usize,
 }
 
-/// Runs every rule over one file. The flow rules still run —
-/// the file is treated as a one-file workspace — so fixtures exercise
-/// them, but cross-file calls stay unresolved.
+/// Runs every rule over one file: the token rules if it is `src/` code,
+/// and the reasonless-suppression check everywhere.
 pub fn analyze(path: &str, source: &str) -> FileReport {
-    let mut reports = analyze_files(vec![(path.to_owned(), source.to_owned())]);
-    reports.remove(path).unwrap_or(FileReport {
-        diags: Vec::new(),
-        suppressed: 0,
-    })
+    let ctx = FileCtx::new(path, source);
+    let mut raw: Vec<Diagnostic> = Vec::new();
+    if path.contains("/src/") || path.starts_with("src/") {
+        for rule in rules::ALL {
+            (rule.check)(&ctx, &mut raw);
+        }
+    }
+    for (line, msg) in &ctx.bad_allows {
+        raw.push(Diagnostic {
+            rule: "suppression-missing-reason",
+            path: ctx.path.clone(),
+            line: *line,
+            col: 1,
+            message: msg.clone(),
+        });
+    }
+    let (allowed, mut diags): (Vec<_>, Vec<_>) = raw
+        .into_iter()
+        .partition(|d| ctx.is_allowed(d.rule, d.line));
+    diags.sort_by(|a, b| (a.line, a.col, a.rule).cmp(&(b.line, b.col, b.rule)));
+    FileReport {
+        diags,
+        suppressed: allowed.len(),
+    }
 }
 
-/// Analyzes a set of files as one workspace: the token rules over each
-/// `src/` file first, then the call-graph flow rule (lock-order-cycles)
-/// over all of them.
+/// Analyzes each of `(path, source)`, keyed by path.
 pub fn analyze_files(files: Vec<(String, String)>) -> BTreeMap<String, FileReport> {
-    let ctxs: Vec<FileCtx> = files
-        .iter()
-        .map(|(path, source)| FileCtx::new(path, source))
-        .collect();
-
-    let mut raw: Vec<Diagnostic> = Vec::new();
-    for ctx in &ctxs {
-        if ctx.path.contains("/src/") || ctx.path.starts_with("src/") {
-            for rule in rules::ALL {
-                (rule.check)(ctx, &mut raw);
-            }
-        }
-        for (line, msg) in &ctx.bad_allows {
-            raw.push(Diagnostic {
-                rule: "suppression-missing-reason",
-                path: ctx.path.clone(),
-                line: *line,
-                col: 1,
-                message: msg.clone(),
-                witness: Vec::new(),
-            });
-        }
-    }
-
-    let ws = graph::Workspace::build(ctxs);
-    let summaries = summary::compute(&ws);
-    for rule in rules::FLOW {
-        (rule.check)(&ws, &summaries, &mut raw);
-    }
-
-    let mut out: BTreeMap<String, FileReport> = BTreeMap::new();
-    for ctx in &ws.files {
-        out.insert(
-            ctx.path.clone(),
-            FileReport {
-                diags: Vec::new(),
-                suppressed: 0,
-            },
-        );
-    }
-    for d in raw {
-        let allowed = ws
-            .files
-            .iter()
-            .find(|c| c.path == d.path)
-            .is_some_and(|c| c.is_allowed(d.rule, d.line));
-        let Some(report) = out.get_mut(&d.path) else {
-            continue;
-        };
-        if allowed {
-            report.suppressed += 1;
-        } else {
-            report.diags.push(d);
-        }
-    }
-    for report in out.values_mut() {
-        report
-            .diags
-            .sort_by(|a, b| (a.line, a.col, a.rule).cmp(&(b.line, b.col, b.rule)));
-    }
-    out
+    files
+        .into_iter()
+        .map(|(path, source)| {
+            let report = analyze(&path, &source);
+            (path, report)
+        })
+        .collect()
 }
 
 /// Recursively collects the workspace `.rs` files to scan, skipping build
@@ -475,8 +359,7 @@ pub fn workspace_files(root: &Path) -> Vec<PathBuf> {
 }
 
 /// Scans the workspace rooted at `root`; returns per-file reports keyed by
-/// relative path, in deterministic order. All files are analyzed together
-/// so the flow rules see the cross-crate call graph.
+/// relative path, in deterministic order.
 pub fn scan_workspace(root: &Path) -> BTreeMap<String, FileReport> {
     let mut files = Vec::new();
     for file in workspace_files(root) {

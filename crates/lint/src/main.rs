@@ -108,21 +108,14 @@ fn print_json(
         .sort_by(|a, b| (&a.path, a.line, a.col, a.rule).cmp(&(&b.path, b.line, b.col, b.rule)));
     let mut out = String::from("{\n  \"findings\": [\n");
     for (i, d) in findings.iter().enumerate() {
-        let witness = d
-            .witness
-            .iter()
-            .map(|w| json_str(w))
-            .collect::<Vec<_>>()
-            .join(", ");
         out.push_str(&format!(
             "    {{\"file\": {}, \"line\": {}, \"col\": {}, \"rule\": {}, \
-             \"message\": {}, \"witness\": [{}]}}{}\n",
+             \"message\": {}}}{}\n",
             json_str(&d.path),
             d.line,
             d.col,
             json_str(d.rule),
             json_str(&d.message),
-            witness,
             if i + 1 < findings.len() { "," } else { "" },
         ));
     }
@@ -179,9 +172,6 @@ fn main() -> ExitCode {
         for r in rules::ALL {
             println!("{:<22} {}", r.id, r.rationale);
         }
-        for r in rules::FLOW {
-            println!("{:<22} {} (flow)", r.id, r.rationale);
-        }
         return ExitCode::SUCCESS;
     }
     if let Some(rule) = &args.explain {
@@ -202,8 +192,7 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     };
 
-    // Scan: the whole workspace, or just the paths given (analyzed
-    // together, so the flow rules see calls across the given set).
+    // Scan: the whole workspace, or just the paths given.
     let reports: BTreeMap<String, FileReport> = if args.paths.is_empty() {
         scan_workspace(&root)
     } else {

@@ -2,20 +2,18 @@
 //!
 //! Each rule maps to a guarantee in the paper (see DESIGN.md §3.7):
 //! poisoned-lock unwraps turn one panic into a cascade, discarded
-//! fallible sends silently lose the evidence the protocol exists to keep,
-//! and the one flow rule follows lock acquisitions across the call graph.
-//! The rest is the compiler's: the protocol crates and the shims they
+//! and discarded fallible sends silently lose the evidence the protocol
+//! exists to keep. Lock order is checked at run time instead, by the
+//! debug build of the workspace's `parking_lot` shim. The rest is the
+//! compiler's: the protocol crates and the shims they
 //! call deny clippy's panic lints, `clippy.toml` disallows the ambient
 //! clocks and rng where replay is the contract, `Digest`/`Signature`
 //! compare in constant time by type, the logger appends only an
 //! `EncodedEntry` (a checked record), and a node counts a deposit only
 //! with the receipt the logger's acceptance mints.
 
-use crate::graph::Workspace;
 use crate::lexer::TokKind;
-use crate::summary::Summaries;
 use crate::{Diagnostic, FileCtx};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// A single token-local lint rule over `src/` code: id, rationale,
 /// checker.
@@ -23,14 +21,6 @@ pub struct Rule {
     pub id: &'static str,
     pub rationale: &'static str,
     pub check: fn(&FileCtx, &mut Vec<Diagnostic>),
-}
-
-/// A flow rule: runs once over the whole-workspace call graph and the
-/// per-function summaries instead of file by file.
-pub struct FlowRule {
-    pub id: &'static str,
-    pub rationale: &'static str,
-    pub check: fn(&Workspace, &Summaries, &mut Vec<Diagnostic>),
 }
 
 /// All token rules, in reporting order.
@@ -49,15 +39,6 @@ pub const ALL: &[Rule] = &[
     },
 ];
 
-/// The flow rules, in reporting order.
-pub const FLOW: &[FlowRule] = &[FlowRule {
-    id: "lock-order-cycles",
-    rationale: "two call paths that acquire the same locks in opposite orders \
-                    deadlock under contention; the interprocedural acquisition graph \
-                    must stay acyclic across cluster/logger/pubsub",
-    check: lock_order_cycles,
-}];
-
 fn push(out: &mut Vec<Diagnostic>, ctx: &FileCtx, rule: &'static str, i: usize, msg: String) {
     out.push(Diagnostic {
         rule,
@@ -65,7 +46,6 @@ fn push(out: &mut Vec<Diagnostic>, ctx: &FileCtx, rule: &'static str, i: usize, 
         line: ctx.toks[i].line,
         col: ctx.toks[i].col,
         message: msg,
-        witness: Vec::new(),
     });
 }
 
@@ -259,178 +239,6 @@ fn discarded_fallible(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
     }
 }
 
-// ---- flow rules ----------------------------------------------------------
-
-/// Crates whose lock discipline the deadlock rule enforces.
-fn lock_scope(p: &str) -> bool {
-    [
-        "crates/cluster/src/",
-        "crates/logger/src/",
-        "crates/pubsub/src/",
-        "crates/core/src/",
-    ]
-    .iter()
-    .any(|pre| p.starts_with(pre))
-}
-
-/// One lock-order edge: `from` is held while `to` is acquired.
-struct LockEdge {
-    to: String,
-    file: usize,
-    tok: usize,
-    /// Callee whose transitive lock set produced the edge, if indirect.
-    via: Option<String>,
-}
-
-/// Flow rule: build the interprocedural lock-acquisition order graph and
-/// report every cycle with a witness path.
-fn lock_order_cycles(ws: &Workspace, sums: &Summaries, out: &mut Vec<Diagnostic>) {
-    // from-lock → (to-lock → first witness edge).
-    let mut edges: BTreeMap<String, BTreeMap<String, LockEdge>> = BTreeMap::new();
-    for (id, f) in ws.fns.iter().enumerate() {
-        let ctx = &ws.files[f.file];
-        if !lock_scope(&ctx.path) {
-            continue;
-        }
-        for site in &sums.lock_sites[id] {
-            let held = site.tok..site.held_until;
-            // Direct: another lock acquired while this one is held.
-            for other in &sums.lock_sites[id] {
-                if other.tok > site.tok && held.contains(&other.tok) && other.id != site.id {
-                    edges
-                        .entry(site.id.clone())
-                        .or_default()
-                        .entry(other.id.clone())
-                        .or_insert(LockEdge {
-                            to: other.id.clone(),
-                            file: f.file,
-                            tok: other.tok,
-                            via: None,
-                        });
-                }
-            }
-            // Indirect: a callee (transitively) acquires locks while this
-            // one is held.
-            for call in &ws.calls[id] {
-                if !held.contains(&call.tok) {
-                    continue;
-                }
-                let callee = &ws.fns[call.callee];
-                for lk in &sums.locks[call.callee] {
-                    if *lk != site.id {
-                        edges
-                            .entry(site.id.clone())
-                            .or_default()
-                            .entry(lk.clone())
-                            .or_insert(LockEdge {
-                                to: lk.clone(),
-                                file: f.file,
-                                tok: call.tok,
-                                via: Some(callee.qname()),
-                            });
-                    }
-                }
-            }
-        }
-    }
-
-    // A cycle exists iff some edge a→b has a path b→…→a. Report it once,
-    // anchored at the lexicographically smallest lock in the cycle.
-    let mut reported: BTreeSet<Vec<String>> = BTreeSet::new();
-    for (a, outs) in &edges {
-        for b in outs.keys() {
-            let Some(path_back) = shortest_path(&edges, b, a) else {
-                continue;
-            };
-            // Cycle node sequence: a → b → … → a (path_back is b → … → a
-            // inclusive).
-            let mut cycle = vec![a.clone()];
-            cycle.extend(path_back);
-            let mut canon = cycle.clone();
-            canon.pop();
-            canon.sort();
-            if cycle.first().map(String::as_str) != canon.first().map(String::as_str)
-                || !reported.insert(canon)
-            {
-                continue;
-            }
-            let mut witness = Vec::new();
-            for w in cycle.windows(2) {
-                let e = &edges[&w[0]][&w[1]];
-                let ctx = &ws.files[e.file];
-                let t = &ctx.toks[e.tok];
-                witness.push(match &e.via {
-                    Some(v) => format!(
-                        "{} held, {} acquired via {v} at {}:{}",
-                        w[0], e.to, ctx.path, t.line
-                    ),
-                    None => format!(
-                        "{} held, {} acquired at {}:{}",
-                        w[0], e.to, ctx.path, t.line
-                    ),
-                });
-            }
-            let first = &edges[&cycle[0]][&cycle[1]];
-            let ctx = &ws.files[first.file];
-            let t = &ctx.toks[first.tok];
-            out.push(Diagnostic {
-                rule: "lock-order-cycles",
-                path: ctx.path.clone(),
-                line: t.line,
-                col: t.col,
-                message: format!(
-                    "lock acquisition cycle {} — opposite acquisition orders \
-                     deadlock under contention; impose one global order",
-                    cycle.join(" -> ")
-                ),
-                witness,
-            });
-        }
-    }
-}
-
-/// BFS shortest path through the lock-order edges; returns the inclusive
-/// node sequence `[from, …, to]`, so every consecutive pair is a real
-/// edge of the graph.
-fn shortest_path(
-    edges: &BTreeMap<String, BTreeMap<String, LockEdge>>,
-    from: &str,
-    to: &str,
-) -> Option<Vec<String>> {
-    let mut prev: BTreeMap<String, String> = BTreeMap::new();
-    let mut visited: BTreeSet<String> = BTreeSet::from([from.to_owned()]);
-    let mut queue = VecDeque::from([from.to_owned()]);
-    while let Some(n) = queue.pop_front() {
-        if n == to {
-            let mut path = vec![n.clone()];
-            let mut cur = n;
-            while let Some(p) = prev.get(&cur) {
-                path.push(p.clone());
-                cur = p.clone();
-            }
-            path.reverse();
-            return Some(path);
-        }
-        if let Some(outs) = edges.get(&n) {
-            for next in outs.keys() {
-                if visited.insert(next.clone()) {
-                    prev.insert(next.clone(), n.clone());
-                    queue.push_back(next.clone());
-                }
-            }
-        }
-    }
-    None
-}
-
-/// Rationale for any rule id, token-local or flow.
-pub fn rationale(id: &str) -> Option<&'static str> {
-    ALL.iter()
-        .find(|r| r.id == id)
-        .map(|r| r.rationale)
-        .or_else(|| FLOW.iter().find(|r| r.id == id).map(|r| r.rationale))
-}
-
 /// Long-form documentation for `--explain`: the invariant, what the rule
 /// matches, and the suppression policy.
 pub fn explain(id: &str) -> Option<&'static str> {
@@ -448,18 +256,6 @@ pub fn explain(id: &str) -> Option<&'static str> {
              Matches: `let _ = <call>` over publish/submit/append/flush/… calls.\n\
              Suppress: allow() with a reason (e.g. reply channel already closed —\n\
              peer gone, failure accounted elsewhere)."
-        }
-        "lock-order-cycles" => {
-            "Invariant: the workspace-wide lock-acquisition order graph must be\n\
-             acyclic across cluster/logger/pubsub/core — two paths taking the same\n\
-             locks in opposite orders deadlock under contention.\n\
-             Matches: interprocedural edges `A held while B acquired`, where lock\n\
-             identities are `Owner.field` paths resolved through the call graph;\n\
-             each cycle is reported once with its full witness path.\n\
-             Soundness caveats: guards are assumed held to end of block (or\n\
-             explicit drop), and unresolved calls contribute no edges.\n\
-             Suppress: allow() on the acquisition line with the reason the cycle\n\
-             cannot contend (e.g. startup-only path)."
         }
         "suppression-missing-reason" => {
             "Every `// adlp-lint: allow(rule)` directive must carry a reason:\n\

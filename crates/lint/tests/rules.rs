@@ -172,7 +172,7 @@ fn baseline_rejects_corruption() {
 #[test]
 fn render_roundtrips_and_drops_zeros() {
     let mut counts = BTreeMap::new();
-    counts.insert("crates/a/src/x.rs:lock-order-cycles".to_owned(), 3);
+    counts.insert("crates/a/src/x.rs:discarded-fallible".to_owned(), 3);
     counts.insert("crates/b/src/y.rs:lock-hygiene".to_owned(), 0);
     let text = Baseline::render(&counts, "two lines\nof header");
     let parsed = Baseline::parse(&text).unwrap();

@@ -9,7 +9,7 @@
 //! own signature `s''_y`.
 
 use crate::encoding::{
-    read_bytes, read_str, read_uvarint, write_bytes, write_str, write_uvarint, Wire,
+    read_bytes, read_str, read_uvarint, uvarint_len, write_bytes, write_str, write_uvarint, Wire,
 };
 use crate::LogError;
 use adlp_crypto::sha256::{binding_digest, Digest, DIGEST_LEN};
@@ -230,7 +230,9 @@ impl LogEntry {
             flags |= 1 << 6;
         }
 
-        let mut out = Vec::with_capacity(64 + self.payload.stored_len());
+        // Built at its final size: the logger keeps this buffer as the
+        // stored record, so growth slack would stay allocated with it.
+        let mut out = Vec::with_capacity(self.encoded_len());
         out.push(1); // version
         out.push(flags);
         write_str(&mut out, self.component.as_str());
@@ -364,9 +366,35 @@ impl LogEntry {
     }
 
     /// Size of the encoded entry in bytes (what the storage experiments in
-    /// Table III / Figure 15 measure).
+    /// Table III / Figure 15 measure), field by field as [`Self::encode`]
+    /// writes them.
     pub fn encoded_len(&self) -> usize {
-        self.encode().len()
+        let bytes = |b: &[u8]| uvarint_len(b.len() as u64) + b.len();
+        let text = |t: &str| bytes(t.as_bytes());
+        let acks = match self.acks.len() {
+            0 => 0,
+            n => {
+                uvarint_len(n as u64)
+                    + self
+                        .acks
+                        .iter()
+                        .map(|a| text(a.subscriber.as_str()) + DIGEST_LEN + bytes(a.sig.as_bytes()))
+                        .sum::<usize>()
+            }
+        };
+        2 + text(self.component.as_str())
+            + text(self.topic.as_str())
+            + uvarint_len(self.seq)
+            + uvarint_len(self.timestamp_ns)
+            + match &self.payload {
+                PayloadRecord::Data(d) => bytes(d),
+                PayloadRecord::Hash(_) => DIGEST_LEN,
+            }
+            + self.own_sig.as_ref().map_or(0, |s| bytes(s.as_bytes()))
+            + self.peer_sig.as_ref().map_or(0, |s| bytes(s.as_bytes()))
+            + self.peer_hash.map_or(0, |_| DIGEST_LEN)
+            + self.peer.as_ref().map_or(0, |p| text(p.as_str()))
+            + acks
     }
 }
 
@@ -391,6 +419,15 @@ mod tests {
         }
     }
 
+    /// `e` decodes back from its encoding, which was built in one buffer
+    /// of exactly `encoded_len` bytes.
+    fn assert_roundtrips(e: &LogEntry) {
+        let bytes = e.encode();
+        assert_eq!(bytes.len(), e.encoded_len());
+        assert_eq!(bytes.capacity(), bytes.len());
+        assert_eq!(&LogEntry::decode(&bytes).unwrap(), e);
+    }
+
     #[test]
     fn naive_entry_roundtrip() {
         let e = LogEntry::naive(
@@ -402,15 +439,14 @@ mod tests {
             vec![1, 2, 3],
         );
         assert!(!e.is_adlp());
-        let decoded = LogEntry::decode(&e.encode()).unwrap();
-        assert_eq!(decoded, e);
+        assert_roundtrips(&e);
     }
 
     #[test]
     fn adlp_publisher_entry_roundtrip() {
         let e = sample_adlp_entry();
         assert!(e.is_adlp());
-        assert_eq!(LogEntry::decode(&e.encode()).unwrap(), e);
+        assert_roundtrips(&e);
     }
 
     #[test]
@@ -428,9 +464,8 @@ mod tests {
             peer: Some(NodeId::new("image_feeder")),
             acks: Vec::new(),
         };
-        let decoded = LogEntry::decode(&e.encode()).unwrap();
-        assert_eq!(decoded, e);
-        assert_eq!(decoded.payload.stored_len(), 32);
+        assert_roundtrips(&e);
+        assert_eq!(e.payload.stored_len(), 32);
     }
 
     #[test]
@@ -451,7 +486,7 @@ mod tests {
                 sig: Signature::from_bytes(vec![6u8; 128]),
             },
         ];
-        assert_eq!(LogEntry::decode(&e.encode()).unwrap(), e);
+        assert_roundtrips(&e);
     }
 
     #[test]

@@ -20,9 +20,19 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// Thread-safe map from component id to its registered public key.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct KeyRegistry {
     keys: Arc<RwLock<HashMap<NodeId, RsaPublicKey>>>,
+}
+
+impl Default for KeyRegistry {
+    fn default() -> Self {
+        // `Arc::new`, not the derived `Arc::default()`, so this lock's
+        // debug-build class is this line rather than a line inside std.
+        KeyRegistry {
+            keys: Arc::new(RwLock::default()),
+        }
+    }
 }
 
 impl KeyRegistry {

@@ -426,24 +426,23 @@ impl LogServer {
     /// Appends `encoded` through the WAL (when one is configured) and then
     /// the store, keeping the invariant *store index == WAL index*: an
     /// entry refused by the WAL never enters the store, so WAL replay is
-    /// gap-free.
+    /// gap-free. `accepted` sees the bytes of an entry the WAL took, just
+    /// before they move into the store (which cannot refuse them).
     fn append_pipeline(
         durable: &mut Option<DurableLog>,
         store: &LogStore,
-        encoded: &EncodedEntry,
+        encoded: EncodedEntry,
+        accepted: impl FnOnce(&[u8]),
     ) -> Result<Appended, LogError> {
         let outcome = match durable.as_mut() {
-            Some(d) => {
-                let outcome = d.append(store.len() as u64, encoded.as_bytes())?;
-                store.append_encoded(encoded.as_bytes().to_vec());
-                d.maybe_rotate(store);
-                outcome
-            }
-            None => {
-                store.append_encoded(encoded.as_bytes().to_vec());
-                Appended::SyncSkipped
-            }
+            Some(d) => d.append(store.len() as u64, encoded.as_bytes())?,
+            None => Appended::SyncSkipped,
         };
+        accepted(encoded.as_bytes());
+        store.append_encoded(encoded.into_bytes());
+        if let Some(d) = durable.as_mut() {
+            d.maybe_rotate(store);
+        }
         Ok(outcome)
     }
 
@@ -523,7 +522,8 @@ impl LogServer {
         // into the recording (when one is attached). The recorder counts
         // its own failures — recording never fails the deposit it shadows.
         let record_tap = |encoded: &[u8]| {
-            if let Some(r) = recorder.lock().clone() {
+            let recorder = recorder.lock().clone();
+            if let Some(r) = recorder {
                 r.record(encoded);
             }
         };
@@ -533,13 +533,13 @@ impl LogServer {
         // like a submission to a dead server.
         let store_entry = |durable: &mut Option<DurableLog>,
                            entry: &LogEntry,
-                           encoded: &EncodedEntry,
+                           encoded: EncodedEntry,
                            appends_since_seal: &mut u64| {
-            let appended = Self::append_pipeline(durable, &store, encoded);
+            let bytes = encoded.as_bytes().len();
+            let appended = Self::append_pipeline(durable, &store, encoded, record_tap);
             match appended {
                 Ok(_) => {
-                    stats.record(&entry.component, &entry.topic, encoded.as_bytes().len());
-                    record_tap(encoded.as_bytes());
+                    stats.record(&entry.component, &entry.topic, bytes);
                     *appends_since_seal += 1;
                 }
                 Err(_) => stats.note_lost(),
@@ -578,22 +578,21 @@ impl LogServer {
             match cmd {
                 Command::Append(entry) => {
                     let encoded = entry.encoded();
-                    if store_entry(&mut durable, &entry, &encoded, &mut appends_since_seal).is_ok()
-                    {
+                    if store_entry(&mut durable, &entry, encoded, &mut appends_since_seal).is_ok() {
                         maybe_seal(&mut appends_since_seal);
                     }
                 }
                 Command::AppendDurable(entry, reply) => {
                     let encoded = entry.encoded();
                     let appended =
-                        store_entry(&mut durable, &entry, &encoded, &mut appends_since_seal);
+                        store_entry(&mut durable, &entry, encoded, &mut appends_since_seal);
                     maybe_seal(&mut appends_since_seal);
                     // adlp-lint: allow(discarded-fallible) — the depositing caller may have stopped waiting for its verdict
                     let _ = reply.send(Self::durable_verdict(appended));
                 }
                 Command::Adopt(entry, encoded, reply) => {
                     let appended =
-                        store_entry(&mut durable, &entry, &encoded, &mut appends_since_seal);
+                        store_entry(&mut durable, &entry, encoded, &mut appends_since_seal);
                     maybe_seal(&mut appends_since_seal);
                     // adlp-lint: allow(discarded-fallible) — the adopting caller may have stopped waiting for its verdict
                     let _ = reply.send(Self::durable_verdict(appended));
@@ -614,7 +613,8 @@ impl LogServer {
                     let _ = reply.send(keys.register(&component, *key));
                 }
                 Command::SealEpoch(reply) => {
-                    let verdict = match sth.lock().clone() {
+                    let attachment = sth.lock().clone();
+                    let verdict = match attachment {
                         Some(a) => {
                             appends_since_seal = 0;
                             a.publisher.seal_epoch()

@@ -154,7 +154,7 @@ impl DurabilityStats {
 }
 
 /// Thread-safe byte/entry counters.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct LogStats {
     inner: Arc<Mutex<StatsInner>>,
     durability: DurabilityStats,
@@ -218,6 +218,12 @@ impl VolumeSnapshot {
     }
 }
 
+impl Default for LogStats {
+    fn default() -> Self {
+        Self::with_durability(DurabilityStats::default())
+    }
+}
+
 impl LogStats {
     /// Creates zeroed counters.
     pub fn new() -> Self {
@@ -228,7 +234,9 @@ impl LogStats {
     /// (a durable server shares one set with its `DurabilityConfig`).
     pub fn with_durability(durability: DurabilityStats) -> Self {
         Self {
-            inner: Arc::default(),
+            // `Arc::new`, not `Arc::default()`, so this lock's debug-build
+            // class is this line rather than a line inside std.
+            inner: Arc::new(Mutex::default()),
             durability,
         }
     }

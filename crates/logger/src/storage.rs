@@ -229,9 +229,19 @@ struct MemFile {
 /// failure would. [`Storage::write_replace`] is atomic and immediately
 /// durable, matching the write-temp/sync/rename discipline of the real
 /// filesystem backend.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct MemStorage {
     files: Arc<Mutex<HashMap<String, MemFile>>>,
+}
+
+impl Default for MemStorage {
+    fn default() -> Self {
+        // `Arc::new`, not the derived `Arc::default()`, so this lock's
+        // debug-build class is this line rather than a line inside std.
+        MemStorage {
+            files: Arc::new(Mutex::default()),
+        }
+    }
 }
 
 impl MemStorage {
@@ -465,7 +475,8 @@ impl FaultyStorage {
     /// Counts an operation; `Err` if the device has died.
     fn tick(&self) -> Result<(), LogError> {
         let op = self.ops.fetch_add(1, Ordering::Relaxed);
-        if let Some(limit) = self.config.lock().die_after_ops {
+        let die_after_ops = self.config.lock().die_after_ops;
+        if let Some(limit) = die_after_ops {
             if op >= limit {
                 self.dead_ops.fetch_add(1, Ordering::Relaxed);
                 return Err(LogError::Io("storage device died".into()));

@@ -53,9 +53,19 @@ impl std::fmt::Display for TamperEvidence {
 /// assert_eq!(store.len(), 1);
 /// assert!(store.verify_chain().is_ok());
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct LogStore {
     inner: Arc<RwLock<Inner>>,
+}
+
+impl Default for LogStore {
+    fn default() -> Self {
+        // `Arc::new`, not the derived `Arc::default()`, so this lock's
+        // debug-build class is this line rather than a line inside std.
+        LogStore {
+            inner: Arc::new(RwLock::default()),
+        }
+    }
 }
 
 /// The records and, under the same lock, their commitment: always exactly

@@ -881,7 +881,8 @@ impl Publisher {
         }
         s.node.master.unregister_publisher(&s.topic, &s.node.id);
         // Wake a blocked TCP accept loop so it can observe `closed`.
-        if let Some(addr) = *s.tcp_addr.lock() {
+        let tcp_addr = *s.tcp_addr.lock();
+        if let Some(addr) = tcp_addr {
             let _ = std::net::TcpStream::connect_timeout(&addr, Duration::from_millis(100));
         }
         s.conns.lock().clear();

@@ -4,6 +4,14 @@
 //! `lock()` / `read()` / `write()` return guards directly, and a poisoned
 //! std lock (a panic while held) is transparently recovered rather than
 //! propagated — matching `parking_lot`'s behavior of not tracking poison.
+//!
+//! Debug builds also check lock order where every lock is taken (the
+//! private `order` module): a lock's class is the `new`/`default` call
+//! that created it, and an acquisition that closes a cycle in the
+//! process-wide graph of held → acquired classes panics, naming both
+//! classes' creation sites, both acquisition sites and the path. Release
+//! builds compile none of it: the types and lock calls are the std ones
+//! underneath.
 
 // Called from the protocol crates, so held to their panic lints (paper
 // Lemma 2 — a panicking component is indistinguishable from a hiding one).
@@ -16,6 +24,9 @@
     clippy::todo,
     clippy::unimplemented
 )]
+
+#[cfg(debug_assertions)]
+mod order;
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
@@ -34,8 +45,9 @@ fn recover<G>(result: Result<G, sync::PoisonError<G>>) -> G {
 }
 
 /// A mutual-exclusion lock without poisoning.
-#[derive(Default)]
 pub struct Mutex<T: ?Sized> {
+    #[cfg(debug_assertions)]
+    class: order::Class,
     inner: sync::Mutex<T>,
 }
 
@@ -43,12 +55,18 @@ pub struct Mutex<T: ?Sized> {
 pub struct MutexGuard<'a, T: ?Sized> {
     // `Option` so `Condvar::wait` can move the std guard out and back.
     inner: Option<sync::MutexGuard<'a, T>>,
+    #[cfg(debug_assertions)]
+    _held: order::Held,
 }
 
 impl<T> Mutex<T> {
-    /// Creates a lock holding `value`.
+    /// Creates a lock holding `value`; in debug builds the caller's
+    /// location is the lock's class.
+    #[cfg_attr(debug_assertions, track_caller)]
     pub const fn new(value: T) -> Self {
         Mutex {
+            #[cfg(debug_assertions)]
+            class: std::panic::Location::caller(),
             inner: sync::Mutex::new(value),
         }
     }
@@ -59,23 +77,39 @@ impl<T> Mutex<T> {
     }
 }
 
+impl<T: Default> Default for Mutex<T> {
+    #[cfg_attr(debug_assertions, track_caller)]
+    fn default() -> Self {
+        Mutex::new(T::default())
+    }
+}
+
 impl<T: ?Sized> Mutex<T> {
     /// Acquires the lock, blocking until available.
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn lock(&self) -> MutexGuard<'_, T> {
+        #[cfg(debug_assertions)]
+        let held = order::acquire(self.class, true);
         MutexGuard {
             inner: Some(recover(self.inner.lock())),
+            #[cfg(debug_assertions)]
+            _held: held,
         }
     }
 
     /// Attempts to acquire the lock without blocking.
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.inner.try_lock() {
-            Ok(g) => Some(MutexGuard { inner: Some(g) }),
-            Err(sync::TryLockError::Poisoned(e)) => Some(MutexGuard {
-                inner: Some(e.into_inner()),
-            }),
-            Err(sync::TryLockError::WouldBlock) => None,
-        }
+        let inner = match self.inner.try_lock() {
+            Ok(g) => g,
+            Err(sync::TryLockError::Poisoned(e)) => e.into_inner(),
+            Err(sync::TryLockError::WouldBlock) => return None,
+        };
+        Some(MutexGuard {
+            inner: Some(inner),
+            #[cfg(debug_assertions)]
+            _held: order::acquire(self.class, false),
+        })
     }
 
     /// Mutable access without locking (requires exclusive ownership).
@@ -116,25 +150,34 @@ impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
 }
 
 /// A reader-writer lock without poisoning.
-#[derive(Default)]
 pub struct RwLock<T: ?Sized> {
+    #[cfg(debug_assertions)]
+    class: order::Class,
     inner: sync::RwLock<T>,
 }
 
 /// Shared-read guard returned by [`RwLock::read`].
 pub struct RwLockReadGuard<'a, T: ?Sized> {
     inner: sync::RwLockReadGuard<'a, T>,
+    #[cfg(debug_assertions)]
+    _held: order::Held,
 }
 
 /// Exclusive-write guard returned by [`RwLock::write`].
 pub struct RwLockWriteGuard<'a, T: ?Sized> {
     inner: sync::RwLockWriteGuard<'a, T>,
+    #[cfg(debug_assertions)]
+    _held: order::Held,
 }
 
 impl<T> RwLock<T> {
-    /// Creates a lock holding `value`.
+    /// Creates a lock holding `value`; in debug builds the caller's
+    /// location is the lock's class.
+    #[cfg_attr(debug_assertions, track_caller)]
     pub const fn new(value: T) -> Self {
         RwLock {
+            #[cfg(debug_assertions)]
+            class: std::panic::Location::caller(),
             inner: sync::RwLock::new(value),
         }
     }
@@ -145,18 +188,35 @@ impl<T> RwLock<T> {
     }
 }
 
+impl<T: Default> Default for RwLock<T> {
+    #[cfg_attr(debug_assertions, track_caller)]
+    fn default() -> Self {
+        RwLock::new(T::default())
+    }
+}
+
 impl<T: ?Sized> RwLock<T> {
     /// Acquires a shared read lock.
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn read(&self) -> RwLockReadGuard<'_, T> {
+        #[cfg(debug_assertions)]
+        let held = order::acquire(self.class, true);
         RwLockReadGuard {
             inner: recover(self.inner.read()),
+            #[cfg(debug_assertions)]
+            _held: held,
         }
     }
 
     /// Acquires the exclusive write lock.
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn write(&self) -> RwLockWriteGuard<'_, T> {
+        #[cfg(debug_assertions)]
+        let held = order::acquire(self.class, true);
         RwLockWriteGuard {
             inner: recover(self.inner.write()),
+            #[cfg(debug_assertions)]
+            _held: held,
         }
     }
 
@@ -273,11 +333,14 @@ mod tests {
 
     #[test]
     fn rwlock_readers_and_writer() {
-        let l = RwLock::new(vec![1, 2]);
+        let l = Arc::new(RwLock::new(vec![1, 2]));
         {
+            // Two readers at once, on two threads: one thread holding two
+            // guards of one class is a cycle for the order check.
             let r1 = l.read();
-            let r2 = l.read();
-            assert_eq!(r1.len() + r2.len(), 4);
+            let l2 = Arc::clone(&l);
+            let other = thread::spawn(move || l2.read().len());
+            assert_eq!(r1.len() + other.join().unwrap(), 4);
         }
         l.write().push(3);
         assert_eq!(*l.read(), vec![1, 2, 3]);
@@ -299,6 +362,86 @@ mod tests {
         *lock.lock() = true;
         cvar.notify_all();
         t.join().unwrap();
+    }
+
+    /// The panic message of `f`, which must panic.
+    #[cfg(debug_assertions)]
+    fn panic_message(f: impl FnOnce()) -> String {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+            .expect_err("the acquisition closing the cycle must panic");
+        match payload.downcast::<String>() {
+            Ok(s) => *s,
+            Err(p) => p.downcast_ref::<&str>().unwrap_or(&"").to_string(),
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    fn opposite_order_panics_naming_both_creation_sites() {
+        let (a, a_line) = (Mutex::new(0), line!());
+        let (b, b_line) = (Mutex::new(0), line!());
+        {
+            let _a = a.lock();
+            let _b = b.lock();
+        }
+        let msg = panic_message(|| {
+            let _b = b.lock();
+            let _a = a.lock();
+        });
+        assert!(msg.starts_with("lock-order cycle"), "{msg}");
+        for line in [a_line, b_line] {
+            let site = format!("{}:{line}:", file!());
+            assert!(msg.contains(&site), "{site} missing from: {msg}");
+        }
+        // The check fired before blocking, and the unwinding guards left
+        // nothing held: both locks are free again.
+        assert!(a.try_lock().is_some() && b.try_lock().is_some());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    fn two_guards_of_one_class_panic() {
+        let (make, line) = (|| RwLock::new(0), line!());
+        let (a, b) = (make(), make());
+        let msg = panic_message(|| {
+            let _a = a.read();
+            let _b = b.write();
+        });
+        let site = format!("{}:{line}:", file!());
+        assert_eq!(msg.matches(&site).count(), 2, "{msg}");
+    }
+
+    #[test]
+    fn consistent_order_repeats() {
+        let a = Mutex::new(0);
+        let b = RwLock::new(0);
+        for _ in 0..3 {
+            let mut a = a.lock();
+            *b.write() += 1;
+            *a += *b.read();
+        }
+        assert_eq!(*a.lock(), 6);
+    }
+
+    #[test]
+    fn try_lock_adds_no_edge() {
+        let a = Mutex::new(0);
+        let b = Mutex::new(0);
+        {
+            let _a = a.lock();
+            assert!(b.try_lock().is_some());
+        }
+        // B → A is the first blocking order between them: no cycle.
+        let _b = b.lock();
+        let _a = a.lock();
+    }
+
+    #[test]
+    #[cfg(not(debug_assertions))]
+    fn release_builds_carry_no_class() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<Mutex<u64>>(), size_of::<sync::Mutex<u64>>());
+        assert_eq!(size_of::<RwLock<u64>>(), size_of::<sync::RwLock<u64>>());
     }
 
     #[test]

@@ -1177,7 +1177,7 @@ impl<'p> Rig<'p> {
             .attach_shard_recorders(recordings)
             .map_err(harness("attach recorders"))?;
 
-        let scripts = Scripts::default();
+        let scripts: Scripts = Arc::new(Mutex::default());
         let lane = |slot: &Arc<ReplicaSlot>| {
             let (honest, slot, scripts) = (
                 slot_sink(Arc::clone(slot)),
