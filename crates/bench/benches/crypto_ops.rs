@@ -1,13 +1,17 @@
 //! Criterion micro-benchmarks for the cryptographic substrate — the
 //! measured side of Table I, plus the design-choice ablations called out in
 //! DESIGN.md (Montgomery vs plain modular exponentiation, CRT vs plain
-//! signing, RSA-1024 vs RSA-2048).
+//! signing, RSA-1024 vs RSA-2048). `sign_crt` signs alone, so on a
+//! multi-core host its mod-q half runs on the CRT helper thread;
+//! `sign_crt_contended` signs beside a second signing thread, so both
+//! halves run inline.
 
 use adlp_crypto::bignum::Montgomery;
 use adlp_crypto::{pkcs1, sha256::sha256, BigUint, RsaKeyPair};
 use adlp_sim::PayloadKind;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rand::SeedableRng;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 fn bench_sha256(c: &mut Criterion) {
     let mut g = c.benchmark_group("sha256");
@@ -31,6 +35,20 @@ fn bench_pkcs1(c: &mut Criterion) {
         let sig = pkcs1::sign_digest(keys.private_key(), &digest).unwrap();
         g.bench_function(BenchmarkId::new("sign_crt", bits), |b| {
             b.iter(|| pkcs1::sign_digest(keys.private_key(), &digest).unwrap());
+        });
+        // The same sign while a second thread signs too: two signatures
+        // are in flight, so both halves of each run inline on its thread.
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                while !stop.load(Ordering::Relaxed) {
+                    std::hint::black_box(pkcs1::sign_digest(keys.private_key(), &digest).unwrap());
+                }
+            });
+            g.bench_function(BenchmarkId::new("sign_crt_contended", bits), |b| {
+                b.iter(|| pkcs1::sign_digest(keys.private_key(), &digest).unwrap());
+            });
+            stop.store(true, Ordering::Relaxed);
         });
         g.bench_function(BenchmarkId::new("verify", bits), |b| {
             b.iter(|| pkcs1::verify_digest(keys.public_key(), &digest, &sig));

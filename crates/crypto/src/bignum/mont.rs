@@ -8,6 +8,8 @@ use crate::CryptoError;
 thread_local! {
     /// Montgomery products computed on this thread, for the cost tests.
     static PRODUCTS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    /// Montgomery reductions computed on this thread, for the cost tests.
+    static REDUCTIONS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 /// Precomputed context for Montgomery arithmetic modulo an odd modulus.
@@ -106,16 +108,23 @@ impl Montgomery {
         out
     }
 
-    /// Converts out of Montgomery form (named for symmetry with `to_mont`,
-    /// not as a constructor).
+    /// Converts out of Montgomery form in place: one reduction of `(a, 0)`,
+    /// `a·R^{-1} mod n` (named for symmetry with `to_mont`, not as a
+    /// constructor).
     #[allow(clippy::wrong_self_convention)]
-    fn from_mont(&self, a: &[u64]) -> BigUint {
-        let mut one = vec![0u64; self.n.len()];
-        if let Some(low) = one.first_mut() {
-            *low = 1;
-        }
+    fn from_mont(&self, mut a: Vec<u64>) -> BigUint {
+        debug_assert_eq!(a.len(), self.n.len());
+        #[cfg(test)]
+        REDUCTIONS.with(|count| count.set(count.get() + 1));
+        redc(&mut a, &self.n, self.n0inv);
+        BigUint::from_limbs(a)
+    }
+
+    /// `a·b mod n` in one product, for `a` in Montgomery form (`a·R mod n`,
+    /// from [`Self::to_mont`]) and any `b`: `(a·R)·b·R^{-1} = a·b`.
+    pub(crate) fn mul_by_mont(&self, a: &[u64], b: &BigUint) -> BigUint {
         let mut out = vec![0u64; self.n.len()];
-        self.mont_mul(&mut out, a, &one);
+        self.mont_mul(&mut out, a, &self.reduced(b));
         BigUint::from_limbs(out)
     }
 
@@ -137,7 +146,7 @@ impl Montgomery {
     /// windows over a table of `base^1 ..= base^15`. The accumulator,
     /// scratch and table are allocated once per call.
     pub fn mod_pow(&self, base: &BigUint, exp: &BigUint) -> BigUint {
-        self.from_mont(&self.pow_mont(base, exp))
+        self.from_mont(self.pow_mont(base, exp))
     }
 
     /// [`Self::mod_pow`] with the result left in Montgomery form.
@@ -188,6 +197,12 @@ impl Montgomery {
     #[cfg(test)]
     pub(crate) fn products() -> usize {
         PRODUCTS.with(std::cell::Cell::get)
+    }
+
+    /// Reductions computed on this thread so far.
+    #[cfg(test)]
+    fn reductions() -> usize {
+        REDUCTIONS.with(std::cell::Cell::get)
     }
 }
 
@@ -255,6 +270,34 @@ fn mul(out: &mut [u64], a: &[u64], b: &[u64], n: &[u64], n0inv: u64) {
     // subtraction of n cancels the high limb and fits in s limbs.
     if t_hi != 0 || cmp_limbs(out, n) != std::cmp::Ordering::Less {
         let _borrow = super::arith::sub_limbs_in_place(out, n);
+    }
+}
+
+/// Montgomery reduction of `(t, 0)`: replaces `t < n` by `t·R^{-1} mod n`,
+/// with s² word products where a product by one would spend 2s².
+///
+/// Each of the `s` steps adds the multiple `m·n` that clears the low limb
+/// and shifts one limb down. From `t ≤ n`, `(t + m·n) / 2^64 ≤ n` again, so
+/// the value fits in `s` limbs with no high carry, and it ends below `n`:
+/// it equals `n` only if `t·R^{-1} ≡ 0`, that is `t = 0`, which stays 0.
+fn redc(t: &mut [u64], n: &[u64], n0inv: u64) {
+    let Some((&n0, n_rest)) = n.split_first() else {
+        return;
+    };
+    for _ in 0..n.len() {
+        let Some((t0, t_rest)) = t.split_first_mut() else {
+            return;
+        };
+        let m = t0.wrapping_mul(n0inv);
+        let mut carry = (u128::from(*t0) + u128::from(m) * u128::from(n0)) >> 64;
+        let mut prev = t0;
+        for (tj, &nj) in t_rest.iter_mut().zip(n_rest) {
+            let v = u128::from(*tj) + u128::from(m) * u128::from(nj) + carry;
+            *prev = v as u64;
+            carry = v >> 64;
+            prev = tj;
+        }
+        *prev = carry as u64;
     }
 }
 
@@ -332,31 +375,78 @@ mod tests {
         );
     }
 
-    /// Products spent by `f` on this thread.
-    fn products_of<T>(f: impl FnOnce() -> T) -> (T, usize) {
-        let before = Montgomery::products();
+    /// Products and reductions spent by `f` on this thread.
+    fn cost_of<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
+        let before = (Montgomery::products(), Montgomery::reductions());
         let value = f();
-        (value, Montgomery::products() - before)
+        let products = Montgomery::products() - before.0;
+        (value, products, Montgomery::reductions() - before.1)
     }
 
     #[test]
-    fn verify_at_e_65537_takes_19_products() {
-        // to_mont, 16 squarings, one multiply by the base, from_mont.
+    fn reduction_matches_the_product_by_one() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(8);
+        for bits in [64usize, 128, 320, 512, 1024] {
+            let mut m = BigUint::random_bits(bits, &mut rng);
+            m.set_bit(0);
+            let mont = Montgomery::new(&m).unwrap();
+            let mut one = vec![0u64; mont.n.len()];
+            one[0] = 1;
+            let top = &m - &BigUint::one();
+            for a in [
+                BigUint::zero(),
+                BigUint::one(),
+                top,
+                BigUint::random_below(&m, &mut rng),
+            ] {
+                let a = mont.reduced(&a);
+                let mut by_one = vec![0u64; a.len()];
+                mont.mont_mul(&mut by_one, &a, &one);
+                assert_eq!(
+                    mont.from_mont(a),
+                    BigUint::from_limbs(by_one),
+                    "width {bits}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn mul_by_mont_is_one_product() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(9);
+        let mut m = BigUint::random_bits(512, &mut rng);
+        m.set_bit(0);
+        let mont = Montgomery::new(&m).unwrap();
+        let (a, b) = (
+            BigUint::random_below(&m, &mut rng),
+            BigUint::random_below(&m, &mut rng),
+        );
+        let a_mont = mont.to_mont(&a);
+        let (v, products, reductions) = cost_of(|| mont.mul_by_mont(&a_mont, &b));
+        assert_eq!((products, reductions), (1, 0));
+        assert_eq!(v, (&a * &b).rem_internal(&m));
+    }
+
+    #[test]
+    fn verify_at_e_65537_takes_18_products_and_1_reduction() {
+        // to_mont, 16 squarings, one multiply by the base; from_mont is the
+        // one reduction.
         let mut rng = rand::rngs::StdRng::seed_from_u64(5);
         let mut m = BigUint::random_bits(1024, &mut rng);
         m.set_bit(0);
         let mont = Montgomery::new(&m).unwrap();
         let s = BigUint::random_below(&m, &mut rng);
         let e = BigUint::from_u64(65537);
-        let (v, products) = products_of(|| mont.mod_pow(&s, &e));
-        assert_eq!(products, 19);
+        let (v, products, reductions) = cost_of(|| mont.mod_pow(&s, &e));
+        assert_eq!((products, reductions), (18, 1));
         assert_eq!(v, s.mod_pow_plain(&e, &m));
     }
 
     #[test]
     fn long_exponents_keep_the_4_bit_window() {
         // to_mont + 14 table products, then per window below the top 4
-        // squarings and one multiply unless its digit is 0, then from_mont.
+        // squarings and one multiply unless its digit is 0; from_mont is the
+        // one reduction.
         let mut rng = rand::rngs::StdRng::seed_from_u64(6);
         let mut m = BigUint::random_bits(512, &mut rng);
         m.set_bit(0);
@@ -367,8 +457,9 @@ mod tests {
         let nonzero = (0..windows - 1)
             .filter(|&w| window_at(&exp, w, 4) != 0)
             .count();
-        let (v, products) = products_of(|| mont.mod_pow(&base, &exp));
-        assert_eq!(products, 1 + 14 + 4 * (windows - 1) + nonzero + 1);
+        let (v, products, reductions) = cost_of(|| mont.mod_pow(&base, &exp));
+        assert_eq!(products, 1 + 14 + 4 * (windows - 1) + nonzero);
+        assert_eq!(reductions, 1);
         assert_eq!(v, base.mod_pow_plain(&exp, &m));
     }
 }

@@ -6,8 +6,11 @@
 //! follows standard practice: two random primes with top-two bits set,
 //! `e = 65537`, and `d = e^{-1} mod λ(n)` (Carmichael).
 
+mod crt;
+
 use crate::bignum::{BigUint, Montgomery};
 use crate::CryptoError;
+use crt::CrtHalf;
 use rand::RngCore;
 use std::fmt;
 use std::sync::Arc;
@@ -138,16 +141,41 @@ impl fmt::Debug for RsaPublicKey {
 pub struct RsaPrivateKey {
     public: RsaPublicKey,
     d: BigUint,
-    p: BigUint,
-    q: BigUint,
-    dp: BigUint,
-    dq: BigUint,
-    qinv: BigUint,
-    mont_p: Montgomery,
-    mont_q: Montgomery,
+    /// `m ↦ m^dp mod p`, run by the signer.
+    half_p: Arc<CrtHalf>,
+    /// `m ↦ m^dq mod q`, which a helper thread may run (module `crt`).
+    half_q: Arc<CrtHalf>,
+    /// `qinv·R mod p`, so one Montgomery product multiplies by `qinv`.
+    qinv_mont: Vec<u64>,
 }
 
 impl RsaPrivateKey {
+    /// Derives the CRT halves and the Montgomery contexts from `(e, d, p, q)`.
+    fn from_factors(e: BigUint, d: BigUint, p: BigUint, q: BigUint) -> Result<Self, CryptoError> {
+        let half = |r: &BigUint, what| {
+            let mont = Montgomery::new(r).map_err(|_| CryptoError::Malformed(what))?;
+            let r1 = r
+                .checked_sub(&BigUint::one())
+                .ok_or(CryptoError::Malformed(what))?;
+            Ok::<_, CryptoError>(Arc::new(CrtHalf::new(mont, d.rem_internal(&r1))))
+        };
+        let qinv = q
+            .mod_inverse(&p)
+            .map_err(|_| CryptoError::Malformed("private key (qinv)"))?;
+        let half_p = half(&p, "private key (p)")?;
+        let half_q = half(&q, "private key (q)")?;
+        let qinv_mont = half_p.montgomery().to_mont(&qinv);
+        let public =
+            RsaPublicKey::new(&p * &q, e).map_err(|_| CryptoError::Malformed("private key (n)"))?;
+        Ok(RsaPrivateKey {
+            public,
+            d,
+            half_p,
+            half_q,
+            qinv_mont,
+        })
+    }
+
     /// The matching public key.
     pub fn public_key(&self) -> &RsaPublicKey {
         &self.public
@@ -157,6 +185,11 @@ impl RsaPrivateKey {
     /// `m1 = m^dp mod p`, `m2 = m^dq mod q`,
     /// `h = qinv (m1 - m2) mod p`, `s = m2 + h q`.
     ///
+    /// When this is the only signature in flight in the process and the
+    /// host has a second core, `m2` is computed on a helper thread while
+    /// the caller computes `m1`; otherwise both run on the caller. The
+    /// result is the same either way.
+    ///
     /// # Errors
     ///
     /// Returns [`CryptoError::MessageTooLarge`] if `m >= n`.
@@ -164,11 +197,11 @@ impl RsaPrivateKey {
         if m >= &self.public.n {
             return Err(CryptoError::MessageTooLarge);
         }
-        let m1 = self.mont_p.mod_pow(m, &self.dp);
-        let m2 = self.mont_q.mod_pow(m, &self.dq);
-        let diff = m1.mod_sub(&m2.rem_internal(&self.p), &self.p);
-        let h = self.mont_p.mul(&self.qinv, &diff);
-        Ok(&m2 + &(&h * &self.q))
+        let (m1, m2) = crt::both_halves(&self.half_p, &self.half_q, m);
+        let p = self.half_p.prime();
+        let diff = m1.mod_sub(&m2.rem_internal(p), p);
+        let h = self.half_p.montgomery().mul_by_mont(&self.qinv_mont, &diff);
+        Ok(&m2 + &(&h * self.half_q.prime()))
     }
 
     /// Raw signature without CRT (`m^d mod n`); used to cross-check CRT and
@@ -199,7 +232,8 @@ impl RsaPrivateKey {
     /// key in each component" (§II-A).
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        for field in [&self.public.e, &self.d, &self.p, &self.q] {
+        let (p, q) = (self.half_p.prime(), self.half_q.prime());
+        for field in [&self.public.e, &self.d, p, q] {
             let bytes = field.to_bytes_be();
             out.extend_from_slice(&(bytes.len() as u32).to_be_bytes());
             out.extend_from_slice(&bytes);
@@ -229,30 +263,7 @@ impl RsaPrivateKey {
         if p.is_zero() || q.is_zero() || p.is_one() || q.is_one() || p == q {
             return Err(CryptoError::Malformed("private key (factors)"));
         }
-        let n = &p * &q;
-        let one = BigUint::one();
-        let p1 = &p - &one;
-        let q1 = &q - &one;
-        let dp = d.rem_internal(&p1);
-        let dq = d.rem_internal(&q1);
-        let qinv = q
-            .mod_inverse(&p)
-            .map_err(|_| CryptoError::Malformed("private key (qinv)"))?;
-        let mont_p = Montgomery::new(&p).map_err(|_| CryptoError::Malformed("private key (p)"))?;
-        let mont_q = Montgomery::new(&q).map_err(|_| CryptoError::Malformed("private key (q)"))?;
-        let public =
-            RsaPublicKey::new(n, e).map_err(|_| CryptoError::Malformed("private key (n)"))?;
-        Ok(RsaPrivateKey {
-            public,
-            d,
-            p,
-            q,
-            dp,
-            dq,
-            qinv,
-            mont_p,
-            mont_q,
-        })
+        Self::from_factors(e, d, p, q)
     }
 }
 
@@ -322,34 +333,10 @@ impl RsaKeyPair {
                 Ok(d) => d,
                 Err(_) => continue, // e not coprime with λ(n); rare
             };
-            let dp = d.rem_internal(&p1);
-            let dq = d.rem_internal(&q1);
-            let qinv = match q.mod_inverse(&p) {
-                Ok(v) => v,
-                Err(_) => continue,
-            };
-            let Ok(public) = RsaPublicKey::new(n, e.clone()) else {
+            let Ok(private) = RsaPrivateKey::from_factors(e.clone(), d, p, q) else {
                 continue;
             };
-            let Ok(mont_p) = Montgomery::new(&p) else {
-                continue;
-            };
-            let Ok(mont_q) = Montgomery::new(&q) else {
-                continue;
-            };
-            return RsaKeyPair {
-                private: RsaPrivateKey {
-                    public,
-                    d,
-                    p,
-                    q,
-                    dp,
-                    dq,
-                    qinv,
-                    mont_p,
-                    mont_q,
-                },
-            };
+            return RsaKeyPair { private };
         }
     }
 
@@ -398,6 +385,26 @@ mod tests {
                 kp.private_key().raw_sign_no_crt(&m).unwrap()
             );
         }
+    }
+
+    #[test]
+    fn concurrent_signers_sign_like_no_crt() {
+        // Four threads with distinct keys: whichever signature is alone in
+        // flight runs its mod-q half on the helper, the others inline.
+        std::thread::scope(|scope| {
+            for seed in 0..4u64 {
+                scope.spawn(move || {
+                    let mut r = rand::rngs::StdRng::seed_from_u64(100 + seed);
+                    let kp = RsaKeyPair::generate(1024, &mut r);
+                    for _ in 0..8 {
+                        let m = BigUint::random_below(kp.public_key().modulus(), &mut r);
+                        let s = kp.private_key().raw_sign(&m).unwrap();
+                        assert_eq!(s, kp.private_key().raw_sign_no_crt(&m).unwrap());
+                        assert_eq!(kp.public_key().raw_verify(&s).unwrap(), m);
+                    }
+                });
+            }
+        });
     }
 
     #[test]
