@@ -7,13 +7,19 @@
 //! both halves run inline on the signer's thread. The helper is spawned on
 //! the first offer. A host with one core, or one where the spawn fails,
 //! never has a helper and always signs inline. Nothing else selects the
-//! path: no option, no environment.
+//! path: no option, no environment. The in-flight count, not the slot's
+//! own refusal of a second post, makes the choice: with the slot alone
+//! choosing, a sign that overlaps another still splits whenever the
+//! helper is free, and puts three busy threads on two cores.
 //!
 //! **Job binding.** The helper owns one [`Slot`] and never queues. Posting
 //! into it succeeds only from `Idle` and hands the signer the one [`Claim`].
 //! The slot returns to `Idle` only when that claim is spent, by taking the
 //! job back or by collecting its result. So while a job is in the slot, no
 //! other signer can post, and its result can reach no one but its poster.
+//! This holds whatever picks the path. Under the in-flight rule a post
+//! finds the slot busy only after a signer unwound between posting and
+//! collecting; the slot then never idles, and every later sign runs inline.
 //! A half combined into the wrong signature would leave it wrong mod q
 //! only, and `gcd(s^e − m, n)` would then reveal p.
 
@@ -350,6 +356,63 @@ mod tests {
         let _claim = slot.post(job(3)).ok().unwrap();
         slot.finish(BigUint::one());
         assert!(matches!(slot, Slot::Posted(_)));
+    }
+
+    #[test]
+    fn split_takes_back_a_job_no_thread_serves() {
+        // No thread serves this helper, so each job is still posted when
+        // the signer's half is done, and the signer runs it itself.
+        let helper = Helper::default();
+        let (p, q) = (half(), half());
+        for m in 0..20u64 {
+            let m = BigUint::from_u64(m);
+            assert_eq!(helper.split(&p, &q, &m), (p.pow(&m), q.pow(&m)));
+            assert!(matches!(*helper.lock(), Slot::Idle));
+        }
+    }
+
+    #[test]
+    fn the_helper_thread_serves_each_job_to_its_poster() {
+        let helper = spawn(NonZeroUsize::new(2)).unwrap();
+        for m in 0..100u64 {
+            let claim = helper.lock().post(job(m)).ok().unwrap();
+            helper.wake.notify_all();
+            let mut slot = helper.lock();
+            while !matches!(*slot, Slot::Done(_)) {
+                slot = helper.wait(slot);
+            }
+            let Collected::Result(out) = slot.collect(claim) else {
+                panic!("a finished job's result goes to its poster");
+            };
+            assert_eq!(out, job(m).run());
+        }
+    }
+
+    /// A half modulo an odd `bits`-bit number, with a `bits`-bit exponent.
+    fn random_half(bits: usize, rng: &mut impl rand::RngCore) -> Arc<CrtHalf> {
+        let mut r = BigUint::random_bits(bits, rng);
+        r.set_bit(0);
+        let mont = Montgomery::new(&r).unwrap();
+        Arc::new(CrtHalf::new(mont, BigUint::random_bits(bits, rng)))
+    }
+
+    #[test]
+    fn a_private_helper_splits_like_two_inline_halves() {
+        // A helper of its own, so neither the process's helper nor other
+        // tests' signatures decide the path. Halves of unequal length make
+        // the signer finish first (it waits on the helper or takes the job
+        // back) or last (it collects a finished result).
+        use rand::SeedableRng;
+        let helper = spawn(NonZeroUsize::new(2)).unwrap();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(44);
+        let pairs: Vec<_> = [(256, 512), (512, 1024), (512, 256), (384, 384)]
+            .into_iter()
+            .map(|(p, q)| (random_half(p, &mut rng), random_half(q, &mut rng)))
+            .collect();
+        for (p, q) in pairs.iter().cycle().take(300) {
+            let m = BigUint::random_bits(512, &mut rng);
+            assert_eq!(helper.split(p, q, &m), (p.pow(&m), q.pow(&m)));
+        }
     }
 
     #[test]
